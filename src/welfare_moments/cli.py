@@ -4,24 +4,27 @@ Subcommands: ``simulate`` (draw households from a synthetic population),
 ``estimate`` (first stage plus share-moment fits), ``welfare`` (full
 report sweep over price changes), ``rationality`` (verdicts over a
 budget grid), and ``oracle-check`` (approximation-versus-exact error
-table).  All outputs are deterministic given the configuration and seed;
-errors are emitted as JSON on standard error with exit code 1 for
-validation problems and 2 for numeric failures.
+table).  All outputs are deterministic given the configuration and seed,
+and runs are serial.  Nothing is written until every number in the
+result is finite; errors are emitted as JSON on standard error with exit
+code 1 for validation problems and 2 for numeric failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .core import Budget, DomainError, OrderError, PriceChange
 from .estimation import (
     BasisSpec,
@@ -60,9 +63,6 @@ from .welfare import (
     cv_ra,
 )
 
-VERSION = "0.1.0"
-
-
 class SchemaError(ValueError):
     def __init__(self, column):
         self.column = column
@@ -99,14 +99,12 @@ class RunConfig:
     y_grid: list = field(default_factory=lambda: [2.0])
     n: int = 1000
     seed: int = None
-    bootstrap_reps: int = 0
-    level: float = 0.90
     out: str = "."
 
     def canonical(self):
         payload = asdict(self)
         payload.pop("out", None)  # output routing does not affect results
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
     def hash(self):
         return hashlib.sha256(self.canonical().encode()).hexdigest()
@@ -193,20 +191,23 @@ def _write_dataset_csv(path, ds):
     _write_csv(path, header, rows)
 
 
-def _thread_count():
-    raw = os.environ.get("WM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2, allow_nan=False)
 
 
-def _map_ordered(fn, items):
-    threads = _thread_count()
-    if threads == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _first_non_finite(obj, path=""):
+    """Path (``reports[0].first_order``) of the first NaN or infinite float, or None."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return path
+    if isinstance(obj, dict):
+        children = (("%s.%s" % (path, k) if path else k, v) for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        children = (("%s[%d]" % (path, i), v) for i, v in enumerate(obj))
+    else:
+        return None
+    found = (_first_non_finite(v, sub) for sub, v in children)
+    return next((f for f in found if f is not None), None)
 
 
 def _surface_for_config(cfg, max_order):
@@ -224,7 +225,7 @@ def _surface_for_config(cfg, max_order):
 
 
 def _bundle(cfg, **payload):
-    bundle = {"version": VERSION, "seed": cfg.seed, "config_hash": cfg.hash()}
+    bundle = {"version": __version__, "seed": cfg.seed, "config_hash": cfg.hash()}
     bundle.update(payload)
     return bundle
 
@@ -238,8 +239,8 @@ def _cmd_simulate(cfg):
                                         if len(cfg.goods) == pop.k else None)
     else:
         ds = population_cross_section(pop, cfg.n, cfg.seed, good=cfg.goods[0])
-    _write_dataset_csv(os.path.join(cfg.out, "draws.csv"), ds)
-    return _bundle(cfg, rows=ds.n, columns=list(ds.goods))
+    write = functools.partial(_write_dataset_csv, os.path.join(cfg.out, "draws.csv"), ds)
+    return _bundle(cfg, rows=ds.n, columns=list(ds.goods)), [write]
 
 
 def _cmd_estimate(cfg):
@@ -253,10 +254,9 @@ def _cmd_estimate(cfg):
         for order in (1, 2, 3):
             fits.append(fit_moment_surface(ds, good, order, basis, fs))
     fit_dicts = [f.to_dict() for f in fits]
-    with open(os.path.join(cfg.out, "fits.json"), "w") as fh:
-        json.dump(fit_dicts, fh, sort_keys=True, indent=2)
+    write = functools.partial(_write_json, os.path.join(cfg.out, "fits.json"), fit_dicts)
     first = {k: v for k, v in (fs.coefficients if fs else {}).items()}
-    return _bundle(cfg, fits=fit_dicts, first_stage=first, warnings=warnings)
+    return _bundle(cfg, fits=fit_dicts, first_stage=first, warnings=warnings), [write]
 
 
 def _cmd_welfare(cfg):
@@ -270,7 +270,7 @@ def _cmd_welfare(cfg):
         rep = build_report(surface, pc, quad, cfg.b_lo, cfg.b_hi, thresholds)
         return rep.to_dict()
 
-    reports = _map_ordered(one, list(cfg.dp))
+    reports = [one(dp) for dp in cfg.dp]
     header = ["dp", "first_order", "ra", "robust", "path", "bound_lower",
               "bound_upper", "var_robust", "var_additive", "var_first_order",
               "A1", "A2", "A3", "A4"]
@@ -279,8 +279,8 @@ def _cmd_welfare(cfg):
              r["variance"]["additive"], r["variance"]["first_order"],
              r["decomposition"]["A1"], r["decomposition"]["A2"],
              r["decomposition"]["A3"], r["decomposition"]["A4"]] for r in reports]
-    _write_csv(os.path.join(cfg.out, "sweep.csv"), header, rows)
-    return _bundle(cfg, reports=reports)
+    write = functools.partial(_write_csv, os.path.join(cfg.out, "sweep.csv"), header, rows)
+    return _bundle(cfg, reports=reports), [write]
 
 
 def _cmd_oracle_check(cfg):
@@ -304,12 +304,12 @@ def _cmd_oracle_check(cfg):
             "err_robust": robust - exact,
         }
 
-    table = _map_ordered(one, list(cfg.dp))
+    table = [one(dp) for dp in cfg.dp]
     header = ["dp", "exact", "first_order", "ra", "robust", "path",
               "err_ra", "err_robust"]
-    _write_csv(os.path.join(cfg.out, "sweep.csv"), header,
-               [[row[c] for c in header] for row in table])
-    return _bundle(cfg, oracle_check=table)
+    write = functools.partial(_write_csv, os.path.join(cfg.out, "sweep.csv"), header,
+                              [[row[c] for c in header] for row in table])
+    return _bundle(cfg, oracle_check=table), [write]
 
 
 def _cmd_rationality(cfg):
@@ -350,9 +350,8 @@ def _cmd_rationality(cfg):
             rec = {"budget": {"prices": [p], "income": y}, "degree": degree}
             rec.update(v.to_dict())
             verdicts.append(rec)
-    with open(os.path.join(cfg.out, "verdicts.json"), "w") as fh:
-        json.dump(verdicts, fh, sort_keys=True, indent=2)
-    return _bundle(cfg, verdicts=verdicts)
+    write = functools.partial(_write_json, os.path.join(cfg.out, "verdicts.json"), verdicts)
+    return _bundle(cfg, verdicts=verdicts), [write]
 
 
 COMMANDS = {
@@ -372,11 +371,21 @@ NUMERIC_ERRORS = (DomainError, OrderError, NumericError, FitError,
 
 
 def run(command, cfg):
-    """Execute one subcommand; returns (bundle, exit_code)."""
+    """Execute one subcommand; returns (bundle, exit_code).
+
+    A command returns its bundle and the writers of its other files; nothing
+    is written until the bundle is checked finite and serialised.
+    """
     os.makedirs(cfg.out, exist_ok=True)
-    bundle = COMMANDS[command](cfg)
+    bundle, writers = COMMANDS[command](cfg)
+    bad = _first_non_finite(bundle)
+    if bad is not None:
+        raise FloatingPointError("non-finite value in %s" % bad)
+    text = json.dumps(bundle, sort_keys=True, indent=2, allow_nan=False)
+    for write in writers:
+        write()
     with open(os.path.join(cfg.out, "report.json"), "w") as fh:
-        json.dump(bundle, fh, sort_keys=True, indent=2)
+        fh.write(text)
     return bundle, 0
 
 
@@ -412,8 +421,6 @@ def build_parser():
     parser.add_argument("--y-grid", type=_float_list, dest="y_grid")
     parser.add_argument("--n", type=int)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--bootstrap-reps", type=int, dest="bootstrap_reps")
-    parser.add_argument("--level", type=float)
     parser.add_argument("--out")
     return parser
 
@@ -454,7 +461,7 @@ def _emit_error(exc):
         payload["rows"] = [{"line": line, "problem": msg} for line, msg in exc.errors[:100]]
     if isinstance(exc, SchemaError):
         payload["column"] = exc.column
-    json.dump(payload, sys.stderr)
+    json.dump(payload, sys.stderr, allow_nan=False)
     sys.stderr.write("\n")
 
 

@@ -105,15 +105,11 @@ class PriceChange:
 
 @dataclass(frozen=True)
 class DerivativeScheme:
-    """Configuration for central-difference partials with optional Richardson step."""
+    """Relative step of the Richardson-combined central-difference partials."""
 
-    mode: str = "central-difference"
     step: float = 1e-5
-    richardson: bool = True
 
     def __post_init__(self):
-        if self.mode not in ("analytic", "central-difference"):
-            raise ValueError("unknown derivative mode %r" % (self.mode,))
         if not (1e-12 < self.step < 1e-2):
             raise ValueError("step must lie in (1e-12, 1e-2)")
 
@@ -136,7 +132,41 @@ class MultigoodMoments:
     d_income_second: object
 
 
-class MomentSurface:
+class _Surface:
+    """Order check, moment evaluation and finite-difference fallback shared
+    by the quantity and the share surface."""
+
+    def __init__(self, max_order, moment_fn, good, scheme):
+        if max_order < 1:
+            raise OrderError("max_order must be >= 1")
+        self.max_order = int(max_order)
+        self.good = int(good)
+        self._moment = moment_fn
+        self.scheme = scheme or DEFAULT_SCHEME
+
+    def _check_order(self, n):
+        if not 1 <= n <= self.max_order:
+            raise OrderError("order %d outside 1..%d" % (n, self.max_order))
+
+    def moment(self, n, b):
+        self._check_order(n)
+        return float(self._moment(n, b))
+
+    def _partial(self, analytic, n, b, j=None, scale=1.0):
+        """Partial in price j, or in income when j is None.
+
+        Uses the analytic callable when one was supplied, else Richardson
+        central differences of ``moment`` multiplied by ``scale``.
+        """
+        self._check_order(n)
+        if analytic is not None:
+            return float(analytic(n, b) if j is None else analytic(n, b, j))
+        if j is None:
+            return scale * numeric_partial(self, n, b, "income", self.scheme)
+        return scale * numeric_partial(self, n, b, "price", self.scheme, j=j)
+
+
+class MomentSurface(_Surface):
     """Evaluatable conditional moments of demand for one modeled good.
 
     ``moment(n, b)`` returns the n-th raw moment of quantity demanded at
@@ -147,36 +177,16 @@ class MomentSurface:
 
     def __init__(self, max_order, moment_fn, d_price_fn=None, d_income_fn=None,
                  good=0, scheme=None, multigood=None):
-        if max_order < 1:
-            raise OrderError("max_order must be >= 1")
-        self.max_order = int(max_order)
-        self.good = int(good)
-        self._moment = moment_fn
+        super().__init__(max_order, moment_fn, good, scheme)
         self._d_price = d_price_fn
         self._d_income = d_income_fn
-        self.scheme = scheme or DEFAULT_SCHEME
         self.multigood = multigood
 
-    def _check_order(self, n):
-        if not 1 <= n <= self.max_order:
-            raise OrderError("order %d outside 1..%d" % (n, self.max_order))
-
-    def moment(self, n, b):
-        self._check_order(n)
-        return float(self._moment(n, b))
-
     def d_price(self, n, b, j=None):
-        self._check_order(n)
-        j = self.good if j is None else j
-        if self._d_price is not None:
-            return float(self._d_price(n, b, j))
-        return numeric_partial(self, n, b, "price", self.scheme, j=j)
+        return self._partial(self._d_price, n, b, self.good if j is None else j)
 
     def d_income(self, n, b):
-        self._check_order(n)
-        if self._d_income is not None:
-            return float(self._d_income(n, b))
-        return numeric_partial(self, n, b, "income", self.scheme)
+        return self._partial(self._d_income, n, b)
 
     @property
     def has_multigood(self):
@@ -200,7 +210,7 @@ class MomentSurface:
         return np.asarray(self._mg().d_income_second(b), dtype=float)
 
 
-class ShareMomentSurface:
+class ShareMomentSurface(_Surface):
     """Budget-share analogue of :class:`MomentSurface`, in log-price/log-income space.
 
     ``moment(n, b)`` is the n-th raw moment of the budget share of the
@@ -210,39 +220,20 @@ class ShareMomentSurface:
 
     def __init__(self, max_order, moment_fn, d_logp_fn=None, d_logy_fn=None,
                  good=0, scheme=None):
-        self.max_order = int(max_order)
-        self.good = int(good)
-        self._moment = moment_fn
+        super().__init__(max_order, moment_fn, good, scheme)
         self._d_logp = d_logp_fn
         self._d_logy = d_logy_fn
-        self.scheme = scheme or DEFAULT_SCHEME
-
-    def _check_order(self, n):
-        if not 1 <= n <= self.max_order:
-            raise OrderError("order %d outside 1..%d" % (n, self.max_order))
-
-    def moment(self, n, b):
-        self._check_order(n)
-        return float(self._moment(n, b))
 
     def d_logp(self, n, b, j=None):
-        self._check_order(n)
         j = self.good if j is None else j
-        if self._d_logp is not None:
-            return float(self._d_logp(n, b, j))
-        p = b.price(j)
-        return p * _central(lambda x: self._moment(n, b.with_price(j, x)), p, self.scheme)
+        return self._partial(self._d_logp, n, b, j, scale=b.price(j))
 
     def d_logy(self, n, b):
-        self._check_order(n)
-        if self._d_logy is not None:
-            return float(self._d_logy(n, b))
-        y = b.income
-        return y * _central(lambda x: self._moment(n, b.with_income(x)), y, self.scheme)
+        return self._partial(self._d_logy, n, b, scale=b.income)
 
 
 def _central(f, x, scheme):
-    """Central difference with relative step; Richardson-combined when enabled."""
+    """Richardson-combined central difference with relative step."""
     h = scheme.step * max(1.0, abs(x))
     if x - h <= 0.0:
         raise DomainError("perturbation leaves the positive domain at %g" % x)
@@ -251,8 +242,6 @@ def _central(f, x, scheme):
         return (f(x + step) - f(x - step)) / (2.0 * step)
 
     d1 = diff(h)
-    if not scheme.richardson:
-        return float(d1)
     d2 = diff(h / 2.0)
     return float((4.0 * d2 - d1) / 3.0)
 
@@ -270,38 +259,16 @@ def numeric_partial(surface, n, b, var, scheme=None, j=0):
 
 
 def shares_to_quantities(share_surface, b):
-    """Convert share-moment values and log-derivatives into quantity moments.
+    """Quantity moments and partials of a share surface at one budget.
 
-    The modeled good's quantity moment is M_n = (y/p)^n W_n; the partials
-    follow from the chain rule.  The income derivative of the mean is the
-    direct differentiation of M1 = y W1 / p, i.e. (1/p)(W1 + dW1/dlogy);
-    this is the only form with the dimensions of quantity per unit income.
-    Requires share orders up to 3.
+    Reads :func:`quantity_surface_from_shares`, so the chain rule lives in
+    one place.  Requires share orders up to 3.
     """
-    j = share_surface.good
-    p = b.price(j)
-    y = b.income
-    if p <= 0.0 or y <= 0.0:
-        raise DomainError("share conversion needs positive own price and income")
-    w1 = share_surface.moment(1, b)
-    w2 = share_surface.moment(2, b)
-    w3 = share_surface.moment(3, b)
-    dlp_w1 = share_surface.d_logp(1, b)
-    dlp_w2 = share_surface.d_logp(2, b)
-    dly_w1 = share_surface.d_logy(1, b)
-    dly_w2 = share_surface.d_logy(2, b)
-    dly_w3 = share_surface.d_logy(3, b)
-    r = y / p
-    return {
-        "M1": r * w1,
-        "M2": r ** 2 * w2,
-        "M3": r ** 3 * w3,
-        "D_p_M1": (y / p ** 2) * (dlp_w1 - w1),
-        "D_y_M1": (1.0 / p) * (w1 + dly_w1),
-        "D_p_M2": (y ** 2 / p ** 3) * (dlp_w2 - 2.0 * w2),
-        "D_y_M2": (y / p ** 2) * (dly_w2 + 2.0 * w2),
-        "D_y_M3": (y ** 2 / p ** 3) * (dly_w3 + 3.0 * w3),
-    }
+    q = quantity_surface_from_shares(share_surface)
+    out = {"M%d" % n: q.moment(n, b) for n in (1, 2, 3)}
+    out.update({"D_p_M%d" % n: q.d_price(n, b) for n in (1, 2)})
+    out.update({"D_y_M%d" % n: q.d_income(n, b) for n in (1, 2, 3)})
+    return out
 
 
 def quantity_surface_from_shares(share_surface, scheme=None):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DomainError,
     MomentSurface,
     OrderError,
     ShareMomentSurface,
@@ -313,12 +314,42 @@ class FittedSurface:
     fits: tuple
 
 
+def exp_poly_share_surface(thetas, basis, n_goods, good=0):
+    """Share moments W_n(b) = exp(x(b) . theta_n) with analytic log-derivatives.
+
+    ``thetas`` maps each moment order 1..max to a coefficient vector laid
+    out like the columns of :func:`_basis_matrix`.  Counterfactual budgets
+    evaluate the control column at zero, its conditional mean.
+    """
+    p_deg, y_deg = basis.price_degree, basis.income_degree
+
+    def w_mom(n, b):
+        if b.k != n_goods:
+            raise ValueError("budget has %d prices, basis expects %d" % (b.k, n_goods))
+        lp = np.log(np.asarray(b.prices, dtype=float)).reshape(1, -1)
+        row = _basis_matrix(lp, np.array([np.log(b.income)]), None, basis)[0]
+        return float(np.exp(np.dot(row, thetas[n])))
+
+    def slope(coef, x):
+        # d/dx of sum_s coef[s] x^(s+1)
+        return sum((s + 1) * coef[s] * x ** s for s in range(len(coef)))
+
+    def d_logp(n, b, j):
+        start = 1 + j * p_deg
+        return w_mom(n, b) * slope(thetas[n][start:start + p_deg], np.log(b.price(j)))
+
+    def d_logy(n, b):
+        start = 1 + n_goods * p_deg
+        return w_mom(n, b) * slope(thetas[n][start:start + y_deg], np.log(b.income))
+
+    return ShareMomentSurface(len(thetas), w_mom, d_logp, d_logy, good=good)
+
+
 def fitted_surface(fits, scheme=None):
     """Assemble fitted moment equations (orders 1..max) into moment surfaces.
 
-    Counterfactual budgets evaluate the control residual at zero, its
-    conditional mean.  Derivatives are analytic from the
-    exponential-polynomial form.
+    The share surface is :func:`exp_poly_share_surface` of the fitted
+    coefficients; the quantity surface is its chain-rule image.
     """
     fits = sorted(fits, key=lambda f: f.order)
     if not fits:
@@ -329,42 +360,17 @@ def fitted_surface(fits, scheme=None):
     good_idx = fits[0].good_index
     if any(f.good_index != good_idx for f in fits):
         raise ValueError("fits mix different goods")
-    by_order = {f.order: f for f in fits}
-    max_order = len(fits)
-    spec = fits[0].basis
-    n_goods = fits[0].n_goods
-
-    def _row(b):
-        if b.k != n_goods:
-            raise ValueError("budget has %d prices, basis expects %d" % (b.k, n_goods))
-        lp = np.log(np.asarray(b.prices, dtype=float)).reshape(1, -1)
-        ly = np.array([np.log(b.income)])
-        return _basis_matrix(lp, ly, np.zeros(1), spec)[0]
-
-    def w_mom(n, b):
-        fit = by_order.get(n)
-        if fit is None:
-            raise OrderError("no fit for order %d" % n)
-        return float(np.exp(np.dot(_row(b), fit.theta)))
-
-    def d_logp(n, b, j):
-        fit = by_order[n]
-        lp = np.log(b.price(j))
-        beta = fit.beta[j]
-        slope = sum((s + 1) * beta[s] * lp ** s for s in range(len(beta)))
-        return w_mom(n, b) * slope
-
-    def d_logy(n, b):
-        fit = by_order[n]
-        ly = np.log(b.income)
-        gamma = fit.gamma
-        slope = sum((s + 1) * gamma[s] * ly ** s for s in range(len(gamma)))
-        return w_mom(n, b) * slope
-
-    share = ShareMomentSurface(max_order, w_mom, d_logp, d_logy, good=good_idx)
+    share = exp_poly_share_surface({f.order: f.theta for f in fits}, fits[0].basis,
+                                   fits[0].n_goods, good=good_idx)
     quantity = quantity_surface_from_shares(share, scheme=scheme)
     return FittedSurface(share_surface=share, moment_surface=quantity,
                          fits=tuple(fits))
+
+
+# What a statistic may legitimately raise on an unlucky resample; any
+# other exception is a bug and propagates.
+REPLICATE_ERRORS = (FitError, SingularDesignError, DegenerateDataError, DomainError,
+                    np.linalg.LinAlgError, FloatingPointError)
 
 
 def bootstrap(ds, statistic, cfg):
@@ -380,7 +386,7 @@ def bootstrap(ds, statistic, cfg):
         idx = rng.integers(0, ds.n, size=ds.n)
         try:
             values.append(float(statistic(ds.take(idx))))
-        except Exception:
+        except REPLICATE_ERRORS:
             failures += 1
     if failures > 0.10 * cfg.replications:
         raise BootstrapInstabilityError(failures, cfg.replications)

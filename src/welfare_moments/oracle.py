@@ -50,13 +50,10 @@ class OdeConfig:
     """Fixed-step classical RK4 configuration for the compensation ODE."""
 
     steps: int = 1024
-    method: str = "rk4"
 
     def __post_init__(self):
         if self.steps < 16:
             raise ValueError("need at least 16 integration steps")
-        if self.method != "rk4":
-            raise ValueError("only the classical fixed-step rk4 method is supported")
 
 
 DEFAULT_ODE = OdeConfig()

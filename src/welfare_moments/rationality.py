@@ -78,9 +78,7 @@ def slutsky_moment_inequality(surface, n, b):
 
     Identical to the translation of the degree (n-1) monomial.
     """
-    if n + 1 > surface.max_order:
-        raise OrderError("needs moment order %d, surface has %d" % (n + 1, surface.max_order))
-    return surface.d_price(n, b) / n + surface.d_income(n + 1, b) / (n + 1)
+    return monomial_translation(surface, n - 1, b).value
 
 
 def translate_polynomial(coeffs, surface, b):

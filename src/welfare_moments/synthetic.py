@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ShareMomentSurface, quantity_surface_from_shares
-from .estimation import BasisSpec, Dataset, _basis_matrix
+from .core import quantity_surface_from_shares
+from .estimation import BasisSpec, Dataset, _basis_matrix, exp_poly_share_surface
 from .oracle import CobbDouglasPopulation
 
 
@@ -105,25 +105,8 @@ class PlantedShareModel:
         return np.exp(row @ self.order_theta(1))
 
     def share_surface(self, max_order=3):
-        def w_mom(n, b):
-            lp = np.log(np.asarray(b.prices)).reshape(1, -1)
-            ly = np.array([np.log(b.income)])
-            row = _basis_matrix(lp, ly, None, self.basis)[0]
-            return float(np.exp(np.dot(row, self.order_theta(n))))
-
-        def d_logp(n, b, j):
-            lp = np.log(b.price(j))
-            coef = [n * v for v in self.beta[j]]
-            slope = sum((s + 1) * coef[s] * lp ** s for s in range(len(coef)))
-            return w_mom(n, b) * slope
-
-        def d_logy(n, b):
-            ly = np.log(b.income)
-            coef = [n * v for v in self.gamma]
-            slope = sum((s + 1) * coef[s] * ly ** s for s in range(len(coef)))
-            return w_mom(n, b) * slope
-
-        return ShareMomentSurface(max_order, w_mom, d_logp, d_logy, good=0)
+        thetas = {n: self.order_theta(n) for n in range(1, max_order + 1)}
+        return exp_poly_share_surface(thetas, self.basis, len(self.beta))
 
     def moment_surface(self, max_order=3):
         return quantity_surface_from_shares(self.share_surface(max_order))

@@ -123,7 +123,6 @@ def cv_path(surface, pc, quad=None):
     if surface.max_order < 2:
         raise OrderError("path approximation needs moment orders up to 2")
     dp = _own_delta(surface, pc)
-    j = surface.good
 
     def m1_at(t):
         return surface.moment(1, pc.path_budget(t))
@@ -380,29 +379,6 @@ def tax_deadweight(surface, b, tau, dtau_dtheta):
     return slope * tau * dtau_dtheta
 
 
-def _jacobi_max_eigenvalue(matrix, sweeps=50, tol=1e-14):
-    """Largest eigenvalue of a symmetric matrix by cyclic Jacobi rotations."""
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    for _ in range(sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off < tol * max(1.0, np.max(np.abs(np.diag(a)))):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) < 1e-300:
-                    continue
-                theta = 0.5 * np.arctan2(2.0 * a[p, q], a[q, q] - a[p, p])
-                c, s = np.cos(theta), np.sin(theta)
-                rot = np.eye(n)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-    return float(np.max(np.diag(a)))
-
-
 @dataclass(frozen=True)
 class CompensatedJacobian:
     matrix: np.ndarray
@@ -422,7 +398,8 @@ def compensated_jacobian_multigood(surface, b):
         raise ShapeError("multigood moment matrices must be square and conformable")
     sym = 0.5 * (jac + jac.T + dm2)
     sym = 0.5 * (sym + sym.T)
-    return CompensatedJacobian(matrix=sym, max_eigenvalue=_jacobi_max_eigenvalue(sym))
+    return CompensatedJacobian(matrix=sym,
+                               max_eigenvalue=float(np.linalg.eigvalsh(sym)[-1]))
 
 
 def cv_mean_multigood(surface, pc):

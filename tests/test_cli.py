@@ -164,15 +164,29 @@ def test_entry_point_script():
     assert "welfare" in proc.stdout
 
 
-def test_thread_cap_preserves_output(tmp_path, monkeypatch):
-    out1, out2 = tmp_path / "serial", tmp_path / "pooled"
-    monkeypatch.delenv("WM_THREADS", raising=False)
-    assert main(["welfare", "--population", "L0", "--dp", "0.02,0.05,0.1",
-                 "--out", str(out1)]) == 0
-    monkeypatch.setenv("WM_THREADS", "4")
-    assert main(["welfare", "--population", "L0", "--dp", "0.02,0.05,0.1",
-                 "--out", str(out2)]) == 0
-    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+def test_sweep_reports_match_single_runs(tmp_path):
+    dps = ["0.02", "0.05", "0.1"]
+    assert main(["welfare", "--population", "L0", "--dp", ",".join(dps),
+                 "--out", str(tmp_path / "sweep")]) == 0
+    sweep = json.loads((tmp_path / "sweep" / "report.json").read_text())["reports"]
+    assert len(sweep) == len(dps)
+    for dp, report in zip(dps, sweep):
+        out = tmp_path / dp
+        assert main(["welfare", "--population", "L0", "--dp", dp, "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["reports"] == [report]
+
+
+def test_non_finite_result_exits_2_without_output(tmp_path, capsys):
+    data = tmp_path / "draws.csv"
+    assert main(["simulate", "--population", "L0", "--n", "20000", "--seed", "7",
+                 "--out", str(tmp_path)]) == 0
+    out = tmp_path / "welfare"
+    assert main(["welfare", "--data", str(data), "--goods", "q", "--p0", "1",
+                 "--y", "4000", "--dp", "0.05", "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "FloatingPointError",
+                   "message": "non-finite value in reports[0].first_order"}
+    assert list(out.iterdir()) == []
 
 
 def test_simulate_requires_seed(tmp_path):

@@ -45,8 +45,6 @@ def test_derivative_scheme_validation():
         DerivativeScheme(step=1e-1)
     with pytest.raises(ValueError):
         DerivativeScheme(step=1e-13)
-    with pytest.raises(ValueError):
-        DerivativeScheme(mode="autodiff")
 
 
 def test_numeric_partial_l0_income(l0_surface):

@@ -19,6 +19,7 @@ from welfare_moments import (
 from welfare_moments.estimation import (
     BootstrapInstabilityError,
     DegenerateDataError,
+    FitError,
     SingularDesignError,
 )
 from welfare_moments.synthetic import default_planted_model, population_cross_section
@@ -232,11 +233,24 @@ def test_bootstrap_instability():
     def fragile(d):
         # resamples contain duplicated rows almost surely; the full sample not
         if len(np.unique(d.log_z)) < d.n:
-            raise RuntimeError("duplicate rows")
+            raise FitError("duplicate rows")
         return 1.0
 
-    with pytest.raises(BootstrapInstabilityError):
+    with pytest.raises(BootstrapInstabilityError) as err:
         bootstrap(ds, fragile, BootstrapConfig(20, 0.90, seed=0))
+    assert err.value.failures == 20
+
+
+def test_bootstrap_propagates_statistic_bugs():
+    ds = constant_dataset()
+
+    def broken(d):
+        if d is not ds:
+            raise TypeError("a bug, not an unlucky resample")
+        return 1.0
+
+    with pytest.raises(TypeError):
+        bootstrap(ds, broken, BootstrapConfig(20, 0.90, seed=0))
 
 
 def test_basis_and_bootstrap_validation():

@@ -124,8 +124,6 @@ def test_exact_cv_domain_exit_reports_time():
 def test_ode_config_validation():
     with pytest.raises(ValueError):
         OdeConfig(steps=8)
-    with pytest.raises(ValueError):
-        OdeConfig(method="euler")
 
 
 def test_population_cv_zero_change():

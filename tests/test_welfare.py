@@ -6,6 +6,8 @@ from welfare_moments import (
     CobbDouglasPopulation,
     L0,
     LinearTypeMixture,
+    MomentSurface,
+    MultigoodMoments,
     OrderError,
     PriceChange,
     ShareMomentSurface,
@@ -388,6 +390,47 @@ def test_compensated_jacobian_multigood_cd2():
         assert comp.max_eigenvalue <= 1e-10
         assert comp.matrix[0, 0] == pytest.approx(-alpha * (1 - alpha) * 2.0, abs=1e-12)
         assert comp.matrix[0, 1] == pytest.approx(alpha * (1 - alpha) * 2.0 / 1.3, abs=1e-12)
+
+
+def jacobi_max_eigenvalue(matrix, sweeps=50, tol=1e-14):
+    """Largest eigenvalue of a symmetric matrix by cyclic Jacobi rotations.
+
+    Independent oracle for the LAPACK eigenvalue used by the library.
+    """
+    a = np.array(matrix, dtype=float)
+    n = a.shape[0]
+    for _ in range(sweeps):
+        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
+        if off < tol * max(1.0, np.max(np.abs(np.diag(a)))):
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if abs(a[p, q]) < 1e-300:
+                    continue
+                theta = 0.5 * np.arctan2(2.0 * a[p, q], a[q, q] - a[p, p])
+                c, s = np.cos(theta), np.sin(theta)
+                rot = np.eye(n)
+                rot[p, p] = c
+                rot[q, q] = c
+                rot[p, q] = s
+                rot[q, p] = -s
+                a = rot.T @ a @ rot
+    return float(np.max(np.diag(a)))
+
+
+def test_compensated_jacobian_eigenvalue_matches_jacobi_oracle():
+    rng = np.random.default_rng(11)
+    for k in range(2, 7):
+        for _ in range(5):
+            half = rng.normal(size=(k, k))
+            sym = half + half.T
+            surface = MomentSurface(
+                2, lambda n, b: 1.0,
+                multigood=MultigoodMoments(None, lambda b, m=sym: m, None,
+                                           lambda b, k=k: np.zeros((k, k))))
+            comp = compensated_jacobian_multigood(surface, Budget((1.0,) * k, 2.0))
+            np.testing.assert_array_equal(comp.matrix, sym)
+            assert comp.max_eigenvalue == pytest.approx(jacobi_max_eigenvalue(sym), abs=1e-10)
 
 
 def test_cv_mean_multigood_reduces_to_scalar():
