@@ -43,7 +43,7 @@ from .oracle import (
     NumericError,
     Q0,
     demand_support,
-    population_cv,
+    population_cv_sweep,
     surface_from_population,
 )
 from .rationality import (
@@ -287,10 +287,13 @@ def _cmd_oracle_check(cfg):
     pop = parse_population(cfg.population or "L0")
     surface = surface_from_population(pop, 4)
     quad = QuadratureRule.gauss_legendre(cfg.quad_nodes)
+    # A k-good population gets k-price budgets: every price at p0, good 0 moving.
+    others = (cfg.p0,) * (getattr(pop, "k", 1) - 1)
+    pcs = [PriceChange(Budget((cfg.p0,) + others, cfg.y),
+                       Budget((cfg.p0 + dp,) + others, cfg.y)) for dp in cfg.dp]
+    exacts = [res.mean for res in population_cv_sweep(pop, pcs)]
 
-    def one(dp):
-        pc = PriceChange.scalar(cfg.p0, cfg.p0 + dp, cfg.y)
-        exact = population_cv(pop, pc).mean
+    def one(dp, pc, exact):
         ra = cv_ra(surface, pc)
         robust = cv_moment_local(surface, 1, pc)
         return {
@@ -304,7 +307,7 @@ def _cmd_oracle_check(cfg):
             "err_robust": robust - exact,
         }
 
-    table = [one(dp) for dp in cfg.dp]
+    table = [one(*row) for row in zip(cfg.dp, pcs, exacts)]
     header = ["dp", "exact", "first_order", "ra", "robust", "path",
               "err_ra", "err_robust"]
     write = functools.partial(_write_csv, os.path.join(cfg.out, "sweep.csv"), header,

@@ -97,9 +97,25 @@ def _rk4_scalar_family(drift, y0, steps):
     return s
 
 
-def _guard_income(y_arr, t):
-    if np.any(np.asarray(y_arr) <= 0.0):
-        raise DomainError("compensated income left the positive domain at t=%.6f" % t)
+def _guard_income(y_arr, t, pcs, owner):
+    """Raise DomainError if a compensated income is nonpositive.
+
+    ``owner[i]`` indexes the price change in ``pcs`` that family element
+    ``i`` belongs to; the message names the first offending one.
+    """
+    bad = y_arr <= 0.0
+    if np.any(bad):
+        pc = pcs[owner[np.argmax(bad)]]
+        dp = ", ".join("%g" % d for d in pc.delta)
+        raise DomainError("compensated income left the positive domain at t=%.6f "
+                          "for the price change dp=%s at income %g" % (t, dp, pc.income))
+
+
+def _own_price_paths(pcs, sizes):
+    """Start price and price step of good 0 for each family element."""
+    p0 = np.repeat([pc.start.prices[0] for pc in pcs], sizes)
+    dp = np.repeat([pc.delta[0] for pc in pcs], sizes)
+    return p0, dp
 
 
 class LinearHeteroPopulation:
@@ -164,7 +180,7 @@ class LinearHeteroPopulation:
     def type_demand(self, intercept, effect, p, y):
         return intercept - self.beta * p + effect * y
 
-    def cv_nodes(self, b, n_nodes=64):
+    def cv_nodes(self, n_nodes=64):
         u, w = _segment_nodes(self.a0, self.a1, n_nodes)
         omegas, effs, weights = [], [], []
         for a, pr in self.effects:
@@ -173,17 +189,16 @@ class LinearHeteroPopulation:
             weights.append(pr * w / (self.a1 - self.a0))
         return np.concatenate(omegas), np.concatenate(effs), np.concatenate(weights)
 
-    def cv_drift(self, pc, n_nodes=64):
-        om, ef, w = self.cv_nodes(pc.start, n_nodes)
-        p0 = np.asarray(pc.start.prices)
-        dp = pc.delta
+    def cv_family(self, pcs, n_nodes=64):
+        om, ef, w = self.cv_nodes(n_nodes)
+        sizes = [len(w)] * len(pcs)
+        om, ef = np.tile(om, len(pcs)), np.tile(ef, len(pcs))
+        p0, dp = _own_price_paths(pcs, sizes)
 
-        def drift(t, y_arr):
-            _guard_income(y_arr, t)
-            p = float(p0[0] + t * dp[0])
-            return (om - self.beta * p + ef * y_arr) * dp[0]
+        def rate(t, y_arr):
+            return (om - self.beta * (p0 + t * dp) + ef * y_arr) * dp
 
-        return drift, w
+        return rate, np.tile(w, len(pcs)), sizes
 
     def draw_quantities(self, rng, p_arr, y_arr):
         n = len(p_arr)
@@ -221,11 +236,19 @@ class QuantileCounterexamplePopulation:
         cuts = [0.0, t1, 0.5, t2, 1.0]
         return [(cuts[i], cuts[i + 1]) for i in range(4) if cuts[i + 1] > cuts[i] + 1e-15]
 
+    def _nodes(self, y, n_nodes=64):
+        """Gauss-Legendre nodes and weights at income y, one row per segment."""
+        seg = np.array(self._segments(y))
+        x, w = _leggauss01(n_nodes)
+        width = (seg[:, 1] - seg[:, 0])[:, None]
+        return seg[:, :1] + width * x, width * w
+
     def _integrate(self, f, b, n_nodes=64):
+        x, weights = self._nodes(b.income, n_nodes)
+        vals = f(x.ravel()).reshape(x.shape)
         total = 0.0
-        for lo, hi in self._segments(b.income):
-            x, w = _segment_nodes(lo, hi, n_nodes)
-            total += float(np.dot(w, f(x)))
+        for w, v in zip(weights, vals):
+            total += float(np.dot(w, v))
         return total
 
     def moment(self, n, b):
@@ -248,23 +271,17 @@ class QuantileCounterexamplePopulation:
         vals = self.demand(np.array(pts), p, y)
         return float(np.min(vals)), float(np.max(vals))
 
-    def cv_drift(self, pc, n_nodes=64):
-        nodes, weights = [], []
-        for lo, hi in self._segments(pc.start.income):
-            x, w = _segment_nodes(lo, hi, n_nodes)
-            nodes.append(x)
-            weights.append(w)
-        om = np.concatenate(nodes)
-        w = np.concatenate(weights)
-        p0 = np.asarray(pc.start.prices)
-        dp = pc.delta
+    def cv_family(self, pcs, n_nodes=64):
+        nodes = [self._nodes(pc.income, n_nodes) for pc in pcs]
+        om = np.concatenate([x.ravel() for x, _ in nodes])
+        w = np.concatenate([w.ravel() for _, w in nodes])
+        sizes = [x.size for x, _ in nodes]
+        p0, dp = _own_price_paths(pcs, sizes)
 
-        def drift(t, y_arr):
-            _guard_income(y_arr, t)
-            p = float(p0[0] + t * dp[0])
-            return self.demand(om, p, y_arr) * dp[0]
+        def rate(t, y_arr):
+            return self.demand(om, p0 + t * dp, y_arr) * dp
 
-        return drift, w
+        return rate, w, sizes
 
     def draw_quantities(self, rng, p_arr, y_arr):
         om = rng.uniform(0.0, 1.0, size=len(p_arr))
@@ -354,19 +371,18 @@ class CobbDouglasPopulation:
         return sum(prob * y * (float(np.prod((p1 / p0) ** np.asarray(alpha))) - 1.0)
                    for alpha, prob in self.types)
 
-    def cv_drift(self, pc, n_nodes=None):
+    def cv_family(self, pcs, n_nodes=None):
         alphas = np.array([alpha for alpha, _ in self.types])
         w = np.array([prob for _, prob in self.types])
-        p0 = np.asarray(pc.start.prices)
-        dp = pc.delta
+        paths = [(np.asarray(pc.start.prices), pc.delta) for pc in pcs]
 
-        def drift(t, y_arr):
-            _guard_income(y_arr, t)
-            p = p0 + t * dp
-            # sum_i alpha_i * y / p_i * dp_i, per type
-            return y_arr * (alphas @ (dp / p))
+        def rate(t, y_arr):
+            # sum_i alpha_i * y / p_i * dp_i, per type.  One product per price
+            # change: a single stacked product sums in another order.
+            return y_arr * np.concatenate([alphas @ (dp / (p0 + t * dp))
+                                           for p0, dp in paths])
 
-        return drift, w
+        return rate, np.tile(w, len(pcs)), [len(w)] * len(pcs)
 
     def draw_quantities(self, rng, p_arr, y_arr, good=0):
         probs = np.array([prob for _, prob in self.types])
@@ -429,20 +445,15 @@ class LinearTypeMixture:
         q = self.type_quantities(b)
         return float(np.min(q)), float(np.max(q))
 
-    def cv_drift(self, pc, n_nodes=None):
-        m = np.array([t[0] for t in self.types])
-        c = np.array([t[1] for t in self.types])
-        gp = np.array([t[2] for t in self.types])
-        gy = np.array([t[3] for t in self.types])
-        p0 = np.asarray(pc.start.prices)
-        dp = pc.delta
+    def cv_family(self, pcs, n_nodes=None):
+        m, c, gp, gy = (np.tile([t[i] for t in self.types], len(pcs)) for i in range(4))
+        sizes = [len(self.types)] * len(pcs)
+        p0, dp = _own_price_paths(pcs, sizes)
 
-        def drift(t, y_arr):
-            _guard_income(y_arr, t)
-            p = float(p0[0] + t * dp[0])
-            return (c + gp * p + gy * y_arr) * dp[0]
+        def rate(t, y_arr):
+            return (c + gp * (p0 + t * dp) + gy * y_arr) * dp
 
-        return drift, m
+        return rate, m, sizes
 
 
 # Canonical fixtures: the two observationally equivalent populations and
@@ -494,7 +505,7 @@ def exact_cv_type(demand, pc, cfg=None):
     dp = pc.delta
 
     def drift(t, y_arr):
-        _guard_income(y_arr, t)
+        _guard_income(y_arr, t, (pc,), (0,))
         q = np.atleast_1d(np.asarray(fn(p0 + t * dp, float(y_arr[0])), dtype=float))
         return np.array([float(np.dot(q, dp))])
 
@@ -522,16 +533,42 @@ def cv_constant_income_effect(demand, a, pc, n_nodes=64):
     return float(total)
 
 
-def population_cv(pop, pc, cfg=None, n_nodes=64):
-    """Exact moments of the CV distribution by tensor-product quadrature over types."""
+def population_cv_sweep(pop, pcs, cfg=None, n_nodes=64):
+    """Exact CV-distribution moments for each price change, from one RK4 family.
+
+    Every (price change, type node) pair is one element of the family.
+    ``pop.cv_family(pcs, n_nodes)`` returns the per-element right side
+    ``rate(t, y)`` of the compensation ODE, the quadrature weight of every
+    element, and the number of elements of each price change.  Each price
+    change's moments come from its own slice of the result.  Returns one
+    :class:`PopulationCv` per price change, in order.
+    """
     cfg = cfg or DEFAULT_ODE
-    drift, w = pop.cv_drift(pc, n_nodes)
-    y0 = np.full(len(w), pc.income)
-    s = _rk4_scalar_family(drift, y0, cfg.steps)
-    mean = float(np.dot(w, s))
-    variance = float(np.dot(w, (s - mean) ** 2))
-    raw = tuple(float(np.dot(w, s ** m)) for m in range(1, 5))
-    return PopulationCv(mean=mean, variance=variance, raw_moments=raw)
+    pcs = tuple(pcs)
+    if not pcs:
+        return []
+    rate, w, sizes = pop.cv_family(pcs, n_nodes)
+    owner = np.repeat(np.arange(len(pcs)), sizes)
+    y0 = np.array([pc.income for pc in pcs])[owner]
+
+    def drift(t, y_arr):
+        _guard_income(y_arr, t, pcs, owner)
+        return rate(t, y_arr)
+
+    s_all = _rk4_scalar_family(drift, y0, cfg.steps)
+    out = []
+    for hi, size in zip(np.cumsum(sizes), sizes):
+        wi, s = w[hi - size:hi], s_all[hi - size:hi]
+        mean = float(np.dot(wi, s))
+        variance = float(np.dot(wi, (s - mean) ** 2))
+        raw = tuple(float(np.dot(wi, s ** m)) for m in range(1, 5))
+        out.append(PopulationCv(mean=mean, variance=variance, raw_moments=raw))
+    return out
+
+
+def population_cv(pop, pc, cfg=None, n_nodes=64):
+    """Exact moments of the CV distribution of one price change."""
+    return population_cv_sweep(pop, (pc,), cfg, n_nodes)[0]
 
 
 def aggregate_expenditure(pop, prices, u):

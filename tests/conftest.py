@@ -9,7 +9,7 @@ from welfare_moments import (
     L0,
     PriceChange,
     Q0,
-    population_cv,
+    population_cv_sweep,
     surface_from_population,
 )
 
@@ -49,24 +49,22 @@ def cd2_surface():
     return surface_from_population(CobbDouglasPopulation.two_type(0.3), 6)
 
 
+def _exact_means(dps):
+    """Exact mean CV of the linear population at income 2, one sweep over dps."""
+    pcs = [PriceChange.scalar(1.0, 1.0 + dp, 2.0) for dp in dps]
+    return {dp: res.mean for dp, res in zip(dps, population_cv_sweep(L0, pcs))}
+
+
 @pytest.fixture(scope="session")
 def l0_exact_sweep():
     """Exact mean CV of the linear population over the error-slope sweep."""
-    out = {}
-    for dp in SWEEP_DPS:
-        pc = PriceChange.scalar(1.0, 1.0 + dp, 2.0)
-        out[dp] = population_cv(L0, pc).mean
-    return out
+    return _exact_means(SWEEP_DPS)
 
 
 @pytest.fixture(scope="session")
 def l0_containment_grid():
     """Exact mean CV on the wide price-change grid used for bound containment."""
-    out = {}
-    for dp in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3):
-        pc = PriceChange.scalar(1.0, 1.0 + dp, 2.0)
-        out[dp] = population_cv(L0, pc).mean
-    return out
+    return _exact_means((0.05, 0.1, 0.15, 0.2, 0.25, 0.3))
 
 
 def loglog_slope(xs, ys):

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from welfare_moments import Budget, PriceChange
 from welfare_moments.cli import (
     RowDataError,
     RunConfig,
@@ -174,6 +175,32 @@ def test_sweep_reports_match_single_runs(tmp_path):
         out = tmp_path / dp
         assert main(["welfare", "--population", "L0", "--dp", dp, "--out", str(out)]) == 0
         assert json.loads((out / "report.json").read_text())["reports"] == [report]
+
+
+@pytest.mark.parametrize("population", ["L0", "Q0"])
+def test_oracle_check_rows_match_single_runs(tmp_path, population):
+    dps = ["0.02", "-0.05", "0.1"]
+    assert main(["oracle-check", "--population", population, "--dp", ",".join(dps),
+                 "--out", str(tmp_path / "sweep")]) == 0
+    table = json.loads((tmp_path / "sweep" / "report.json").read_text())["oracle_check"]
+    assert len(table) == len(dps)
+    for dp, row in zip(dps, table):
+        out = tmp_path / dp
+        assert main(["oracle-check", "--population", population, "--dp", dp,
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["oracle_check"] == [row]
+
+
+@pytest.mark.parametrize("population", ["CD(0.3)", "CD2(0.3)"])
+def test_oracle_check_cobb_douglas_exact(tmp_path, population):
+    dps = [0.05, -0.1, 0.2]
+    cfg = RunConfig(population=population, p0=1.0, y=2.0, dp=dps, out=str(tmp_path))
+    bundle, code = run("oracle-check", cfg)
+    assert code == 0
+    pop = parse_population(population)
+    for dp, row in zip(dps, bundle["oracle_check"]):
+        pc = PriceChange(Budget((1.0, 1.0), 2.0), Budget((1.0 + dp, 1.0), 2.0))
+        assert abs(row["exact"] - pop.exact_cv_mean(pc)) <= 1e-9
 
 
 def test_non_finite_result_exits_2_without_output(tmp_path, capsys):

@@ -19,9 +19,10 @@ from welfare_moments import (
     exact_moment,
     income_effect_moment,
     population_cv,
+    population_cv_sweep,
     surface_from_population,
 )
-from welfare_moments.oracle import B_STAR
+from welfare_moments.oracle import B_STAR, _segment_nodes
 
 from conftest import EQUIV_P, EQUIV_Y, random_budgets
 
@@ -241,3 +242,129 @@ def test_exact_cv_accepts_demand_closure():
     rk4 = exact_cv_type(closure, pc)
     closed = cv_constant_income_effect(closure, 2.0 / 3.0, pc)
     assert abs(rk4 - closed) <= 1e-8
+
+
+# Independent oracles: one RK4 integration per price change, and one demand
+# evaluation per quadrature segment, as the library computed them before the
+# sweep stacked every price change into one family.
+
+def _serial_drift(pop, pc, n_nodes=64):
+    p0 = np.asarray(pc.start.prices)
+    dp = pc.delta
+    if isinstance(pop, LinearHeteroPopulation):
+        u, w = _segment_nodes(pop.a0, pop.a1, n_nodes)
+        om = np.concatenate([u for _ in pop.effects])
+        ef = np.concatenate([np.full_like(u, a) for a, _ in pop.effects])
+        w = np.concatenate([pr * w / (pop.a1 - pop.a0) for _, pr in pop.effects])
+
+        def drift(t, y):
+            p = float(p0[0] + t * dp[0])
+            return (om - pop.beta * p + ef * y) * dp[0]
+    elif pop is Q0:
+        parts = [_segment_nodes(lo, hi, n_nodes) for lo, hi in Q0._segments(pc.income)]
+        om = np.concatenate([x for x, _ in parts])
+        w = np.concatenate([w for _, w in parts])
+
+        def drift(t, y):
+            p = float(p0[0] + t * dp[0])
+            return Q0.demand(om, p, y) * dp[0]
+    elif isinstance(pop, CobbDouglasPopulation):
+        alphas = np.array([alpha for alpha, _ in pop.types])
+        w = np.array([prob for _, prob in pop.types])
+
+        def drift(t, y):
+            return y * (alphas @ (dp / (p0 + t * dp)))
+    else:
+        w, c, gp, gy = (np.array([t[i] for t in pop.types]) for i in range(4))
+
+        def drift(t, y):
+            p = float(p0[0] + t * dp[0])
+            return (c + gp * p + gy * y) * dp[0]
+    return drift, w
+
+
+def _serial_population_cv(pop, pc, steps=1024):
+    drift, w = _serial_drift(pop, pc)
+    y0 = np.full(len(w), pc.income)
+    s = np.zeros_like(y0)
+    h = 1.0 / steps
+    for i in range(steps):
+        t = i * h
+        k1 = drift(t, y0 + s)
+        k2 = drift(t + h / 2.0, y0 + s + (h / 2.0) * k1)
+        k3 = drift(t + h / 2.0, y0 + s + (h / 2.0) * k2)
+        k4 = drift(t + h, y0 + s + h * k3)
+        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    mean = float(np.dot(w, s))
+    variance = float(np.dot(w, (s - mean) ** 2))
+    raw = tuple(float(np.dot(w, s ** m)) for m in range(1, 5))
+    return mean, variance, raw
+
+
+def _assert_sweep_matches_serial(pop, pcs):
+    sweep = population_cv_sweep(pop, pcs)
+    assert len(sweep) == len(pcs)
+    for pc, res in zip(pcs, sweep):
+        assert (res.mean, res.variance, res.raw_moments) == _serial_population_cv(pop, pc)
+        assert res == population_cv(pop, pc)
+
+
+def test_population_cv_sweep_matches_serial_l0():
+    pcs = [PriceChange.scalar(1.0, 1.0 + dp, 2.0) for dp in (0.16, -0.05, 0.0, 0.01)]
+    _assert_sweep_matches_serial(L0, pcs)
+    assert population_cv_sweep(Q0, []) == []
+
+
+def test_population_cv_sweep_matches_serial_q0_mixed_incomes():
+    # below income 3 the quantile population has four segments, above it two
+    budgets = ((1.0, 2.0), (0.9, 3.5), (1.1, 2.6), (1.0, 4.5), (1.2, 1.7))
+    pcs = [PriceChange.scalar(p, p + dp, y)
+           for (p, y), dp in zip(budgets, (0.1, -0.15, 0.04, 0.2, -0.02))]
+    assert sorted({len(Q0._segments(pc.income)) for pc in pcs}) == [2, 4]
+    _assert_sweep_matches_serial(Q0, pcs)
+
+
+def test_population_cv_sweep_matches_serial_cd2_two_prices():
+    pop = CobbDouglasPopulation.two_type(0.3)
+    pcs = [PriceChange(Budget((1.0, 1.0), 2.0), Budget((1.05, 1.0), 2.0)),
+           PriceChange(Budget((0.8, 1.3), 3.0), Budget((0.9, 1.1), 3.0)),
+           PriceChange(Budget((1.0, 1.0), 2.0), Budget((0.7, 1.0), 2.0))]
+    _assert_sweep_matches_serial(pop, pcs)
+
+
+def test_population_cv_sweep_matches_serial_type_mixture():
+    pop = LinearTypeMixture([(0.2, 0.6, -0.5, 0.3), (0.5, 1.0, -1.0, 0.1),
+                             (0.3, 0.2, -0.2, 0.6)])
+    pcs = [PriceChange.scalar(1.0, 1.0 + dp, y) for dp, y in ((0.1, 2.0), (-0.2, 1.5))]
+    _assert_sweep_matches_serial(pop, pcs)
+
+
+def test_population_cv_sweep_domain_error_names_price_change():
+    falling = LinearTypeMixture([(1.0, 10.0, 0.0, 0.0)])
+    pcs = [PriceChange.scalar(1.0, 1.0 + dp, 2.0) for dp in (-0.01, -0.5)]
+    with pytest.raises(DomainError) as err:
+        population_cv_sweep(falling, pcs)
+    message = str(err.value)
+    assert "t=" in message
+    assert "dp=-0.5 " in message and "income 2" in message
+
+
+def test_q0_quadrature_matches_segment_loop():
+    def serial_integrate(f, b, n_nodes=64):
+        total = 0.0
+        for lo, hi in Q0._segments(b.income):
+            x, w = _segment_nodes(lo, hi, n_nodes)
+            total += float(np.dot(w, f(x)))
+        return total
+
+    budgets = [Budget((p, ), y) for p, y in
+               ((1.0, 2.0), (0.85, 1.7), (1.15, 2.9), (0.95, 3.0), (1.0, 3.4), (1.1, 5.5))]
+    for b in budgets:
+        p, y = b.price(0), b.income
+        for n in (1, 2, 3, 4):
+            assert Q0.moment(n, b) == serial_integrate(
+                lambda om: Q0.demand(om, p, y) ** n, b)
+            assert Q0.income_effect_moment(n, b) == serial_integrate(
+                lambda om: Q0.demand(om, p, y) ** (n - 1) * Q0.d_income(om, y), b)
+            assert Q0.income_effect_power(n, b) == serial_integrate(
+                lambda om: Q0.demand(om, p, y) * Q0.d_income(om, y) ** n, b)
