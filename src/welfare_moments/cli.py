@@ -183,12 +183,11 @@ def _write_csv(path, header, rows):
 def _write_dataset_csv(path, ds):
     header = (["w_%s" % g for g in ds.goods]
               + ["log_p_%s" % g for g in ds.goods] + ["log_y", "log_z"])
-    rows = []
-    for i in range(ds.n):
-        rows.append(["%.17g" % v for v in ds.shares[i]]
-                    + ["%.17g" % v for v in ds.log_prices[i]]
-                    + ["%.17g" % ds.log_y[i], "%.17g" % ds.log_z[i]])
-    _write_csv(path, header, rows)
+    # rows end in csv.writer's "\r\n", as the header and the other CSV outputs do
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        np.savetxt(fh, np.column_stack([ds.shares, ds.log_prices, ds.log_y, ds.log_z]),
+                   fmt="%.17g", delimiter=",", newline="\r\n")
 
 
 def _write_json(path, obj):

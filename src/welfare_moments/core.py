@@ -104,20 +104,6 @@ class PriceChange:
 
 
 @dataclass(frozen=True)
-class DerivativeScheme:
-    """Relative step of the Richardson-combined central-difference partials."""
-
-    step: float = 1e-5
-
-    def __post_init__(self):
-        if not (1e-12 < self.step < 1e-2):
-            raise ValueError("step must lie in (1e-12, 1e-2)")
-
-
-DEFAULT_SCHEME = DerivativeScheme()
-
-
-@dataclass(frozen=True)
 class MultigoodMoments:
     """Vector/matrix moment callables for many-good analyses.
 
@@ -133,16 +119,15 @@ class MultigoodMoments:
 
 
 class _Surface:
-    """Order check, moment evaluation and finite-difference fallback shared
-    by the quantity and the share surface."""
+    """Order check and evaluation of the supplied moment and partial callables,
+    shared by the quantity and the share surface."""
 
-    def __init__(self, max_order, moment_fn, good, scheme):
+    def __init__(self, max_order, moment_fn, good):
         if max_order < 1:
             raise OrderError("max_order must be >= 1")
         self.max_order = int(max_order)
         self.good = int(good)
         self._moment = moment_fn
-        self.scheme = scheme or DEFAULT_SCHEME
 
     def _check_order(self, n):
         if not 1 <= n <= self.max_order:
@@ -152,32 +137,23 @@ class _Surface:
         self._check_order(n)
         return float(self._moment(n, b))
 
-    def _partial(self, analytic, n, b, j=None, scale=1.0):
-        """Partial in price j, or in income when j is None.
-
-        Uses the analytic callable when one was supplied, else Richardson
-        central differences of ``moment`` multiplied by ``scale``.
-        """
+    def _partial(self, fn, n, b, j=None):
+        """Partial in price j, or in income when j is None."""
         self._check_order(n)
-        if analytic is not None:
-            return float(analytic(n, b) if j is None else analytic(n, b, j))
-        if j is None:
-            return scale * numeric_partial(self, n, b, "income", self.scheme)
-        return scale * numeric_partial(self, n, b, "price", self.scheme, j=j)
+        return float(fn(n, b) if j is None else fn(n, b, j))
 
 
 class MomentSurface(_Surface):
     """Evaluatable conditional moments of demand for one modeled good.
 
     ``moment(n, b)`` returns the n-th raw moment of quantity demanded at
-    budget ``b``; ``d_price`` and ``d_income`` return its partials.  When
-    no analytic partials are supplied they are computed by Richardson
-    central differences on ``moment``.
+    budget ``b``; ``d_price`` and ``d_income`` return its partials, from
+    the callables ``d_price_fn(n, b, j)`` and ``d_income_fn(n, b)``.
     """
 
-    def __init__(self, max_order, moment_fn, d_price_fn=None, d_income_fn=None,
-                 good=0, scheme=None, multigood=None):
-        super().__init__(max_order, moment_fn, good, scheme)
+    def __init__(self, max_order, moment_fn, d_price_fn, d_income_fn,
+                 good=0, multigood=None):
+        super().__init__(max_order, moment_fn, good)
         self._d_price = d_price_fn
         self._d_income = d_income_fn
         self.multigood = multigood
@@ -215,26 +191,29 @@ class ShareMomentSurface(_Surface):
 
     ``moment(n, b)`` is the n-th raw moment of the budget share of the
     modeled good; ``d_logp``/``d_logy`` are derivatives in the log of the
-    own price and of income.
+    own price and of income, from ``d_logp_fn(n, b, j)`` and ``d_logy_fn(n, b)``.
     """
 
-    def __init__(self, max_order, moment_fn, d_logp_fn=None, d_logy_fn=None,
-                 good=0, scheme=None):
-        super().__init__(max_order, moment_fn, good, scheme)
+    def __init__(self, max_order, moment_fn, d_logp_fn, d_logy_fn, good=0):
+        super().__init__(max_order, moment_fn, good)
         self._d_logp = d_logp_fn
         self._d_logy = d_logy_fn
 
     def d_logp(self, n, b, j=None):
-        j = self.good if j is None else j
-        return self._partial(self._d_logp, n, b, j, scale=b.price(j))
+        return self._partial(self._d_logp, n, b, self.good if j is None else j)
 
     def d_logy(self, n, b):
-        return self._partial(self._d_logy, n, b, scale=b.income)
+        return self._partial(self._d_logy, n, b)
 
 
-def _central(f, x, scheme):
-    """Richardson-combined central difference with relative step."""
-    h = scheme.step * max(1.0, abs(x))
+# Relative step of every central difference: the reference partials below
+# and the log-income derivative in ``welfare.price_index_decompose``.
+FD_STEP = 1e-5
+
+
+def _central(f, x):
+    """Richardson-combined central difference with relative step FD_STEP."""
+    h = FD_STEP * max(1.0, abs(x))
     if x - h <= 0.0:
         raise DomainError("perturbation leaves the positive domain at %g" % x)
 
@@ -246,15 +225,18 @@ def _central(f, x, scheme):
     return float((4.0 * d2 - d1) / 3.0)
 
 
-def numeric_partial(surface, n, b, var, scheme=None, j=0):
-    """Central-difference partial of a moment surface in one price or in income."""
-    scheme = scheme or DEFAULT_SCHEME
+def numeric_partial(surface, n, b, var, j=0):
+    """Central-difference partial of a moment surface in one price or in income.
+
+    The library's surfaces carry exact partials; this is the independent
+    reference for checking them.
+    """
     if n > surface.max_order:
         raise OrderError("order %d exceeds surface max_order %d" % (n, surface.max_order))
     if var == "income":
-        return _central(lambda y: surface.moment(n, b.with_income(y)), b.income, scheme)
+        return _central(lambda y: surface.moment(n, b.with_income(y)), b.income)
     if var == "price":
-        return _central(lambda p: surface.moment(n, b.with_price(j, p)), b.price(j), scheme)
+        return _central(lambda p: surface.moment(n, b.with_price(j, p)), b.price(j))
     raise ValueError("var must be 'price' or 'income', got %r" % (var,))
 
 
@@ -271,7 +253,7 @@ def shares_to_quantities(share_surface, b):
     return out
 
 
-def quantity_surface_from_shares(share_surface, scheme=None):
+def quantity_surface_from_shares(share_surface):
     """Wrap a share surface as a quantity-space :class:`MomentSurface`.
 
     Partials in the own price and income are exact images of the share
@@ -295,5 +277,4 @@ def quantity_surface_from_shares(share_surface, scheme=None):
         y = b.income
         return (y ** (n - 1) / p ** n) * (share_surface.d_logy(n, b) + n * share_surface.moment(n, b))
 
-    return MomentSurface(share_surface.max_order, mom, d_price, d_income,
-                         good=j, scheme=scheme)
+    return MomentSurface(share_surface.max_order, mom, d_price, d_income, good=j)

@@ -345,7 +345,7 @@ def exp_poly_share_surface(thetas, basis, n_goods, good=0):
     return ShareMomentSurface(len(thetas), w_mom, d_logp, d_logy, good=good)
 
 
-def fitted_surface(fits, scheme=None):
+def fitted_surface(fits):
     """Assemble fitted moment equations (orders 1..max) into moment surfaces.
 
     The share surface is :func:`exp_poly_share_surface` of the fitted
@@ -362,7 +362,7 @@ def fitted_surface(fits, scheme=None):
         raise ValueError("fits mix different goods")
     share = exp_poly_share_surface({f.order: f.theta for f in fits}, fits[0].basis,
                                    fits[0].n_goods, good=good_idx)
-    quantity = quantity_surface_from_shares(share, scheme=scheme)
+    quantity = quantity_surface_from_shares(share)
     return FittedSurface(share_surface=share, moment_surface=quantity,
                          fits=tuple(fits))
 

@@ -25,6 +25,7 @@ from .core import (
     MomentSurface,
     MultigoodMoments,
     OrderError,
+    ShapeError,
     ShareMomentSurface,
 )
 
@@ -159,10 +160,6 @@ class LinearHeteroPopulation:
             return -self.beta
         return -self.beta * n * self.moment(n - 1, b)
 
-    def d_income_moment(self, n, b):
-        return n * sum(p * a * self._uniform_power_mean(self._shift(a, b), n - 1)
-                       for a, p in self.effects)
-
     def income_effect_moment(self, n, b):
         # E[q^(n-1) dq/dy]
         return sum(p * a * self._uniform_power_mean(self._shift(a, b), n - 1)
@@ -255,6 +252,14 @@ class QuantileCounterexamplePopulation:
         p, y = b.price(0), b.income
         return self._integrate(lambda om: self.demand(om, p, y) ** n, b)
 
+    def d_price_moment(self, n, b, j=0):
+        # every type has dq/dp = -1, so d/dp E[q^n] = -n E[q^(n-1)]
+        if j != 0:
+            return 0.0
+        if n == 1:
+            return -1.0
+        return -n * self.moment(n - 1, b)
+
     def income_effect_moment(self, n, b):
         p, y = b.price(0), b.income
         return self._integrate(
@@ -331,9 +336,6 @@ class CobbDouglasPopulation:
         if j != good:
             return 0.0
         return -n * self.moment(n, b, good) / b.price(good)
-
-    def d_income_moment(self, n, b, good=0):
-        return n * self.moment(n, b, good) / b.income
 
     def income_effect_moment(self, n, b, good=0):
         return self.moment(n, b, good) / b.income
@@ -422,12 +424,6 @@ class LinearTypeMixture:
         m = np.array([t[0] for t in self.types])
         gp = np.array([t[2] for t in self.types])
         return float(n * np.dot(m, q ** (n - 1) * gp))
-
-    def d_income_moment(self, n, b):
-        q = self.type_quantities(b)
-        m = np.array([t[0] for t in self.types])
-        gy = np.array([t[3] for t in self.types])
-        return float(n * np.dot(m, q ** (n - 1) * gy))
 
     def income_effect_moment(self, n, b):
         q = self.type_quantities(b)
@@ -585,41 +581,47 @@ def aggregate_expenditure(pop, prices, u):
     return float(e_total), float(e_ra)
 
 
-def surface_from_population(pop, max_order, scheme=None, good=0):
-    """Moment surface backed by a population's exact moments.
+def surface_from_population(pop, max_order, good=0):
+    """Moment surface backed by a population's exact moments and partials.
 
-    Partials are analytic where the population has closed forms (linear
-    mixtures, Cobb-Douglas) and Richardson central differences otherwise.
-    Cobb-Douglas surfaces also carry the multigood moment fields.
+    The price partial is the population's ``d_price_moment``; the income
+    partial is the identity dM_n/dy = n E[q^(n-1) dq/dy], from
+    ``income_effect_moment``.  Cobb-Douglas surfaces also carry the
+    multigood moment fields, which require a budget with one price per good.
     """
-    multigood = None
-    if isinstance(pop, CobbDouglasPopulation):
-        def mean_vec(b):
-            return pop.mean_shares() * b.income / np.asarray(b.prices)
+    def d_income(n, b):
+        return n * income_effect_moment(pop, n, b, good)
 
-        def jac(b):
-            return np.diag(-pop.mean_shares() * b.income / np.asarray(b.prices) ** 2)
+    if not isinstance(pop, CobbDouglasPopulation):
+        return MomentSurface(max_order, pop.moment, pop.d_price_moment, d_income,
+                             good=good)
 
-        def second(b):
-            p = np.asarray(b.prices)
-            return pop.cross_share_matrix() * b.income ** 2 / np.outer(p, p)
+    def prices(b):
+        if b.k != pop.k:
+            raise ShapeError("budget has %d prices but the population has %d goods"
+                             % (b.k, pop.k))
+        return np.asarray(b.prices)
 
-        def d_second(b):
-            p = np.asarray(b.prices)
-            return 2.0 * pop.cross_share_matrix() * b.income / np.outer(p, p)
+    def mean_vec(b):
+        return pop.mean_shares() * b.income / prices(b)
 
-        multigood = MultigoodMoments(mean_vec, jac, second, d_second)
-        return MomentSurface(
-            max_order,
-            lambda n, b: pop.moment(n, b, good),
-            lambda n, b, j: pop.d_price_moment(n, b, j, good),
-            lambda n, b: pop.d_income_moment(n, b, good),
-            good=good, scheme=scheme, multigood=multigood)
+    def jac(b):
+        return np.diag(-pop.mean_shares() * b.income / prices(b) ** 2)
 
-    d_price = getattr(pop, "d_price_moment", None)
-    d_income = getattr(pop, "d_income_moment", None)
-    return MomentSurface(max_order, pop.moment, d_price, d_income,
-                         good=good, scheme=scheme)
+    def second(b):
+        p = prices(b)
+        return pop.cross_share_matrix() * b.income ** 2 / np.outer(p, p)
+
+    def d_second(b):
+        p = prices(b)
+        return 2.0 * pop.cross_share_matrix() * b.income / np.outer(p, p)
+
+    return MomentSurface(
+        max_order,
+        lambda n, b: pop.moment(n, b, good),
+        lambda n, b, j: pop.d_price_moment(n, b, j, good),
+        d_income,
+        good=good, multigood=MultigoodMoments(mean_vec, jac, second, d_second))
 
 
 def share_surface_from_population(pop, max_order, good=0):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import OrderError, ShapeError
+from .core import FD_STEP, OrderError, ShapeError
 
 
 class InternalConsistencyError(RuntimeError):
@@ -328,7 +328,7 @@ class PriceIndexDecomposition:
         return self.a1 + self.a2 + self.a3 + self.a4
 
 
-def price_index_decompose(share_surface, dlogp, b, logy_step=1e-5):
+def price_index_decompose(share_surface, dlogp, b):
     """Split the index's second-order term into homotheticity/heterogeneity channels.
 
     Also reports the log-income derivative of the representative-agent
@@ -360,7 +360,7 @@ def price_index_decompose(share_surface, dlogp, b, logy_step=1e-5):
 
     # log-income derivative of the assembled RA and heterogeneity parts
     y = b.income
-    h = logy_step * max(1.0, abs(np.log(y)))
+    h = FD_STEP * max(1.0, abs(np.log(y)))
     up, dn = b.with_income(y * np.exp(h)), b.with_income(y * np.exp(-h))
     *_, ra_up, het_up = parts(up)
     *_, ra_dn, het_dn = parts(dn)

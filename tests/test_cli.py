@@ -10,11 +10,13 @@ from welfare_moments.cli import (
     RowDataError,
     RunConfig,
     SchemaError,
+    _write_dataset_csv,
     ingest_csv,
     main,
     parse_population,
     run,
 )
+from welfare_moments.synthetic import cobb_douglas_cross_section, population_cross_section
 
 from conftest import loglog_slope
 
@@ -219,3 +221,27 @@ def test_non_finite_result_exits_2_without_output(tmp_path, capsys):
 def test_simulate_requires_seed(tmp_path):
     assert main(["simulate", "--population", "L0", "--n", "10",
                  "--out", str(tmp_path)]) == 1
+
+
+def write_dataset_rows(path, ds):
+    """Reference writer: one csv.writer row of "%.17g" strings per household."""
+    header = (["w_%s" % g for g in ds.goods]
+              + ["log_p_%s" % g for g in ds.goods] + ["log_y", "log_z"])
+    rows = []
+    for i in range(ds.n):
+        rows.append(["%.17g" % v for v in ds.shares[i]]
+                    + ["%.17g" % v for v in ds.log_prices[i]]
+                    + ["%.17g" % ds.log_y[i], "%.17g" % ds.log_z[i]])
+    write_csv(path, header, rows)
+
+
+@pytest.mark.parametrize("population", ["L0", "CD2(0.3)"])
+def test_dataset_csv_matches_row_writer(tmp_path, population):
+    pop = parse_population(population)
+    if population == "L0":
+        ds = population_cross_section(pop, 2000, 11, good="q")
+    else:
+        ds = cobb_douglas_cross_section(pop, 2000, 11, goods=("food", "fuel"))
+    _write_dataset_csv(tmp_path / "new.csv", ds)
+    write_dataset_rows(tmp_path / "old.csv", ds)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -3,9 +3,9 @@ import pytest
 
 from welfare_moments import (
     Budget,
-    DerivativeScheme,
     DomainError,
     L0,
+    LinearTypeMixture,
     MomentSurface,
     OrderError,
     PriceChange,
@@ -14,6 +14,7 @@ from welfare_moments import (
     quantity_surface_from_shares,
     share_surface_from_population,
     shares_to_quantities,
+    surface_from_population,
 )
 from welfare_moments.oracle import B_STAR
 
@@ -40,13 +41,6 @@ def test_price_change_validation():
     assert zero.scalar_delta() == 0.0
 
 
-def test_derivative_scheme_validation():
-    with pytest.raises(ValueError):
-        DerivativeScheme(step=1e-1)
-    with pytest.raises(ValueError):
-        DerivativeScheme(step=1e-13)
-
-
 def test_numeric_partial_l0_income(l0_surface):
     got = numeric_partial(l0_surface, 1, B_STAR, "income")
     assert got == pytest.approx(0.5, abs=1e-9)
@@ -58,7 +52,7 @@ def test_numeric_partial_l0_price(l0_surface):
 
 
 def test_numeric_partial_constant_surface():
-    const = MomentSurface(3, lambda n, b: 2.5)
+    const = MomentSurface(3, lambda n, b: 2.5, lambda n, b, j: 0.0, lambda n, b: 0.0)
     for var in ("price", "income"):
         assert numeric_partial(const, 2, B_STAR, var) == pytest.approx(0.0, abs=1e-12)
 
@@ -69,16 +63,22 @@ def test_numeric_partial_order_error(l0_surface):
 
 
 def test_numeric_partial_domain_error():
-    const = MomentSurface(1, lambda n, b: 1.0)
+    const = MomentSurface(1, lambda n, b: 1.0, lambda n, b, j: 0.0, lambda n, b: 0.0)
     with pytest.raises(DomainError):
         numeric_partial(const, 1, Budget((1e-7,), 1.0), "price")
 
 
-def test_numeric_matches_analytic_everywhere(l0_surface, cd2_surface):
-    # numeric partials track analytic ones within 1e-6 relative everywhere
+def test_numeric_matches_analytic_everywhere(l0_surface, q0_surface, cd2_surface):
+    # numeric partials track analytic ones within 1e-6 relative everywhere;
+    # Q0 incomes keep away from its kinks at y = 3 and y = 6
     rng = np.random.default_rng(11)
+    mixture = surface_from_population(
+        LinearTypeMixture([(0.4, 0.6, -0.5, 0.3), (0.6, 1.1, -0.8, 0.1)]), 3)
     cases = [(l0_surface, random_budgets(rng, 5, EQUIV_P, EQUIV_Y)),
-             (cd2_surface, random_budgets(rng, 5, (0.6, 1.8), (1.5, 4.0), k=2))]
+             (cd2_surface, random_budgets(rng, 5, (0.6, 1.8), (1.5, 4.0), k=2)),
+             (q0_surface, random_budgets(rng, 5, EQUIV_P, EQUIV_Y)),
+             (q0_surface, random_budgets(rng, 5, EQUIV_P, (3.2, 5.5))),
+             (mixture, random_budgets(rng, 5, EQUIV_P, EQUIV_Y))]
     for surface, budgets in cases:
         for b in budgets:
             for n in (1, 2, 3):

@@ -11,7 +11,9 @@ from welfare_moments import (
     OdeConfig,
     PriceChange,
     Q0,
+    ShapeError,
     aggregate_expenditure,
+    compensated_jacobian_multigood,
     counterexample_discrepancy,
     cv_constant_income_effect,
     demand_support,
@@ -187,6 +189,24 @@ def test_surface_from_population_cd2_mean_vector():
     b = Budget((1.0, 2.0), 3.0)
     np.testing.assert_allclose(surface.mean_vector(b),
                                [3.0 / 2.0, 3.0 / 4.0], atol=1e-12)
+    # closed forms from mean shares (1/2, 1/2) and
+    # E[alpha alpha^T] = [[0.29, 0.21], [0.21, 0.29]]
+    np.testing.assert_allclose(surface.jacobian(b), np.diag([-1.5, -0.375]), atol=1e-12)
+    np.testing.assert_allclose(surface.second_matrix(b),
+                               [[2.61, 0.945], [0.945, 0.6525]], atol=1e-12)
+    np.testing.assert_allclose(surface.d_income_second(b),
+                               [[1.74, 0.63], [0.63, 0.435]], atol=1e-12)
+
+
+def test_surface_from_population_cd2_rejects_one_price_budget():
+    surface = surface_from_population(CobbDouglasPopulation.two_type(0.3), 3)
+    b = Budget((1.0,), 2.0)
+    for field in (surface.mean_vector, surface.jacobian, surface.second_matrix,
+                  surface.d_income_second, lambda b: compensated_jacobian_multigood(surface, b)):
+        with pytest.raises(ShapeError, match="1 prices but the population has 2 goods"):
+            field(b)
+    # the scalar fields read only the modeled good's price
+    assert surface.moment(1, b) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_surface_degenerate_population_jensen_equality():

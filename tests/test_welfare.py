@@ -425,7 +425,7 @@ def test_compensated_jacobian_eigenvalue_matches_jacobi_oracle():
             half = rng.normal(size=(k, k))
             sym = half + half.T
             surface = MomentSurface(
-                2, lambda n, b: 1.0,
+                2, lambda n, b: 1.0, lambda n, b, j: 0.0, lambda n, b: 0.0,
                 multigood=MultigoodMoments(None, lambda b, m=sym: m, None,
                                            lambda b, k=k: np.zeros((k, k))))
             comp = compensated_jacobian_multigood(surface, Budget((1.0,) * k, 2.0))
