@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -70,10 +71,14 @@ class SchemaError(ValueError):
 
 
 class RowDataError(ValueError):
-    def __init__(self, errors):
+    """Bad data rows: ``errors`` holds the first 100 (line, problem) pairs,
+    ``count`` the number of bad rows in the file."""
+
+    def __init__(self, errors, count):
         self.errors = errors
+        self.count = count
         super().__init__("%d malformed data rows (first: line %d: %s)"
-                         % (len(errors), errors[0][0], errors[0][1]))
+                         % (count, errors[0][0], errors[0][1]))
 
 
 @dataclass
@@ -127,50 +132,96 @@ def ingest_csv(path, goods):
     """Parse and validate the household CSV; returns (Dataset, warnings).
 
     Required columns: w_<good> and log_p_<good> per modeled good, plus
-    log_y and log_z.  Unparseable or out-of-range cells are collected as
-    row-level errors (at most 100) before failing; extra columns are
-    ignored with a warning.
+    log_y and log_z; extra columns are ignored with a warning, and of a
+    duplicated column name the last one is read.  The data rows are parsed
+    in one ``np.loadtxt`` call and checked as arrays.  Unparseable or
+    out-of-range rows fail the whole file with a :class:`RowDataError`
+    that lists the first 100 by physical line number.
     """
     goods = tuple(goods)
     required = ["w_%s" % g for g in goods] + ["log_p_%s" % g for g in goods]
     required += ["log_y", "log_z"]
+    k = len(goods)
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        header = next(csv.reader(fh), [])
         for col in required:
             if col not in header:
                 raise SchemaError(col)
-        warnings = ["ignoring column %r" % c for c in header if c not in required]
-        shares, log_p, log_y, log_z = [], [], [], []
-        errors = []
-        for line_no, row in enumerate(reader, start=2):
-            try:
-                w_row = [float(row["w_%s" % g]) for g in goods]
-                p_row = [float(row["log_p_%s" % g]) for g in goods]
-                ly = float(row["log_y"])
-                lz = float(row["log_z"])
-            except (TypeError, ValueError):
-                errors.append((line_no, "unparseable numeric cell"))
-            else:
-                if not all(np.isfinite(v) for v in w_row + p_row + [ly, lz]):
-                    errors.append((line_no, "non-finite value"))
-                elif any(w < 0.0 or w > 1.0 for w in w_row):
-                    errors.append((line_no, "share outside [0, 1]"))
-                elif sum(w_row) > 1.0 + 1e-9:
-                    errors.append((line_no, "modeled shares exceed total budget"))
-                else:
-                    shares.append(w_row)
-                    log_p.append(p_row)
-                    log_y.append(ly)
-                    log_z.append(lz)
-            if len(errors) > 100:
-                break
-        if errors:
-            raise RowDataError(errors)
-    ds = Dataset(goods=goods, shares=np.array(shares, dtype=float),
-                 log_prices=np.array(log_p, dtype=float),
-                 log_y=np.array(log_y, dtype=float), log_z=np.array(log_z, dtype=float))
-    return ds, warnings
+        notes = ["ignoring column %r" % c for c in header if c not in required]
+        position = {name: i for i, name in enumerate(header)}
+        cols = [position[c] for c in required]
+        table, parse_error = None, None
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is reported below, without numpy's warning
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(fh, delimiter=",", usecols=cols, ndmin=2,
+                                   comments=None, quotechar='"')
+        except ValueError as exc:
+            parse_error = exc
+        if parse_error is not None or np.any(_row_problems(table, k)):
+            fh.seek(0)
+            errors = _row_errors(fh, cols, k)
+            if not errors:
+                # loadtxt refused a row that the scan reads; its message names the cell
+                raise ValueError("%s: %s" % (path, parse_error))
+            raise RowDataError(errors[:100], len(errors))
+    if not len(table):
+        raise DegenerateDataError("no data rows in %s" % path)
+    ds = Dataset(goods=goods, shares=np.ascontiguousarray(table[:, :k]),
+                 log_prices=np.ascontiguousarray(table[:, k:2 * k]),
+                 log_y=np.ascontiguousarray(table[:, 2 * k]),
+                 log_z=np.ascontiguousarray(table[:, 2 * k + 1]))
+    return ds, notes
+
+
+ROW_PROBLEMS = (None, "non-finite value", "share outside [0, 1]",
+                "modeled shares exceed total budget")
+
+
+def _row_problems(table, k):
+    """Per row, the ROW_PROBLEMS index of its first failed check (0: none).
+
+    Columns are the k shares, then the other required values.
+    """
+    shares = table[:, :k]
+    with np.errstate(invalid="ignore", over="ignore"):  # rows with inf fail anyway
+        total = functools.reduce(np.add, shares.T, 0.0)  # summed left to right
+    return np.select([~np.all(np.isfinite(table), axis=1),
+                      np.any((shares < 0.0) | (shares > 1.0), axis=1),
+                      total > 1.0 + 1e-9], [1, 2, 3], 0)
+
+
+def _number(cell):
+    """float(cell), refusing what loadtxt refuses: digit-group underscores
+    and non-ASCII digits."""
+    text = cell.strip()
+    if "_" in text or not text.isascii():
+        raise ValueError(cell)
+    return float(text)
+
+
+def _row_errors(fh, cols, k):
+    """(physical line, problem) of every bad data row, in file order.
+
+    The diagnostic scan behind RowDataError: csv.reader over the whole
+    file, run only when loadtxt or the row checks reject it.
+    """
+    reader = csv.reader(fh)
+    next(reader, None)
+    errors, lines, values = [], [], []
+    for row in reader:
+        if not row:
+            continue  # blank line
+        try:
+            values.append([_number(row[i]) for i in cols])
+        except (IndexError, ValueError):
+            errors.append((reader.line_num, "unparseable numeric cell"))
+        else:
+            lines.append(reader.line_num)
+    problems = _row_problems(np.array(values).reshape(-1, len(cols)), k)
+    errors += [(line, ROW_PROBLEMS[p]) for line, p in zip(lines, problems) if p]
+    return sorted(errors)
 
 
 def _write_csv(path, header, rows):
@@ -460,7 +511,7 @@ def main(argv=None):
 def _emit_error(exc):
     payload = {"error": type(exc).__name__, "message": str(exc)}
     if isinstance(exc, RowDataError):
-        payload["rows"] = [{"line": line, "problem": msg} for line, msg in exc.errors[:100]]
+        payload["rows"] = [{"line": line, "problem": msg} for line, msg in exc.errors]
     if isinstance(exc, SchemaError):
         payload["column"] = exc.column
     json.dump(payload, sys.stderr, allow_nan=False)

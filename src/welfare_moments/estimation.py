@@ -136,6 +136,9 @@ class MomentFit:
     theta: np.ndarray
     rss: float
     iters: int
+    # (min, max) over the estimation sample of each log price column, then
+    # of log expenditure: the region the fit may be evaluated on
+    domain: tuple
 
     @property
     def alpha(self):
@@ -264,6 +267,15 @@ def fit_moment_surface(ds, good, order, basis=None, fs=None,
     x = x_full[:, active]
     target = w ** order
 
+    # Each step solves min |pred * (x s) - resid| through x = q r: the normal
+    # matrix of pred * q has cond <= (max pred / min pred)^2, so the basis'
+    # own conditioning is never squared.
+    q, r = np.linalg.qr(x)
+    r_diag = np.abs(np.diag(r))
+    if r_diag.min() <= r_diag.max() * max(x.shape) * np.finfo(float).eps:
+        active_labels = [labels[i] for i in active]
+        raise SingularDesignError(_collinear_columns(x, active_labels) or active_labels)
+
     pos = w > 0.0
     theta_active, *_ = np.linalg.lstsq(x[pos], np.log(target[pos] + 1e-6), rcond=None)
 
@@ -274,10 +286,16 @@ def fit_moment_surface(ds, good, order, basis=None, fs=None,
     rss = float(np.sum((target - pred) ** 2))
     iters = 0
     for iters in range(1, max_iter + 1):
-        jac = pred[:, None] * x
+        jac_q = pred[:, None] * q
         resid = target - pred
-        grad_norm = float(np.linalg.norm(jac.T @ resid))
-        step, *_ = np.linalg.lstsq(jac, resid, rcond=None)
+        grad_q = jac_q.T @ resid
+        grad_norm = float(np.linalg.norm(r.T @ grad_q))
+        try:
+            chol = np.linalg.cholesky(jac_q.T @ jac_q)
+        except np.linalg.LinAlgError:
+            raise FitError("Gauss-Newton normal matrix is not positive definite",
+                           theta=theta_active, gradient_norm=grad_norm) from None
+        step = np.linalg.solve(r, np.linalg.solve(chol.T, np.linalg.solve(chol, grad_q)))
         scale = 1.0
         improved = False
         for _ in range(40):
@@ -301,8 +319,10 @@ def fit_moment_surface(ds, good, order, basis=None, fs=None,
     theta = np.zeros(x_full.shape[1])
     theta[active] = theta_active
     name = good if isinstance(good, str) else ds.goods[k]
+    region = np.column_stack([ds.log_prices, ds.log_y])
     return MomentFit(good=name, good_index=k, order=order, basis=basis,
-                     n_goods=len(ds.goods), theta=theta, rss=rss, iters=iters)
+                     n_goods=len(ds.goods), theta=theta, rss=rss, iters=iters,
+                     domain=(region.min(axis=0), region.max(axis=0)))
 
 
 @dataclass(frozen=True)
@@ -314,20 +334,27 @@ class FittedSurface:
     fits: tuple
 
 
-def exp_poly_share_surface(thetas, basis, n_goods, good=0):
+def exp_poly_share_surface(thetas, basis, n_goods, good=0, domain=None):
     """Share moments W_n(b) = exp(x(b) . theta_n) with analytic log-derivatives.
 
     ``thetas`` maps each moment order 1..max to a coefficient vector laid
     out like the columns of :func:`_basis_matrix`.  Counterfactual budgets
-    evaluate the control column at zero, its conditional mean.
+    evaluate the control column at zero, its conditional mean.  ``domain``
+    is the (lo, hi) box of (log p_1, ..., log p_k, log y) that fitted
+    coefficients were estimated on; a budget outside it raises DomainError.
     """
     p_deg, y_deg = basis.price_degree, basis.income_degree
 
     def w_mom(n, b):
         if b.k != n_goods:
             raise ValueError("budget has %d prices, basis expects %d" % (b.k, n_goods))
-        lp = np.log(np.asarray(b.prices, dtype=float)).reshape(1, -1)
-        row = _basis_matrix(lp, np.array([np.log(b.income)]), None, basis)[0]
+        lp = np.log(np.asarray(b.prices, dtype=float))
+        ly = np.log(b.income)
+        if domain is not None:
+            point = np.append(lp, ly)
+            if not np.all((domain[0] <= point) & (point <= domain[1])):
+                raise DomainError(_outside_message(b, domain))
+        row = _basis_matrix(lp.reshape(1, -1), np.array([ly]), None, basis)[0]
         return float(np.exp(np.dot(row, thetas[n])))
 
     def slope(coef, x):
@@ -345,11 +372,20 @@ def exp_poly_share_surface(thetas, basis, n_goods, good=0):
     return ShareMomentSurface(len(thetas), w_mom, d_logp, d_logy, good=good)
 
 
+def _outside_message(b, domain):
+    lo, hi = np.exp(domain[0]), np.exp(domain[1])
+    prices = " x ".join("[%.6g, %.6g]" % pair for pair in zip(lo[:-1], hi[:-1]))
+    return ("budget with prices %s and income %.6g lies outside the estimation "
+            "sample: prices %s, income [%.6g, %.6g]"
+            % (", ".join("%.6g" % p for p in b.prices), b.income, prices, lo[-1], hi[-1]))
+
+
 def fitted_surface(fits):
     """Assemble fitted moment equations (orders 1..max) into moment surfaces.
 
     The share surface is :func:`exp_poly_share_surface` of the fitted
-    coefficients; the quantity surface is its chain-rule image.
+    coefficients, restricted to the data region common to every fit; the
+    quantity surface is its chain-rule image.
     """
     fits = sorted(fits, key=lambda f: f.order)
     if not fits:
@@ -360,8 +396,10 @@ def fitted_surface(fits):
     good_idx = fits[0].good_index
     if any(f.good_index != good_idx for f in fits):
         raise ValueError("fits mix different goods")
+    domain = (np.max([f.domain[0] for f in fits], axis=0),
+              np.min([f.domain[1] for f in fits], axis=0))
     share = exp_poly_share_surface({f.order: f.theta for f in fits}, fits[0].basis,
-                                   fits[0].n_goods, good=good_idx)
+                                   fits[0].n_goods, good=good_idx, domain=domain)
     quantity = quantity_surface_from_shares(share)
     return FittedSurface(share_surface=share, moment_surface=quantity,
                          fits=tuple(fits))

@@ -1,11 +1,13 @@
 import csv
 import json
+import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from welfare_moments import Budget, PriceChange
+from welfare_moments import Budget, MomentSurface, PriceChange, cli
 from welfare_moments.cli import (
     RowDataError,
     RunConfig,
@@ -205,16 +207,41 @@ def test_oracle_check_cobb_douglas_exact(tmp_path, population):
         assert abs(row["exact"] - pop.exact_cv_mean(pc)) <= 1e-9
 
 
-def test_non_finite_result_exits_2_without_output(tmp_path, capsys):
-    data = tmp_path / "draws.csv"
-    assert main(["simulate", "--population", "L0", "--n", "20000", "--seed", "7",
-                 "--out", str(tmp_path)]) == 0
+def test_non_finite_result_exits_2_without_output(tmp_path, capsys, monkeypatch):
+    infinite = MomentSurface(4, lambda n, b: math.inf, lambda n, b, j: 0.0,
+                             lambda n, b: 0.0)
+    monkeypatch.setattr(cli, "surface_from_population", lambda pop, max_order: infinite)
     out = tmp_path / "welfare"
-    assert main(["welfare", "--data", str(data), "--goods", "q", "--p0", "1",
-                 "--y", "4000", "--dp", "0.05", "--out", str(out)]) == 2
+    assert main(["welfare", "--population", "L0", "--p0", "1", "--y", "2",
+                 "--dp", "0.05", "--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "FloatingPointError",
                    "message": "non-finite value in reports[0].first_order"}
+    assert list(out.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def l0_draws(tmp_path_factory):
+    out = tmp_path_factory.mktemp("l0_draws")
+    assert main(["simulate", "--population", "L0", "--n", "20000", "--seed", "7",
+                 "--out", str(out)]) == 0
+    return out / "draws.csv"
+
+
+@pytest.mark.parametrize("income", ["40", "4000"])
+def test_fitted_surface_outside_sample_exits_2(tmp_path, capsys, l0_draws, income):
+    # there the fitted moments overflow exp; the cause to report is the budget
+    out = tmp_path / "welfare"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["welfare", "--data", str(l0_draws), "--goods", "q", "--p0", "1",
+                     "--y", income, "--dp", "0.05", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    err = json.loads(captured.err)
+    assert err["error"] == "DomainError"
+    assert "income %s lies outside the estimation sample" % income in err["message"]
+    assert "decomposition" not in captured.err and "overflow" not in captured.err
     assert list(out.iterdir()) == []
 
 

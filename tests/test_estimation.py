@@ -3,6 +3,7 @@ import pytest
 
 from welfare_moments import (
     BasisSpec,
+    DomainError,
     BootstrapConfig,
     Budget,
     Dataset,
@@ -21,8 +22,14 @@ from welfare_moments.estimation import (
     DegenerateDataError,
     FitError,
     SingularDesignError,
+    _basis_matrix,
 )
-from welfare_moments.synthetic import default_planted_model, population_cross_section
+from welfare_moments.oracle import CobbDouglasPopulation
+from welfare_moments.synthetic import (
+    cobb_douglas_cross_section,
+    default_planted_model,
+    population_cross_section,
+)
 
 NO_CONTROL = BasisSpec(include_control=False)
 
@@ -101,6 +108,130 @@ def test_fit_planted_recovery():
     assert np.max(np.abs(fit.theta - model.order_theta(1))) < 0.05
 
 
+def fit_lstsq_reference(ds, good, order, basis, fs=None, max_iter=200, rel_tol=1e-10):
+    """Reference Gauss-Newton: an SVD lstsq solve of the full Jacobian per step.
+
+    The fit loop that fit_moment_surface used before its QR/Cholesky step,
+    kept as the independent oracle; returns (theta, rss).
+    """
+    k = ds.good_index(good)
+    w = ds.shares[:, k]
+    control = fs.residuals if basis.include_control else None
+    x_full = _basis_matrix(ds.log_prices, ds.log_y, control, basis)
+    active = [0] + [i for i in range(1, x_full.shape[1]) if np.std(x_full[:, i]) >= 1e-12]
+    x = x_full[:, active]
+    target = w ** order
+    pos = w > 0.0
+    theta_active, *_ = np.linalg.lstsq(x[pos], np.log(target[pos] + 1e-6), rcond=None)
+
+    def predict(th):
+        return np.exp(np.clip(x @ th, -700.0, 700.0))
+
+    pred = predict(theta_active)
+    rss = float(np.sum((target - pred) ** 2))
+    for _ in range(max_iter):
+        jac = pred[:, None] * x
+        step, *_ = np.linalg.lstsq(jac, target - pred, rcond=None)
+        scale = 1.0
+        for _ in range(40):
+            cand = theta_active + scale * step
+            cand_pred = predict(cand)
+            cand_rss = float(np.sum((target - cand_pred) ** 2))
+            if np.isfinite(cand_rss) and cand_rss <= rss:
+                break
+            scale /= 2.0
+        else:
+            break
+        rel_change = (rss - cand_rss) / max(rss, 1e-300)
+        theta_active, pred, rss = cand, cand_pred, cand_rss
+        if rel_change < rel_tol:
+            break
+    theta = np.zeros(x_full.shape[1])
+    theta[active] = theta_active
+    return theta, rss
+
+
+def _l0_case():
+    ds = population_cross_section(L0, 20000, seed=3)
+    return ds, ["q"], BasisSpec(), first_stage(ds)
+
+
+def _planted_case():
+    model = default_planted_model()
+    return model.sample(20000, seed=7), ["q"], model.basis, None
+
+
+def _cd2_case():
+    pop = CobbDouglasPopulation.two_type(0.3)
+    ds = cobb_douglas_cross_section(pop, 20000, 5, goods=("food", "fuel"))
+    return ds, ["food", "fuel"], BasisSpec(), first_stage(ds)
+
+
+@pytest.mark.parametrize("case", [_l0_case, _planted_case, _cd2_case],
+                         ids=["L0", "planted", "CD2(0.3)"])
+def test_fit_matches_lstsq_reference(case):
+    ds, goods, basis, fs = case()
+    for good in goods:
+        for order in (1, 2, 3):
+            fit = fit_moment_surface(ds, good, order, basis, fs)
+            theta, rss = fit_lstsq_reference(ds, good, order, basis, fs)
+            assert np.linalg.norm(fit.theta - theta) <= 1e-8 * np.linalg.norm(theta)
+            assert fit.rss == pytest.approx(rss, rel=1e-12, abs=0.0)
+
+
+def test_fit_rank_deficient_basis():
+    rng = np.random.default_rng(6)
+    n = 2000
+    lp = rng.uniform(-0.2, 0.2, n)
+    ly = rng.uniform(0.5, 1.5, n)
+    ds = Dataset(("food", "fuel"), np.full((n, 2), 0.3), np.column_stack([lp, lp]),
+                 ly, ly)
+    with pytest.raises(SingularDesignError) as err:
+        fit_moment_surface(ds, "food", 1, NO_CONTROL)
+    assert err.value.columns == ["log_p_fuel^1", "log_p_fuel^2", "log_p_fuel^3"]
+
+
+def test_fit_failed_cholesky_is_fit_error(monkeypatch):
+    def not_positive_definite(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
+    with pytest.raises(FitError) as err:
+        fit_moment_surface(constant_dataset(), "q", 1, NO_CONTROL)
+    assert err.value.theta is not None
+
+
+def test_fitted_surface_refuses_budgets_outside_sample():
+    ds = constant_dataset()  # log prices all 0, log income in [1, 1.5]
+    fits = [fit_moment_surface(ds, "q", n, NO_CONTROL) for n in (1, 2, 3)]
+    surface = fitted_surface(fits)
+    lo, hi = np.exp(ds.log_y.min()), np.exp(ds.log_y.max())
+    for b in (Budget((1.0,), 1.0001 * lo), Budget((1.0,), 0.9999 * hi)):
+        assert surface.moment_surface.moment(1, b) > 0.0
+    for b in (Budget((1.0,), 0.999 * lo), Budget((1.0,), 1.001 * hi),
+              Budget((1.01,), 3.0)):
+        with pytest.raises(DomainError, match="outside the estimation sample"):
+            surface.share_surface.moment(1, b)
+        with pytest.raises(DomainError):
+            surface.moment_surface.d_income(1, b)
+
+
+def test_fitted_surface_domain_is_common_to_all_fits():
+    model = default_planted_model()
+    ds = model.sample(4000, seed=3)
+    low = ds.take(np.flatnonzero(ds.log_y < np.median(ds.log_y)))
+    fits = [fit_moment_surface(ds, "q", 1, model.basis),
+            fit_moment_surface(low, "q", 2, model.basis),
+            fit_moment_surface(ds, "q", 3, model.basis)]
+    surface = fitted_surface(fits).share_surface
+    p = float(np.exp(np.median(ds.log_prices)))
+    surface.moment(1, Budget((p,), float(np.exp(low.log_y.max()))))
+    with pytest.raises(DomainError):
+        surface.moment(1, Budget((p,), float(np.exp(ds.log_y.max()))))
+    # the planted model's own surface has no sample and no domain
+    assert model.share_surface().moment(1, Budget((p,), 100.0)) > 0.0
+
+
 def test_fit_to_dict_fields():
     fit = fit_moment_surface(constant_dataset(), "q", 1, NO_CONTROL)
     payload = fit.to_dict()
@@ -114,7 +245,7 @@ def test_fitted_surface_constant_derivatives():
     ds = constant_dataset()
     fits = [fit_moment_surface(ds, "q", n, NO_CONTROL) for n in (1, 2, 3)]
     fs = fitted_surface(fits)
-    b = Budget((1.0,), 2.7)
+    b = Budget((1.0,), 3.0)  # log income of the sample lies in [1, 1.5]
     assert fs.share_surface.d_logp(1, b) == pytest.approx(0.0, abs=1e-8)
     assert fs.share_surface.d_logy(1, b) == pytest.approx(0.0, abs=1e-8)
     assert fs.share_surface.moment(1, b) == pytest.approx(0.4, abs=1e-6)
