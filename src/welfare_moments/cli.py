@@ -338,7 +338,7 @@ def _cmd_oracle_check(cfg):
     surface = surface_from_population(pop, 4)
     quad = QuadratureRule.gauss_legendre(cfg.quad_nodes)
     # A k-good population gets k-price budgets: every price at p0, good 0 moving.
-    others = (cfg.p0,) * (getattr(pop, "k", 1) - 1)
+    others = (cfg.p0,) * (pop.k - 1)
     pcs = [PriceChange(Budget((cfg.p0,) + others, cfg.y),
                        Budget((cfg.p0 + dp,) + others, cfg.y)) for dp in cfg.dp]
     exacts = [res.mean for res in population_cv_sweep(pop, pcs)]

@@ -41,11 +41,6 @@ def _leggauss01(n):
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def _segment_nodes(lo, hi, n=64):
-    x, w = _leggauss01(n)
-    return lo + (hi - lo) * x, (hi - lo) * w
-
-
 @dataclass(frozen=True)
 class OdeConfig:
     """Fixed-step classical RK4 configuration for the compensation ODE."""
@@ -58,17 +53,6 @@ class OdeConfig:
 
 
 DEFAULT_ODE = OdeConfig()
-
-
-@dataclass(frozen=True)
-class DemandClosure:
-    """A per-type demand map (p, y) -> quantity vector, with optional d/dy."""
-
-    fn: object
-    d_income: object = None
-
-    def __call__(self, p, y):
-        return self.fn(p, y)
 
 
 @dataclass(frozen=True)
@@ -119,83 +103,131 @@ def _own_price_paths(pcs, sizes):
     return p0, dp
 
 
-class LinearHeteroPopulation:
+# Reference rule whose nodes are the two ends of every row of a type table.
+_ROW_ENDS = (np.array([0.0, 1.0]),) * 2
+
+
+@lru_cache(maxsize=256)
+def _type_table(pop, b, good):
+    """Weight rows and per-type (q, dq/dp_own, dq/dy) of ``pop`` at budget ``b``.
+
+    One evaluation serves every order and both partials at that budget;
+    its arrays are shared by every caller and are never written.
+    """
+    p = pop._own_price(b, good)
+    nodes, w = pop._types(b.income, good, *_leggauss01(64))
+    return (tuple(w),) + tuple(pop._demand(nodes, p, b.income))
+
+
+class _TypeTable:
+    """A population described by a table of consumer types.
+
+    A subclass supplies ``_types(y, good, x, w)``, the type nodes (a tuple
+    of parameter arrays that broadcast to the weights) and their weights at
+    income ``y``, shaped (rows, m), with the reference rule ``(x, w)`` on
+    [0, 1] mapped into each row's interval (a finite population ignores
+    it); and ``_demand(nodes, p, y)``, the quantity, own-price and income
+    derivative of every type, each an array or a scalar that broadcasts
+    against the quantity.  Every moment and partial is a weighted mean over
+    the table, summed row by row.
+    """
+
+    k = 1
+
+    @staticmethod
+    def _weights(weights):
+        w = np.array(weights, dtype=float)
+        if not np.all(np.isfinite(w)) or np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-12:
+            raise ValueError("type weights must be finite, nonnegative and sum to 1")
+        return w
+
+    def _own_price(self, b, good):
+        if not 0 <= good < self.k:
+            raise ShapeError("good %d is not one of the population's %d goods"
+                             % (good, self.k))
+        return b.price(good)
+
+    def _mean(self, b, good, f):
+        w, q, dq_dp, dq_dy = _type_table(self, b, good)
+        total = 0.0
+        for w_row, v_row in zip(w, f(q, dq_dp, dq_dy)):
+            total += float(np.dot(w_row, v_row))
+        return total
+
+    def moment(self, n, b, good=0):
+        return self._mean(b, good, lambda q, dp, dy: q ** n)
+
+    def d_price_moment(self, n, b, j=0, good=0):
+        # a type's demand for a good moves only with that good's own price
+        if j != good:
+            return 0.0
+        return n * self._mean(b, good, lambda q, dp, dy: q ** (n - 1) * dp)
+
+    def income_effect_moment(self, n, b, good=0):
+        # E[q^(n-1) dq/dy]
+        return self._mean(b, good, lambda q, dp, dy: q ** (n - 1) * dy)
+
+    def income_effect_power(self, n, b, good=0):
+        # E[q (dq/dy)^n]
+        return self._mean(b, good, lambda q, dp, dy: q * dy ** n)
+
+    def support(self, b, good=0):
+        # demand is monotone along each row, so its extremes sit at the row ends
+        p = self._own_price(b, good)
+        nodes, _ = self._types(b.income, good, *_ROW_ENDS)
+        q = self._demand(nodes, p, b.income)[0]
+        return float(np.min(q)), float(np.max(q))
+
+    def cv_family(self, pcs, n_nodes=64):
+        x, w = _leggauss01(n_nodes)
+        tables = [self._types(pc.income, 0, x, w) for pc in pcs]
+        weights = [t for _, t in tables]
+        nodes = [np.concatenate([np.broadcast_to(a, t.shape).ravel()
+                                 for a, t in zip(col, weights)])
+                 for col in zip(*(n for n, _ in tables))]
+        sizes = [t.size for t in weights]
+        return (self._cv_rate(pcs, nodes, sizes),
+                np.concatenate([t.ravel() for t in weights]), sizes)
+
+    def _cv_rate(self, pcs, nodes, sizes):
+        p0, dp = _own_price_paths(pcs, sizes)
+
+        def rate(t, y_arr):
+            return self._demand(nodes, p0 + t * dp, y_arr)[0] * dp
+
+        return rate
+
+
+class LinearHeteroPopulation(_TypeTable):
     """Heterogeneous linear demand q = intercept - slope*p + effect*y.
 
     The intercept is uniform on [a0, a1]; the income effect takes finitely
-    many values with given probabilities.  All moments and their partials
-    have closed polynomial forms.
+    many values with given probabilities.  Each effect value is one row of
+    the type table, over Gauss-Legendre nodes in the intercept, which are
+    exact for the polynomial moments.
     """
 
     def __init__(self, intercept_lo=0.0, intercept_hi=1.0, price_slope=1.0,
                  income_effects=((1.0 / 3.0, 0.5), (2.0 / 3.0, 0.5))):
-        if intercept_hi <= intercept_lo:
-            raise ValueError("intercept bounds must satisfy lo < hi")
-        probs = sum(p for _, p in income_effects)
-        if abs(probs - 1.0) > 1e-12 or any(p < 0 for _, p in income_effects):
-            raise ValueError("income effect probabilities must be nonnegative and sum to 1")
         self.a0 = float(intercept_lo)
         self.a1 = float(intercept_hi)
         self.beta = float(price_slope)
         self.effects = tuple((float(a), float(p)) for a, p in income_effects)
+        coefs = [self.a0, self.a1, self.beta] + [a for a, _ in self.effects]
+        if not np.all(np.isfinite(coefs)):
+            raise ValueError("intercept bounds, slope and income effects must be finite")
+        if self.a1 <= self.a0:
+            raise ValueError("intercept bounds must satisfy lo < hi")
+        self._effect = np.array([a for a, _ in self.effects])
+        self._w = self._weights([p for _, p in self.effects])
 
-    def _shift(self, a, b):
-        return -self.beta * b.price(0) + a * b.income
+    def _types(self, y, good, x, w):
+        return ((self.a0 + (self.a1 - self.a0) * x, self._effect[:, None]),
+                self._w[:, None] * w)
 
-    def _uniform_power_mean(self, c, m):
-        # E[(u + c)^m] for u ~ U(a0, a1)
-        if m == 0:
-            return 1.0
-        hi, lo = self.a1 + c, self.a0 + c
-        return (hi ** (m + 1) - lo ** (m + 1)) / ((m + 1) * (self.a1 - self.a0))
-
-    def moment(self, n, b):
-        return sum(p * self._uniform_power_mean(self._shift(a, b), n)
-                   for a, p in self.effects)
-
-    def d_price_moment(self, n, b, j=0):
-        if j != 0:
-            return 0.0
-        if n == 1:
-            return -self.beta
-        return -self.beta * n * self.moment(n - 1, b)
-
-    def income_effect_moment(self, n, b):
-        # E[q^(n-1) dq/dy]
-        return sum(p * a * self._uniform_power_mean(self._shift(a, b), n - 1)
-                   for a, p in self.effects)
-
-    def income_effect_power(self, n, b):
-        # E[q (dq/dy)^n]
-        return sum(p * a ** n * self._uniform_power_mean(self._shift(a, b), 1)
-                   for a, p in self.effects)
-
-    def support(self, b):
-        shifts = [self._shift(a, b) for a, _ in self.effects]
-        return self.a0 + min(shifts), self.a1 + max(shifts)
-
-    def type_demand(self, intercept, effect, p, y):
-        return intercept - self.beta * p + effect * y
-
-    def cv_nodes(self, n_nodes=64):
-        u, w = _segment_nodes(self.a0, self.a1, n_nodes)
-        omegas, effs, weights = [], [], []
-        for a, pr in self.effects:
-            omegas.append(u)
-            effs.append(np.full_like(u, a))
-            weights.append(pr * w / (self.a1 - self.a0))
-        return np.concatenate(omegas), np.concatenate(effs), np.concatenate(weights)
-
-    def cv_family(self, pcs, n_nodes=64):
-        om, ef, w = self.cv_nodes(n_nodes)
-        sizes = [len(w)] * len(pcs)
-        om, ef = np.tile(om, len(pcs)), np.tile(ef, len(pcs))
-        p0, dp = _own_price_paths(pcs, sizes)
-
-        def rate(t, y_arr):
-            return (om - self.beta * (p0 + t * dp) + ef * y_arr) * dp
-
-        return rate, np.tile(w, len(pcs)), sizes
+    def _demand(self, nodes, p, y):
+        u, effect = nodes
+        return u - self.beta * p + effect * y, -self.beta, effect
 
     def draw_quantities(self, rng, p_arr, y_arr):
         n = len(p_arr)
@@ -206,26 +238,27 @@ class LinearHeteroPopulation:
         return om - self.beta * np.asarray(p_arr) + ef * np.asarray(y_arr)
 
 
-class QuantileCounterexamplePopulation:
+class QuantileCounterexamplePopulation(_TypeTable):
     """Piecewise-linear quantile demand observationally equivalent to the
     heterogeneous linear population for incomes below 3, yet with a
-    different distribution of income effects."""
+    different distribution of income effects.  Each segment between the
+    quantile kinks at income y is one row of the type table."""
 
     def demand(self, omega, p, y):
-        omega = np.asarray(omega, dtype=float)
-        p = np.asarray(p, dtype=float)
-        y = np.asarray(y, dtype=float)
-        low = np.where(y < 6.0 * omega, y / 2.0 + omega, y / 3.0 + 2.0 * omega)
-        high = np.where(y < 6.0 * (1.0 - omega), y / 2.0 + omega,
-                        2.0 * y / 3.0 + 2.0 * omega - 1.0)
-        return -p + np.where(omega <= 0.5, low, high)
+        return self._demand((np.asarray(omega, dtype=float),), p, y)[0]
 
     def d_income(self, omega, y):
-        omega = np.asarray(omega, dtype=float)
-        y = np.asarray(y, dtype=float)
-        low = np.where(y < 6.0 * omega, 0.5, 1.0 / 3.0)
-        high = np.where(y < 6.0 * (1.0 - omega), 0.5, 2.0 / 3.0)
-        return np.where(omega <= 0.5, low, high)
+        return self._demand((np.asarray(omega, dtype=float),), 0.0, y)[2]
+
+    def _demand(self, nodes, p, y):
+        (omega,) = nodes
+        lower = omega <= 0.5
+        # below its kink a type spends half of marginal income on the good
+        flat = y < 6.0 * np.where(lower, omega, 1.0 - omega)
+        q = -p + np.where(flat, y / 2.0 + omega,
+                          np.where(lower, y / 3.0 + 2.0 * omega,
+                                   2.0 * y / 3.0 + 2.0 * omega - 1.0))
+        return q, -1.0, np.where(flat, 0.5, np.where(lower, 1.0 / 3.0, 2.0 / 3.0))
 
     def _segments(self, y):
         t1 = min(max(y / 6.0, 0.0), 0.5)
@@ -233,67 +266,17 @@ class QuantileCounterexamplePopulation:
         cuts = [0.0, t1, 0.5, t2, 1.0]
         return [(cuts[i], cuts[i + 1]) for i in range(4) if cuts[i + 1] > cuts[i] + 1e-15]
 
-    def _nodes(self, y, n_nodes=64):
-        """Gauss-Legendre nodes and weights at income y, one row per segment."""
+    def _types(self, y, good, x, w):
         seg = np.array(self._segments(y))
-        x, w = _leggauss01(n_nodes)
         width = (seg[:, 1] - seg[:, 0])[:, None]
-        return seg[:, :1] + width * x, width * w
-
-    def _integrate(self, f, b, n_nodes=64):
-        x, weights = self._nodes(b.income, n_nodes)
-        vals = f(x.ravel()).reshape(x.shape)
-        total = 0.0
-        for w, v in zip(weights, vals):
-            total += float(np.dot(w, v))
-        return total
-
-    def moment(self, n, b):
-        p, y = b.price(0), b.income
-        return self._integrate(lambda om: self.demand(om, p, y) ** n, b)
-
-    def d_price_moment(self, n, b, j=0):
-        # every type has dq/dp = -1, so d/dp E[q^n] = -n E[q^(n-1)]
-        if j != 0:
-            return 0.0
-        if n == 1:
-            return -1.0
-        return -n * self.moment(n - 1, b)
-
-    def income_effect_moment(self, n, b):
-        p, y = b.price(0), b.income
-        return self._integrate(
-            lambda om: self.demand(om, p, y) ** (n - 1) * self.d_income(om, y), b)
-
-    def income_effect_power(self, n, b):
-        p, y = b.price(0), b.income
-        return self._integrate(
-            lambda om: self.demand(om, p, y) * self.d_income(om, y) ** n, b)
-
-    def support(self, b):
-        p, y = b.price(0), b.income
-        pts = sorted({lo for lo, _ in self._segments(y)} | {1.0, 0.5})
-        vals = self.demand(np.array(pts), p, y)
-        return float(np.min(vals)), float(np.max(vals))
-
-    def cv_family(self, pcs, n_nodes=64):
-        nodes = [self._nodes(pc.income, n_nodes) for pc in pcs]
-        om = np.concatenate([x.ravel() for x, _ in nodes])
-        w = np.concatenate([w.ravel() for _, w in nodes])
-        sizes = [x.size for x, _ in nodes]
-        p0, dp = _own_price_paths(pcs, sizes)
-
-        def rate(t, y_arr):
-            return self.demand(om, p0 + t * dp, y_arr) * dp
-
-        return rate, w, sizes
+        return (seg[:, :1] + width * x,), width * w
 
     def draw_quantities(self, rng, p_arr, y_arr):
         om = rng.uniform(0.0, 1.0, size=len(p_arr))
         return self.demand(om, np.asarray(p_arr), np.asarray(y_arr))
 
 
-class CobbDouglasPopulation:
+class CobbDouglasPopulation(_TypeTable):
     """Finite mixture of Cobb-Douglas consumers over k goods.
 
     Each type has an expenditure share vector alpha (positive, summing to
@@ -303,20 +286,16 @@ class CobbDouglasPopulation:
     """
 
     def __init__(self, types):
-        total = 0.0
-        cleaned = []
-        for alpha, prob in types:
-            alpha = tuple(float(a) for a in alpha)
-            if any(a < 0.0 for a in alpha) or abs(sum(alpha) - 1.0) > 1e-12:
-                raise ValueError("share vectors must be nonnegative and sum to 1")
-            cleaned.append((alpha, float(prob)))
-            total += prob
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError("type probabilities must sum to 1")
-        self.types = tuple(cleaned)
-        self.k = len(cleaned[0][0])
-        if any(len(alpha) != self.k for alpha, _ in cleaned):
+        self.types = tuple((tuple(float(a) for a in alpha), float(prob))
+                           for alpha, prob in types)
+        self.k = len(self.types[0][0])
+        if any(len(alpha) != self.k for alpha, _ in self.types):
             raise ValueError("all share vectors must have equal length")
+        self._alphas = np.array([alpha for alpha, _ in self.types])
+        if (not np.all(np.isfinite(self._alphas)) or np.any(self._alphas < 0.0)
+                or np.any(np.abs(self._alphas.sum(axis=1) - 1.0) > 1e-12)):
+            raise ValueError("share vectors must be finite, nonnegative and sum to 1")
+        self._w = self._weights([prob for _, prob in self.types])
 
     @classmethod
     def single(cls, alpha):
@@ -326,39 +305,30 @@ class CobbDouglasPopulation:
     def two_type(cls, alpha):
         return cls([((alpha, 1.0 - alpha), 0.5), ((1.0 - alpha, alpha), 0.5)])
 
-    def share_power_mean(self, n, good):
-        return sum(prob * alpha[good] ** n for alpha, prob in self.types)
+    def _types(self, y, good, x, w):
+        return (self._alphas[None, :, good],), self._w[None, :]
 
-    def moment(self, n, b, good=0):
-        return self.share_power_mean(n, good) * (b.income / b.price(good)) ** n
+    def _demand(self, nodes, p, y):
+        (alpha,) = nodes
+        q = alpha * y / p
+        return q, -q / p, alpha / p
 
-    def d_price_moment(self, n, b, j=0, good=0):
-        if j != good:
-            return 0.0
-        return -n * self.moment(n, b, good) / b.price(good)
+    def _cv_rate(self, pcs, nodes, sizes):
+        paths = [(np.asarray(pc.start.prices), pc.delta) for pc in pcs]
 
-    def income_effect_moment(self, n, b, good=0):
-        return self.moment(n, b, good) / b.income
+        def rate(t, y_arr):
+            # sum_i alpha_i * y / p_i * dp_i, per type.  One product per price
+            # change: a single stacked product sums in another order.
+            return y_arr * np.concatenate([self._alphas @ (dp / (p0 + t * dp))
+                                           for p0, dp in paths])
 
-    def income_effect_power(self, n, b, good=0):
-        y, p = b.income, b.price(good)
-        return sum(prob * (alpha[good] * y / p) * (alpha[good] / p) ** n
-                   for alpha, prob in self.types)
-
-    def support(self, b, good=0):
-        vals = [alpha[good] * b.income / b.price(good) for alpha, _ in self.types]
-        return min(vals), max(vals)
+        return rate
 
     def mean_shares(self):
-        return np.array([sum(prob * alpha[i] for alpha, prob in self.types)
-                         for i in range(self.k)])
+        return self._w @ self._alphas
 
     def cross_share_matrix(self):
-        out = np.zeros((self.k, self.k))
-        for alpha, prob in self.types:
-            a = np.asarray(alpha)
-            out += prob * np.outer(a, a)
-        return out
+        return (self._alphas.T * self._w) @ self._alphas
 
     def expenditure(self, alpha, prices, u):
         prices = np.asarray(prices, dtype=float)
@@ -373,19 +343,6 @@ class CobbDouglasPopulation:
         return sum(prob * y * (float(np.prod((p1 / p0) ** np.asarray(alpha))) - 1.0)
                    for alpha, prob in self.types)
 
-    def cv_family(self, pcs, n_nodes=None):
-        alphas = np.array([alpha for alpha, _ in self.types])
-        w = np.array([prob for _, prob in self.types])
-        paths = [(np.asarray(pc.start.prices), pc.delta) for pc in pcs]
-
-        def rate(t, y_arr):
-            # sum_i alpha_i * y / p_i * dp_i, per type.  One product per price
-            # change: a single stacked product sums in another order.
-            return y_arr * np.concatenate([alphas @ (dp / (p0 + t * dp))
-                                           for p0, dp in paths])
-
-        return rate, np.tile(w, len(pcs)), [len(w)] * len(pcs)
-
     def draw_quantities(self, rng, p_arr, y_arr, good=0):
         probs = np.array([prob for _, prob in self.types])
         idx = rng.choice(len(self.types), size=len(p_arr), p=probs)
@@ -393,7 +350,7 @@ class CobbDouglasPopulation:
         return shares * np.asarray(y_arr) / np.asarray(p_arr)
 
 
-class LinearTypeMixture:
+class LinearTypeMixture(_TypeTable):
     """Finite mixture of affine demand types q = c + g_p * p + g_y * y.
 
     Used to build fully analytic fixtures: degenerate consumers,
@@ -402,54 +359,20 @@ class LinearTypeMixture:
     """
 
     def __init__(self, types):
-        total = sum(m for m, *_ in types)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError("type masses must sum to 1")
         self.types = tuple((float(m), float(c), float(gp), float(gy))
                            for m, c, gp, gy in types)
+        table = np.array(self.types).reshape(-1, 4).T
+        if not np.all(np.isfinite(table[1:])):
+            raise ValueError("type coefficients must be finite")
+        self._w = self._weights(table[0])
+        self._coefs = tuple(table[1:, None, :])
 
-    def type_quantities(self, b):
-        p, y = b.price(0), b.income
-        return np.array([c + gp * p + gy * y for _, c, gp, gy in self.types])
+    def _types(self, y, good, x, w):
+        return self._coefs, self._w[None, :]
 
-    def moment(self, n, b):
-        q = self.type_quantities(b)
-        m = np.array([t[0] for t in self.types])
-        return float(np.dot(m, q ** n))
-
-    def d_price_moment(self, n, b, j=0):
-        if j != 0:
-            return 0.0
-        q = self.type_quantities(b)
-        m = np.array([t[0] for t in self.types])
-        gp = np.array([t[2] for t in self.types])
-        return float(n * np.dot(m, q ** (n - 1) * gp))
-
-    def income_effect_moment(self, n, b):
-        q = self.type_quantities(b)
-        m = np.array([t[0] for t in self.types])
-        gy = np.array([t[3] for t in self.types])
-        return float(np.dot(m, q ** (n - 1) * gy))
-
-    def income_effect_power(self, n, b):
-        q = self.type_quantities(b)
-        m = np.array([t[0] for t in self.types])
-        gy = np.array([t[3] for t in self.types])
-        return float(np.dot(m, q * gy ** n))
-
-    def support(self, b):
-        q = self.type_quantities(b)
-        return float(np.min(q)), float(np.max(q))
-
-    def cv_family(self, pcs, n_nodes=None):
-        m, c, gp, gy = (np.tile([t[i] for t in self.types], len(pcs)) for i in range(4))
-        sizes = [len(self.types)] * len(pcs)
-        p0, dp = _own_price_paths(pcs, sizes)
-
-        def rate(t, y_arr):
-            return (c + gp * (p0 + t * dp) + gy * y_arr) * dp
-
-        return rate, m, sizes
+    def _demand(self, nodes, p, y):
+        c, gp, gy = nodes
+        return c + gp * p + gy * y, gp, gy
 
 
 # Canonical fixtures: the two observationally equivalent populations and
@@ -463,18 +386,14 @@ def exact_moment(pop, n, b, good=0):
     """n-th conditional moment of demand under a synthetic population."""
     if n < 1:
         raise OrderError("moment order must be >= 1")
-    if isinstance(pop, CobbDouglasPopulation):
-        return float(pop.moment(n, b, good))
-    return float(pop.moment(n, b))
+    return float(pop.moment(n, b, good))
 
 
 def income_effect_moment(pop, n, b, good=0):
     """E[q^(n-1) dq/dy]; equals (1/n) d/dy of the n-th moment."""
     if n < 1:
         raise OrderError("moment order must be >= 1")
-    if isinstance(pop, CobbDouglasPopulation):
-        return float(pop.income_effect_moment(n, b, good))
-    return float(pop.income_effect_moment(n, b))
+    return float(pop.income_effect_moment(n, b, good))
 
 
 def counterexample_discrepancy(n, b=B_STAR):
@@ -491,18 +410,17 @@ def counterexample_discrepancy(n, b=B_STAR):
 def exact_cv_type(demand, pc, cfg=None):
     """Compensating variation of one consumer type by RK4 on the compensation ODE.
 
-    ``demand`` is a DemandClosure or callable (prices array, income) ->
-    quantity vector; the price path is linear.  Raises DomainError with
+    ``demand`` is a callable (prices array, income) -> quantity vector;
+    the price path is linear.  Raises DomainError with
     the exit time if compensated income turns nonpositive.
     """
     cfg = cfg or DEFAULT_ODE
-    fn = demand.fn if isinstance(demand, DemandClosure) else demand
     p0 = np.asarray(pc.start.prices)
     dp = pc.delta
 
     def drift(t, y_arr):
         _guard_income(y_arr, t, (pc,), (0,))
-        q = np.atleast_1d(np.asarray(fn(p0 + t * dp, float(y_arr[0])), dtype=float))
+        q = np.atleast_1d(np.asarray(demand(p0 + t * dp, float(y_arr[0])), dtype=float))
         return np.array([float(np.dot(q, dp))])
 
     s = _rk4_scalar_family(drift, np.array([pc.income]), cfg.steps)
@@ -516,7 +434,6 @@ def cv_constant_income_effect(demand, a, pc, n_nodes=64):
     s(1) = int_0^1 exp(a dp (1 - t)) q(p(t), y) . dp dt, evaluated by
     Gauss-Legendre quadrature at base income.
     """
-    fn = demand.fn if isinstance(demand, DemandClosure) else demand
     p0 = np.asarray(pc.start.prices)
     dp = pc.delta
     y = pc.income
@@ -524,7 +441,7 @@ def cv_constant_income_effect(demand, a, pc, n_nodes=64):
     x, w = _leggauss01(n_nodes)
     total = 0.0
     for t, wt in zip(x, w):
-        q = np.atleast_1d(np.asarray(fn(p0 + t * dp, y), dtype=float))
+        q = np.atleast_1d(np.asarray(demand(p0 + t * dp, y), dtype=float))
         total += wt * np.exp(rate * (1.0 - t)) * float(np.dot(q, dp))
     return float(total)
 
@@ -592,10 +509,6 @@ def surface_from_population(pop, max_order, good=0):
     def d_income(n, b):
         return n * income_effect_moment(pop, n, b, good)
 
-    if not isinstance(pop, CobbDouglasPopulation):
-        return MomentSurface(max_order, pop.moment, pop.d_price_moment, d_income,
-                             good=good)
-
     def prices(b):
         if b.k != pop.k:
             raise ShapeError("budget has %d prices but the population has %d goods"
@@ -616,12 +529,12 @@ def surface_from_population(pop, max_order, good=0):
         p = prices(b)
         return 2.0 * pop.cross_share_matrix() * b.income / np.outer(p, p)
 
-    return MomentSurface(
-        max_order,
-        lambda n, b: pop.moment(n, b, good),
-        lambda n, b, j: pop.d_price_moment(n, b, j, good),
-        d_income,
-        good=good, multigood=MultigoodMoments(mean_vec, jac, second, d_second))
+    multigood = None
+    if isinstance(pop, CobbDouglasPopulation):
+        multigood = MultigoodMoments(mean_vec, jac, second, d_second)
+    return MomentSurface(max_order, lambda n, b: pop.moment(n, b, good),
+                         lambda n, b, j: pop.d_price_moment(n, b, j, good),
+                         d_income, good=good, multigood=multigood)
 
 
 def share_surface_from_population(pop, max_order, good=0):
@@ -647,6 +560,4 @@ def share_surface_from_population(pop, max_order, good=0):
 
 def demand_support(pop, b, good=0):
     """Exact support bounds of quantity demanded at a budget."""
-    if isinstance(pop, CobbDouglasPopulation):
-        return pop.support(b, good)
-    return pop.support(b)
+    return pop.support(b, good)

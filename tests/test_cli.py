@@ -220,6 +220,16 @@ def test_non_finite_result_exits_2_without_output(tmp_path, capsys, monkeypatch)
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("population", ["CD2(nan)", "CD(nan)"])
+def test_non_finite_population_exits_1_without_output(tmp_path, capsys, population):
+    out = tmp_path / "welfare"
+    assert main(["welfare", "--population", population, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "share vectors must be finite" in err["message"]
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def l0_draws(tmp_path_factory):
     out = tmp_path_factory.mktemp("l0_draws")

@@ -11,6 +11,7 @@ from welfare_moments import (
     OdeConfig,
     PriceChange,
     Q0,
+    QuantileCounterexamplePopulation,
     ShapeError,
     aggregate_expenditure,
     compensated_jacobian_multigood,
@@ -24,7 +25,8 @@ from welfare_moments import (
     population_cv_sweep,
     surface_from_population,
 )
-from welfare_moments.oracle import B_STAR, _segment_nodes
+from welfare_moments import oracle
+from welfare_moments.oracle import B_STAR
 
 from conftest import EQUIV_P, EQUIV_Y, random_budgets
 
@@ -254,19 +256,54 @@ def test_population_validation():
         LinearTypeMixture([(0.7, 0.0, 0.0, 0.0)])
 
 
-def test_exact_cv_accepts_demand_closure():
-    from welfare_moments import DemandClosure
+@pytest.mark.parametrize("weights", [(float("nan"), 1.0), (1.5, -0.5)],
+                         ids=["nan", "negative"])
+def test_population_weights_validated(weights):
+    w0, w1 = weights
+    with pytest.raises(ValueError, match="type weights"):
+        LinearHeteroPopulation(income_effects=((1.0 / 3.0, w0), (2.0 / 3.0, w1)))
+    with pytest.raises(ValueError, match="type weights"):
+        CobbDouglasPopulation([((0.3, 0.7), w0), ((0.7, 0.3), w1)])
+    with pytest.raises(ValueError, match="type weights"):
+        LinearTypeMixture([(w0, 0.6, -0.5, 0.3), (w1, 1.0, -1.0, 0.1)])
+
+
+def test_population_coefficients_validated():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="type weights"):
+        LinearHeteroPopulation(income_effects=((0.5, nan),))
+    with pytest.raises(ValueError, match="must be finite"):
+        LinearHeteroPopulation(income_effects=((nan, 1.0),))
+    with pytest.raises(ValueError, match="must be finite"):
+        LinearHeteroPopulation(intercept_hi=nan)
+    for maker in (CobbDouglasPopulation.single, CobbDouglasPopulation.two_type):
+        with pytest.raises(ValueError, match="share vectors"):
+            maker(nan)
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        LinearTypeMixture([(1.0, 0.6, nan, 0.3)])
+
+
+def test_exact_cv_accepts_demand_callable():
     pc = PriceChange.scalar(1.0, 1.1, 2.0)
-    closure = DemandClosure(lambda p, y: 0.5 - p[0] + (2.0 / 3.0) * y,
-                            d_income=lambda p, y: 2.0 / 3.0)
-    rk4 = exact_cv_type(closure, pc)
-    closed = cv_constant_income_effect(closure, 2.0 / 3.0, pc)
+
+    def demand(p, y):
+        return 0.5 - p[0] + (2.0 / 3.0) * y
+
+    rk4 = exact_cv_type(demand, pc)
+    closed = cv_constant_income_effect(demand, 2.0 / 3.0, pc)
     assert abs(rk4 - closed) <= 1e-8
 
 
 # Independent oracles: one RK4 integration per price change, and one demand
 # evaluation per quadrature segment, as the library computed them before the
 # sweep stacked every price change into one family.
+
+def _segment_nodes(lo, hi, n=64):
+    """Gauss-Legendre nodes and weights on [lo, hi]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = (x + 1.0) / 2.0, w / 2.0
+    return lo + (hi - lo) * x, (hi - lo) * w
+
 
 def _serial_drift(pop, pc, n_nodes=64):
     p0 = np.asarray(pc.start.prices)
@@ -388,3 +425,107 @@ def test_q0_quadrature_matches_segment_loop():
                 lambda om: Q0.demand(om, p, y) ** (n - 1) * Q0.d_income(om, y), b)
             assert Q0.income_effect_power(n, b) == serial_integrate(
                 lambda om: Q0.demand(om, p, y) * Q0.d_income(om, y) ** n, b)
+
+
+# Independent oracle: the closed forms the linear and Cobb-Douglas
+# populations used before they became type tables.
+
+def _uniform_power_mean(pop, c, m):
+    # E[(u + c)^m] for u ~ U(a0, a1)
+    if m == 0:
+        return 1.0
+    hi, lo = pop.a1 + c, pop.a0 + c
+    return (hi ** (m + 1) - lo ** (m + 1)) / ((m + 1) * (pop.a1 - pop.a0))
+
+
+def _linear_closed_forms(pop, n, b):
+    def mean(f, m):
+        return sum(p * f(a) * _uniform_power_mean(pop, -pop.beta * b.price(0) + a * b.income, m)
+                   for a, p in pop.effects)
+
+    shifts = [-pop.beta * b.price(0) + a * b.income for a, _ in pop.effects]
+    return {
+        "moment": mean(lambda a: 1.0, n),
+        "d_price_moment": -pop.beta * n * mean(lambda a: 1.0, n - 1),
+        "income_effect_moment": mean(lambda a: a, n - 1),
+        "income_effect_power": mean(lambda a: a ** n, 1),
+        "support": (pop.a0 + min(shifts), pop.a1 + max(shifts)),
+    }
+
+
+def _cobb_douglas_closed_forms(pop, n, b, good):
+    y, p = b.income, b.price(good)
+    share_power_mean = sum(prob * alpha[good] ** n for alpha, prob in pop.types)
+    moment = share_power_mean * (y / p) ** n
+    quantities = [alpha[good] * y / p for alpha, _ in pop.types]
+    return {
+        "moment": moment,
+        "d_price_moment": -n * moment / p,
+        "income_effect_moment": moment / y,
+        "income_effect_power": sum(prob * (alpha[good] * y / p) * (alpha[good] / p) ** n
+                                   for alpha, prob in pop.types),
+        "support": (min(quantities), max(quantities)),
+    }
+
+
+def _assert_table_matches(pop, closed, n, b, good=0):
+    def close(got, want):
+        assert abs(got - want) <= 1e-13 * abs(want) + 1e-15, (n, b, got, want)
+
+    for name in ("moment", "income_effect_moment", "income_effect_power"):
+        close(getattr(pop, name)(n, b, good=good), closed[name])
+    close(pop.d_price_moment(n, b, good, good=good), closed["d_price_moment"])
+    for got, want in zip(pop.support(b, good=good), closed["support"]):
+        close(got, want)
+
+
+TABLE_BUDGETS = ((1.0, 2.0), (0.85, 1.7), (1.15, 2.9), (0.95, 3.4), (1.1, 4.5), (0.9, 5.5))
+
+
+def test_linear_table_matches_closed_forms():
+    wide = LinearHeteroPopulation(0.2, 1.7, 0.8, ((0.1, 0.2), (0.5, 0.3), (0.9, 0.5)))
+    for pop in (L0, wide):
+        for p, y in TABLE_BUDGETS:
+            b = Budget((p,), y)
+            for n in range(1, 8):
+                _assert_table_matches(pop, _linear_closed_forms(pop, n, b), n, b)
+
+
+def test_cobb_douglas_table_matches_closed_forms():
+    three = CobbDouglasPopulation([((0.2, 0.8), 0.25), ((0.5, 0.5), 0.35), ((0.9, 0.1), 0.4)])
+    for pop in (CobbDouglasPopulation.two_type(0.3), three):
+        for p, y in TABLE_BUDGETS:
+            b = Budget((p, 1.3 - p / 2.0), y)
+            for good in (0, 1):
+                for n in range(1, 8):
+                    closed = _cobb_douglas_closed_forms(pop, n, b, good)
+                    _assert_table_matches(pop, closed, n, b, good)
+                    assert pop.d_price_moment(n, b, 1 - good, good=good) == 0.0
+
+
+def test_type_table_rejects_unknown_good():
+    b = Budget((1.0, 1.0), 2.0)
+    with pytest.raises(ShapeError, match="good 1"):
+        L0.moment(1, b, good=1)
+    with pytest.raises(ShapeError, match="good 2"):
+        CobbDouglasPopulation.two_type(0.3).support(b, good=2)
+
+
+def test_q0_one_demand_evaluation_per_budget(monkeypatch):
+    calls = []
+    demand = QuantileCounterexamplePopulation._demand
+
+    def counted(self, nodes, p, y):
+        calls.append((p, y))
+        return demand(self, nodes, p, y)
+
+    monkeypatch.setattr(QuantileCounterexamplePopulation, "_demand", counted)
+    oracle._type_table.cache_clear()
+    surface = surface_from_population(Q0, 4)
+    budgets = [Budget((p,), y) for p, y in TABLE_BUDGETS]
+    for b in budgets:
+        for n in range(1, 5):
+            surface.moment(n, b)
+            surface.d_price(n, b)
+            surface.d_income(n, b)
+    assert calls == [(b.price(0), b.income) for b in budgets]
