@@ -48,7 +48,6 @@ from .oracle import (
     surface_from_population,
 )
 from .rationality import (
-    SimplexError,
     SupportBox,
     degree1_cone_test,
     lp_violation_search,
@@ -63,6 +62,16 @@ from .welfare import (
     cv_path,
     cv_ra,
 )
+
+
+class UsageError(ValueError):
+    """A command line that the argument parser refuses."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse would print usage and exit 2
+        raise UsageError(message)
+
 
 class SchemaError(ValueError):
     def __init__(self, column):
@@ -99,7 +108,6 @@ class RunConfig:
     k: float = None
     quad_nodes: int = 32
     degree: int = 1
-    grid: int = None
     p_grid: list = field(default_factory=lambda: [1.0])
     y_grid: list = field(default_factory=lambda: [2.0])
     n: int = 1000
@@ -367,7 +375,6 @@ def _cmd_oracle_check(cfg):
 
 def _cmd_rationality(cfg):
     degree = cfg.degree
-    grid = cfg.grid or 10 * (degree + 1)
     pop = ds = None
     if cfg.population:
         pop = parse_population(cfg.population)
@@ -399,7 +406,7 @@ def _cmd_rationality(cfg):
             if degree <= 1:
                 v = degree1_cone_test(surface, b, box)
             else:
-                v = lp_violation_search(surface, b, degree, box, grid)
+                v = lp_violation_search(surface, b, degree, box)
             rec = {"budget": {"prices": [p], "income": y}, "degree": degree}
             rec.update(v.to_dict())
             verdicts.append(rec)
@@ -419,7 +426,7 @@ VALIDATION_ERRORS = (SchemaError, RowDataError, SingularDesignError,
                      DegenerateDataError, ValueError, FileNotFoundError,
                      NotADirectoryError, KeyError)
 NUMERIC_ERRORS = (DomainError, OrderError, NumericError, FitError,
-                  SimplexError, InternalConsistencyError,
+                  InternalConsistencyError,
                   BootstrapInstabilityError, FloatingPointError, OverflowError)
 
 
@@ -447,9 +454,9 @@ def _float_list(text):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="welfare-moments",
-                                     description="Welfare effects of price changes "
-                                                 "from cross-sectional demand moments")
+    parser = _Parser(prog="welfare-moments",
+                     description="Welfare effects of price changes "
+                                 "from cross-sectional demand moments")
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument("--population")
@@ -469,7 +476,6 @@ def build_parser():
     parser.add_argument("--k", type=float)
     parser.add_argument("--quad-nodes", type=int, dest="quad_nodes")
     parser.add_argument("--degree", type=int)
-    parser.add_argument("--grid", type=int)
     parser.add_argument("--p-grid", type=_float_list, dest="p_grid")
     parser.add_argument("--y-grid", type=_float_list, dest="y_grid")
     parser.add_argument("--n", type=int)
@@ -495,8 +501,8 @@ def config_from_args(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = config_from_args(args)
         _, code = run(args.command, cfg)
         return code

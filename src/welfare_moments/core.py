@@ -11,7 +11,7 @@ formula consumes only this interface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,8 @@ class Budget:
     income: float
 
     def __post_init__(self):
-        prices = tuple(float(p) for p in np.atleast_1d(self.prices))
+        prices = self.prices if isinstance(self.prices, tuple) else np.atleast_1d(self.prices)
+        prices = tuple(float(p) for p in prices)
         object.__setattr__(self, "prices", prices)
         object.__setattr__(self, "income", float(self.income))
         if len(prices) < 1:
@@ -68,12 +69,15 @@ class PriceChange:
 
     start: Budget
     end: Budget
+    _delta: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.start.k != self.end.k:
             raise ShapeError("price change endpoints differ in dimension")
         if abs(self.start.income - self.end.income) > 1e-12 * max(1.0, self.start.income):
             raise ValueError("price change must hold income fixed")
+        object.__setattr__(self, "_delta", tuple(
+            e - s for s, e in zip(self.start.prices, self.end.prices)))
 
     @classmethod
     def scalar(cls, p0, p1, y):
@@ -81,7 +85,7 @@ class PriceChange:
 
     @property
     def delta(self):
-        return np.asarray(self.end.prices) - np.asarray(self.start.prices)
+        return np.array(self._delta)
 
     @property
     def income(self):
@@ -89,18 +93,16 @@ class PriceChange:
 
     def scalar_delta(self, j=0):
         """Return delta for coordinate j, requiring every other coordinate fixed."""
-        d = self.delta
-        others = np.delete(d, j)
-        if others.size and np.max(np.abs(others)) > 1e-12:
+        if any(abs(d) > 1e-12 for i, d in enumerate(self._delta) if i != j):
             raise ShapeError("only coordinate %d may move for a scalar operation" % j)
-        return float(d[j])
+        return self._delta[j]
 
     def path_budget(self, t):
         """Budget on the linear path p(t) = p0 + t * delta."""
-        p = np.asarray(self.start.prices) + t * self.delta
-        if np.any(p <= 0.0):
+        p = tuple(s + t * d for s, d in zip(self.start.prices, self._delta))
+        if any(v <= 0.0 for v in p):
             raise DomainError("price path leaves the positive domain at t=%g" % t)
-        return Budget(tuple(p), self.income)
+        return Budget(p, self.income)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,11 @@
 A population of utility maximizers satisfies pointwise Slutsky
 negativity, so the population average of (dq/dp + q dq/dy) weighted by
 any polynomial in demand that is nonnegative on the demand support must
-be nonpositive.  Those weighted averages ("translations") are observable
-from consecutive moment derivatives; the tests below check the
-degree-one cone generators directly and search higher degrees with a
-small dense-simplex linear program.  A passing verdict means no
-violation was found, not a certificate of rationalizability.
+be nonpositive.  Those weighted averages ("translations") are values of
+a linear functional L, observable from consecutive moment derivatives.
+Nonnegativity of -L on those polynomials is a semidefinite condition on
+small Hankel matrices (Krein & Nudelman 1977; Curto & Fialkow 1991), so
+a passing verdict certifies the tested degree.
 """
 
 from __future__ import annotations
@@ -107,20 +107,13 @@ def degree1_cone_test(surface, b, box, tol=1e-8):
     return _verdict(max(margins), tol=tol)
 
 
-def _chebyshev_lobatto(lo, hi, n):
-    """Chebyshev-spaced grid including both endpoints."""
-    if hi <= lo:
-        return np.array([lo])
-    j = np.arange(n)
-    x = np.cos(np.pi * j / (n - 1))
-    return (lo + hi) / 2.0 + (hi - lo) / 2.0 * x[::-1]
-
-
 def simplex_max(c, a_ub, b_ub, max_iter=20000, tol=1e-11):
     """Maximize c.x subject to a_ub x <= b_ub, x >= 0, with b_ub >= 0.
 
     Dense tableau simplex starting from the slack basis, with Bland's
-    anti-cycling rule.  Returns (objective value, solution vector).
+    anti-cycling rule.  Returns (objective value, solution vector).  No
+    verdict uses it; it solves the grid LP that the tests keep as the
+    reference for :func:`hankel_verdict`.
     """
     a_ub = np.asarray(a_ub, dtype=float)
     b_ub = np.asarray(b_ub, dtype=float)
@@ -162,37 +155,47 @@ def simplex_max(c, a_ub, b_ub, max_iter=20000, tol=1e-11):
     raise SimplexError("simplex failed to converge in %d pivots" % max_iter)
 
 
-def lp_violation_search(surface, b, degree, box, grid_size=None, tol=1e-8):
-    """Search for a polynomial nonnegative on the support with positive translation.
+def hankel_verdict(gammas, box, tol=1e-8):
+    """Exact test at degree d = len(gammas) - 1 from gammas[k] = L(x^k).
 
-    Maximizes the translation over polynomials of the given degree,
-    constrained to be nonnegative at Chebyshev-spaced grid points in the
-    support box and normalized by the l1 norm of the coefficients.  A
-    positive optimum beyond tolerance is a rationalizability violation
-    and the maximizing coefficients are returned as a witness.
+    Map the box to [-1, 1] by x = center + half * t.  -L is nonnegative
+    on the degree-d polynomials nonnegative there iff its Hankel matrices
+    localized at 1, 1 - t^2 (even d) or 1 + t, 1 - t (odd d) are positive
+    semidefinite.  The margin is minus their smallest eigenvalue; the
+    failing eigenvector v of localizer g gives the witness g(t) v(t)^2
+    (x-coefficients), whose translation is the margin.  On a one-point box
+    (t = x - q_min) -L must be a nonnegative multiple of evaluation there.
     """
-    if degree + 2 > surface.max_order:
-        raise OrderError("degree %d needs moment order %d, surface has %d"
-                         % (degree, degree + 2, surface.max_order))
-    if grid_size is None:
-        grid_size = 10 * (degree + 1)
-    if grid_size < 10 * (degree + 1):
-        raise ValueError("grid must have at least 10 * (degree + 1) points")
+    degree = len(gammas) - 1
+    center, half = (box.q_max + box.q_min) / 2.0, (box.q_max - box.q_min) / 2.0
+    step = np.array([-center, 1.0]) / (half or 1.0)  # t as a polynomial in x
+    shift = np.eye(degree + 1)  # row k: x-coefficients of t^k
+    for k in range(1, degree + 1):
+        shift[k, :k + 1] = np.convolve(shift[k - 1, :k], step)
+    mapped = shift @ np.asarray(gammas, dtype=float)  # L(t^k)
+    if half == 0.0:
+        margins = np.concatenate([mapped[:1], np.abs(mapped[1:])])
+        k = int(np.argmax(margins))
+        worst, witness_t = margins[k], np.sign(mapped[k]) * np.eye(degree + 1)[k]
+    else:
+        worst = -np.inf
+        for g in ((1.0, 1.0), (1.0, -1.0)) if degree % 2 else ((1.0,), (1.0, 0.0, -1.0)):
+            size = (degree + 1 - len(g)) // 2 + 1  # g v^2 has degree at most d
+            if size:
+                idx = np.add.outer(np.arange(size), np.arange(size))
+                matrix = -sum(c * mapped[idx + r] for r, c in enumerate(g))
+                margin = -np.linalg.eigvalsh(matrix)[0]
+                if margin > worst:
+                    worst, failing = margin, (g, matrix)
+        g, matrix = failing
+        v = np.linalg.eigh(matrix)[1][:, 0]
+        witness_t = np.convolve(g, np.convolve(v, v))
+    witness = tuple(map(float, witness_t @ shift)) if worst > tol else None
+    return _verdict(worst, witness=witness, tol=tol)
 
-    gammas = np.array([monomial_translation(surface, i, b).value
-                       for i in range(degree + 1)])
-    grid = _chebyshev_lobatto(box.q_min, box.q_max, grid_size)
-    vand = np.vander(grid, degree + 1, increasing=True)  # rows: [1, x, x^2, ...]
 
-    # variables: positive and negative parts of each coefficient
-    n_var = degree + 1
-    c = np.concatenate([gammas, -gammas])
-    a_pos = np.hstack([-vand, vand])          # -(sum a_i x^i) <= 0
-    a_norm = np.ones((1, 2 * n_var))          # l1 normalization
-    a_ub = np.vstack([a_pos, a_norm])
-    b_ub = np.concatenate([np.zeros(len(grid)), [1.0]])
-
-    value, x = simplex_max(c, a_ub, b_ub)
-    coeffs = tuple(x[:n_var] - x[n_var:])
-    witness = coeffs if value > tol else None
-    return _verdict(value, witness=witness, tol=tol)
+def lp_violation_search(surface, b, degree, box, tol=1e-8):
+    """Exact rationalizability verdict at the given polynomial degree
+    (:func:`hankel_verdict` on the surface's translations at b)."""
+    gammas = [monomial_translation(surface, i, b).value for i in range(degree + 1)]
+    return hankel_verdict(gammas, box, tol)

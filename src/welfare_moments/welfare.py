@@ -43,18 +43,6 @@ class QuadratureRule:
     def integrate(self, f):
         return float(sum(wt * f(t) for t, wt in zip(self.nodes, self.weights)))
 
-    def integrate_refined(self, f, rel_tol=1e-10, max_nodes=1024):
-        """Double the node count until the integral changes by less than rel_tol."""
-        n = len(self.nodes)
-        value = self.integrate(f)
-        while n < max_nodes:
-            n *= 2
-            refined = QuadratureRule.gauss_legendre(n).integrate(f)
-            if abs(refined - value) <= rel_tol * max(1.0, abs(refined)):
-                return refined
-            value = refined
-        return value
-
 
 DEFAULT_QUAD = QuadratureRule.gauss_legendre(32)
 

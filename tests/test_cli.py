@@ -144,6 +144,32 @@ def test_cli_error_exit_codes(tmp_path):
     assert main(["welfare", "--population", "nope", "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["welfare", "--population", "L0", "--bogus", "3"],
+    ["welfare", "--population", "L0", "--dp", "abc"],
+    ["rationality", "--population", "L0", "--degree", "2", "--grid", "40"],
+    ["nonsense"],
+])
+def test_usage_error_exits_1_with_json(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"] == "UsageError"
+    assert err["message"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_config_file_grid_key_exits_1(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"population": "L0", "degree": 2, "grid": 40}))
+    assert main(["rationality", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "run")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": "unknown config key 'grid'"}
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"population": "L0", "dp": [0.2], "y": 2.0}))

@@ -9,6 +9,7 @@ from welfare_moments import (
     MomentSurface,
     OrderError,
     PriceChange,
+    ShapeError,
     ShareMomentSurface,
     numeric_partial,
     quantity_surface_from_shares,
@@ -39,6 +40,53 @@ def test_price_change_validation():
     assert pc.scalar_delta() == pytest.approx(0.1)
     zero = PriceChange.scalar(1.0, 1.0, 2.0)
     assert zero.scalar_delta() == 0.0
+
+
+def path_budget_reference(pc, t):
+    """The array form of PriceChange.path_budget, kept as its oracle."""
+    delta = np.asarray(pc.end.prices) - np.asarray(pc.start.prices)
+    p = np.asarray(pc.start.prices) + t * delta
+    if np.any(p <= 0.0):
+        raise DomainError("price path leaves the positive domain at t=%g" % t)
+    return Budget(tuple(p), pc.income)
+
+
+@pytest.mark.parametrize("pc", [
+    PriceChange.scalar(1.0, 1.05, 2.0),
+    PriceChange.scalar(0.93, 0.61, 1.7),
+    PriceChange(Budget((1.0, 0.7), 2.0), Budget((1.3, 0.6), 2.0)),
+    PriceChange(Budget((0.8, 1.1), 3.0), Budget((0.8, 1.45), 3.0)),
+])
+def test_path_budget_matches_array_reference(pc):
+    nodes = np.polynomial.legendre.leggauss(32)[0] / 2.0 + 0.5
+    for t in list(np.linspace(0.0, 1.0, 1001)) + list(nodes) + [0.3, 1]:
+        got = pc.path_budget(t)
+        assert got == path_budget_reference(pc, t)
+        assert all(type(p) is float for p in got.prices)
+    np.testing.assert_array_equal(pc.delta, np.asarray(pc.end.prices)
+                                  - np.asarray(pc.start.prices))
+
+
+def test_scalar_delta_of_two_price_changes():
+    own = PriceChange(Budget((1.0, 0.7), 2.0), Budget((1.3, 0.7), 2.0))
+    assert own.scalar_delta(0) == 1.3 - 1.0
+    assert type(own.scalar_delta(0)) is float
+    with pytest.raises(ShapeError, match="only coordinate 1 may move"):
+        own.scalar_delta(1)
+    both = PriceChange(Budget((1.0, 0.7), 2.0), Budget((1.3, 0.6), 2.0))
+    with pytest.raises(ShapeError, match="only coordinate 0 may move"):
+        both.scalar_delta(0)
+
+
+def test_path_budget_leaves_domain():
+    pc = PriceChange(Budget((1.0, 0.7), 2.0), Budget((1.3, 0.2), 2.0))
+    for t in (1.5, 2.0):
+        with pytest.raises(DomainError) as got:
+            pc.path_budget(t)
+        with pytest.raises(DomainError) as expected:
+            path_budget_reference(pc, t)
+        assert str(got.value) == str(expected.value)
+        assert "t=%g" % t in str(got.value)
 
 
 def test_numeric_partial_l0_income(l0_surface):

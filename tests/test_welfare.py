@@ -497,15 +497,6 @@ def test_build_report_chebyshev_kind(l0_surface):
     assert rep.bounds["lower"] <= rep.bounds["upper"]
 
 
-def test_quadrature_refinement():
-    quad = QuadratureRule.gauss_legendre(4)
-    rough = quad.integrate(lambda t: np.exp(3 * t))
-    refined = quad.integrate_refined(lambda t: np.exp(3 * t))
-    exact = (np.exp(3.0) - 1.0) / 3.0
-    assert abs(refined - exact) < 1e-12
-    assert abs(refined - exact) <= abs(rough - exact)
-
-
 def test_mean_demand_respects_budget_feasibility(cd2_surface):
     # nonnegative demand systems spend at most total income on the good
     rng = np.random.default_rng(12)
