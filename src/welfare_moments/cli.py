@@ -242,11 +242,12 @@ def _write_csv(path, header, rows):
 def _write_dataset_csv(path, ds):
     header = (["w_%s" % g for g in ds.goods]
               + ["log_p_%s" % g for g in ds.goods] + ["log_y", "log_z"])
+    table = np.column_stack([ds.shares, ds.log_prices, ds.log_y, ds.log_z])
     # rows end in csv.writer's "\r\n", as the header and the other CSV outputs do
+    line = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        np.savetxt(fh, np.column_stack([ds.shares, ds.log_prices, ds.log_y, ds.log_z]),
-                   fmt="%.17g", delimiter=",", newline="\r\n")
+        fh.write("".join([line % tuple(row) for row in table.tolist()]))
 
 
 def _write_json(path, obj):
@@ -280,6 +281,12 @@ def _surface_for_config(cfg, max_order):
     fs = first_stage(ds) if cfg.include_control else None
     fits = [fit_moment_surface(ds, good, n, basis, fs) for n in range(1, 4)]
     return fitted_surface(fits).moment_surface, None, ds
+
+
+def _require_positive(value, flag):
+    """Refuse a count flag below 1 before any surface is built."""
+    if value < 1:
+        raise ValueError("%s must be >= 1, got %r" % (flag, value))
 
 
 def _bundle(cfg, **payload):
@@ -318,6 +325,7 @@ def _cmd_estimate(cfg):
 
 
 def _cmd_welfare(cfg):
+    _require_positive(cfg.quad_nodes, "--quad-nodes")
     surface, _, _ = _surface_for_config(cfg, max_order=4 if cfg.population else 3)
     quad = QuadratureRule.gauss_legendre(cfg.quad_nodes)
     y = cfg.y
@@ -342,6 +350,7 @@ def _cmd_welfare(cfg):
 
 
 def _cmd_oracle_check(cfg):
+    _require_positive(cfg.quad_nodes, "--quad-nodes")
     pop = parse_population(cfg.population or "L0")
     surface = surface_from_population(pop, 4)
     quad = QuadratureRule.gauss_legendre(cfg.quad_nodes)
@@ -375,6 +384,7 @@ def _cmd_oracle_check(cfg):
 
 def _cmd_rationality(cfg):
     degree = cfg.degree
+    _require_positive(degree, "--degree")
     pop = ds = None
     if cfg.population:
         pop = parse_population(cfg.population)

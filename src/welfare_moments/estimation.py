@@ -12,7 +12,8 @@ formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,15 +55,27 @@ class BootstrapInstabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Cross-section of budget shares, log prices, log expenditure, log instrument."""
+    """Cross-section of budget shares, log prices, log expenditure, log instrument.
+
+    The arrays are stored as read-only views (the caller's own arrays keep
+    their flags), so an in-place write through a dataset raises ValueError.
+    Each sample keeps the regression designs fitted on it, one per (basis,
+    first stage), in ``_designs``: every moment order and good of the sample
+    shares one basis, rank check and QR.  ``take`` starts with none.
+    """
 
     goods: tuple
     shares: np.ndarray
     log_prices: np.ndarray
     log_y: np.ndarray
     log_z: np.ndarray
+    _designs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("shares", "log_prices", "log_y", "log_z"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
         n = len(self.log_y)
         if self.shares.shape != (n, len(self.goods)):
             raise ValueError("share matrix shape mismatch")
@@ -97,8 +110,11 @@ class BasisSpec:
             raise ValueError("polynomial degrees must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FirstStageFit:
+    """First-stage OLS; compared and hashed by identity, so a sample keeps
+    one design per first-stage object."""
+
     coefficients: dict
     residuals: np.ndarray
     dropped: tuple = ()
@@ -238,12 +254,54 @@ def first_stage(ds):
     return FirstStageFit(coefficients=full, residuals=residuals, dropped=tuple(dropped))
 
 
+class _Design(NamedTuple):
+    """The order-independent part of a share-moment fit on one sample."""
+
+    x: np.ndarray  # basis columns that vary over the sample
+    active: list  # their indices among all basis columns
+    n_columns: int
+    q: np.ndarray  # x = q r
+    r: np.ndarray
+    domain: tuple  # MomentFit.domain
+
+
+def _design(ds, basis, fs):
+    """The sample's design for (basis, first stage), built on first use.
+
+    A rank deficient basis raises SingularDesignError naming the collinear
+    columns; nothing is stored then, so every call raises again.
+    """
+    if not basis.include_control:
+        fs = None  # then the first stage plays no part in the design
+    design = ds._designs.get((basis, fs))
+    if design is not None:
+        return design
+    x_full = _basis_matrix(ds.log_prices, ds.log_y, None if fs is None else fs.residuals, basis)
+
+    # fixed (zero-variance) columns are pinned at coefficient zero
+    active = [0] + [i for i in range(1, x_full.shape[1]) if np.std(x_full[:, i]) >= 1e-12]
+    x = x_full[:, active]
+    q, r = np.linalg.qr(x)
+    r_diag = np.abs(np.diag(r))
+    if r_diag.min() <= r_diag.max() * max(x.shape) * np.finfo(float).eps:
+        labels = _basis_labels(ds.goods, basis)
+        active_labels = [labels[i] for i in active]
+        raise SingularDesignError(_collinear_columns(x, active_labels) or active_labels)
+    region = np.column_stack([ds.log_prices, ds.log_y])
+    design = _Design(x, active, x_full.shape[1], q, r,
+                     (region.min(axis=0), region.max(axis=0)))
+    ds._designs[basis, fs] = design
+    return design
+
+
 def fit_moment_surface(ds, good, order, basis=None, fs=None,
                        max_iter=200, rel_tol=1e-10):
     """Fit E[w^n | b] = exp(basis . theta) by Gauss-Newton with line search.
 
     Initialization comes from OLS of log(w^n + 1e-6) on the basis over
     rows with positive shares; zero-share rows stay in the nonlinear fit.
+    The basis, its rank check and QR come from the sample's design for
+    (basis, fs), which every order and good fitted on ``ds`` shares.
     """
     basis = basis or BasisSpec()
     k = ds.good_index(good)
@@ -254,27 +312,13 @@ def fit_moment_surface(ds, good, order, basis=None, fs=None,
     if pos_rate < 0.95:
         raise DegenerateDataError(
             "only %.1f%% of shares are strictly positive for good %r" % (100 * pos_rate, good))
-    control = None
-    if basis.include_control:
-        if fs is None:
-            raise ValueError("control-function basis needs a first-stage fit")
-        control = fs.residuals
-    x_full = _basis_matrix(ds.log_prices, ds.log_y, control, basis)
-    labels = _basis_labels(ds.goods, basis)
-
-    # fixed (zero-variance) columns are pinned at coefficient zero
-    active = [0] + [i for i in range(1, x_full.shape[1]) if np.std(x_full[:, i]) >= 1e-12]
-    x = x_full[:, active]
-    target = w ** order
-
+    if basis.include_control and fs is None:
+        raise ValueError("control-function basis needs a first-stage fit")
     # Each step solves min |pred * (x s) - resid| through x = q r: the normal
     # matrix of pred * q has cond <= (max pred / min pred)^2, so the basis'
     # own conditioning is never squared.
-    q, r = np.linalg.qr(x)
-    r_diag = np.abs(np.diag(r))
-    if r_diag.min() <= r_diag.max() * max(x.shape) * np.finfo(float).eps:
-        active_labels = [labels[i] for i in active]
-        raise SingularDesignError(_collinear_columns(x, active_labels) or active_labels)
+    x, active, n_columns, q, r, domain = _design(ds, basis, fs)
+    target = w ** order
 
     pos = w > 0.0
     theta_active, *_ = np.linalg.lstsq(x[pos], np.log(target[pos] + 1e-6), rcond=None)
@@ -316,13 +360,12 @@ def fit_moment_surface(ds, good, order, basis=None, fs=None,
         raise FitError("Gauss-Newton did not converge in %d iterations" % max_iter,
                        theta=theta_active, gradient_norm=grad_norm)
 
-    theta = np.zeros(x_full.shape[1])
+    theta = np.zeros(n_columns)
     theta[active] = theta_active
     name = good if isinstance(good, str) else ds.goods[k]
-    region = np.column_stack([ds.log_prices, ds.log_y])
     return MomentFit(good=name, good_index=k, order=order, basis=basis,
                      n_goods=len(ds.goods), theta=theta, rss=rss, iters=iters,
-                     domain=(region.min(axis=0), region.max(axis=0)))
+                     domain=domain)
 
 
 @dataclass(frozen=True)

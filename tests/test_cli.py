@@ -161,6 +161,20 @@ def test_usage_error_exits_1_with_json(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["rationality", "--population", "L0", "--degree", "0"], "--degree", "0"),
+    (["rationality", "--population", "L0", "--degree", "-2"], "--degree", "-2"),
+    (["welfare", "--population", "L0", "--quad-nodes", "0"], "--quad-nodes", "0"),
+    (["oracle-check", "--population", "L0", "--quad-nodes", "0"], "--quad-nodes", "0"),
+])
+def test_non_positive_count_flag_exits_1(tmp_path, capsys, argv, flag, value):
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": "%s must be >= 1, got %s" % (flag, value)}
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_config_file_grid_key_exits_1(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"population": "L0", "degree": 2, "grid": 40}))

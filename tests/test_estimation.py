@@ -186,9 +186,94 @@ def test_fit_rank_deficient_basis():
     ly = rng.uniform(0.5, 1.5, n)
     ds = Dataset(("food", "fuel"), np.full((n, 2), 0.3), np.column_stack([lp, lp]),
                  ly, ly)
-    with pytest.raises(SingularDesignError) as err:
-        fit_moment_surface(ds, "food", 1, NO_CONTROL)
-    assert err.value.columns == ["log_p_fuel^1", "log_p_fuel^2", "log_p_fuel^3"]
+    # a design that fails its rank check is not kept: every call raises
+    for good, order in (("food", 1), ("food", 2), ("fuel", 1)):
+        with pytest.raises(SingularDesignError) as err:
+            fit_moment_surface(ds, good, order, NO_CONTROL)
+        assert err.value.columns == ["log_p_fuel^1", "log_p_fuel^2", "log_p_fuel^3"]
+
+
+def _count_qr(monkeypatch):
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
+
+def _small_cd2():
+    pop = CobbDouglasPopulation.two_type(0.3)
+    ds = cobb_douglas_cross_section(pop, 4000, 5, goods=("food", "fuel"))
+    return ds, first_stage(ds)
+
+
+def test_orders_and_goods_of_a_sample_share_one_qr(monkeypatch):
+    calls = _count_qr(monkeypatch)
+    ds = population_cross_section(L0, 4000, seed=3)
+    fs = first_stage(ds)
+    for order in (1, 2, 3):
+        fit_moment_surface(ds, "q", order, BasisSpec(), fs)
+    assert len(calls) == 1
+    calls.clear()
+    ds, fs = _small_cd2()
+    for good in ds.goods:
+        for order in (1, 2, 3):
+            fit_moment_surface(ds, good, order, BasisSpec(), fs)
+    assert len(calls) == 1
+
+
+def test_shared_design_fits_equal_fresh_fits():
+    ds, fs = _small_cd2()
+    for good in ds.goods:
+        for order in (1, 2, 3):
+            fit = fit_moment_surface(ds, good, order, BasisSpec(), fs)
+            fresh = fit_moment_surface(ds.take(np.arange(ds.n)), good, order,
+                                       BasisSpec(), fs)
+            assert np.array_equal(fit.theta, fresh.theta)
+            assert (fit.rss, fit.iters) == (fresh.rss, fresh.iters)
+            for got, want in zip(fit.domain, fresh.domain):
+                assert np.array_equal(got, want)
+
+
+def test_design_is_kept_per_first_stage_and_basis(monkeypatch):
+    calls = _count_qr(monkeypatch)
+    ds, fs = _small_cd2()
+    fit_moment_surface(ds, "food", 1, BasisSpec(), fs)
+    fit_moment_surface(ds, "fuel", 2, BasisSpec(), fs)
+    assert len(calls) == 1
+    fit_moment_surface(ds, "food", 1, BasisSpec(), first_stage(ds))
+    assert len(calls) == 2
+    fit_moment_surface(ds, "food", 1, BasisSpec(price_degree=2), fs)
+    assert len(calls) == 3
+    # without a control column the first stage plays no part in the design
+    fit_moment_surface(ds, "food", 1, NO_CONTROL, fs)
+    fit_moment_surface(ds, "food", 2, NO_CONTROL)
+    assert len(calls) == 4
+    # a resample starts with no designs
+    fit_moment_surface(ds.take(np.arange(ds.n)), "food", 1, BasisSpec(), fs)
+    assert len(calls) == 5
+
+
+def test_dataset_arrays_are_read_only():
+    rng = np.random.default_rng(4)
+    n = 500
+    ly = rng.uniform(1.0, 1.5, n)
+    ds = Dataset(("q",), rng.uniform(0.2, 0.4, (n, 1)), rng.uniform(-0.1, 0.1, (n, 1)),
+                 ly, ly + rng.normal(0.0, 0.1, n))
+    for arr in (ds.shares, ds.log_prices, ds.log_y, ds.log_z):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        ds.log_y[0] = 0.0
+    assert ly.flags.writeable  # the caller's own array is not touched
+    sub = ds.take(np.arange(0, n, 2))
+    assert sub.n == n // 2 and not sub.log_y.flags.writeable
+    fit = fit_moment_surface(sub, "q", 1, BasisSpec(), first_stage(sub))
+    assert np.all(np.isfinite(fit.theta))
 
 
 def test_fit_failed_cholesky_is_fit_error(monkeypatch):
