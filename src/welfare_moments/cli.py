@@ -298,6 +298,7 @@ def _bundle(cfg, **payload):
 def _cmd_simulate(cfg):
     if cfg.seed is None:
         raise ValueError("--seed is required for simulate")
+    _require_positive(cfg.n, "--n")
     pop = parse_population(cfg.population or "L0")
     if isinstance(pop, CobbDouglasPopulation):
         ds = cobb_douglas_cross_section(pop, cfg.n, cfg.seed, goods=cfg.goods
@@ -444,14 +445,15 @@ def run(command, cfg):
     """Execute one subcommand; returns (bundle, exit_code).
 
     A command returns its bundle and the writers of its other files; nothing
-    is written until the bundle is checked finite and serialised.
+    is written, and the output directory is not created, until the bundle
+    is checked finite and serialised.
     """
-    os.makedirs(cfg.out, exist_ok=True)
     bundle, writers = COMMANDS[command](cfg)
     bad = _first_non_finite(bundle)
     if bad is not None:
         raise FloatingPointError("non-finite value in %s" % bad)
     text = json.dumps(bundle, sort_keys=True, indent=2, allow_nan=False)
+    os.makedirs(cfg.out, exist_ok=True)
     for write in writers:
         write()
     with open(os.path.join(cfg.out, "report.json"), "w") as fh:

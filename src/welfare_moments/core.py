@@ -2,7 +2,11 @@
 
 A moment surface is the central abstraction: an evaluatable map
 ``(n, budget) -> E[q^n | budget]`` together with its price and income
-partials.  Surfaces are built either analytically from synthetic
+partials.  Besides the scalar ``moment``/``d_price``/``d_income`` at one
+budget, ``on_budgets(prices, incomes)`` evaluates every order's moment
+and income partial at an array of budgets in one batch; the path
+integrals of :mod:`welfare_moments.welfare` read their quadrature nodes
+that way.  Surfaces are built either analytically from synthetic
 populations (see :mod:`welfare_moments.oracle`) or from fitted series
 regressions (see :mod:`welfare_moments.estimation`); every welfare
 formula consumes only this interface.
@@ -97,6 +101,10 @@ class PriceChange:
             raise ShapeError("only coordinate %d may move for a scalar operation" % j)
         return self._delta[j]
 
+    def path_prices(self, t):
+        """Prices p(t) = p0 + t * delta at an array of path times, shaped (m, k)."""
+        return np.asarray(self.start.prices) + np.outer(t, self.delta)
+
     def path_budget(self, t):
         """Budget on the linear path p(t) = p0 + t * delta."""
         p = tuple(s + t * d for s, d in zip(self.start.prices, self._delta))
@@ -122,14 +130,47 @@ class MultigoodMoments:
 
 class _Surface:
     """Order check and evaluation of the supplied moment and partial callables,
-    shared by the quantity and the share surface."""
+    shared by the quantity and the share surface.
 
-    def __init__(self, max_order, moment_fn, good):
+    ``batch_fn(prices, incomes, orders)``, when given, returns the moments
+    and income partials of orders 1..orders at m budgets as two (orders, m)
+    arrays; without it, :meth:`on_budgets` loops the scalar callables over
+    the budgets.
+    """
+
+    def __init__(self, max_order, moment_fn, income_fn, good, batch_fn):
         if max_order < 1:
             raise OrderError("max_order must be >= 1")
         self.max_order = int(max_order)
         self.good = int(good)
         self._moment = moment_fn
+        self._income = income_fn
+        self._batch = batch_fn
+
+    def on_budgets(self, prices, incomes, orders=None):
+        """Moments and income partials of orders 1..orders at m budgets.
+
+        ``prices`` is (m, k) and ``incomes`` is (m,); returns two
+        (orders, m) arrays, row n - 1 holding order n.  ``orders``
+        defaults to every order the surface carries.
+        """
+        orders = self.max_order if orders is None else int(orders)
+        self._check_order(orders)
+        prices = np.asarray(prices, dtype=float)
+        incomes = np.asarray(incomes, dtype=float)
+        if prices.ndim != 2 or incomes.shape != prices.shape[:1]:
+            raise ShapeError("need prices shaped (m, k) and incomes shaped (m,)")
+        # NaN fails both comparisons
+        if not (np.all((prices > 0.0) & (prices < np.inf))
+                and np.all((incomes > 0.0) & (incomes < np.inf))):
+            raise DomainError("prices and incomes must be strictly positive and finite")
+        if self._batch is not None:
+            moments, partials = self._batch(prices, incomes, orders)
+            return np.asarray(moments, dtype=float), np.asarray(partials, dtype=float)
+        budgets = [Budget(tuple(p), y) for p, y in zip(prices, incomes)]
+        return tuple(np.array([[float(fn(n, b)) for b in budgets]
+                               for n in range(1, orders + 1)])
+                     for fn in (self._moment, self._income))
 
     def _check_order(self, n):
         if not 1 <= n <= self.max_order:
@@ -151,20 +192,21 @@ class MomentSurface(_Surface):
     ``moment(n, b)`` returns the n-th raw moment of quantity demanded at
     budget ``b``; ``d_price`` and ``d_income`` return its partials, from
     the callables ``d_price_fn(n, b, j)`` and ``d_income_fn(n, b)``.
+    ``on_budgets`` returns the moments and ``d_income`` of every order at
+    an array of budgets.
     """
 
     def __init__(self, max_order, moment_fn, d_price_fn, d_income_fn,
-                 good=0, multigood=None):
-        super().__init__(max_order, moment_fn, good)
+                 good=0, multigood=None, batch_fn=None):
+        super().__init__(max_order, moment_fn, d_income_fn, good, batch_fn)
         self._d_price = d_price_fn
-        self._d_income = d_income_fn
         self.multigood = multigood
 
     def d_price(self, n, b, j=None):
         return self._partial(self._d_price, n, b, self.good if j is None else j)
 
     def d_income(self, n, b):
-        return self._partial(self._d_income, n, b)
+        return self._partial(self._income, n, b)
 
     @property
     def has_multigood(self):
@@ -194,18 +236,19 @@ class ShareMomentSurface(_Surface):
     ``moment(n, b)`` is the n-th raw moment of the budget share of the
     modeled good; ``d_logp``/``d_logy`` are derivatives in the log of the
     own price and of income, from ``d_logp_fn(n, b, j)`` and ``d_logy_fn(n, b)``.
+    ``on_budgets`` returns the moments and ``d_logy`` of every order at an
+    array of budgets.
     """
 
-    def __init__(self, max_order, moment_fn, d_logp_fn, d_logy_fn, good=0):
-        super().__init__(max_order, moment_fn, good)
+    def __init__(self, max_order, moment_fn, d_logp_fn, d_logy_fn, good=0, batch_fn=None):
+        super().__init__(max_order, moment_fn, d_logy_fn, good, batch_fn)
         self._d_logp = d_logp_fn
-        self._d_logy = d_logy_fn
 
     def d_logp(self, n, b, j=None):
         return self._partial(self._d_logp, n, b, self.good if j is None else j)
 
     def d_logy(self, n, b):
-        return self._partial(self._d_logy, n, b)
+        return self._partial(self._income, n, b)
 
 
 # Relative step of every central difference: the reference partials below
@@ -279,4 +322,12 @@ def quantity_surface_from_shares(share_surface):
         y = b.income
         return (y ** (n - 1) / p ** n) * (share_surface.d_logy(n, b) + n * share_surface.moment(n, b))
 
-    return MomentSurface(share_surface.max_order, mom, d_price, d_income, good=j)
+    def batch(prices, incomes, orders):
+        w, d_logy = share_surface.on_budgets(prices, incomes, orders)
+        n = np.arange(1, orders + 1)[:, None]
+        p = prices[:, j]
+        return ((incomes / p) ** n * w,
+                (incomes ** (n - 1) / p ** n) * (d_logy + n * w))
+
+    return MomentSurface(share_surface.max_order, mom, d_price, d_income, good=j,
+                         batch_fn=batch)

@@ -384,20 +384,30 @@ def exp_poly_share_surface(thetas, basis, n_goods, good=0, domain=None):
     out like the columns of :func:`_basis_matrix`.  Counterfactual budgets
     evaluate the control column at zero, its conditional mean.  ``domain``
     is the (lo, hi) box of (log p_1, ..., log p_k, log y) that fitted
-    coefficients were estimated on; a budget outside it raises DomainError.
+    coefficients were estimated on; a budget outside it raises DomainError,
+    and a batch names its first such budget.
     """
     p_deg, y_deg = basis.price_degree, basis.income_degree
+    max_order = len(thetas)
+
+    def log_budgets(prices, incomes):
+        """Log prices and incomes of m budgets, checked against the domain."""
+        if prices.shape[1] != n_goods:
+            raise ValueError("budget has %d prices, basis expects %d"
+                             % (prices.shape[1], n_goods))
+        lp, ly = np.log(prices), np.log(incomes)
+        if domain is not None:
+            point = np.concatenate([lp, ly[:, None]], axis=1)
+            outside = ((point < domain[0]) | (point > domain[1])).any(axis=1)
+            if outside.any():
+                i = int(np.argmax(outside))
+                raise DomainError(_outside_message(prices[i], incomes[i], domain))
+        return lp, ly
 
     def w_mom(n, b):
-        if b.k != n_goods:
-            raise ValueError("budget has %d prices, basis expects %d" % (b.k, n_goods))
-        lp = np.log(np.asarray(b.prices, dtype=float))
-        ly = np.log(b.income)
-        if domain is not None:
-            point = np.append(lp, ly)
-            if not np.all((domain[0] <= point) & (point <= domain[1])):
-                raise DomainError(_outside_message(b, domain))
-        row = _basis_matrix(lp.reshape(1, -1), np.array([ly]), None, basis)[0]
+        lp, ly = log_budgets(np.asarray(b.prices, dtype=float).reshape(1, -1),
+                             np.array([b.income]))
+        row = _basis_matrix(lp, ly, None, basis)[0]
         return float(np.exp(np.dot(row, thetas[n])))
 
     def slope(coef, x):
@@ -412,15 +422,23 @@ def exp_poly_share_surface(thetas, basis, n_goods, good=0, domain=None):
         start = 1 + n_goods * p_deg
         return w_mom(n, b) * slope(thetas[n][start:start + y_deg], np.log(b.income))
 
-    return ShareMomentSurface(len(thetas), w_mom, d_logp, d_logy, good=good)
+    def batch(prices, incomes, orders):
+        lp, ly = log_budgets(prices, incomes)
+        x = _basis_matrix(lp, ly, None, basis)
+        start = 1 + n_goods * p_deg
+        w = np.array([np.exp(x @ thetas[n]) for n in range(1, orders + 1)])
+        return w, w * np.array([slope(thetas[n][start:start + y_deg], ly)
+                                for n in range(1, orders + 1)])
+
+    return ShareMomentSurface(max_order, w_mom, d_logp, d_logy, good=good, batch_fn=batch)
 
 
-def _outside_message(b, domain):
+def _outside_message(prices, income, domain):
     lo, hi = np.exp(domain[0]), np.exp(domain[1])
-    prices = " x ".join("[%.6g, %.6g]" % pair for pair in zip(lo[:-1], hi[:-1]))
+    box = " x ".join("[%.6g, %.6g]" % pair for pair in zip(lo[:-1], hi[:-1]))
     return ("budget with prices %s and income %.6g lies outside the estimation "
             "sample: prices %s, income [%.6g, %.6g]"
-            % (", ".join("%.6g" % p for p in b.prices), b.income, prices, lo[-1], hi[-1]))
+            % (", ".join("%.6g" % p for p in prices), income, box, lo[-1], hi[-1]))
 
 
 def fitted_surface(fits):

@@ -141,10 +141,13 @@ class _TypeTable:
             raise ValueError("type weights must be finite, nonnegative and sum to 1")
         return w
 
-    def _own_price(self, b, good):
+    def _check_good(self, good):
         if not 0 <= good < self.k:
             raise ShapeError("good %d is not one of the population's %d goods"
                              % (good, self.k))
+
+    def _own_price(self, b, good):
+        self._check_good(good)
         return b.price(good)
 
     def _mean(self, b, good, f):
@@ -170,6 +173,30 @@ class _TypeTable:
     def income_effect_power(self, n, b, good=0):
         # E[q (dq/dy)^n]
         return self._mean(b, good, lambda q, dp, dy: q * dy ** n)
+
+    def moments_on_budgets(self, max_order, prices, incomes, good=0):
+        """Moments and income partials n E[q^(n-1) dq/dy] of orders
+        1..max_order at m budgets, as two (max_order, m) arrays.
+
+        Budgets are grouped by income, since a type table's layout may
+        depend on it; each group evaluates demand once, with the budget as
+        a leading axis, and takes each order's weighted sum over the whole
+        table in one product.
+        """
+        self._check_good(good)
+        moments = np.empty((max_order, len(incomes)))
+        partials = np.empty_like(moments)
+        for y in dict.fromkeys(incomes.tolist()):
+            sel = np.flatnonzero(incomes == y)
+            nodes, w = self._types(y, good, *_leggauss01(64))
+            q, _, dq_dy = self._demand(nodes, prices[sel, good, None, None], y)
+            w = w.ravel()
+            q_pow = np.ones_like(q)  # q^(n-1), by running products: ** is slow on arrays
+            for n in range(1, max_order + 1):
+                partials[n - 1, sel] = n * ((q_pow * dq_dy).reshape(len(sel), -1) @ w)
+                q_pow = q_pow * q
+                moments[n - 1, sel] = q_pow.reshape(len(sel), -1) @ w
+        return moments, partials
 
     def support(self, b, good=0):
         # demand is monotone along each row, so its extremes sit at the row ends
@@ -529,12 +556,15 @@ def surface_from_population(pop, max_order, good=0):
         p = prices(b)
         return 2.0 * pop.cross_share_matrix() * b.income / np.outer(p, p)
 
+    def batch(prices, incomes, orders):
+        return pop.moments_on_budgets(orders, prices, incomes, good)
+
     multigood = None
     if isinstance(pop, CobbDouglasPopulation):
         multigood = MultigoodMoments(mean_vec, jac, second, d_second)
     return MomentSurface(max_order, lambda n, b: pop.moment(n, b, good),
                          lambda n, b, j: pop.d_price_moment(n, b, j, good),
-                         d_income, good=good, multigood=multigood)
+                         d_income, good=good, multigood=multigood, batch_fn=batch)
 
 
 def share_surface_from_population(pop, max_order, good=0):
@@ -555,7 +585,13 @@ def share_surface_from_population(pop, max_order, good=0):
         r = b.price(good) / b.income
         return r ** n * (-n * surf.moment(n, b) + b.income * surf.d_income(n, b))
 
-    return ShareMomentSurface(max_order, w_mom, d_logp, d_logy, good=good)
+    def batch(prices, incomes, orders):
+        m, dm_dy = surf.on_budgets(prices, incomes, orders)
+        n = np.arange(1, orders + 1)[:, None]
+        r = prices[:, good] / incomes
+        return r ** n * m, r ** n * (-n * m + incomes * dm_dy)
+
+    return ShareMomentSurface(max_order, w_mom, d_logp, d_logy, good=good, batch_fn=batch)
 
 
 def demand_support(pop, b, good=0):

@@ -51,6 +51,13 @@ def _own_delta(surface, pc):
     return pc.scalar_delta(surface.good)
 
 
+def _on_path(surface, pc, orders, t, s=0.0):
+    """One batch of ``surface``'s orders 1..orders on the price path at
+    times ``t``, with income raised by ``s``."""
+    t = np.asarray(t, dtype=float)
+    return surface.on_budgets(pc.path_prices(t), np.full(t.shape, pc.income) + s, orders)
+
+
 def compensated_moment_fo(surface, n, b, dp):
     """First-order approximation of the n-th compensated demand moment."""
     if n + 1 > surface.max_order:
@@ -111,16 +118,10 @@ def cv_path(surface, pc, quad=None):
     if surface.max_order < 2:
         raise OrderError("path approximation needs moment orders up to 2")
     dp = _own_delta(surface, pc)
-
-    def m1_at(t):
-        return surface.moment(1, pc.path_budget(t))
-
-    def dym2_at(t):
-        b = pc.path_budget(t)
-        return surface.d_income(2, b)
-
-    first = dp * quad.integrate(m1_at)
-    second = (dp ** 2 / 2.0) * quad.integrate(lambda t: dym2_at(t) * (1.0 - t))
+    t, w = np.asarray(quad.nodes), np.asarray(quad.weights)
+    moments, d_income = _on_path(surface, pc, 2, t)
+    first = dp * float(w @ moments[0])
+    second = (dp ** 2 / 2.0) * float(w @ (d_income[1] * (1.0 - t)))
     return first + second
 
 
@@ -149,11 +150,9 @@ def hn_bounds_path(surface, pc, effect, quad=None):
     """Path-based CV bound for a uniform income effect level."""
     quad = quad or DEFAULT_QUAD
     dp = _own_delta(surface, pc)
-
-    def integrand(t):
-        return np.exp(effect * dp * (1.0 - t)) * surface.moment(1, pc.path_budget(t))
-
-    return dp * quad.integrate(integrand)
+    t, w = np.asarray(quad.nodes), np.asarray(quad.weights)
+    moments, _ = _on_path(surface, pc, 1, t)
+    return dp * float(w @ (np.exp(effect * dp * (1.0 - t)) * moments[0]))
 
 
 @dataclass(frozen=True)
@@ -185,13 +184,11 @@ def chebyshev_bounds(surface, pc, b_lo, b_hi, z, k, quad=None, s_levels=8):
     worst_hi = hn_bounds_path(surface, pc, b_hi, quad)
 
     # Mean income effect over the (path time, compensation level) rectangle.
+    # One batch over the grid, path time outer and compensation level inner.
     s_grid = np.linspace(0.0, max(worst_hi, 0.0), s_levels)
-    vals = []
-    for t in quad.nodes:
-        b = pc.path_budget(t)
-        for s in s_grid:
-            vals.append(surface.d_income(1, b.with_income(b.income + s)))
-    sup_b, inf_b = max(vals), min(vals)
+    _, d_income = _on_path(surface, pc, 1, np.repeat(quad.nodes, s_levels),
+                           np.tile(s_grid, len(quad.nodes)))
+    sup_b, inf_b = float(np.max(d_income[0])), float(np.min(d_income[0]))
 
     eps = 1e-12
     if k <= b_lo + eps:

@@ -1,15 +1,21 @@
+import re
+
 import numpy as np
 import pytest
 
 from welfare_moments import (
+    BasisSpec,
     Budget,
     CobbDouglasPopulation,
+    DomainError,
     L0,
     LinearTypeMixture,
     MomentSurface,
     MultigoodMoments,
     OrderError,
     PriceChange,
+    Q0,
+    ShapeError,
     ShareMomentSurface,
     chebyshev_bounds,
     compensated_jacobian_multigood,
@@ -24,18 +30,23 @@ from welfare_moments import (
     cv_path,
     cv_ra,
     cv_variance,
+    first_stage,
+    fit_moment_surface,
+    fitted_surface,
     hn_bounds_local,
     hn_bounds_path,
     income_effect_moment,
     population_cv,
     price_index,
     price_index_decompose,
+    quantity_surface_from_shares,
     share_surface_from_population,
     surface_from_population,
     tax_deadweight,
 )
 from welfare_moments.oracle import B_STAR
-from welfare_moments.welfare import QuadratureRule
+from welfare_moments.synthetic import population_cross_section
+from welfare_moments.welfare import DEFAULT_QUAD, QuadratureRule
 
 from conftest import EQUIV_P, EQUIV_Y, SWEEP_DPS, loglog_slope, random_budgets
 
@@ -526,3 +537,230 @@ def test_price_index_order_error():
         price_index(shallow, 0.1, Budget((1.0, 1.0), 2.0))
     with pytest.raises(OrderError):
         price_index_decompose(shallow, 0.1, Budget((1.0, 1.0), 2.0))
+
+
+# The node-by-node path integrals that the batched ones replaced, kept as
+# their oracle: one scalar surface call, on one Budget, per quadrature node.
+
+def cv_path_reference(surface, pc, quad=DEFAULT_QUAD):
+    dp = pc.scalar_delta(surface.good)
+
+    def m1_at(t):
+        return surface.moment(1, pc.path_budget(t))
+
+    def dym2_at(t):
+        return surface.d_income(2, pc.path_budget(t))
+
+    first = dp * quad.integrate(m1_at)
+    second = (dp ** 2 / 2.0) * quad.integrate(lambda t: dym2_at(t) * (1.0 - t))
+    return first + second
+
+
+def hn_bounds_path_reference(surface, pc, effect, quad=DEFAULT_QUAD):
+    dp = pc.scalar_delta(surface.good)
+
+    def integrand(t):
+        return np.exp(effect * dp * (1.0 - t)) * surface.moment(1, pc.path_budget(t))
+
+    return dp * quad.integrate(integrand)
+
+
+def chebyshev_bounds_reference(surface, pc, b_lo, b_hi, z, k, quad=DEFAULT_QUAD,
+                               s_levels=8):
+    worst_lo = hn_bounds_path_reference(surface, pc, b_lo, quad)
+    worst_hi = hn_bounds_path_reference(surface, pc, b_hi, quad)
+    s_grid = np.linspace(0.0, max(worst_hi, 0.0), s_levels)
+    vals = []
+    for t in quad.nodes:
+        b = pc.path_budget(t)
+        for s in s_grid:
+            vals.append(surface.d_income(1, b.with_income(b.income + s)))
+    sup_b, inf_b = max(vals), min(vals)
+    eps = 1e-12
+    if k <= b_lo + eps:
+        pi_u = 1.0
+    else:
+        pi_u = min(max((sup_b - k) / b_hi, 0.0), 1.0) if b_hi > 0 else 0.0
+    if z >= b_hi - eps:
+        pi_l = 0.0
+    else:
+        pi_l = min(max(inf_b / z, 0.0), 1.0) if z > 0 else 1.0
+    lower = pi_l * hn_bounds_path_reference(surface, pc, z, quad) + (1.0 - pi_l) * worst_lo
+    upper = pi_u * worst_hi + (1.0 - pi_u) * hn_bounds_path_reference(surface, pc, k, quad)
+    return float(lower), float(upper)
+
+
+def close(got, ref):
+    return got == pytest.approx(ref, rel=1e-13, abs=1e-15)
+
+
+@pytest.fixture(scope="module")
+def l0_fitted_surface():
+    ds = population_cross_section(L0, 20000, seed=3)
+    fits = [fit_moment_surface(ds, "q", n, BasisSpec(), first_stage(ds)) for n in (1, 2, 3)]
+    return fitted_surface(fits)
+
+
+MIXTURE = LinearTypeMixture([(0.3, 1.4, -0.6, 0.2), (0.7, 0.9, -0.3, 0.45)])
+
+# (name, surface maker, price changes); every surface has good 0
+BATCH_CASES = [
+    ("L0", lambda: surface_from_population(L0, 6),
+     [PriceChange.scalar(1.0, 1.0 + dp, 2.0) for dp in (0.1, -0.2, 0.3, -0.05)]),
+    ("Q0", lambda: surface_from_population(Q0, 4),
+     [PriceChange.scalar(p0, p0 + dp, y) for p0, y in ((1.0, 2.5), (0.9, 3.5), (1.1, 2.99))
+      for dp in (0.15, -0.15)]),
+    ("CD2", lambda: surface_from_population(CobbDouglasPopulation.two_type(0.3), 4),
+     [PriceChange(Budget((1.0, 1.3), 2.0), Budget((1.0 + dp, 1.3), 2.0))
+      for dp in (0.2, -0.1)]),
+    ("mixture", lambda: surface_from_population(MIXTURE, 3),
+     [PriceChange.scalar(1.0, 1.0 + dp, 2.0) for dp in (0.1, -0.1)]),
+]
+
+
+@pytest.mark.parametrize("name, make, pcs", BATCH_CASES, ids=[c[0] for c in BATCH_CASES])
+def test_batched_path_integrals_match_node_loops(name, make, pcs):
+    surface = make()
+    for pc in pcs:
+        assert close(cv_path(surface, pc), cv_path_reference(surface, pc))
+        for effect in (0.0, 0.4, 1.0):
+            assert close(hn_bounds_path(surface, pc, effect),
+                         hn_bounds_path_reference(surface, pc, effect))
+        if pc.scalar_delta() > 0:
+            p0 = pc.start.price(0)
+            cheb = chebyshev_bounds(surface, pc, 0.0, 1.0 / p0, 0.3, 0.5)
+            ref = chebyshev_bounds_reference(surface, pc, 0.0, 1.0 / p0, 0.3, 0.5)
+            assert close(cheb.lower, ref[0]) and close(cheb.upper, ref[1])
+
+
+def test_batched_path_integrals_match_node_loops_fitted(l0_fitted_surface):
+    surface = l0_fitted_surface.moment_surface
+    for dp in (0.05, -0.06):
+        pc = PriceChange.scalar(1.0, 1.0 + dp, 4.0)
+        assert close(cv_path(surface, pc), cv_path_reference(surface, pc))
+        assert close(hn_bounds_path(surface, pc, 0.25),
+                     hn_bounds_path_reference(surface, pc, 0.25))
+    pc = PriceChange.scalar(1.0, 1.05, 3.9)
+    cheb = chebyshev_bounds(surface, pc, 0.0, 1.0, 0.3, 0.5)
+    ref = chebyshev_bounds_reference(surface, pc, 0.0, 1.0, 0.3, 0.5)
+    assert close(cheb.lower, ref[0]) and close(cheb.upper, ref[1])
+
+
+def test_q0_chebyshev_grid_across_the_kink():
+    # incomes y + s on the (t, s) grid run from below to above Q0's kink at
+    # y = 3, where its table changes from three segments to two
+    surface = surface_from_population(Q0, 4)
+    pc = PriceChange.scalar(1.0, 1.3, 2.9)
+    worst_hi = hn_bounds_path(surface, pc, 1.0)
+    assert 2.9 < 3.0 < 2.9 + worst_hi
+    assert len(Q0._segments(2.9)) != len(Q0._segments(2.9 + worst_hi))
+    for z, k in ((0.3, 0.5), (0.1, 0.9), (0.5, 0.5)):
+        cheb = chebyshev_bounds(surface, pc, 0.0, 1.0, z, k)
+        ref = chebyshev_bounds_reference(surface, pc, 0.0, 1.0, z, k)
+        assert close(cheb.lower, ref[0]) and close(cheb.upper, ref[1])
+
+
+@pytest.mark.parametrize("name, make, pcs", BATCH_CASES, ids=[c[0] for c in BATCH_CASES])
+def test_build_report_start_budget_fields_are_the_scalar_formulas(name, make, pcs):
+    surface = make()
+    for pc in pcs:
+        rep = build_report(surface, pc)
+        assert rep.first_order == cv_first_order(surface, pc)
+        assert rep.ra == cv_ra(surface, pc)
+        assert rep.robust == cv_moment_local(surface, 1, pc)
+        assert rep.moments == tuple(cv_moment_local(surface, n, pc)
+                                    for n in range(1, surface.max_order))
+        dec = cv_decompose(surface, pc)
+        assert rep.decomposition == {"A1": dec.a1, "A2": dec.a2, "A3": dec.a3, "A4": dec.a4}
+        assert rep.variance == {
+            "robust": cv_variance(surface, pc, "robust") if surface.max_order >= 3 else None,
+            "additive": cv_variance(surface, pc, "additive_separable"),
+            "first_order": cv_variance(surface, pc, "first_order")}
+        assert close(rep.path, cv_path_reference(surface, pc))
+        lo = hn_bounds_path_reference(surface, pc, 0.0)
+        hi = hn_bounds_path_reference(surface, pc, 1.0 / pc.start.price(0))
+        assert close(rep.bounds["lower"], min(lo, hi))
+        assert close(rep.bounds["upper"], max(lo, hi))
+
+
+@pytest.mark.parametrize("population", [L0, Q0, CobbDouglasPopulation.two_type(0.3), MIXTURE],
+                         ids=["L0", "Q0", "CD2", "mixture"])
+def test_on_budgets_matches_scalar_calls(population):
+    surface = surface_from_population(population, 4)
+    share = share_surface_from_population(population, 4)
+    rng = np.random.default_rng(5)
+    prices = rng.uniform(0.8, 1.2, size=(12, population.k))
+    incomes = rng.choice([1.7, 2.5, 2.9, 3.0, 3.2, 4.5], size=12)
+    for surf, partial in ((surface, surface.d_income), (share, share.d_logy),
+                          (quantity_surface_from_shares(share), None)):
+        moments, partials = surf.on_budgets(prices, incomes)
+        assert moments.shape == partials.shape == (4, 12)
+        for i, b in enumerate(Budget(tuple(p), y) for p, y in zip(prices, incomes)):
+            for n in range(1, 5):
+                assert close(moments[n - 1, i], surf.moment(n, b))
+                assert close(partials[n - 1, i], (partial or surf.d_income)(n, b))
+        low, low_partials = surf.on_budgets(prices, incomes, orders=2)
+        np.testing.assert_array_equal(low, moments[:2])
+        np.testing.assert_array_equal(low_partials, partials[:2])
+
+
+def test_scalar_callable_surface_is_evaluated_by_a_loop(l0_surface):
+    calls = []
+
+    def moment(n, b):
+        calls.append(n)
+        return l0_surface.moment(n, b)
+
+    custom = MomentSurface(3, moment, l0_surface.d_price, l0_surface.d_income)
+    prices, incomes = np.array([[1.0], [1.1], [0.9]]), np.array([2.0, 2.0, 2.5])
+    moments, partials = custom.on_budgets(prices, incomes)
+    assert calls == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+    for i, b in enumerate(Budget((p,), y) for (p,), y in zip(prices, incomes)):
+        assert list(moments[:, i]) == [l0_surface.moment(n, b) for n in (1, 2, 3)]
+        assert list(partials[:, i]) == [l0_surface.d_income(n, b) for n in (1, 2, 3)]
+    for pc in (PC_STAR, PriceChange.scalar(1.0, 0.8, 2.0)):
+        assert close(cv_path(custom, pc), cv_path_reference(l0_surface, pc))
+        assert close(hn_bounds_path(custom, pc, 0.5),
+                     hn_bounds_path_reference(l0_surface, pc, 0.5))
+    cheb = chebyshev_bounds(custom, PC_STAR, 0.0, 1.0, 0.3, 0.5)
+    ref = chebyshev_bounds_reference(l0_surface, PC_STAR, 0.0, 1.0, 0.3, 0.5)
+    assert close(cheb.lower, ref[0]) and close(cheb.upper, ref[1])
+    # a custom share surface reaches the quantity chain rule through its loop
+    ws = share_surface_from_population(L0, 3)
+    custom_share = ShareMomentSurface(3, ws.moment, ws.d_logp, ws.d_logy)
+    q = quantity_surface_from_shares(custom_share)
+    assert close(cv_path(q, PC_STAR), cv_path_reference(l0_surface, PC_STAR))
+
+
+def test_on_budgets_refuses_bad_batches(l0_surface):
+    with pytest.raises(ShapeError):
+        l0_surface.on_budgets(np.ones(3), np.ones(3))
+    with pytest.raises(ShapeError):
+        l0_surface.on_budgets(np.ones((3, 1)), np.ones(2))
+    with pytest.raises(DomainError):
+        l0_surface.on_budgets(np.array([[1.0], [-1.0]]), np.ones(2))
+    with pytest.raises(DomainError):
+        l0_surface.on_budgets(np.ones((2, 1)), np.array([2.0, np.nan]))
+    with pytest.raises(OrderError):
+        l0_surface.on_budgets(np.ones((2, 1)), np.ones(2), orders=7)
+
+
+@pytest.mark.parametrize("p1", [1.15, 0.8])
+def test_fitted_path_leaving_the_sample_names_its_first_node(l0_fitted_surface, p1):
+    # the sample's prices span about [0.88, 1.08]: the path leaves partway
+    surface = l0_fitted_surface.moment_surface
+    pc = PriceChange.scalar(1.0, p1, 4.0)
+    lo, hi = l0_fitted_surface.fits[0].domain  # one sample: every fit has this box
+    path = [pc.path_budget(t) for t in DEFAULT_QUAD.nodes]
+    outside = [not lo[0] <= np.log(b.price(0)) <= hi[0] for b in path]
+    first = outside.index(True)
+    assert first > 0
+    expected = re.escape("budget with prices %.6g and income 4 lies outside"
+                         % path[first].price(0))
+    for evaluate in (lambda: cv_path(surface, pc), lambda: hn_bounds_path(surface, pc, 0.2),
+                     lambda: build_report(surface, pc)):
+        with pytest.raises(DomainError, match=expected):
+            evaluate()
+    # the node loop fails at the same node
+    with pytest.raises(DomainError, match=expected):
+        cv_path_reference(surface, pc)
