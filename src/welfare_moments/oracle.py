@@ -3,17 +3,21 @@
 Populations here serve as ground truth for the approximation formulas in
 :mod:`welfare_moments.welfare`: their conditional moments have closed
 forms (or machine-precision quadrature), their income effects are known
-analytically, and the exact welfare effect of a price change is computed
-per type by integrating the compensation ODE
+analytically, and the exact welfare effect of a price change is, per
+type, the value at t = 1 of the compensation ODE
 
     ds/dt = q(p(t), y + s(t)) . dp/dt,   s(0) = 0,
 
-whose value at t = 1 is the compensating variation for that type along
-the linear price path.
+along the linear price path.  Every population here solves it in closed
+form: Cobb-Douglas types by their expenditure function, and the others
+piece by piece, since their demand is affine in price and income between
+kinks, where the ODE is linear with constant coefficients.  Fixed-step
+RK4 remains for an arbitrary demand callable and as a reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -82,6 +86,12 @@ def _rk4_scalar_family(drift, y0, steps):
     return s
 
 
+def _income_exit(t, pc):
+    dp = ", ".join("%g" % d for d in pc.delta)
+    return DomainError("compensated income left the positive domain at t=%.6f "
+                       "for the price change dp=%s at income %g" % (t, dp, pc.income))
+
+
 def _guard_income(y_arr, t, pcs, owner):
     """Raise DomainError if a compensated income is nonpositive.
 
@@ -90,17 +100,100 @@ def _guard_income(y_arr, t, pcs, owner):
     """
     bad = y_arr <= 0.0
     if np.any(bad):
-        pc = pcs[owner[np.argmax(bad)]]
-        dp = ", ".join("%g" % d for d in pc.delta)
-        raise DomainError("compensated income left the positive domain at t=%.6f "
-                          "for the price change dp=%s at income %g" % (t, dp, pc.income))
+        raise _income_exit(t, pcs[owner[np.argmax(bad)]])
 
 
-def _own_price_paths(pcs, sizes):
+def _own_price_paths(pcs, owner):
     """Start price and price step of good 0 for each family element."""
-    p0 = np.repeat([pc.start.prices[0] for pc in pcs], sizes)
-    dp = np.repeat([pc.delta[0] for pc in pcs], sizes)
+    p0 = np.array([pc.start.prices[0] for pc in pcs])[owner]
+    dp = np.array([pc.delta[0] for pc in pcs])[owner]
     return p0, dp
+
+
+# phi2(x) = (e^x - 1 - x)/x^2 cancels for small |x|; below this bound it is
+# summed from its Taylor coefficients 1/(k+2)!, whose tail is then < 1e-19.
+_SERIES_BELOW = 0.5
+_PHI2_TAYLOR = tuple(1.0 / math.factorial(k + 2) for k in range(17))
+_NEWTON_ITERATIONS = 100
+_MAX_PIECES = 64
+
+
+def _phi(x):
+    """phi1(x) = (e^x - 1)/x and phi2(x) = (e^x - 1 - x)/x^2, exact at and near 0."""
+    small = np.abs(x) < _SERIES_BELOW
+    xs = np.where(small, x, 0.0)
+    series = np.full_like(xs, _PHI2_TAYLOR[-1])
+    for c in _PHI2_TAYLOR[-2::-1]:
+        series = series * xs + c
+    xl = np.where(small, 1.0, x)
+    em1 = np.expm1(xl)
+    return (np.where(small, 1.0 + xs * series, em1 / xl),
+            np.where(small, series, (em1 - xl) / (xl * xl)))
+
+
+def _piece_gain(r0, lam, a1, u):
+    """Compensation gained after time u on an affine piece, and its rate there.
+
+    On the piece z' = lam z + beta0 + a1 u with z'(0) = r0, so
+    z(u) - z(0) = r0 u phi1(lam u) + a1 u^2 phi2(lam u).
+    """
+    phi1, phi2 = _phi(lam * u)
+    return r0 * u * phi1 + a1 * u * u * phi2, r0 + (lam * r0 + a1) * u * phi1
+
+
+def _turning_point(r0, lam, a1):
+    """The u > 0 where a piece's rate r0 e^(lam u) + a1 u phi1(lam u) vanishes,
+    or inf; the gain is monotone on either side of it."""
+    # e^(lam u) = 1 / (1 + x) with x = lam r0 / a1, so u = -(r0 / a1) log1p(x) / x
+    ratio = np.divide(r0, a1, out=np.zeros_like(r0), where=a1 != 0.0)
+    x = lam * ratio
+    ok = (a1 != 0.0) & (x > -1.0)
+    psi = np.divide(np.log1p(np.where(ok, x, 0.0)), x, out=np.ones_like(x),
+                    where=ok & (x != 0.0))
+    u = -ratio * psi
+    return np.where(ok & (u > 0.0), u, np.inf)
+
+
+def _solve_gain(r0, lam, a1, c, a, b):
+    """The time in [a, b] at which a piece's gain reaches c.
+
+    The gain is monotone on [a, b], on one side of c at a and on the other
+    side (or at c) at b.  Newton steps that leave the bracket are replaced
+    by bisection, and the bracket shrinks every step.
+    """
+    side = np.sign(_piece_gain(r0, lam, a1, a)[0] - c)
+    u = 0.5 * (a + b)
+    for _ in range(_NEWTON_ITERATIONS):
+        gain, rate = _piece_gain(r0, lam, a1, u)
+        h = gain - c
+        past = np.sign(h) != side
+        a, b = np.where(past, a, u), np.where(past, u, b)
+        newton = u - np.divide(h, rate, out=np.full_like(u, np.inf), where=rate != 0.0)
+        new = np.where(h == 0.0, u,
+                       np.where((newton >= a) & (newton <= b), newton, 0.5 * (a + b)))
+        done = np.all(np.abs(new - u) <= 4.0 * np.finfo(float).eps * np.abs(new))
+        u = new
+        if done:
+            break
+    return u
+
+
+def _first_crossing(r0, lam, a1, c, turn, span):
+    """Earliest u in (0, span) at which a piece's gain crosses c, or inf.
+
+    The gain is monotone on [0, turn] and on [turn, span], so each holds at
+    most one crossing; a piece starting on c (c = 0) leaves it on the first.
+    """
+    mid = np.minimum(turn, span)
+    h_mid = _piece_gain(r0, lam, a1, mid)[0] - c
+    h_end = _piece_gain(r0, lam, a1, span)[0] - c
+    first = np.sign(-c) * np.sign(h_mid) < 0.0
+    second = ~first & (np.sign(h_mid) * np.sign(h_end) < 0.0)
+    root = np.full_like(c, np.inf)
+    for sel, lo, hi in ((first, np.zeros_like(mid), mid), (second, mid, span)):
+        if np.any(sel):
+            root[sel] = _solve_gain(r0[sel], lam[sel], a1[sel], c[sel], lo[sel], hi[sel])
+    return root
 
 
 # Reference rule whose nodes are the two ends of every row of a type table.
@@ -206,23 +299,91 @@ class _TypeTable:
         return float(np.min(q)), float(np.max(q))
 
     def cv_family(self, pcs, n_nodes=64):
+        """Type nodes of every (price change, type) pair, their weights, and
+        the number of pairs of each price change."""
         x, w = _leggauss01(n_nodes)
         tables = [self._types(pc.income, 0, x, w) for pc in pcs]
         weights = [t for _, t in tables]
         nodes = [np.concatenate([np.broadcast_to(a, t.shape).ravel()
                                  for a, t in zip(col, weights)])
                  for col in zip(*(n for n, _ in tables))]
-        sizes = [t.size for t in weights]
-        return (self._cv_rate(pcs, nodes, sizes),
-                np.concatenate([t.ravel() for t in weights]), sizes)
+        return nodes, np.concatenate([t.ravel() for t in weights]), [t.size for t in weights]
 
-    def _cv_rate(self, pcs, nodes, sizes):
-        p0, dp = _own_price_paths(pcs, sizes)
+    def _kinks(self, nodes):
+        """Income at which each type's demand changes slope, or None if none does."""
+        return None
+
+    def _cv_rate(self, pcs, nodes, owner):
+        p0, dp = _own_price_paths(pcs, owner)
 
         def rate(t, y_arr):
             return self._demand(nodes, p0 + t * dp, y_arr)[0] * dp
 
         return rate
+
+    def _cv_closed_form(self, pcs, nodes, owner, y0):
+        """s(1) of every family element, solved exactly one affine piece at a time.
+
+        Demand must be affine in price and income between the incomes of
+        ``_kinks``.  A piece starting at time t0 with compensation z0 then has
+        z' = lam z + beta0 + a1 u (u = t - t0), with rate r0 = q dp at its
+        start, lam = dq/dy dp and a1 = dq/dp dp^2.  A piece ends where the
+        income first crosses the type's kink, located to full precision,
+        and the next starts there with the income exactly on the kink.
+        Raises DomainError for the element whose income reaches zero first.
+        """
+        p0, dp = _own_price_paths(pcs, owner)
+        kinks = self._kinks(nodes)
+        s, t0, income = np.zeros_like(y0), np.zeros_like(y0), y0.copy()
+        exit_t = np.full_like(y0, np.inf)
+        live = np.arange(len(y0))
+        for _ in range(_MAX_PIECES):
+            sub = [a[live] for a in nodes]
+            y, d = income[live], dp[live]
+            p = p0[live] + t0[live] * d
+            q, dq_dp, dq_dy = self._demand(sub, p, y)
+            r0 = q * d
+            if kinks is not None:
+                # On its kink a type takes the slopes of the side its income
+                # moves to: the sign of the rate, or of dq/dp where that is 0.
+                k = kinks[live]
+                on = y == k
+                if np.any(on):
+                    falling = np.where(r0 != 0.0, r0, dq_dp) < 0.0
+                    side = np.nextafter(k, np.where(falling, -np.inf, np.inf))
+                    _, dq_dp, dq_dy = self._demand(sub, p, np.where(on, side, y))
+            r0, lam, a1 = np.broadcast_arrays(r0, dq_dy * d, dq_dp * d * d)
+            span = 1.0 - t0[live]
+            turn = _turning_point(r0, lam, a1)
+            end = span
+            if kinks is not None:
+                end = np.minimum(span, _first_crossing(r0, lam, a1, k - y, turn, span))
+            gain = _piece_gain(r0, lam, a1, end)[0]
+            # the income's least value on the piece: at an end or the turning point
+            low = np.minimum(turn, end)
+            gain_low = _piece_gain(r0, lam, a1, low)[0]
+            out = np.minimum(gain_low, gain) <= -y
+            if np.any(out):
+                before = gain_low[out] <= -y[out]
+                lo = np.where(before, 0.0, low[out])
+                hi = np.where(before, low[out], end[out])
+                exit_t[live[out]] = t0[live[out]] + _solve_gain(
+                    r0[out], lam[out], a1[out], -y[out], lo, hi)
+            s[live] += gain
+            t0[live] += end
+            crossed = (end < span) & ~out
+            income[live] = y + gain
+            if kinks is not None:
+                income[live[crossed]] = k[crossed]
+            live = live[crossed]
+            if not live.size:
+                break
+        else:
+            raise NumericError("kink crossings did not end after %d pieces" % _MAX_PIECES)
+        if np.any(np.isfinite(exit_t)):
+            first = int(np.argmin(exit_t))
+            raise _income_exit(exit_t[first], pcs[owner[first]])
+        return s
 
 
 class LinearHeteroPopulation(_TypeTable):
@@ -277,11 +438,15 @@ class QuantileCounterexamplePopulation(_TypeTable):
     def d_income(self, omega, y):
         return self._demand((np.asarray(omega, dtype=float),), 0.0, y)[2]
 
+    def _kinks(self, nodes):
+        (omega,) = nodes
+        return 6.0 * np.where(omega <= 0.5, omega, 1.0 - omega)
+
     def _demand(self, nodes, p, y):
         (omega,) = nodes
         lower = omega <= 0.5
         # below its kink a type spends half of marginal income on the good
-        flat = y < 6.0 * np.where(lower, omega, 1.0 - omega)
+        flat = y < self._kinks(nodes)
         q = -p + np.where(flat, y / 2.0 + omega,
                           np.where(lower, y / 3.0 + 2.0 * omega,
                                    2.0 * y / 3.0 + 2.0 * omega - 1.0))
@@ -340,7 +505,7 @@ class CobbDouglasPopulation(_TypeTable):
         q = alpha * y / p
         return q, -q / p, alpha / p
 
-    def _cv_rate(self, pcs, nodes, sizes):
+    def _cv_rate(self, pcs, nodes, owner):
         paths = [(np.asarray(pc.start.prices), pc.delta) for pc in pcs]
 
         def rate(t, y_arr):
@@ -350,6 +515,12 @@ class CobbDouglasPopulation(_TypeTable):
                                            for p0, dp in paths])
 
         return rate
+
+    def _cv_closed_form(self, pcs, nodes, owner, y0):
+        # s(1) = y (prod_i (p1_i / p0_i) ** alpha_i - 1); income stays positive
+        logs = np.concatenate([self._alphas @ np.log1p(pc.delta / np.asarray(pc.start.prices))
+                               for pc in pcs])
+        return y0 * np.expm1(logs)
 
     def mean_shares(self):
         return self._w @ self._alphas
@@ -474,28 +645,32 @@ def cv_constant_income_effect(demand, a, pc, n_nodes=64):
 
 
 def population_cv_sweep(pop, pcs, cfg=None, n_nodes=64):
-    """Exact CV-distribution moments for each price change, from one RK4 family.
+    """Exact CV-distribution moments for each price change, from one family.
 
-    Every (price change, type node) pair is one element of the family.
-    ``pop.cv_family(pcs, n_nodes)`` returns the per-element right side
-    ``rate(t, y)`` of the compensation ODE, the quadrature weight of every
-    element, and the number of elements of each price change.  Each price
-    change's moments come from its own slice of the result.  Returns one
-    :class:`PopulationCv` per price change, in order.
+    Every (price change, type node) pair is one element of the family, laid
+    out by ``pop.cv_family(pcs, n_nodes)``.  Without ``cfg`` each element's
+    s(1) is the population's closed form; ``cfg`` integrates the family by
+    RK4 with ``cfg.steps`` steps instead.  Each price change's moments come
+    from its own slice of the result.  Raises DomainError naming the price
+    change whose compensated income reaches zero first, with the time.
+    Returns one :class:`PopulationCv` per price change, in order.
     """
-    cfg = cfg or DEFAULT_ODE
     pcs = tuple(pcs)
     if not pcs:
         return []
-    rate, w, sizes = pop.cv_family(pcs, n_nodes)
+    nodes, w, sizes = pop.cv_family(pcs, n_nodes)
     owner = np.repeat(np.arange(len(pcs)), sizes)
     y0 = np.array([pc.income for pc in pcs])[owner]
+    if cfg is None:
+        s_all = pop._cv_closed_form(pcs, nodes, owner, y0)
+    else:
+        rate = pop._cv_rate(pcs, nodes, owner)
 
-    def drift(t, y_arr):
-        _guard_income(y_arr, t, pcs, owner)
-        return rate(t, y_arr)
+        def drift(t, y_arr):
+            _guard_income(y_arr, t, pcs, owner)
+            return rate(t, y_arr)
 
-    s_all = _rk4_scalar_family(drift, y0, cfg.steps)
+        s_all = _rk4_scalar_family(drift, y0, cfg.steps)
     out = []
     for hi, size in zip(np.cumsum(sizes), sizes):
         wi, s = w[hi - size:hi], s_all[hi - size:hi]

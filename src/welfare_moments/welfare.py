@@ -58,6 +58,18 @@ def _on_path(surface, pc, orders, t, s=0.0):
     return surface.on_budgets(pc.path_prices(t), np.full(t.shape, pc.income) + s, orders)
 
 
+def _path_value(dp, t, w, moments, d_income):
+    """``cv_path`` from orders 1 and 2 at path nodes ``t`` with weights ``w``."""
+    first = dp * float(w @ moments[0])
+    second = (dp ** 2 / 2.0) * float(w @ (d_income[1] * (1.0 - t)))
+    return first + second
+
+
+def _path_bound(dp, t, w, m1, effect):
+    """``hn_bounds_path`` from mean demand ``m1`` at path nodes ``t``."""
+    return dp * float(w @ (np.exp(effect * dp * (1.0 - t)) * m1))
+
+
 def compensated_moment_fo(surface, n, b, dp):
     """First-order approximation of the n-th compensated demand moment."""
     if n + 1 > surface.max_order:
@@ -119,10 +131,7 @@ def cv_path(surface, pc, quad=None):
         raise OrderError("path approximation needs moment orders up to 2")
     dp = _own_delta(surface, pc)
     t, w = np.asarray(quad.nodes), np.asarray(quad.weights)
-    moments, d_income = _on_path(surface, pc, 2, t)
-    first = dp * float(w @ moments[0])
-    second = (dp ** 2 / 2.0) * float(w @ (d_income[1] * (1.0 - t)))
-    return first + second
+    return _path_value(dp, t, w, *_on_path(surface, pc, 2, t))
 
 
 def hn_bounds_local(surface, pc, b_lo, b_hi):
@@ -152,7 +161,7 @@ def hn_bounds_path(surface, pc, effect, quad=None):
     dp = _own_delta(surface, pc)
     t, w = np.asarray(quad.nodes), np.asarray(quad.weights)
     moments, _ = _on_path(surface, pc, 1, t)
-    return dp * float(w @ (np.exp(effect * dp * (1.0 - t)) * moments[0]))
+    return _path_bound(dp, t, w, moments[0], effect)
 
 
 @dataclass(frozen=True)
@@ -180,14 +189,17 @@ def chebyshev_bounds(surface, pc, b_lo, b_hi, z, k, quad=None, s_levels=8):
     if dp <= 0.0:
         raise ValueError("probability-tightened bounds require a price increase")
 
-    worst_lo = hn_bounds_path(surface, pc, b_lo, quad)
-    worst_hi = hn_bounds_path(surface, pc, b_hi, quad)
+    # one batch of mean demand on the path serves all four path bounds
+    t, w = np.asarray(quad.nodes), np.asarray(quad.weights)
+    m1 = _on_path(surface, pc, 1, t)[0][0]
+    worst_lo = _path_bound(dp, t, w, m1, b_lo)
+    worst_hi = _path_bound(dp, t, w, m1, b_hi)
 
     # Mean income effect over the (path time, compensation level) rectangle.
     # One batch over the grid, path time outer and compensation level inner.
     s_grid = np.linspace(0.0, max(worst_hi, 0.0), s_levels)
-    _, d_income = _on_path(surface, pc, 1, np.repeat(quad.nodes, s_levels),
-                           np.tile(s_grid, len(quad.nodes)))
+    _, d_income = _on_path(surface, pc, 1, np.repeat(t, s_levels),
+                           np.tile(s_grid, len(t)))
     sup_b, inf_b = float(np.max(d_income[0])), float(np.min(d_income[0]))
 
     eps = 1e-12
@@ -200,8 +212,8 @@ def chebyshev_bounds(surface, pc, b_lo, b_hi, z, k, quad=None, s_levels=8):
     else:
         pi_l = min(max(inf_b / z, 0.0), 1.0) if z > 0 else 1.0
 
-    lower = pi_l * hn_bounds_path(surface, pc, z, quad) + (1.0 - pi_l) * worst_lo
-    upper = pi_u * worst_hi + (1.0 - pi_u) * hn_bounds_path(surface, pc, k, quad)
+    lower = pi_l * _path_bound(dp, t, w, m1, z) + (1.0 - pi_l) * worst_lo
+    upper = pi_u * worst_hi + (1.0 - pi_u) * _path_bound(dp, t, w, m1, k)
     note = ("Pr[inf effect >= %.4g] <= %.4f; Pr[sup effect >= %.4g] >= %.4f"
             % (z, pi_l, k, pi_u))
     return ChebyshevBounds(lower=float(lower), upper=float(upper), coverage_note=note)
@@ -451,13 +463,17 @@ def build_report(surface, pc, quad=None, b_lo=None, b_hi=None,
                              tuple(0.0 for _ in range(n_mom)))
 
     robust = cv_moment_local(surface, 1, pc)
+    t, w = np.asarray(quad.nodes), np.asarray(quad.weights)
     if chebyshev_thresholds is not None and dp > 0:
         z, k = chebyshev_thresholds
         cheb = chebyshev_bounds(surface, pc, b_lo, b_hi, z, k, quad)
         bounds = {"lower": cheb.lower, "upper": cheb.upper, "kind": "chebyshev"}
+        path = _on_path(surface, pc, 2, t)
     else:
-        lo = hn_bounds_path(surface, pc, b_lo, quad)
-        hi = hn_bounds_path(surface, pc, b_hi, quad)
+        # one batch on the price path serves both bounds and the path value
+        path = _on_path(surface, pc, 2, t)
+        lo = _path_bound(dp, t, w, path[0][0], b_lo)
+        hi = _path_bound(dp, t, w, path[0][0], b_hi)
         bounds = {"lower": min(lo, hi), "upper": max(lo, hi), "kind": "worst-case"}
     if bounds["lower"] > bounds["upper"]:
         bounds["lower"], bounds["upper"] = bounds["upper"], bounds["lower"]
@@ -475,7 +491,7 @@ def build_report(surface, pc, quad=None, b_lo=None, b_hi=None,
         first_order=cv_first_order(surface, pc),
         ra=cv_ra(surface, pc),
         robust=robust,
-        path=cv_path(surface, pc, quad),
+        path=_path_value(dp, t, w, *path),
         bounds=bounds,
         variance=variance,
         decomposition={"A1": dec.a1, "A2": dec.a2, "A3": dec.a3, "A4": dec.a4},

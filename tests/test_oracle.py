@@ -1,3 +1,6 @@
+import warnings
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -26,7 +29,7 @@ from welfare_moments import (
     surface_from_population,
 )
 from welfare_moments import oracle
-from welfare_moments.oracle import B_STAR
+from welfare_moments.oracle import B_STAR, PopulationCv
 
 from conftest import EQUIV_P, EQUIV_Y, random_budgets
 
@@ -296,7 +299,9 @@ def test_exact_cv_accepts_demand_callable():
 
 # Independent oracles: one RK4 integration per price change, and one demand
 # evaluation per quadrature segment, as the library computed them before the
-# sweep stacked every price change into one family.
+# sweep stacked every price change into one family and solved it in closed
+# form.  RK4 is second order across Q0's kinks, so at 4096 steps it is within
+# about 1e-13 of the exact solution there, and far closer elsewhere.
 
 def _segment_nodes(lo, hi, n=64):
     """Gauss-Legendre nodes and weights on [lo, hi]."""
@@ -340,7 +345,8 @@ def _serial_drift(pop, pc, n_nodes=64):
     return drift, w
 
 
-def _serial_population_cv(pop, pc, steps=1024):
+def _serial_cv_values(pop, pc, steps):
+    """Per-type CV of one price change by RK4, and the type weights."""
     drift, w = _serial_drift(pop, pc)
     y0 = np.full(len(w), pc.income)
     s = np.zeros_like(y0)
@@ -352,6 +358,11 @@ def _serial_population_cv(pop, pc, steps=1024):
         k3 = drift(t + h / 2.0, y0 + s + (h / 2.0) * k2)
         k4 = drift(t + h, y0 + s + h * k3)
         s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return s, w
+
+
+def _serial_population_cv(pop, pc, steps):
+    s, w = _serial_cv_values(pop, pc, steps)
     mean = float(np.dot(w, s))
     variance = float(np.dot(w, (s - mean) ** 2))
     raw = tuple(float(np.dot(w, s ** m)) for m in range(1, 5))
@@ -362,7 +373,10 @@ def _assert_sweep_matches_serial(pop, pcs):
     sweep = population_cv_sweep(pop, pcs)
     assert len(sweep) == len(pcs)
     for pc, res in zip(pcs, sweep):
-        assert (res.mean, res.variance, res.raw_moments) == _serial_population_cv(pop, pc)
+        mean, variance, raw = _serial_population_cv(pop, pc, steps=4096)
+        assert res.mean == pytest.approx(mean, rel=0.0, abs=1e-12)
+        assert res.variance == pytest.approx(variance, rel=0.0, abs=1e-12)
+        assert res.raw_moments == pytest.approx(raw, rel=0.0, abs=1e-12)
         assert res == population_cv(pop, pc)
 
 
@@ -387,6 +401,8 @@ def test_population_cv_sweep_matches_serial_cd2_two_prices():
            PriceChange(Budget((0.8, 1.3), 3.0), Budget((0.9, 1.1), 3.0)),
            PriceChange(Budget((1.0, 1.0), 2.0), Budget((0.7, 1.0), 2.0))]
     _assert_sweep_matches_serial(pop, pcs)
+    for pc, res in zip(pcs, population_cv_sweep(pop, pcs)):
+        assert res.mean == pytest.approx(pop.exact_cv_mean(pc), rel=1e-14, abs=0.0)
 
 
 def test_population_cv_sweep_matches_serial_type_mixture():
@@ -402,8 +418,114 @@ def test_population_cv_sweep_domain_error_names_price_change():
     with pytest.raises(DomainError) as err:
         population_cv_sweep(falling, pcs)
     message = str(err.value)
-    assert "t=" in message
+    assert "t=0.400000 " in message
     assert "dp=-0.5 " in message and "income 2" in message
+
+
+def test_population_cv_income_dipping_below_zero_inside_the_path():
+    # q = -30 + 20 p rises through zero as p goes from 1 to 2, so the income
+    # 2 - 10 t + 10 t^2 is negative only inside the path: its least value
+    # is at the piece's turning point, not at an end
+    giffen = LinearTypeMixture([(1.0, -30.0, 20.0, 0.0)])
+    with pytest.raises(DomainError, match=r"t=0\.276393 .*dp=1 "):
+        population_cv(giffen, PriceChange.scalar(1.0, 2.0, 2.0))
+
+
+def test_turning_point_zeroes_the_rate():
+    r0 = np.array([0.3, -0.2, 0.5, 0.1, 0.2])
+    lam = np.array([0.1, -0.4, 0.0, 2.0, 0.1])
+    a1 = np.array([-0.04, 0.09, -0.25, -0.01, 0.04])
+    u = oracle._turning_point(r0, lam, a1)
+    # the last two rates never vanish for u > 0
+    assert np.isfinite(u).tolist() == [True, True, True, False, False]
+    u, r0, lam, a1 = u[:3], r0[:3], lam[:3], a1[:3]
+    growth = np.exp(lam * u)
+    rate = r0 * growth + a1 * np.where(lam == 0.0, u, (growth - 1.0) / np.where(lam == 0.0, 1.0, lam))
+    assert np.all(np.abs(rate) <= 1e-15)
+    assert u[2] == 2.0
+
+
+def _q0_kink_crossings(pc):
+    """Q0 type nodes whose income ends on the other side of its kink, by RK4."""
+    s, _ = _serial_cv_values(Q0, pc, 256)
+    omega = np.concatenate([_segment_nodes(lo, hi)[0] for lo, hi in Q0._segments(pc.income)])
+    kink = 6.0 * np.minimum(omega, 1.0 - omega)
+    return int(np.sum((pc.income < kink) != (pc.income + s < kink)))
+
+
+@pytest.mark.parametrize("dp,y", [(0.2, 2.0), (0.2, 2.9), (-0.2, 2.0), (-0.2, 3.2)])
+def test_population_cv_sweep_q0_kink_crossings(dp, y):
+    pc = PriceChange.scalar(1.0, 1.0 + dp, y)
+    assert _q0_kink_crossings(pc) > 0
+    _assert_sweep_matches_serial(Q0, [pc])
+
+
+class _QuantileTypes(QuantileCounterexamplePopulation):
+    """Q0's demand for a finite list of types omega, equally weighted."""
+
+    def __init__(self, *omegas):
+        self.omegas = np.array(omegas)
+
+    def _types(self, y, good, x, w):
+        return (self.omegas[None, :],), np.full((1, len(self.omegas)), 1.0 / len(self.omegas))
+
+
+@pytest.mark.parametrize("omegas,y", [((0.25, 0.75), 1.5), ((1.0 / 3.0, 2.0 / 3.0), 2.0)])
+@pytest.mark.parametrize("dp", [0.2, -0.2])
+def test_population_cv_starting_on_a_kink(omegas, y, dp):
+    # each type's kink, 6 omega or 6 (1 - omega), sits exactly at the start income
+    assert all(6.0 * min(om, 1.0 - om) == y for om in omegas)
+    pop, pc = _QuantileTypes(*omegas), PriceChange.scalar(1.0, 1.0 + dp, y)
+    rk4 = population_cv(pop, pc, OdeConfig(4096))
+    res = population_cv(pop, pc)
+    assert res.raw_moments == pytest.approx(rk4.raw_moments, rel=0.0, abs=1e-12)
+    assert res.variance == pytest.approx(rk4.variance, rel=0.0, abs=1e-12)
+
+
+CLOSED_FORM_POPULATIONS = (L0, Q0, CobbDouglasPopulation.two_type(0.3),
+                           LinearTypeMixture([(0.2, 0.6, -0.5, 0.3), (0.8, 1.0, -1.0, 0.1)]))
+
+
+def test_population_cv_sweep_zero_change_is_exactly_zero():
+    pc = PriceChange.scalar(1.0, 1.0, 2.0)
+    for pop in CLOSED_FORM_POPULATIONS:
+        if pop.k == 2:
+            pc = PriceChange(Budget((1.0, 1.0), 2.0), Budget((1.0, 1.0), 2.0))
+        assert population_cv(pop, pc) == PopulationCv(0.0, 0.0, (0.0, 0.0, 0.0, 0.0))
+
+
+def test_population_cv_tiny_change_matches_constant_effect_closed_form():
+    # dp = 1e-9 keeps every lam u far inside the Taylor branch of phi.  L0's
+    # CV is affine in the intercept, so its mean is the mean-intercept type's.
+    pc = PriceChange.scalar(1.0, 1.0 + 1e-9, 2.0)
+    mid = (L0.a0 + L0.a1) / 2.0
+    expected = sum(prob * cv_constant_income_effect(
+        lambda p, y, a=a: mid - L0.beta * p[0] + a * y, a, pc) for a, prob in L0.effects)
+    assert population_cv(L0, pc).mean == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def test_phi_matches_decimal_reference():
+    xs = np.array([1e-12, -1e-9, 1e-5, -0.01, 0.3, -0.49, 0.5, -0.51, 1.5, -4.0, 20.0])
+    phi1, phi2 = oracle._phi(xs)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for x, f1, f2 in zip(xs, phi1, phi2):
+            d = Decimal(float(x))
+            em1 = d.exp() - 1
+            assert f1 == pytest.approx(float(em1 / d), rel=4e-16, abs=0.0)
+            assert f2 == pytest.approx(float((em1 - d) / (d * d)), rel=4e-16, abs=0.0)
+    phi1, phi2 = oracle._phi(np.array([0.0, -0.0]))
+    assert phi1.tolist() == [1.0, 1.0] and phi2.tolist() == [0.5, 0.5]
+
+
+def test_population_cv_sweep_emits_no_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pop in CLOSED_FORM_POPULATIONS[:3]:
+            others = (1.0,) * (pop.k - 1)
+            pcs = [PriceChange(Budget((1.0,) + others, y), Budget((1.0 + dp,) + others, y))
+                   for dp in (0.0, 1e-9, 0.15, -0.2) for y in (1.5, 2.0, 3.0)]
+            population_cv_sweep(pop, pcs)
 
 
 def test_q0_quadrature_matches_segment_loop():

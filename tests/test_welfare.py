@@ -506,6 +506,9 @@ def test_build_report_chebyshev_kind(l0_surface):
                        chebyshev_thresholds=(0.5, 0.5))
     assert rep.bounds["kind"] == "chebyshev"
     assert rep.bounds["lower"] <= rep.bounds["upper"]
+    cheb = chebyshev_bounds(l0_surface, PC_STAR, 0.0, 1.0, 0.5, 0.5)
+    assert (rep.bounds["lower"], rep.bounds["upper"]) == (cheb.lower, cheb.upper)
+    assert rep.path == cv_path(l0_surface, PC_STAR)
 
 
 def test_mean_demand_respects_budget_feasibility(cd2_surface):
@@ -681,6 +684,10 @@ def test_build_report_start_budget_fields_are_the_scalar_formulas(name, make, pc
         hi = hn_bounds_path_reference(surface, pc, 1.0 / pc.start.price(0))
         assert close(rep.bounds["lower"], min(lo, hi))
         assert close(rep.bounds["upper"], max(lo, hi))
+        # the report's one path batch gives what the public functions give
+        assert rep.path == cv_path(surface, pc)
+        bounds = sorted(hn_bounds_path(surface, pc, e) for e in (0.0, 1.0 / pc.start.price(0)))
+        assert [rep.bounds["lower"], rep.bounds["upper"]] == bounds
 
 
 @pytest.mark.parametrize("population", [L0, Q0, CobbDouglasPopulation.two_type(0.3), MIXTURE],
