@@ -327,10 +327,13 @@ def _cmd_estimate(cfg):
 
 def _cmd_welfare(cfg):
     _require_positive(cfg.quad_nodes, "--quad-nodes")
+    if (cfg.z is None) != (cfg.k is None):
+        raise ValueError("--z and --k must be given together, got only %s"
+                         % ("--z" if cfg.k is None else "--k"))
     surface, _, _ = _surface_for_config(cfg, max_order=4 if cfg.population else 3)
     quad = QuadratureRule.gauss_legendre(cfg.quad_nodes)
     y = cfg.y
-    thresholds = (cfg.z, cfg.k) if cfg.z is not None and cfg.k is not None else None
+    thresholds = None if cfg.z is None else (cfg.z, cfg.k)
 
     def one(dp):
         pc = PriceChange.scalar(cfg.p0, cfg.p0 + dp, y)

@@ -1,12 +1,13 @@
 """Shared domain types: budgets, price changes, moment surfaces, numeric derivatives.
 
 A moment surface is the central abstraction: an evaluatable map
-``(n, budget) -> E[q^n | budget]`` together with its price and income
-partials.  Besides the scalar ``moment``/``d_price``/``d_income`` at one
-budget, ``on_budgets(prices, incomes)`` evaluates every order's moment
-and income partial at an array of budgets in one batch; the path
-integrals of :mod:`welfare_moments.welfare` read their quadrature nodes
-that way.  Surfaces are built either analytically from synthetic
+``(n, budget) -> E[q^n | budget]`` together with its partials in the
+modeled good's own price and in income.  Each surface is one batch
+function: ``on_budgets(prices, incomes)`` returns every order's moment
+and both partials at an array of budgets, and the path integrals of
+:mod:`welfare_moments.welfare` read their quadrature nodes that way.  The
+scalar ``moment``/``d_price``/``d_income`` are reads of that batch at one
+budget.  Surfaces are built either analytically from synthetic
 populations (see :mod:`welfare_moments.oracle`) or from fitted series
 regressions (see :mod:`welfare_moments.estimation`); every welfare
 formula consumes only this interface.
@@ -105,13 +106,6 @@ class PriceChange:
         """Prices p(t) = p0 + t * delta at an array of path times, shaped (m, k)."""
         return np.asarray(self.start.prices) + np.outer(t, self.delta)
 
-    def path_budget(self, t):
-        """Budget on the linear path p(t) = p0 + t * delta."""
-        p = tuple(s + t * d for s, d in zip(self.start.prices, self._delta))
-        if any(v <= 0.0 for v in p):
-            raise DomainError("price path leaves the positive domain at t=%g" % t)
-        return Budget(p, self.income)
-
 
 @dataclass(frozen=True)
 class MultigoodMoments:
@@ -129,28 +123,28 @@ class MultigoodMoments:
 
 
 class _Surface:
-    """Order check and evaluation of the supplied moment and partial callables,
-    shared by the quantity and the share surface.
+    """One batch evaluator and the scalar reads of it, shared by the
+    quantity and the share surface.
 
-    ``batch_fn(prices, incomes, orders)``, when given, returns the moments
-    and income partials of orders 1..orders at m budgets as two (orders, m)
-    arrays; without it, :meth:`on_budgets` loops the scalar callables over
-    the budgets.
+    ``batch_fn(prices, incomes, orders)`` returns the moments of orders
+    1..orders at m budgets, their partials in the modeled good's own price
+    and their partials in income, as three (orders, m) arrays.  A scalar
+    read evaluates every order at its one budget and the surface keeps
+    that budget's values, so the reads at one budget share one batch.
     """
 
-    def __init__(self, max_order, moment_fn, income_fn, good, batch_fn):
+    def __init__(self, max_order, batch_fn, good=0):
         if max_order < 1:
             raise OrderError("max_order must be >= 1")
         self.max_order = int(max_order)
         self.good = int(good)
-        self._moment = moment_fn
-        self._income = income_fn
         self._batch = batch_fn
+        self._last = (None, None)
 
     def on_budgets(self, prices, incomes, orders=None):
-        """Moments and income partials of orders 1..orders at m budgets.
+        """Moments and both partials of orders 1..orders at m budgets.
 
-        ``prices`` is (m, k) and ``incomes`` is (m,); returns two
+        ``prices`` is (m, k) and ``incomes`` is (m,); returns three
         (orders, m) arrays, row n - 1 holding order n.  ``orders``
         defaults to every order the surface carries.
         """
@@ -164,53 +158,42 @@ class _Surface:
         if not (np.all((prices > 0.0) & (prices < np.inf))
                 and np.all((incomes > 0.0) & (incomes < np.inf))):
             raise DomainError("prices and incomes must be strictly positive and finite")
-        if self._batch is not None:
-            moments, partials = self._batch(prices, incomes, orders)
-            return np.asarray(moments, dtype=float), np.asarray(partials, dtype=float)
-        budgets = [Budget(tuple(p), y) for p, y in zip(prices, incomes)]
-        return tuple(np.array([[float(fn(n, b)) for b in budgets]
-                               for n in range(1, orders + 1)])
-                     for fn in (self._moment, self._income))
+        return tuple(np.asarray(a, dtype=float) for a in self._batch(prices, incomes, orders))
 
     def _check_order(self, n):
         if not 1 <= n <= self.max_order:
             raise OrderError("order %d outside 1..%d" % (n, self.max_order))
 
-    def moment(self, n, b):
+    def _read(self, part, n, b):
+        """Order n of batch array ``part`` (0 moments, 1 price, 2 income) at b."""
         self._check_order(n)
-        return float(self._moment(n, b))
+        last, values = self._last
+        if b != last:
+            values = self.on_budgets(np.array([b.prices]), np.array([b.income]))
+            self._last = (b, values)
+        return float(values[part][n - 1, 0])
 
-    def _partial(self, fn, n, b, j=None):
-        """Partial in price j, or in income when j is None."""
-        self._check_order(n)
-        return float(fn(n, b) if j is None else fn(n, b, j))
+    def moment(self, n, b):
+        return self._read(0, n, b)
 
 
 class MomentSurface(_Surface):
     """Evaluatable conditional moments of demand for one modeled good.
 
     ``moment(n, b)`` returns the n-th raw moment of quantity demanded at
-    budget ``b``; ``d_price`` and ``d_income`` return its partials, from
-    the callables ``d_price_fn(n, b, j)`` and ``d_income_fn(n, b)``.
-    ``on_budgets`` returns the moments and ``d_income`` of every order at
-    an array of budgets.
+    budget ``b``; ``d_price`` and ``d_income`` return its partials in the
+    good's own price and in income.  All three read ``batch_fn``.
     """
 
-    def __init__(self, max_order, moment_fn, d_price_fn, d_income_fn,
-                 good=0, multigood=None, batch_fn=None):
-        super().__init__(max_order, moment_fn, d_income_fn, good, batch_fn)
-        self._d_price = d_price_fn
+    def __init__(self, max_order, batch_fn, good=0, multigood=None):
+        super().__init__(max_order, batch_fn, good)
         self.multigood = multigood
 
-    def d_price(self, n, b, j=None):
-        return self._partial(self._d_price, n, b, self.good if j is None else j)
+    def d_price(self, n, b):
+        return self._read(1, n, b)
 
     def d_income(self, n, b):
-        return self._partial(self._income, n, b)
-
-    @property
-    def has_multigood(self):
-        return self.multigood is not None
+        return self._read(2, n, b)
 
     def _mg(self):
         if self.multigood is None:
@@ -234,21 +217,15 @@ class ShareMomentSurface(_Surface):
     """Budget-share analogue of :class:`MomentSurface`, in log-price/log-income space.
 
     ``moment(n, b)`` is the n-th raw moment of the budget share of the
-    modeled good; ``d_logp``/``d_logy`` are derivatives in the log of the
-    own price and of income, from ``d_logp_fn(n, b, j)`` and ``d_logy_fn(n, b)``.
-    ``on_budgets`` returns the moments and ``d_logy`` of every order at an
-    array of budgets.
+    modeled good; ``d_logp``/``d_logy`` are its derivatives in the log of
+    the own price and of income, and ``batch_fn`` returns those three.
     """
 
-    def __init__(self, max_order, moment_fn, d_logp_fn, d_logy_fn, good=0, batch_fn=None):
-        super().__init__(max_order, moment_fn, d_logy_fn, good, batch_fn)
-        self._d_logp = d_logp_fn
-
-    def d_logp(self, n, b, j=None):
-        return self._partial(self._d_logp, n, b, self.good if j is None else j)
+    def d_logp(self, n, b):
+        return self._read(1, n, b)
 
     def d_logy(self, n, b):
-        return self._partial(self._income, n, b)
+        return self._read(2, n, b)
 
 
 # Relative step of every central difference: the reference partials below
@@ -301,33 +278,17 @@ def shares_to_quantities(share_surface, b):
 def quantity_surface_from_shares(share_surface):
     """Wrap a share surface as a quantity-space :class:`MomentSurface`.
 
-    Partials in the own price and income are exact images of the share
-    surface's log-derivatives; cross-price partials fall back to the
-    share surface's own cross log-derivatives.
+    M_n = (y / p)^n W_n, and its partials in the own price and in income
+    are exact images of the share surface's log-derivatives.
     """
     j = share_surface.good
 
-    def mom(n, b):
-        return (b.income / b.price(j)) ** n * share_surface.moment(n, b)
-
-    def d_price(n, b, jj):
-        p = b.price(j)
-        y = b.income
-        if jj == j:
-            return (y ** n / p ** (n + 1)) * (share_surface.d_logp(n, b, jj) - n * share_surface.moment(n, b))
-        return (y / p) ** n * share_surface.d_logp(n, b, jj) / b.price(jj)
-
-    def d_income(n, b):
-        p = b.price(j)
-        y = b.income
-        return (y ** (n - 1) / p ** n) * (share_surface.d_logy(n, b) + n * share_surface.moment(n, b))
-
     def batch(prices, incomes, orders):
-        w, d_logy = share_surface.on_budgets(prices, incomes, orders)
+        w, d_logp, d_logy = share_surface.on_budgets(prices, incomes, orders)
         n = np.arange(1, orders + 1)[:, None]
         p = prices[:, j]
         return ((incomes / p) ** n * w,
+                (incomes ** n / p ** (n + 1)) * (d_logp - n * w),
                 (incomes ** (n - 1) / p ** n) * (d_logy + n * w))
 
-    return MomentSurface(share_surface.max_order, mom, d_price, d_income, good=j,
-                         batch_fn=batch)
+    return MomentSurface(share_surface.max_order, batch, good=j)

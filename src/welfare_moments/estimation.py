@@ -378,7 +378,8 @@ class FittedSurface:
 
 
 def exp_poly_share_surface(thetas, basis, n_goods, good=0, domain=None):
-    """Share moments W_n(b) = exp(x(b) . theta_n) with analytic log-derivatives.
+    """Share moments W_n(b) = exp(x(b) . theta_n) with analytic log-derivatives
+    in the own price and in income, one basis matrix per batch of budgets.
 
     ``thetas`` maps each moment order 1..max to a coefficient vector laid
     out like the columns of :func:`_basis_matrix`.  Counterfactual budgets
@@ -404,33 +405,22 @@ def exp_poly_share_surface(thetas, basis, n_goods, good=0, domain=None):
                 raise DomainError(_outside_message(prices[i], incomes[i], domain))
         return lp, ly
 
-    def w_mom(n, b):
-        lp, ly = log_budgets(np.asarray(b.prices, dtype=float).reshape(1, -1),
-                             np.array([b.income]))
-        row = _basis_matrix(lp, ly, None, basis)[0]
-        return float(np.exp(np.dot(row, thetas[n])))
-
     def slope(coef, x):
         # d/dx of sum_s coef[s] x^(s+1)
         return sum((s + 1) * coef[s] * x ** s for s in range(len(coef)))
 
-    def d_logp(n, b, j):
-        start = 1 + j * p_deg
-        return w_mom(n, b) * slope(thetas[n][start:start + p_deg], np.log(b.price(j)))
-
-    def d_logy(n, b):
-        start = 1 + n_goods * p_deg
-        return w_mom(n, b) * slope(thetas[n][start:start + y_deg], np.log(b.income))
-
     def batch(prices, incomes, orders):
         lp, ly = log_budgets(prices, incomes)
         x = _basis_matrix(lp, ly, None, basis)
-        start = 1 + n_goods * p_deg
+        p_start, y_start = 1 + good * p_deg, 1 + n_goods * p_deg
         w = np.array([np.exp(x @ thetas[n]) for n in range(1, orders + 1)])
-        return w, w * np.array([slope(thetas[n][start:start + y_deg], ly)
-                                for n in range(1, orders + 1)])
+        return (w,
+                w * np.array([slope(thetas[n][p_start:p_start + p_deg], lp[:, good])
+                              for n in range(1, orders + 1)]),
+                w * np.array([slope(thetas[n][y_start:y_start + y_deg], ly)
+                              for n in range(1, orders + 1)]))
 
-    return ShareMomentSurface(max_order, w_mom, d_logp, d_logy, good=good, batch_fn=batch)
+    return ShareMomentSurface(max_order, batch, good=good)
 
 
 def _outside_message(prices, income, domain):

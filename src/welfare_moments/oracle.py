@@ -13,6 +13,13 @@ form: Cobb-Douglas types by their expenditure function, and the others
 piece by piece, since their demand is affine in price and income between
 kinks, where the ODE is linear with constant coefficients.  Fixed-step
 RK4 remains for an arbitrary demand callable and as a reference.
+
+Every population is a table of consumer types.  Its moment surfaces
+(:func:`surface_from_population`, :func:`share_surface_from_population`)
+evaluate the table at arrays of budgets, every order in one product; the
+population's own scalar functionals (``moment``, ``d_price_moment``,
+``income_effect_moment``) sum the table row by row at one budget and are
+the independent reference for those surfaces.
 """
 
 from __future__ import annotations
@@ -200,18 +207,6 @@ def _first_crossing(r0, lam, a1, c, turn, span):
 _ROW_ENDS = (np.array([0.0, 1.0]),) * 2
 
 
-@lru_cache(maxsize=256)
-def _type_table(pop, b, good):
-    """Weight rows and per-type (q, dq/dp_own, dq/dy) of ``pop`` at budget ``b``.
-
-    One evaluation serves every order and both partials at that budget;
-    its arrays are shared by every caller and are never written.
-    """
-    p = pop._own_price(b, good)
-    nodes, w = pop._types(b.income, good, *_leggauss01(64))
-    return (tuple(w),) + tuple(pop._demand(nodes, p, b.income))
-
-
 class _TypeTable:
     """A population described by a table of consumer types.
 
@@ -221,8 +216,10 @@ class _TypeTable:
     [0, 1] mapped into each row's interval (a finite population ignores
     it); and ``_demand(nodes, p, y)``, the quantity, own-price and income
     derivative of every type, each an array or a scalar that broadcasts
-    against the quantity.  Every moment and partial is a weighted mean over
-    the table, summed row by row.
+    against the quantity.  The scalar functionals (``moment``,
+    ``d_price_moment``, ...) are weighted means over the table, summed row
+    by row; :meth:`moments_on_budgets` takes every order at an array of
+    budgets in one product per order.
     """
 
     k = 1
@@ -244,9 +241,10 @@ class _TypeTable:
         return b.price(good)
 
     def _mean(self, b, good, f):
-        w, q, dq_dp, dq_dy = _type_table(self, b, good)
+        p = self._own_price(b, good)
+        nodes, w = self._types(b.income, good, *_leggauss01(64))
         total = 0.0
-        for w_row, v_row in zip(w, f(q, dq_dp, dq_dy)):
+        for w_row, v_row in zip(w, f(*self._demand(nodes, p, b.income))):
             total += float(np.dot(w_row, v_row))
         return total
 
@@ -268,28 +266,35 @@ class _TypeTable:
         return self._mean(b, good, lambda q, dp, dy: q * dy ** n)
 
     def moments_on_budgets(self, max_order, prices, incomes, good=0):
-        """Moments and income partials n E[q^(n-1) dq/dy] of orders
-        1..max_order at m budgets, as two (max_order, m) arrays.
+        """Moments, own-price partials n E[q^(n-1) dq/dp] and income partials
+        n E[q^(n-1) dq/dy] of orders 1..max_order at m budgets, as three
+        (max_order, m) arrays.
 
         Budgets are grouped by income, since a type table's layout may
         depend on it; each group evaluates demand once, with the budget as
-        a leading axis, and takes each order's weighted sum over the whole
-        table in one product.
+        a leading axis, and takes every order's weighted sums over the
+        whole table in one product per array.
         """
         self._check_good(good)
-        moments = np.empty((max_order, len(incomes)))
-        partials = np.empty_like(moments)
+        out = np.empty((3, max_order, len(incomes)))
+        n = np.arange(1, max_order + 1)[:, None]
         for y in dict.fromkeys(incomes.tolist()):
             sel = np.flatnonzero(incomes == y)
             nodes, w = self._types(y, good, *_leggauss01(64))
-            q, _, dq_dy = self._demand(nodes, prices[sel, good, None, None], y)
+            q, dq_dp, dq_dy = self._demand(nodes, prices[sel, good, None, None], y)
             w = w.ravel()
-            q_pow = np.ones_like(q)  # q^(n-1), by running products: ** is slow on arrays
-            for n in range(1, max_order + 1):
-                partials[n - 1, sel] = n * ((q_pow * dq_dy).reshape(len(sel), -1) @ w)
-                q_pow = q_pow * q
-                moments[n - 1, sel] = q_pow.reshape(len(sel), -1) @ w
-        return moments, partials
+
+            def mean(v):
+                return v.reshape(max_order, len(sel), -1) @ w
+
+            # q^0..q^max_order by running products: ** is slow on arrays
+            q_pow = np.empty((max_order + 1,) + q.shape)
+            q_pow[0] = 1.0
+            for k in range(max_order):
+                np.multiply(q_pow[k], q, out=q_pow[k + 1])
+            lower = q_pow[:-1]
+            out[:, :, sel] = mean(q_pow[1:]), n * mean(lower * dq_dp), n * mean(lower * dq_dy)
+        return tuple(out)
 
     def support(self, b, good=0):
         # demand is monotone along each row, so its extremes sit at the row ends
@@ -534,13 +539,6 @@ class CobbDouglasPopulation(_TypeTable):
             raise DomainError("prices must be strictly positive")
         return u * float(np.prod(prices ** np.asarray(alpha)))
 
-    def exact_cv_mean(self, pc):
-        p0 = np.asarray(pc.start.prices)
-        p1 = np.asarray(pc.end.prices)
-        y = pc.income
-        return sum(prob * y * (float(np.prod((p1 / p0) ** np.asarray(alpha))) - 1.0)
-                   for alpha, prob in self.types)
-
     def draw_quantities(self, rng, p_arr, y_arr, good=0):
         probs = np.array([prob for _, prob in self.types])
         idx = rng.choice(len(self.types), size=len(p_arr), p=probs)
@@ -701,16 +699,13 @@ def aggregate_expenditure(pop, prices, u):
 
 
 def surface_from_population(pop, max_order, good=0):
-    """Moment surface backed by a population's exact moments and partials.
+    """Moment surface backed by a population's type table.
 
-    The price partial is the population's ``d_price_moment``; the income
-    partial is the identity dM_n/dy = n E[q^(n-1) dq/dy], from
-    ``income_effect_moment``.  Cobb-Douglas surfaces also carry the
+    Its batch is :meth:`_TypeTable.moments_on_budgets`: the price partial
+    is n E[q^(n-1) dq/dp] and the income partial the identity
+    dM_n/dy = n E[q^(n-1) dq/dy].  Cobb-Douglas surfaces also carry the
     multigood moment fields, which require a budget with one price per good.
     """
-    def d_income(n, b):
-        return n * income_effect_moment(pop, n, b, good)
-
     def prices(b):
         if b.k != pop.k:
             raise ShapeError("budget has %d prices but the population has %d goods"
@@ -737,36 +732,19 @@ def surface_from_population(pop, max_order, good=0):
     multigood = None
     if isinstance(pop, CobbDouglasPopulation):
         multigood = MultigoodMoments(mean_vec, jac, second, d_second)
-    return MomentSurface(max_order, lambda n, b: pop.moment(n, b, good),
-                         lambda n, b, j: pop.d_price_moment(n, b, j, good),
-                         d_income, good=good, multigood=multigood, batch_fn=batch)
+    return MomentSurface(max_order, batch, good=good, multigood=multigood)
 
 
 def share_surface_from_population(pop, max_order, good=0):
     """Share-moment surface W_n = (p/y)^n M_n with analytic log-derivatives."""
-    surf = surface_from_population(pop, max_order, good=good)
-
-    def w_mom(n, b):
-        r = b.price(good) / b.income
-        return r ** n * surf.moment(n, b)
-
-    def d_logp(n, b, j):
-        r = b.price(good) / b.income
-        if j == good:
-            return r ** n * (n * surf.moment(n, b) + b.price(good) * surf.d_price(n, b, good))
-        return r ** n * b.price(j) * surf.d_price(n, b, j)
-
-    def d_logy(n, b):
-        r = b.price(good) / b.income
-        return r ** n * (-n * surf.moment(n, b) + b.income * surf.d_income(n, b))
-
     def batch(prices, incomes, orders):
-        m, dm_dy = surf.on_budgets(prices, incomes, orders)
+        m, dm_dp, dm_dy = pop.moments_on_budgets(orders, prices, incomes, good)
         n = np.arange(1, orders + 1)[:, None]
-        r = prices[:, good] / incomes
-        return r ** n * m, r ** n * (-n * m + incomes * dm_dy)
+        p = prices[:, good]
+        r = (p / incomes) ** n
+        return r * m, r * (n * m + p * dm_dp), r * (-n * m + incomes * dm_dy)
 
-    return ShareMomentSurface(max_order, w_mom, d_logp, d_logy, good=good, batch_fn=batch)
+    return ShareMomentSurface(max_order, batch, good=good)
 
 
 def demand_support(pop, b, good=0):

@@ -53,7 +53,8 @@ def _own_delta(surface, pc):
 
 def _on_path(surface, pc, orders, t, s=0.0):
     """One batch of ``surface``'s orders 1..orders on the price path at
-    times ``t``, with income raised by ``s``."""
+    times ``t``, with income raised by ``s``: moments, price and income
+    partials."""
     t = np.asarray(t, dtype=float)
     return surface.on_budgets(pc.path_prices(t), np.full(t.shape, pc.income) + s, orders)
 
@@ -131,7 +132,8 @@ def cv_path(surface, pc, quad=None):
         raise OrderError("path approximation needs moment orders up to 2")
     dp = _own_delta(surface, pc)
     t, w = np.asarray(quad.nodes), np.asarray(quad.weights)
-    return _path_value(dp, t, w, *_on_path(surface, pc, 2, t))
+    moments, _, d_income = _on_path(surface, pc, 2, t)
+    return _path_value(dp, t, w, moments, d_income)
 
 
 def hn_bounds_local(surface, pc, b_lo, b_hi):
@@ -160,8 +162,7 @@ def hn_bounds_path(surface, pc, effect, quad=None):
     quad = quad or DEFAULT_QUAD
     dp = _own_delta(surface, pc)
     t, w = np.asarray(quad.nodes), np.asarray(quad.weights)
-    moments, _ = _on_path(surface, pc, 1, t)
-    return _path_bound(dp, t, w, moments[0], effect)
+    return _path_bound(dp, t, w, _on_path(surface, pc, 1, t)[0][0], effect)
 
 
 @dataclass(frozen=True)
@@ -198,8 +199,7 @@ def chebyshev_bounds(surface, pc, b_lo, b_hi, z, k, quad=None, s_levels=8):
     # Mean income effect over the (path time, compensation level) rectangle.
     # One batch over the grid, path time outer and compensation level inner.
     s_grid = np.linspace(0.0, max(worst_hi, 0.0), s_levels)
-    _, d_income = _on_path(surface, pc, 1, np.repeat(t, s_levels),
-                           np.tile(s_grid, len(t)))
+    d_income = _on_path(surface, pc, 1, np.repeat(t, s_levels), np.tile(s_grid, len(t)))[2]
     sup_b, inf_b = float(np.max(d_income[0])), float(np.min(d_income[0]))
 
     eps = 1e-12
@@ -464,16 +464,15 @@ def build_report(surface, pc, quad=None, b_lo=None, b_hi=None,
 
     robust = cv_moment_local(surface, 1, pc)
     t, w = np.asarray(quad.nodes), np.asarray(quad.weights)
+    # one batch on the price path serves the path value and the worst-case bounds
+    path_m, _, path_dy = _on_path(surface, pc, 2, t)
     if chebyshev_thresholds is not None and dp > 0:
         z, k = chebyshev_thresholds
         cheb = chebyshev_bounds(surface, pc, b_lo, b_hi, z, k, quad)
         bounds = {"lower": cheb.lower, "upper": cheb.upper, "kind": "chebyshev"}
-        path = _on_path(surface, pc, 2, t)
     else:
-        # one batch on the price path serves both bounds and the path value
-        path = _on_path(surface, pc, 2, t)
-        lo = _path_bound(dp, t, w, path[0][0], b_lo)
-        hi = _path_bound(dp, t, w, path[0][0], b_hi)
+        lo = _path_bound(dp, t, w, path_m[0], b_lo)
+        hi = _path_bound(dp, t, w, path_m[0], b_hi)
         bounds = {"lower": min(lo, hi), "upper": max(lo, hi), "kind": "worst-case"}
     if bounds["lower"] > bounds["upper"]:
         bounds["lower"], bounds["upper"] = bounds["upper"], bounds["lower"]
@@ -491,7 +490,7 @@ def build_report(surface, pc, quad=None, b_lo=None, b_hi=None,
         first_order=cv_first_order(surface, pc),
         ra=cv_ra(surface, pc),
         robust=robust,
-        path=_path_value(dp, t, w, *path),
+        path=_path_value(dp, t, w, path_m, path_dy),
         bounds=bounds,
         variance=variance,
         decomposition={"A1": dec.a1, "A2": dec.a2, "A3": dec.a3, "A4": dec.a4},

@@ -1,4 +1,7 @@
-"""Shared fixtures: oracle surfaces, budget samplers, cached exact CV sweeps."""
+"""Shared fixtures: oracle surfaces, budget samplers, cached exact CV sweeps,
+and scalar reference formulas."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from welfare_moments import (
     Budget,
     CobbDouglasPopulation,
+    DomainError,
     L0,
     PriceChange,
     Q0,
@@ -69,3 +73,34 @@ def l0_containment_grid():
 
 def loglog_slope(xs, ys):
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+
+
+def constant_batch(moments, d_price=0.0, d_income=0.0):
+    """``batch_fn`` of a surface whose values do not depend on the budget.
+
+    ``moments`` lists the moment of orders 1, 2, ...; each partial takes
+    one value at every order.
+    """
+    def batch(prices, incomes, orders):
+        shape = (orders, len(incomes))
+        m = np.broadcast_to(np.asarray(moments, dtype=float)[:orders, None], shape)
+        return m, np.full(shape, float(d_price)), np.full(shape, float(d_income))
+
+    return batch
+
+
+def path_budget_reference(pc, t):
+    """Budget on the linear price path p(t) = p0 + t * delta, one node at a time."""
+    delta = np.asarray(pc.end.prices) - np.asarray(pc.start.prices)
+    p = np.asarray(pc.start.prices) + t * delta
+    if np.any(p <= 0.0):
+        raise DomainError("price path leaves the positive domain at t=%g" % t)
+    return Budget(tuple(p), pc.income)
+
+
+def cobb_douglas_cv_mean(pop, pc):
+    """Exact mean CV of a Cobb-Douglas mixture, y (prod (p1/p0)^alpha - 1) per
+    type, in the expm1/log1p form, which does not cancel for small changes."""
+    logs = np.log1p(pc.delta / np.asarray(pc.start.prices))
+    return sum(prob * pc.income * math.expm1(float(np.dot(alpha, logs)))
+               for alpha, prob in pop.types)

@@ -20,7 +20,7 @@ from welfare_moments.cli import (
 )
 from welfare_moments.synthetic import cobb_douglas_cross_section, population_cross_section
 
-from conftest import loglog_slope
+from conftest import cobb_douglas_cv_mean, constant_batch, loglog_slope
 
 
 def write_csv(path, header, rows):
@@ -177,6 +177,21 @@ def test_non_positive_count_flag_exits_1(tmp_path, capsys, argv, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, given", [("--z", "0.3"), ("--k", "0.5")])
+def test_lone_chebyshev_threshold_exits_1(tmp_path, capsys, monkeypatch, flag, given):
+    def no_surface(*args):
+        raise AssertionError("a surface was built")
+
+    monkeypatch.setattr(cli, "_surface_for_config", no_surface)
+    out = tmp_path / "run"
+    assert main(["welfare", "--population", "L0", "--dp", "0.05", flag, given,
+                 "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError",
+                   "message": "--z and --k must be given together, got only %s" % flag}
+    assert not out.exists()
+
+
 def test_config_file_grid_key_exits_1(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"population": "L0", "degree": 2, "grid": 40}))
@@ -246,12 +261,11 @@ def test_oracle_check_cobb_douglas_exact(tmp_path, population):
     pop = parse_population(population)
     for dp, row in zip(dps, bundle["oracle_check"]):
         pc = PriceChange(Budget((1.0, 1.0), 2.0), Budget((1.0 + dp, 1.0), 2.0))
-        assert abs(row["exact"] - pop.exact_cv_mean(pc)) <= 1e-9
+        assert abs(row["exact"] - cobb_douglas_cv_mean(pop, pc)) <= 1e-9
 
 
 def test_non_finite_result_exits_2_without_output(tmp_path, capsys, monkeypatch):
-    infinite = MomentSurface(4, lambda n, b: math.inf, lambda n, b, j: 0.0,
-                             lambda n, b: 0.0)
+    infinite = MomentSurface(4, constant_batch([math.inf] * 4))
     monkeypatch.setattr(cli, "surface_from_population", lambda pop, max_order: infinite)
     out = tmp_path / "welfare"
     assert main(["welfare", "--population", "L0", "--p0", "1", "--y", "2",

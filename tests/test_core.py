@@ -19,7 +19,7 @@ from welfare_moments import (
 )
 from welfare_moments.oracle import B_STAR
 
-from conftest import EQUIV_P, EQUIV_Y, random_budgets
+from conftest import EQUIV_P, EQUIV_Y, constant_batch, random_budgets
 
 
 def test_budget_validation():
@@ -42,31 +42,6 @@ def test_price_change_validation():
     assert zero.scalar_delta() == 0.0
 
 
-def path_budget_reference(pc, t):
-    """The array form of PriceChange.path_budget, kept as its oracle."""
-    delta = np.asarray(pc.end.prices) - np.asarray(pc.start.prices)
-    p = np.asarray(pc.start.prices) + t * delta
-    if np.any(p <= 0.0):
-        raise DomainError("price path leaves the positive domain at t=%g" % t)
-    return Budget(tuple(p), pc.income)
-
-
-@pytest.mark.parametrize("pc", [
-    PriceChange.scalar(1.0, 1.05, 2.0),
-    PriceChange.scalar(0.93, 0.61, 1.7),
-    PriceChange(Budget((1.0, 0.7), 2.0), Budget((1.3, 0.6), 2.0)),
-    PriceChange(Budget((0.8, 1.1), 3.0), Budget((0.8, 1.45), 3.0)),
-])
-def test_path_budget_matches_array_reference(pc):
-    nodes = np.polynomial.legendre.leggauss(32)[0] / 2.0 + 0.5
-    for t in list(np.linspace(0.0, 1.0, 1001)) + list(nodes) + [0.3, 1]:
-        got = pc.path_budget(t)
-        assert got == path_budget_reference(pc, t)
-        assert all(type(p) is float for p in got.prices)
-    np.testing.assert_array_equal(pc.delta, np.asarray(pc.end.prices)
-                                  - np.asarray(pc.start.prices))
-
-
 def test_scalar_delta_of_two_price_changes():
     own = PriceChange(Budget((1.0, 0.7), 2.0), Budget((1.3, 0.7), 2.0))
     assert own.scalar_delta(0) == 1.3 - 1.0
@@ -76,17 +51,6 @@ def test_scalar_delta_of_two_price_changes():
     both = PriceChange(Budget((1.0, 0.7), 2.0), Budget((1.3, 0.6), 2.0))
     with pytest.raises(ShapeError, match="only coordinate 0 may move"):
         both.scalar_delta(0)
-
-
-def test_path_budget_leaves_domain():
-    pc = PriceChange(Budget((1.0, 0.7), 2.0), Budget((1.3, 0.2), 2.0))
-    for t in (1.5, 2.0):
-        with pytest.raises(DomainError) as got:
-            pc.path_budget(t)
-        with pytest.raises(DomainError) as expected:
-            path_budget_reference(pc, t)
-        assert str(got.value) == str(expected.value)
-        assert "t=%g" % t in str(got.value)
 
 
 def test_numeric_partial_l0_income(l0_surface):
@@ -100,7 +64,7 @@ def test_numeric_partial_l0_price(l0_surface):
 
 
 def test_numeric_partial_constant_surface():
-    const = MomentSurface(3, lambda n, b: 2.5, lambda n, b, j: 0.0, lambda n, b: 0.0)
+    const = MomentSurface(3, constant_batch([2.5] * 3))
     for var in ("price", "income"):
         assert numeric_partial(const, 2, B_STAR, var) == pytest.approx(0.0, abs=1e-12)
 
@@ -111,7 +75,7 @@ def test_numeric_partial_order_error(l0_surface):
 
 
 def test_numeric_partial_domain_error():
-    const = MomentSurface(1, lambda n, b: 1.0, lambda n, b, j: 0.0, lambda n, b: 0.0)
+    const = MomentSurface(1, constant_batch([1.0]))
     with pytest.raises(DomainError):
         numeric_partial(const, 1, Budget((1e-7,), 1.0), "price")
 
@@ -138,8 +102,7 @@ def test_numeric_matches_analytic_everywhere(l0_surface, q0_surface, cd2_surface
 
 
 def constant_share_surface(w):
-    return ShareMomentSurface(3, lambda n, b: w ** n,
-                              lambda n, b, j: 0.0, lambda n, b: 0.0)
+    return ShareMomentSurface(3, constant_batch([w, w ** 2, w ** 3]))
 
 
 def test_shares_to_quantities_constant():

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -44,11 +45,21 @@ from welfare_moments import (
     surface_from_population,
     tax_deadweight,
 )
+from welfare_moments import estimation
 from welfare_moments.oracle import B_STAR
 from welfare_moments.synthetic import population_cross_section
 from welfare_moments.welfare import DEFAULT_QUAD, QuadratureRule
 
-from conftest import EQUIV_P, EQUIV_Y, SWEEP_DPS, loglog_slope, random_budgets
+from conftest import (
+    EQUIV_P,
+    EQUIV_Y,
+    SWEEP_DPS,
+    cobb_douglas_cv_mean,
+    constant_batch,
+    loglog_slope,
+    path_budget_reference,
+    random_budgets,
+)
 
 PC_STAR = PriceChange.scalar(1.0, 1.1, 2.0)
 
@@ -333,8 +344,7 @@ def test_price_index_cobb_douglas():
 
 
 def test_price_index_zero_share_good():
-    dead = ShareMomentSurface(2, lambda n, b: 0.0,
-                              lambda n, b, j: 0.0, lambda n, b: 0.0)
+    dead = ShareMomentSurface(2, constant_batch([0.0, 0.0]))
     assert price_index(dead, 0.1, Budget((1.0,), 2.0)) == 0.0
 
 
@@ -436,7 +446,7 @@ def test_compensated_jacobian_eigenvalue_matches_jacobi_oracle():
             half = rng.normal(size=(k, k))
             sym = half + half.T
             surface = MomentSurface(
-                2, lambda n, b: 1.0, lambda n, b, j: 0.0, lambda n, b: 0.0,
+                2, constant_batch([1.0, 1.0]),
                 multigood=MultigoodMoments(None, lambda b, m=sym: m, None,
                                            lambda b, k=k: np.zeros((k, k))))
             comp = compensated_jacobian_multigood(surface, Budget((1.0,) * k, 2.0))
@@ -466,7 +476,7 @@ def test_cv_mean_multigood_third_order_accuracy():
         b1 = Budget(tuple(1.0 + s * base), 2.0)
         pc = PriceChange(b0, b1)
         approx = cv_mean_multigood(surface, pc)
-        exact = pop.exact_cv_mean(pc)
+        exact = cobb_douglas_cv_mean(pop, pc)
         errors.append(abs(approx - exact))
         sizes.append(s * np.linalg.norm(base))
     assert loglog_slope(sizes, errors) >= 2.7
@@ -521,14 +531,8 @@ def test_mean_demand_respects_budget_feasibility(cd2_surface):
 
 def test_cv_decompose_flags_catastrophic_cancellation():
     # enormous moment magnitudes at tiny income break the identity in floats
-    from welfare_moments import MomentSurface
     from welfare_moments.welfare import InternalConsistencyError
-    huge = MomentSurface(
-        2,
-        lambda n, b: 1e9 if n == 1 else 1e18,
-        lambda n, b, j: 1.0,
-        lambda n, b: 1.0,
-    )
+    huge = MomentSurface(2, constant_batch([1e9, 1e18], d_price=1.0, d_income=1.0))
     pc = PriceChange.scalar(1.0, 1.1, 1e-6)
     with pytest.raises(InternalConsistencyError):
         cv_decompose(huge, pc)
@@ -549,10 +553,10 @@ def cv_path_reference(surface, pc, quad=DEFAULT_QUAD):
     dp = pc.scalar_delta(surface.good)
 
     def m1_at(t):
-        return surface.moment(1, pc.path_budget(t))
+        return surface.moment(1, path_budget_reference(pc, t))
 
     def dym2_at(t):
-        return surface.d_income(2, pc.path_budget(t))
+        return surface.d_income(2, path_budget_reference(pc, t))
 
     first = dp * quad.integrate(m1_at)
     second = (dp ** 2 / 2.0) * quad.integrate(lambda t: dym2_at(t) * (1.0 - t))
@@ -563,7 +567,8 @@ def hn_bounds_path_reference(surface, pc, effect, quad=DEFAULT_QUAD):
     dp = pc.scalar_delta(surface.good)
 
     def integrand(t):
-        return np.exp(effect * dp * (1.0 - t)) * surface.moment(1, pc.path_budget(t))
+        b = path_budget_reference(pc, t)
+        return np.exp(effect * dp * (1.0 - t)) * surface.moment(1, b)
 
     return dp * quad.integrate(integrand)
 
@@ -575,7 +580,7 @@ def chebyshev_bounds_reference(surface, pc, b_lo, b_hi, z, k, quad=DEFAULT_QUAD,
     s_grid = np.linspace(0.0, max(worst_hi, 0.0), s_levels)
     vals = []
     for t in quad.nodes:
-        b = pc.path_budget(t)
+        b = path_budget_reference(pc, t)
         for s in s_grid:
             vals.append(surface.d_income(1, b.with_income(b.income + s)))
     sup_b, inf_b = max(vals), min(vals)
@@ -690,53 +695,143 @@ def test_build_report_start_budget_fields_are_the_scalar_formulas(name, make, pc
         assert [rep.bounds["lower"], rep.bounds["upper"]] == bounds
 
 
-@pytest.mark.parametrize("population", [L0, Q0, CobbDouglasPopulation.two_type(0.3), MIXTURE],
-                         ids=["L0", "Q0", "CD2", "mixture"])
-def test_on_budgets_matches_scalar_calls(population):
-    surface = surface_from_population(population, 4)
-    share = share_surface_from_population(population, 4)
+# Scalar reference formulas, one budget at a time.  Each maps (n, b) to an
+# order's value and its partials in the own price and in income (a share
+# reference: in log price and log income).
+
+def population_reference(pop):
+    """The population functionals, summed over the type table row by row."""
+    def ref(n, b):
+        return (pop.moment(n, b), pop.d_price_moment(n, b),
+                n * pop.income_effect_moment(n, b))
+
+    return ref
+
+
+def share_reference(quantity):
+    """W_n = (p/y)^n M_n and its log-derivatives, from a quantity reference."""
+    def ref(n, b):
+        m, dm_dp, dm_dy = quantity(n, b)
+        p, y = b.price(0), b.income
+        r = (p / y) ** n
+        return r * m, r * (n * m + p * dm_dp), r * (-n * m + y * dm_dy)
+
+    return ref
+
+
+def chain_rule_reference(share):
+    """M_n = (y/p)^n W_n and its partials, from a share reference."""
+    def ref(n, b):
+        w, d_logp, d_logy = share(n, b)
+        p, y = b.price(0), b.income
+        return ((y / p) ** n * w, (y ** n / p ** (n + 1)) * (d_logp - n * w),
+                (y ** (n - 1) / p ** n) * (d_logy + n * w))
+
+    return ref
+
+
+def exp_poly_reference(fits):
+    """W_n = exp(alpha + sum_s beta_s log(p)^s + sum_s gamma_s log(y)^s) of the
+    fitted coefficients, control term at zero, and its log-derivatives."""
+    def poly(coefs, x):
+        return (sum(c * x ** (s + 1) for s, c in enumerate(coefs)),
+                sum((s + 1) * c * x ** s for s, c in enumerate(coefs)))
+
+    def ref(n, b):
+        fit = fits[n - 1]
+        log_p = [poly(coefs, math.log(p)) for coefs, p in zip(fit.beta, b.prices)]
+        log_y, slope_y = poly(fit.gamma, math.log(b.income))
+        w = math.exp(fit.alpha + sum(v for v, _ in log_p) + log_y)
+        return w, w * log_p[fit.good_index][1], w * slope_y
+
+    return ref
+
+
+def _surfaces_and_references(name, request):
+    """Budgets, and (surface, reference) pairs of one case of
+    test_on_budgets_matches_scalar_calls."""
     rng = np.random.default_rng(5)
-    prices = rng.uniform(0.8, 1.2, size=(12, population.k))
+    if name == "fitted":
+        fitted = request.getfixturevalue("l0_fitted_surface")
+        lo, hi = fitted.fits[0].domain
+        point = np.exp(rng.uniform(0.9 * lo + 0.1 * hi, 0.1 * lo + 0.9 * hi, size=(12, 2)))
+        share = exp_poly_reference(fitted.fits)
+        return point[:, :1], point[:, 1], [
+            (fitted.share_surface, share),
+            (fitted.moment_surface, chain_rule_reference(share))]
+    pop = POPULATIONS[name]
+    prices = rng.uniform(0.8, 1.2, size=(12, pop.k))
     incomes = rng.choice([1.7, 2.5, 2.9, 3.0, 3.2, 4.5], size=12)
-    for surf, partial in ((surface, surface.d_income), (share, share.d_logy),
-                          (quantity_surface_from_shares(share), None)):
-        moments, partials = surf.on_budgets(prices, incomes)
-        assert moments.shape == partials.shape == (4, 12)
-        for i, b in enumerate(Budget(tuple(p), y) for p, y in zip(prices, incomes)):
-            for n in range(1, 5):
-                assert close(moments[n - 1, i], surf.moment(n, b))
-                assert close(partials[n - 1, i], (partial or surf.d_income)(n, b))
-        low, low_partials = surf.on_budgets(prices, incomes, orders=2)
-        np.testing.assert_array_equal(low, moments[:2])
-        np.testing.assert_array_equal(low_partials, partials[:2])
+    quantity = population_reference(pop)
+    share = share_surface_from_population(pop, 4)
+    return prices, incomes, [
+        (surface_from_population(pop, 4), quantity),
+        (share, share_reference(quantity)),
+        (quantity_surface_from_shares(share), chain_rule_reference(share_reference(quantity)))]
 
 
-def test_scalar_callable_surface_is_evaluated_by_a_loop(l0_surface):
-    calls = []
+POPULATIONS = {"L0": L0, "Q0": Q0, "CD2": CobbDouglasPopulation.two_type(0.3),
+               "mixture": MIXTURE}
 
-    def moment(n, b):
-        calls.append(n)
-        return l0_surface.moment(n, b)
 
-    custom = MomentSurface(3, moment, l0_surface.d_price, l0_surface.d_income)
-    prices, incomes = np.array([[1.0], [1.1], [0.9]]), np.array([2.0, 2.0, 2.5])
-    moments, partials = custom.on_budgets(prices, incomes)
-    assert calls == [1, 1, 1, 2, 2, 2, 3, 3, 3]
-    for i, b in enumerate(Budget((p,), y) for (p,), y in zip(prices, incomes)):
-        assert list(moments[:, i]) == [l0_surface.moment(n, b) for n in (1, 2, 3)]
-        assert list(partials[:, i]) == [l0_surface.d_income(n, b) for n in (1, 2, 3)]
-    for pc in (PC_STAR, PriceChange.scalar(1.0, 0.8, 2.0)):
-        assert close(cv_path(custom, pc), cv_path_reference(l0_surface, pc))
-        assert close(hn_bounds_path(custom, pc, 0.5),
-                     hn_bounds_path_reference(l0_surface, pc, 0.5))
-    cheb = chebyshev_bounds(custom, PC_STAR, 0.0, 1.0, 0.3, 0.5)
-    ref = chebyshev_bounds_reference(l0_surface, PC_STAR, 0.0, 1.0, 0.3, 0.5)
-    assert close(cheb.lower, ref[0]) and close(cheb.upper, ref[1])
-    # a custom share surface reaches the quantity chain rule through its loop
-    ws = share_surface_from_population(L0, 3)
-    custom_share = ShareMomentSurface(3, ws.moment, ws.d_logp, ws.d_logy)
-    q = quantity_surface_from_shares(custom_share)
-    assert close(cv_path(q, PC_STAR), cv_path_reference(l0_surface, PC_STAR))
+@pytest.mark.parametrize("name", ["L0", "Q0", "CD2", "mixture", "fitted"])
+def test_on_budgets_matches_scalar_calls(name, request):
+    # every built-in surface's batch, against scalar reference formulas at
+    # each budget; the scalar reads give the same values
+    prices, incomes, cases = _surfaces_and_references(name, request)
+    budgets = [Budget(tuple(p), y) for p, y in zip(prices, incomes)]
+    for surface, reference in cases:
+        batch = surface.on_budgets(prices, incomes)
+        orders = surface.max_order
+        assert [a.shape for a in batch] == [(orders, len(budgets))] * 3
+        reads = ((surface.moment, surface.d_logp, surface.d_logy)
+                 if isinstance(surface, ShareMomentSurface)
+                 else (surface.moment, surface.d_price, surface.d_income))
+        for i, b in enumerate(budgets):
+            for n in range(1, orders + 1):
+                for got, read, want in zip(batch, reads, reference(n, b)):
+                    assert close(got[n - 1, i], want)
+                    assert close(read(n, b), want)
+        for low, full in zip(surface.on_budgets(prices, incomes, orders=2), batch):
+            np.testing.assert_array_equal(low, full[:2])
+
+
+def test_scalar_reads_keep_the_last_budget(l0_fitted_surface, monkeypatch):
+    # reads at one budget share one batch; a refused budget stores nothing
+    batches = []
+    basis_matrix = estimation._basis_matrix
+    monkeypatch.setattr(estimation, "_basis_matrix",
+                        lambda *args: batches.append(1) or basis_matrix(*args))
+    surface = fitted_surface(l0_fitted_surface.fits).moment_surface
+
+    def reads(b):
+        return [read(n, b) for n in (1, 2, 3)
+                for read in (surface.moment, surface.d_price, surface.d_income)]
+
+    a, b = Budget((1.0,), 4.0), Budget((0.95,), 3.9)
+    first = reads(a)
+    other = reads(b)
+    assert reads(a) == first and other != first
+    assert len(batches) == 3
+    outside = Budget((1.0,), 400.0)
+    for _ in range(2):
+        for read in (surface.moment, surface.d_price, surface.d_income):
+            with pytest.raises(DomainError, match="outside the estimation sample"):
+                read(1, outside)
+    assert reads(a) == first
+
+
+def test_build_report_on_a_fitted_surface_builds_two_basis_matrices(
+        l0_fitted_surface, monkeypatch):
+    # one at the start budget, read by every start-budget field, and one
+    # on the quadrature nodes of the price path
+    rows = []
+    basis_matrix = estimation._basis_matrix
+    monkeypatch.setattr(estimation, "_basis_matrix",
+                        lambda *args: rows.append(len(args[1])) or basis_matrix(*args))
+    surface = fitted_surface(l0_fitted_surface.fits).moment_surface
+    build_report(surface, PriceChange.scalar(1.0, 1.05, 4.0))
+    assert rows == [1, len(DEFAULT_QUAD.nodes)]
 
 
 def test_on_budgets_refuses_bad_batches(l0_surface):
@@ -758,7 +853,7 @@ def test_fitted_path_leaving_the_sample_names_its_first_node(l0_fitted_surface, 
     surface = l0_fitted_surface.moment_surface
     pc = PriceChange.scalar(1.0, p1, 4.0)
     lo, hi = l0_fitted_surface.fits[0].domain  # one sample: every fit has this box
-    path = [pc.path_budget(t) for t in DEFAULT_QUAD.nodes]
+    path = [path_budget_reference(pc, t) for t in DEFAULT_QUAD.nodes]
     outside = [not lo[0] <= np.log(b.price(0)) <= hi[0] for b in path]
     first = outside.index(True)
     assert first > 0
