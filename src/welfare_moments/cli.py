@@ -499,15 +499,33 @@ def build_parser():
     return parser
 
 
+def _file_value(action, key, value):
+    """A config-file value, parsed by its flag's converter from the text it
+    would have on the command line (a number as JSON, a list's items joined
+    by commas); the result must equal the value, so "100" is no number."""
+    items = value if isinstance(value, list) else [value]
+    text = ",".join(v if isinstance(v, str) else json.dumps(v) for v in items)
+    try:
+        parsed = value if action.nargs == 0 else (action.type or str)(text)
+    except ValueError:
+        parsed = None
+    if parsed == value and (action.nargs != 0 or isinstance(value, bool)):
+        return parsed
+    raise UsageError("config key %r: %s is not a valid %s value"
+                     % (key, json.dumps(value), action.option_strings[0]))
+
+
 def config_from_args(args):
     cfg = RunConfig()
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        actions = {a.dest: a for a in build_parser()._actions}
         for key, value in file_cfg.items():
-            if not hasattr(cfg, key):
+            if key not in vars(cfg):
                 raise ValueError("unknown config key %r" % key)
-            setattr(cfg, key, value)
+            if value is not None:  # null keeps the default, as an absent flag does
+                setattr(cfg, key, _file_value(actions[key], key, value))
     for key in vars(cfg):
         value = getattr(args, key, None)
         if value is not None:

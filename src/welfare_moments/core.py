@@ -30,7 +30,7 @@ class OrderError(ValueError):
 
 
 class ShapeError(ValueError):
-    """Vector dimensions do not line up, or multigood data is missing."""
+    """Vector dimensions do not line up, as a budget without one price per good."""
 
 
 @dataclass(frozen=True)
@@ -107,21 +107,6 @@ class PriceChange:
         return np.asarray(self.start.prices) + np.outer(t, self.delta)
 
 
-@dataclass(frozen=True)
-class MultigoodMoments:
-    """Vector/matrix moment callables for many-good analyses.
-
-    mean_vector(b) -> (k,), jacobian(b) -> (k, k) price Jacobian of the mean,
-    second_matrix(b) -> (k, k) second raw moment E[q q^T], and
-    d_income_second(b) -> (k, k) its income derivative.
-    """
-
-    mean_vector: object
-    jacobian: object
-    second_matrix: object
-    d_income_second: object
-
-
 class _Surface:
     """One batch evaluator and the scalar reads of it, shared by the
     quantity and the share surface.
@@ -185,32 +170,11 @@ class MomentSurface(_Surface):
     good's own price and in income.  All three read ``batch_fn``.
     """
 
-    def __init__(self, max_order, batch_fn, good=0, multigood=None):
-        super().__init__(max_order, batch_fn, good)
-        self.multigood = multigood
-
     def d_price(self, n, b):
         return self._read(1, n, b)
 
     def d_income(self, n, b):
         return self._read(2, n, b)
-
-    def _mg(self):
-        if self.multigood is None:
-            raise ShapeError("surface carries no multigood moments")
-        return self.multigood
-
-    def mean_vector(self, b):
-        return np.asarray(self._mg().mean_vector(b), dtype=float)
-
-    def jacobian(self, b):
-        return np.asarray(self._mg().jacobian(b), dtype=float)
-
-    def second_matrix(self, b):
-        return np.asarray(self._mg().second_matrix(b), dtype=float)
-
-    def d_income_second(self, b):
-        return np.asarray(self._mg().d_income_second(b), dtype=float)
 
 
 class ShareMomentSurface(_Surface):

@@ -294,8 +294,13 @@ def _design(ds, basis, fs):
     return design
 
 
-def fit_moment_surface(ds, good, order, basis=None, fs=None,
-                       max_iter=200, rel_tol=1e-10):
+# Gauss-Newton stops once a step lowers the rss by a relative amount below
+# GN_MIN_DECREASE, and fails after GN_MAX_STEPS steps.
+GN_MIN_DECREASE = 1e-10
+GN_MAX_STEPS = 200
+
+
+def fit_moment_surface(ds, good, order, basis=None, fs=None):
     """Fit E[w^n | b] = exp(basis . theta) by Gauss-Newton with line search.
 
     Initialization comes from OLS of log(w^n + 1e-6) on the basis over
@@ -329,7 +334,7 @@ def fit_moment_surface(ds, good, order, basis=None, fs=None,
     pred = predict(theta_active)
     rss = float(np.sum((target - pred) ** 2))
     iters = 0
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, GN_MAX_STEPS + 1):
         jac_q = pred[:, None] * q
         resid = target - pred
         grad_q = jac_q.T @ resid
@@ -354,10 +359,10 @@ def fit_moment_surface(ds, good, order, basis=None, fs=None,
             break
         rel_change = (rss - cand_rss) / max(rss, 1e-300)
         theta_active, pred, rss = cand, cand_pred, cand_rss
-        if rel_change < rel_tol:
+        if rel_change < GN_MIN_DECREASE:
             break
     else:
-        raise FitError("Gauss-Newton did not converge in %d iterations" % max_iter,
+        raise FitError("Gauss-Newton did not converge in %d iterations" % GN_MAX_STEPS,
                        theta=theta_active, gradient_norm=grad_norm)
 
     theta = np.zeros(n_columns)

@@ -34,7 +34,6 @@ from .core import (
     Budget,
     DomainError,
     MomentSurface,
-    MultigoodMoments,
     OrderError,
     ShapeError,
     ShareMomentSurface,
@@ -45,10 +44,13 @@ class NumericError(RuntimeError):
     """A quadrature or ODE routine failed to reach its tolerance."""
 
 
-@lru_cache(maxsize=32)
-def _leggauss01(n):
-    """Gauss-Legendre nodes/weights on [0, 1]; weights sum to one."""
-    x, w = np.polynomial.legendre.leggauss(n)
+GL_NODES = 64  # Gauss-Legendre nodes of a type table and of cv_constant_income_effect
+
+
+@lru_cache(maxsize=1)
+def _leggauss01():
+    """The GL_NODES rule on [0, 1], built on first use; weights sum to one."""
+    x, w = np.polynomial.legendre.leggauss(GL_NODES)
     return (x + 1.0) / 2.0, w / 2.0
 
 
@@ -242,7 +244,7 @@ class _TypeTable:
 
     def _mean(self, b, good, f):
         p = self._own_price(b, good)
-        nodes, w = self._types(b.income, good, *_leggauss01(64))
+        nodes, w = self._types(b.income, good, *_leggauss01())
         total = 0.0
         for w_row, v_row in zip(w, f(*self._demand(nodes, p, b.income))):
             total += float(np.dot(w_row, v_row))
@@ -280,7 +282,7 @@ class _TypeTable:
         n = np.arange(1, max_order + 1)[:, None]
         for y in dict.fromkeys(incomes.tolist()):
             sel = np.flatnonzero(incomes == y)
-            nodes, w = self._types(y, good, *_leggauss01(64))
+            nodes, w = self._types(y, good, *_leggauss01())
             q, dq_dp, dq_dy = self._demand(nodes, prices[sel, good, None, None], y)
             w = w.ravel()
 
@@ -303,10 +305,10 @@ class _TypeTable:
         q = self._demand(nodes, p, b.income)[0]
         return float(np.min(q)), float(np.max(q))
 
-    def cv_family(self, pcs, n_nodes=64):
+    def cv_family(self, pcs):
         """Type nodes of every (price change, type) pair, their weights, and
         the number of pairs of each price change."""
-        x, w = _leggauss01(n_nodes)
+        x, w = _leggauss01()
         tables = [self._types(pc.income, 0, x, w) for pc in pcs]
         weights = [t for _, t in tables]
         nodes = [np.concatenate([np.broadcast_to(a, t.shape).ravel()
@@ -530,20 +532,34 @@ class CobbDouglasPopulation(_TypeTable):
     def mean_shares(self):
         return self._w @ self._alphas
 
-    def cross_share_matrix(self):
-        return (self._alphas.T * self._w) @ self._alphas
+    def _prices(self, b):
+        if b.k != self.k:
+            raise ShapeError("budget has %d prices but the population has %d goods"
+                             % (b.k, self.k))
+        return np.asarray(b.prices)
+
+    def mean_vector(self, b):
+        """Mean demand of every good, E[q] = E[alpha] y / p."""
+        return self.mean_shares() * b.income / self._prices(b)
+
+    def jacobian(self, b):
+        """Price Jacobian of E[q]; diagonal, as q_i moves only with p_i."""
+        return np.diag(-self.mean_vector(b) / self._prices(b))
+
+    def second_matrix(self, b):
+        """E[q q^T] = E[alpha alpha^T] y^2 / (p p^T)."""
+        s = b.income / self._prices(b)
+        return (self._alphas.T * self._w) @ self._alphas * np.outer(s, s)
+
+    def d_income_second(self, b):
+        """Income derivative of E[q q^T], which is quadratic in y."""
+        return 2.0 * self.second_matrix(b) / b.income
 
     def expenditure(self, alpha, prices, u):
         prices = np.asarray(prices, dtype=float)
         if np.any(prices <= 0.0):
             raise DomainError("prices must be strictly positive")
         return u * float(np.prod(prices ** np.asarray(alpha)))
-
-    def draw_quantities(self, rng, p_arr, y_arr, good=0):
-        probs = np.array([prob for _, prob in self.types])
-        idx = rng.choice(len(self.types), size=len(p_arr), p=probs)
-        shares = np.array([alpha[good] for alpha, _ in self.types])[idx]
-        return shares * np.asarray(y_arr) / np.asarray(p_arr)
 
 
 class LinearTypeMixture(_TypeTable):
@@ -623,7 +639,7 @@ def exact_cv_type(demand, pc, cfg=None):
     return float(s[0])
 
 
-def cv_constant_income_effect(demand, a, pc, n_nodes=64):
+def cv_constant_income_effect(demand, a, pc):
     """Closed-form CV for a type with constant income effect.
 
     Solves the linearized compensation ODE explicitly:
@@ -634,7 +650,7 @@ def cv_constant_income_effect(demand, a, pc, n_nodes=64):
     dp = pc.delta
     y = pc.income
     rate = float(np.dot(np.atleast_1d(a), dp))
-    x, w = _leggauss01(n_nodes)
+    x, w = _leggauss01()
     total = 0.0
     for t, wt in zip(x, w):
         q = np.atleast_1d(np.asarray(demand(p0 + t * dp, y), dtype=float))
@@ -642,11 +658,11 @@ def cv_constant_income_effect(demand, a, pc, n_nodes=64):
     return float(total)
 
 
-def population_cv_sweep(pop, pcs, cfg=None, n_nodes=64):
+def population_cv_sweep(pop, pcs, cfg=None):
     """Exact CV-distribution moments for each price change, from one family.
 
     Every (price change, type node) pair is one element of the family, laid
-    out by ``pop.cv_family(pcs, n_nodes)``.  Without ``cfg`` each element's
+    out by ``pop.cv_family(pcs)``.  Without ``cfg`` each element's
     s(1) is the population's closed form; ``cfg`` integrates the family by
     RK4 with ``cfg.steps`` steps instead.  Each price change's moments come
     from its own slice of the result.  Raises DomainError naming the price
@@ -656,7 +672,7 @@ def population_cv_sweep(pop, pcs, cfg=None, n_nodes=64):
     pcs = tuple(pcs)
     if not pcs:
         return []
-    nodes, w, sizes = pop.cv_family(pcs, n_nodes)
+    nodes, w, sizes = pop.cv_family(pcs)
     owner = np.repeat(np.arange(len(pcs)), sizes)
     y0 = np.array([pc.income for pc in pcs])[owner]
     if cfg is None:
@@ -679,9 +695,9 @@ def population_cv_sweep(pop, pcs, cfg=None, n_nodes=64):
     return out
 
 
-def population_cv(pop, pc, cfg=None, n_nodes=64):
+def population_cv(pop, pc, cfg=None):
     """Exact moments of the CV distribution of one price change."""
-    return population_cv_sweep(pop, (pc,), cfg, n_nodes)[0]
+    return population_cv_sweep(pop, (pc,), cfg)[0]
 
 
 def aggregate_expenditure(pop, prices, u):
@@ -703,36 +719,12 @@ def surface_from_population(pop, max_order, good=0):
 
     Its batch is :meth:`_TypeTable.moments_on_budgets`: the price partial
     is n E[q^(n-1) dq/dp] and the income partial the identity
-    dM_n/dy = n E[q^(n-1) dq/dy].  Cobb-Douglas surfaces also carry the
-    multigood moment fields, which require a budget with one price per good.
+    dM_n/dy = n E[q^(n-1) dq/dy].
     """
-    def prices(b):
-        if b.k != pop.k:
-            raise ShapeError("budget has %d prices but the population has %d goods"
-                             % (b.k, pop.k))
-        return np.asarray(b.prices)
-
-    def mean_vec(b):
-        return pop.mean_shares() * b.income / prices(b)
-
-    def jac(b):
-        return np.diag(-pop.mean_shares() * b.income / prices(b) ** 2)
-
-    def second(b):
-        p = prices(b)
-        return pop.cross_share_matrix() * b.income ** 2 / np.outer(p, p)
-
-    def d_second(b):
-        p = prices(b)
-        return 2.0 * pop.cross_share_matrix() * b.income / np.outer(p, p)
-
     def batch(prices, incomes, orders):
         return pop.moments_on_budgets(orders, prices, incomes, good)
 
-    multigood = None
-    if isinstance(pop, CobbDouglasPopulation):
-        multigood = MultigoodMoments(mean_vec, jac, second, d_second)
-    return MomentSurface(max_order, batch, good=good, multigood=multigood)
+    return MomentSurface(max_order, batch, good=good)
 
 
 def share_surface_from_population(pop, max_order, good=0):

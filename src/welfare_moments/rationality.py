@@ -19,6 +19,9 @@ import numpy as np
 from .core import OrderError
 
 
+TOLERANCE = 1e-8  # a verdict passes when its worst margin is at most this
+
+
 class SimplexError(RuntimeError):
     """The LP solver hit a state that the problem structure rules out."""
 
@@ -48,7 +51,6 @@ class RationalityVerdict:
     passed: bool
     worst_margin: float
     witness: tuple = None
-    tolerance: float = 1e-8
 
     def to_dict(self):
         return {
@@ -56,11 +58,6 @@ class RationalityVerdict:
             "worst_margin": float(self.worst_margin),
             "witness_coeffs": list(self.witness) if self.witness is not None else [],
         }
-
-
-def _verdict(worst, witness=None, tol=1e-8):
-    return RationalityVerdict(passed=worst <= tol, worst_margin=float(worst),
-                              witness=witness, tolerance=tol)
 
 
 def monomial_translation(surface, degree, b):
@@ -91,7 +88,7 @@ def translate_polynomial(coeffs, surface, b):
                      for i, a in enumerate(coeffs)))
 
 
-def degree1_cone_test(surface, b, box, tol=1e-8):
+def degree1_cone_test(surface, b, box):
     """Check the cone generators of degree <= 1 polynomials nonnegative on the box.
 
     Generators: 1, (x - q_min), (q_max - x), and x itself when the
@@ -104,7 +101,7 @@ def degree1_cone_test(surface, b, box, tol=1e-8):
     margins = [g0, g1 - box.q_min * g0, box.q_max * g0 - g1]
     if box.q_min >= 0.0:
         margins.append(g1)
-    return _verdict(max(margins), tol=tol)
+    return RationalityVerdict(max(margins) <= TOLERANCE, float(max(margins)))
 
 
 def simplex_max(c, a_ub, b_ub, max_iter=20000, tol=1e-11):
@@ -155,7 +152,7 @@ def simplex_max(c, a_ub, b_ub, max_iter=20000, tol=1e-11):
     raise SimplexError("simplex failed to converge in %d pivots" % max_iter)
 
 
-def hankel_verdict(gammas, box, tol=1e-8):
+def hankel_verdict(gammas, box):
     """Exact test at degree d = len(gammas) - 1 from gammas[k] = L(x^k).
 
     Map the box to [-1, 1] by x = center + half * t.  -L is nonnegative
@@ -190,12 +187,12 @@ def hankel_verdict(gammas, box, tol=1e-8):
         g, matrix = failing
         v = np.linalg.eigh(matrix)[1][:, 0]
         witness_t = np.convolve(g, np.convolve(v, v))
-    witness = tuple(map(float, witness_t @ shift)) if worst > tol else None
-    return _verdict(worst, witness=witness, tol=tol)
+    witness = tuple(map(float, witness_t @ shift)) if worst > TOLERANCE else None
+    return RationalityVerdict(worst <= TOLERANCE, float(worst), witness)
 
 
-def lp_violation_search(surface, b, degree, box, tol=1e-8):
+def lp_violation_search(surface, b, degree, box):
     """Exact rationalizability verdict at the given polynomial degree
     (:func:`hankel_verdict` on the surface's translations at b)."""
     gammas = [monomial_translation(surface, i, b).value for i in range(degree + 1)]
-    return hankel_verdict(gammas, box, tol)
+    return hankel_verdict(gammas, box)

@@ -21,28 +21,30 @@ from .estimation import BasisSpec, Dataset, _basis_matrix, exp_poly_share_surfac
 from .oracle import CobbDouglasPopulation
 
 
-def _truncated_normal(rng, scale, size, clip=2.5):
+# Uniform price and instrument ranges (lo, hi).  The scalar region keeps the
+# linear population's demand positive for every type, so shares are in (0, 1).
+SCALAR_PRICES, SCALAR_INSTRUMENT = (0.88, 1.08), (3.6, 4.4)
+COBB_DOUGLAS_PRICES, COBB_DOUGLAS_INSTRUMENT = (0.7, 1.4), (1.5, 3.0)
+PLANTED_PRICES = (0.65, 1.55)
+INCOME_NOISE = 0.03  # scale of log income's noise around the instrument
+CLIP = 2.5  # a truncated normal draw is clipped at CLIP times its scale
+
+
+def _truncated_normal(rng, scale, size):
     draw = rng.normal(0.0, scale, size=size)
-    return np.clip(draw, -clip * scale, clip * scale)
+    return np.clip(draw, -CLIP * scale, CLIP * scale)
 
 
-def sample_budget_region(rng, n, p_lo=0.88, p_hi=1.08, z_lo=3.6, z_hi=4.4,
-                         income_noise=0.03):
-    """Draw (log_p, log_y, log_z) with income tied to the instrument."""
-    log_p = rng.uniform(np.log(p_lo), np.log(p_hi), size=n)
-    log_z = rng.uniform(np.log(z_lo), np.log(z_hi), size=n)
-    log_y = log_z + _truncated_normal(rng, income_noise, n)
-    return log_p, log_y, log_z
+def _log_uniform(rng, bounds, size):
+    return rng.uniform(np.log(bounds[0]), np.log(bounds[1]), size=size)
 
 
-def population_cross_section(pop, n, seed, good="q", **region):
-    """Households drawn from a scalar-good oracle population.
-
-    The default budget region keeps the linear population's demand
-    strictly positive for every type, so shares land in (0, 1).
-    """
+def population_cross_section(pop, n, seed, good="q"):
+    """Households drawn from a scalar-good oracle population."""
     rng = np.random.default_rng(seed)
-    log_p, log_y, log_z = sample_budget_region(rng, n, **region)
+    log_p = _log_uniform(rng, SCALAR_PRICES, n)
+    log_z = _log_uniform(rng, SCALAR_INSTRUMENT, n)
+    log_y = log_z + _truncated_normal(rng, INCOME_NOISE, n)
     p, y = np.exp(log_p), np.exp(log_y)
     q = pop.draw_quantities(rng, p, y)
     if np.any(q <= 0.0):
@@ -52,16 +54,15 @@ def population_cross_section(pop, n, seed, good="q", **region):
                    log_prices=log_p.reshape(-1, 1), log_y=log_y, log_z=log_z)
 
 
-def cobb_douglas_cross_section(pop, n, seed, goods=None, p_lo=0.7, p_hi=1.4,
-                               z_lo=1.5, z_hi=3.0, income_noise=0.03):
+def cobb_douglas_cross_section(pop, n, seed, goods=None):
     """Households drawn from a Cobb-Douglas mixture, one share column per good."""
     if not isinstance(pop, CobbDouglasPopulation):
         raise TypeError("expected a Cobb-Douglas population")
     goods = tuple(goods or ("g%d" % i for i in range(pop.k)))
     rng = np.random.default_rng(seed)
-    log_z = rng.uniform(np.log(z_lo), np.log(z_hi), size=n)
-    log_y = log_z + _truncated_normal(rng, income_noise, n)
-    log_p = rng.uniform(np.log(p_lo), np.log(p_hi), size=(n, pop.k))
+    log_z = _log_uniform(rng, COBB_DOUGLAS_INSTRUMENT, n)
+    log_y = log_z + _truncated_normal(rng, INCOME_NOISE, n)
+    log_p = _log_uniform(rng, COBB_DOUGLAS_PRICES, (n, pop.k))
     probs = np.array([prob for _, prob in pop.types])
     idx = rng.choice(len(pop.types), size=n, p=probs)
     alphas = np.array([alpha for alpha, _ in pop.types])[idx]
@@ -111,13 +112,12 @@ class PlantedShareModel:
     def moment_surface(self, max_order=3):
         return quantity_surface_from_shares(self.share_surface(max_order))
 
-    def sample(self, n, seed, endogeneity=0.0, income_shock=0.2,
-               p_lo=0.65, p_hi=1.55, z_lo=1.4, z_hi=6.5):
+    def sample(self, n, seed, endogeneity=0.0, income_shock=0.2, z_lo=1.4, z_hi=6.5):
         """Draw a cross-section; endogeneity > 0 routes a shared shock into
         both log expenditure and the share level."""
         rng = np.random.default_rng(seed)
-        log_p = rng.uniform(np.log(p_lo), np.log(p_hi), size=(n, len(self.goods)))
-        log_z = rng.uniform(np.log(z_lo), np.log(z_hi), size=n)
+        log_p = _log_uniform(rng, PLANTED_PRICES, (n, len(self.goods)))
+        log_z = _log_uniform(rng, (z_lo, z_hi), n)
         if endogeneity:
             shock = _truncated_normal(rng, income_shock, n)
             log_y = log_z + shock
@@ -133,11 +133,7 @@ class PlantedShareModel:
                        log_prices=log_p, log_y=log_y, log_z=log_z)
 
 
-def default_planted_model(noise=0.10):
+def default_planted_model():
     """A planted model whose shares stay inside (0, 1) on the default region."""
-    return PlantedShareModel(
-        alpha=np.log(0.30),
-        beta=((-0.35, 0.10, 0.04),),
-        gamma=(-0.18, 0.05, -0.01),
-        noise=noise,
-    )
+    return PlantedShareModel(alpha=np.log(0.30), beta=((-0.35, 0.10, 0.04),),
+                             gamma=(-0.18, 0.05, -0.01))

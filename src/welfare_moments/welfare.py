@@ -172,7 +172,10 @@ class ChebyshevBounds:
     coverage_note: str
 
 
-def chebyshev_bounds(surface, pc, b_lo, b_hi, z, k, quad=None, s_levels=8):
+COMPENSATION_LEVELS = 8  # levels s on which chebyshev_bounds averages the income effect
+
+
+def chebyshev_bounds(surface, pc, b_lo, b_hi, z, k, quad=None):
     """Probability-tightened CV bounds from the observed average income effect.
 
     The average income effect along the price path (over compensation
@@ -198,8 +201,8 @@ def chebyshev_bounds(surface, pc, b_lo, b_hi, z, k, quad=None, s_levels=8):
 
     # Mean income effect over the (path time, compensation level) rectangle.
     # One batch over the grid, path time outer and compensation level inner.
-    s_grid = np.linspace(0.0, max(worst_hi, 0.0), s_levels)
-    d_income = _on_path(surface, pc, 1, np.repeat(t, s_levels), np.tile(s_grid, len(t)))[2]
+    s_grid = np.linspace(0.0, max(worst_hi, 0.0), COMPENSATION_LEVELS)
+    d_income = _on_path(surface, pc, 1, np.repeat(t, len(s_grid)), np.tile(s_grid, len(t)))[2]
     sup_b, inf_b = float(np.max(d_income[0])), float(np.min(d_income[0]))
 
     eps = 1e-12
@@ -382,15 +385,16 @@ class CompensatedJacobian:
     max_eigenvalue: float
 
 
-def compensated_jacobian_multigood(surface, b):
+def compensated_jacobian_multigood(pop, b):
     """Average compensated price Jacobian by symmetrizing observable moments.
 
-    Equals (J + J^T + d/dy E[q q^T]) / 2 for the mean-demand Jacobian J;
-    symmetric by construction, and negative semidefinite for rational
-    populations (largest eigenvalue reported as a diagnostic).
+    Equals (J + J^T + d/dy E[q q^T]) / 2 from ``pop.jacobian(b)`` = J and
+    ``pop.d_income_second(b)``, as on a Cobb-Douglas population; symmetric
+    by construction, and negative semidefinite for rational populations
+    (largest eigenvalue reported as a diagnostic).
     """
-    jac = surface.jacobian(b)
-    dm2 = surface.d_income_second(b)
+    jac = np.asarray(pop.jacobian(b), dtype=float)
+    dm2 = np.asarray(pop.d_income_second(b), dtype=float)
     if jac.shape != dm2.shape or jac.shape[0] != jac.shape[1]:
         raise ShapeError("multigood moment matrices must be square and conformable")
     sym = 0.5 * (jac + jac.T + dm2)
@@ -399,14 +403,13 @@ def compensated_jacobian_multigood(surface, b):
                                max_eigenvalue=float(np.linalg.eigvalsh(sym)[-1]))
 
 
-def cv_mean_multigood(surface, pc):
-    """Second-order average CV for a vector price change."""
+def cv_mean_multigood(pop, pc):
+    """Second-order average CV for a vector price change; reads ``pop`` as above."""
     dp = pc.delta
-    b0 = pc.start
-    m1 = surface.mean_vector(b0)
+    m1 = np.asarray(pop.mean_vector(pc.start), dtype=float)
     if m1.shape[0] != dp.shape[0]:
-        raise ShapeError("price change dimension does not match the surface")
-    comp = compensated_jacobian_multigood(surface, b0)
+        raise ShapeError("price change dimension does not match the population")
+    comp = compensated_jacobian_multigood(pop, pc.start)
     return float(dp @ m1 + 0.5 * dp @ comp.matrix @ dp)
 
 
@@ -425,17 +428,17 @@ class WelfareReport:
     moments: tuple
 
     def to_dict(self):
-        return {
-            "dp": self.dp,
-            "first_order": self.first_order,
-            "ra": self.ra,
-            "robust": self.robust,
-            "path": self.path,
-            "bounds": dict(self.bounds),
-            "variance": dict(self.variance),
-            "decomposition": dict(self.decomposition),
-            "moments": list(self.moments),
-        }
+        return _unsigned_zeros(vars(self))
+
+
+def _unsigned_zeros(obj):
+    """``obj`` with lists for tuples, and the -0.0 of a zero price change
+    times a negative term written 0.0 (v + 0.0 is v for any other v)."""
+    if isinstance(obj, dict):
+        return {k: _unsigned_zeros(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_unsigned_zeros(v) for v in obj]
+    return obj + 0.0 if isinstance(obj, float) else obj
 
 
 def build_report(surface, pc, quad=None, b_lo=None, b_hi=None,
@@ -448,19 +451,10 @@ def build_report(surface, pc, quad=None, b_lo=None, b_hi=None,
     """
     quad = quad or DEFAULT_QUAD
     dp = _own_delta(surface, pc)
-    p0 = pc.start.price(surface.good)
-    if b_lo is None:
-        b_lo = 0.0
-    if b_hi is None:
-        b_hi = 1.0 / p0
-
-    if dp == 0.0:
-        zeros = {"robust": 0.0, "additive": 0.0, "first_order": 0.0}
-        dec = {"A1": 0.0, "A2": 0.0, "A3": 0.0, "A4": 0.0}
-        bounds = {"lower": 0.0, "upper": 0.0, "kind": "worst-case"}
-        n_mom = max(1, surface.max_order - 1)
-        return WelfareReport(0.0, 0.0, 0.0, 0.0, 0.0, bounds, zeros, dec,
-                             tuple(0.0 for _ in range(n_mom)))
+    b_lo = 0.0 if b_lo is None else b_lo
+    b_hi = 1.0 / pc.start.price(surface.good) if b_hi is None else b_hi
+    if b_lo > b_hi:
+        raise ValueError("lower income-effect bound exceeds upper bound")
 
     robust = cv_moment_local(surface, 1, pc)
     t, w = np.asarray(quad.nodes), np.asarray(quad.weights)

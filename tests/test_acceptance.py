@@ -179,9 +179,8 @@ def test_criterion_08_many_good_symmetrization():
     nsd = True
     for alpha in (0.1, 0.3, 0.5):
         pop = CobbDouglasPopulation.two_type(alpha)
-        surface = surface_from_population(pop, 3)
         b = Budget((1.0, 1.3), 2.0)
-        comp = compensated_jacobian_multigood(surface, b)
+        comp = compensated_jacobian_multigood(pop, b)
         direct = np.zeros((2, 2))
         for shares in ((alpha, 1 - alpha), (1 - alpha, alpha)):
             a = np.asarray(shares)

@@ -211,6 +211,32 @@ def test_config_file_and_flag_override(tmp_path):
     assert report["dp"] == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("key, value, flag", [
+    ("dp", "0.05", "--dp"), ("n", "100", "--n"), ("seed", 1.5, "--seed"),
+])
+def test_config_file_value_of_wrong_type_exits_1(tmp_path, capsys, key, value, flag):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"population": "L0", key: value}))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "UsageError",
+                   "message": "config key %r: %s is not a valid %s value"
+                   % (key, json.dumps(value), flag)}
+    assert not out.exists()
+
+
+def test_config_file_and_flags_give_one_hash(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"population": "L0", "y": 2, "dp": [0.05]}))
+    assert main(["welfare", "--config", str(cfg_path), "--out", str(tmp_path / "a")]) == 0
+    assert main(["welfare", "--population", "L0", "--y", "2", "--dp", "0.05",
+                 "--out", str(tmp_path / "b")]) == 0
+    a, b = (json.load(open(tmp_path / d / "report.json")) for d in "ab")
+    assert a["config_hash"] == b["config_hash"]
+    assert a == b
+
+
 def test_config_hash_stable_under_key_order():
     a = RunConfig(population="L0", dp=[0.1], y=2.0)
     b = RunConfig(y=2.0, dp=[0.1], population="L0")
@@ -308,6 +334,42 @@ def test_fitted_surface_outside_sample_exits_2(tmp_path, capsys, l0_draws, incom
     assert err["error"] == "DomainError"
     assert "income %s lies outside the estimation sample" % income in err["message"]
     assert "decomposition" not in captured.err and "overflow" not in captured.err
+    assert not out.exists()
+
+
+def test_zero_change_outside_sample_exits_2(tmp_path, capsys, l0_draws):
+    # a zero price change reads the surface at its start budget like any other
+    out = tmp_path / "welfare"
+    code = main(["welfare", "--data", str(l0_draws), "--p0", "3", "--y", "40",
+                 "--dp", "0", "--out", str(out)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+    assert not out.exists()
+
+
+def test_zero_change_writes_unsigned_zeros(tmp_path):
+    # on L0 the general path gives A1 = A4 = -0.0, which must be written 0.0
+    out = tmp_path / "run"
+    assert main(["welfare", "--population", "L0", "--dp", "0", "--out", str(out)]) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        assert list(csv.reader(fh))[1] == ["0.0"] * 14
+    report = json.load(open(out / "report.json"))["reports"][0]
+    numbers = [report[k] for k in ("dp", "first_order", "ra", "robust", "path")]
+    for part in ("bounds", "variance", "decomposition"):
+        numbers += [v for v in report[part].values() if not isinstance(v, str)]
+    numbers += report["moments"]
+    assert len(numbers) == 17 and all(math.copysign(1.0, v) == 1.0 for v in numbers)
+    assert report["bounds"] == {"lower": 0.0, "upper": 0.0, "kind": "worst-case"}
+
+
+@pytest.mark.parametrize("extra", [[], ["--z", "0.3", "--k", "0.3"]])
+def test_inverted_income_effect_bounds_exit_1(tmp_path, capsys, extra):
+    out = tmp_path / "run"
+    assert main(["welfare", "--population", "L0", "--dp", "0.05", "--b-lo", "0.6",
+                 "--b-hi", "0.1", "--out", str(out)] + extra) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError",
+                   "message": "lower income-effect bound exceeds upper bound"}
     assert not out.exists()
 
 

@@ -190,28 +190,43 @@ def test_surface_from_population_l0(l0_surface):
 
 
 def test_surface_from_population_cd2_mean_vector():
-    surface = surface_from_population(CobbDouglasPopulation.two_type(0.3), 3)
+    pop = CobbDouglasPopulation.two_type(0.3)
     b = Budget((1.0, 2.0), 3.0)
-    np.testing.assert_allclose(surface.mean_vector(b),
+    np.testing.assert_allclose(pop.mean_vector(b),
                                [3.0 / 2.0, 3.0 / 4.0], atol=1e-12)
     # closed forms from mean shares (1/2, 1/2) and
     # E[alpha alpha^T] = [[0.29, 0.21], [0.21, 0.29]]
-    np.testing.assert_allclose(surface.jacobian(b), np.diag([-1.5, -0.375]), atol=1e-12)
-    np.testing.assert_allclose(surface.second_matrix(b),
+    np.testing.assert_allclose(pop.jacobian(b), np.diag([-1.5, -0.375]), atol=1e-12)
+    np.testing.assert_allclose(pop.second_matrix(b),
                                [[2.61, 0.945], [0.945, 0.6525]], atol=1e-12)
-    np.testing.assert_allclose(surface.d_income_second(b),
+    np.testing.assert_allclose(pop.d_income_second(b),
                                [[1.74, 0.63], [0.63, 0.435]], atol=1e-12)
 
 
 def test_surface_from_population_cd2_rejects_one_price_budget():
-    surface = surface_from_population(CobbDouglasPopulation.two_type(0.3), 3)
+    pop = CobbDouglasPopulation.two_type(0.3)
+    surface = surface_from_population(pop, 3)
     b = Budget((1.0,), 2.0)
-    for field in (surface.mean_vector, surface.jacobian, surface.second_matrix,
-                  surface.d_income_second, lambda b: compensated_jacobian_multigood(surface, b)):
+    for field in (pop.mean_vector, pop.jacobian, pop.second_matrix,
+                  pop.d_income_second, lambda b: compensated_jacobian_multigood(pop, b)):
         with pytest.raises(ShapeError, match="1 prices but the population has 2 goods"):
             field(b)
     # the scalar fields read only the modeled good's price
     assert surface.moment(1, b) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cobb_douglas_multigood_moments_match_surface_batch():
+    pop = CobbDouglasPopulation.two_type(0.3)
+    for prices, y in (((1.0, 2.0), 3.0), ((0.7, 1.3), 2.2), ((1.4, 0.9), 5.0)):
+        b = Budget(prices, y)
+        for g in range(2):
+            surface = surface_from_population(pop, 2, good=g)
+            pairs = ((pop.mean_vector(b)[g], surface.moment(1, b)),
+                     (pop.jacobian(b)[g, g], surface.d_price(1, b)),
+                     (pop.second_matrix(b)[g, g], surface.moment(2, b)),
+                     (pop.d_income_second(b)[g, g], surface.d_income(2, b)))
+            for matrix_value, batch_value in pairs:
+                assert matrix_value == pytest.approx(batch_value, rel=1e-12, abs=0.0)
 
 
 def test_surface_degenerate_population_jensen_equality():

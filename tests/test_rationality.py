@@ -18,7 +18,7 @@ from welfare_moments import (
     translate_polynomial,
 )
 from welfare_moments.oracle import B_STAR
-from welfare_moments.rationality import hankel_verdict, simplex_max
+from welfare_moments.rationality import TOLERANCE, hankel_verdict, simplex_max
 
 from conftest import RATIONAL_P, RATIONAL_Y, random_budgets
 
@@ -47,7 +47,7 @@ def _grid_lp(surface, b, degree, box, grid_size):
     return c, a_ub, b_ub
 
 
-def lp_violation_search_reference(surface, b, degree, box, grid_size=None, tol=1e-8):
+def lp_violation_search_reference(surface, b, degree, box, grid_size=None):
     """The former verdict: the grid LP solved by the dense simplex.
 
     Grid nonnegativity relaxes nonnegativity on the box, so its optimum
@@ -63,8 +63,8 @@ def lp_violation_search_reference(surface, b, degree, box, grid_size=None, tol=1
         raise ValueError("grid must have at least 10 * (degree + 1) points")
     value, x = simplex_max(*_grid_lp(surface, b, degree, box, grid_size))
     coeffs = tuple(x[:degree + 1] - x[degree + 1:])
-    return RationalityVerdict(passed=value <= tol, worst_margin=float(value),
-                              witness=coeffs if value > tol else None, tolerance=tol)
+    return RationalityVerdict(passed=value <= TOLERANCE, worst_margin=float(value),
+                              witness=coeffs if value > TOLERANCE else None)
 
 
 def random_mixture(seed):
@@ -161,7 +161,7 @@ def test_degree1_cone_degenerate_box(l0_surface):
 
 def test_verdict_invariant():
     v = RationalityVerdict(passed=True, worst_margin=-0.2)
-    assert v.passed == (v.worst_margin <= v.tolerance)
+    assert v.passed == (v.worst_margin <= TOLERANCE)
     assert v.to_dict()["witness_coeffs"] == []
 
 

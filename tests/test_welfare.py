@@ -1,5 +1,6 @@
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from welfare_moments import (
     L0,
     LinearTypeMixture,
     MomentSurface,
-    MultigoodMoments,
     OrderError,
     PriceChange,
     Q0,
@@ -402,9 +402,8 @@ def cd2_direct_average_slutsky(alpha, b):
 def test_compensated_jacobian_multigood_cd2():
     for alpha in (0.1, 0.3, 0.5):
         pop = CobbDouglasPopulation.two_type(alpha)
-        surface = surface_from_population(pop, 3)
         b = Budget((1.0, 1.3), 2.0)
-        comp = compensated_jacobian_multigood(surface, b)
+        comp = compensated_jacobian_multigood(pop, b)
         direct = cd2_direct_average_slutsky(alpha, b)
         np.testing.assert_allclose(comp.matrix, direct, atol=1e-8)
         np.testing.assert_allclose(comp.matrix, comp.matrix.T, atol=0.0)
@@ -445,11 +444,9 @@ def test_compensated_jacobian_eigenvalue_matches_jacobi_oracle():
         for _ in range(5):
             half = rng.normal(size=(k, k))
             sym = half + half.T
-            surface = MomentSurface(
-                2, constant_batch([1.0, 1.0]),
-                multigood=MultigoodMoments(None, lambda b, m=sym: m, None,
-                                           lambda b, k=k: np.zeros((k, k))))
-            comp = compensated_jacobian_multigood(surface, Budget((1.0,) * k, 2.0))
+            moments = SimpleNamespace(jacobian=lambda b, m=sym: m,
+                                      d_income_second=lambda b, k=k: np.zeros((k, k)))
+            comp = compensated_jacobian_multigood(moments, Budget((1.0,) * k, 2.0))
             np.testing.assert_array_equal(comp.matrix, sym)
             assert comp.max_eigenvalue == pytest.approx(jacobi_max_eigenvalue(sym), abs=1e-10)
 
@@ -459,15 +456,14 @@ def test_cv_mean_multigood_reduces_to_scalar():
     surface = surface_from_population(pop, 3, good=0)
     b0 = Budget((1.0, 1.3), 2.0)
     pc = PriceChange(b0, b0.with_price(0, 1.1))
-    assert cv_mean_multigood(surface, pc) == pytest.approx(
+    assert cv_mean_multigood(pop, pc) == pytest.approx(
         cv_moment_local(surface, 1, pc), abs=1e-12)
     zero = PriceChange(b0, b0)
-    assert cv_mean_multigood(surface, zero) == 0.0
+    assert cv_mean_multigood(pop, zero) == 0.0
 
 
 def test_cv_mean_multigood_third_order_accuracy():
     pop = CobbDouglasPopulation.two_type(0.3)
-    surface = surface_from_population(pop, 3)
     base = np.array([0.1, 0.05])
     scales = (1.0, 0.5, 0.25, 0.125)
     errors, sizes = [], []
@@ -475,7 +471,7 @@ def test_cv_mean_multigood_third_order_accuracy():
         b0 = Budget((1.0, 1.0), 2.0)
         b1 = Budget(tuple(1.0 + s * base), 2.0)
         pc = PriceChange(b0, b1)
-        approx = cv_mean_multigood(surface, pc)
+        approx = cv_mean_multigood(pop, pc)
         exact = cobb_douglas_cv_mean(pop, pc)
         errors.append(abs(approx - exact))
         sizes.append(s * np.linalg.norm(base))
@@ -509,6 +505,13 @@ def test_build_report_zero_change(l0_surface):
     rep = build_report(l0_surface, PriceChange.scalar(1.0, 1.0, 2.0))
     assert rep.robust == 0.0 and rep.path == 0.0 and rep.ra == 0.0
     assert all(v == 0.0 for v in rep.decomposition.values())
+
+
+def test_build_report_refuses_inverted_bounds(l0_surface):
+    for thresholds in (None, (0.3, 0.3)):
+        with pytest.raises(ValueError, match="lower income-effect bound exceeds upper"):
+            build_report(l0_surface, PC_STAR, b_lo=0.6, b_hi=0.1,
+                         chebyshev_thresholds=thresholds)
 
 
 def test_build_report_chebyshev_kind(l0_surface):
