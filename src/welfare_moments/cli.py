@@ -43,7 +43,6 @@ from .oracle import (
     L0,
     NumericError,
     Q0,
-    demand_support,
     population_cv_sweep,
     surface_from_population,
 )
@@ -57,10 +56,6 @@ from .welfare import (
     InternalConsistencyError,
     QuadratureRule,
     build_report,
-    cv_first_order,
-    cv_moment_local,
-    cv_path,
-    cv_ra,
 )
 
 
@@ -147,6 +142,10 @@ def ingest_csv(path, goods):
     that lists the first 100 by physical line number.
     """
     goods = tuple(goods)
+    repeated = [g for i, g in enumerate(goods) if g in goods[:i]]
+    if repeated:
+        raise ValueError("good %r appears more than once in --goods %r"
+                         % (repeated[0], list(goods)))
     required = ["w_%s" % g for g in goods] + ["log_p_%s" % g for g in goods]
     required += ["log_y", "log_z"]
     k = len(goods)
@@ -269,17 +268,29 @@ def _first_non_finite(obj, path=""):
     return next((f for f in found if f is not None), None)
 
 
+def _fit(cfg, ds, goods):
+    """The first stage (None without the control) and the share fits of
+    orders 1-3 of each of ``goods`` on ``ds``, good by good."""
+    basis = BasisSpec(cfg.price_degree, cfg.income_degree, cfg.include_control)
+    fs = first_stage(ds) if cfg.include_control else None
+    return fs, [fit_moment_surface(ds, good, n, basis, fs) for good in goods for n in (1, 2, 3)]
+
+
 def _surface_for_config(cfg, max_order):
+    """(surface, population, dataset) of the run's one source: a population's
+    surface carries orders up to ``max_order``, one fitted on --data orders 1-3."""
+    if cfg.population and cfg.data:
+        raise ValueError("--population and --data are two sources; give one")
     if cfg.population:
         pop = parse_population(cfg.population)
         return surface_from_population(pop, max_order), pop, None
     if not cfg.data:
         raise ValueError("either --population or --data is required")
+    good = cfg.good or cfg.goods[0]
+    if good not in cfg.goods:
+        raise ValueError("--good %r is not one of --goods %r" % (good, list(cfg.goods)))
     ds, _ = ingest_csv(cfg.data, cfg.goods)
-    good = cfg.good or ds.goods[0]
-    basis = BasisSpec(cfg.price_degree, cfg.income_degree, cfg.include_control)
-    fs = first_stage(ds) if cfg.include_control else None
-    fits = [fit_moment_surface(ds, good, n, basis, fs) for n in range(1, 4)]
+    _, fits = _fit(cfg, ds, (good,))
     return fitted_surface(fits).moment_surface, None, ds
 
 
@@ -296,6 +307,8 @@ def _bundle(cfg, **payload):
 
 
 def _cmd_simulate(cfg):
+    if cfg.data:
+        raise ValueError("simulate draws from --population and reads no --data")
     if cfg.seed is None:
         raise ValueError("--seed is required for simulate")
     _require_positive(cfg.n, "--n")
@@ -313,15 +326,10 @@ def _cmd_estimate(cfg):
     if not cfg.data:
         raise ValueError("--data is required for estimate")
     ds, warnings = ingest_csv(cfg.data, cfg.goods)
-    basis = BasisSpec(cfg.price_degree, cfg.income_degree, cfg.include_control)
-    fs = first_stage(ds) if cfg.include_control else None
-    fits = []
-    for good in ds.goods:
-        for order in (1, 2, 3):
-            fits.append(fit_moment_surface(ds, good, order, basis, fs))
+    fs, fits = _fit(cfg, ds, ds.goods)
     fit_dicts = [f.to_dict() for f in fits]
     write = functools.partial(_write_json, os.path.join(cfg.out, "fits.json"), fit_dicts)
-    first = {k: v for k, v in (fs.coefficients if fs else {}).items()}
+    first = dict(fs.coefficients) if fs else {}
     return _bundle(cfg, fits=fit_dicts, first_stage=first, warnings=warnings), [write]
 
 
@@ -330,17 +338,11 @@ def _cmd_welfare(cfg):
     if (cfg.z is None) != (cfg.k is None):
         raise ValueError("--z and --k must be given together, got only %s"
                          % ("--z" if cfg.k is None else "--k"))
-    surface, _, _ = _surface_for_config(cfg, max_order=4 if cfg.population else 3)
+    surface, _, _ = _surface_for_config(cfg, 4)
     quad = QuadratureRule.gauss_legendre(cfg.quad_nodes)
-    y = cfg.y
     thresholds = None if cfg.z is None else (cfg.z, cfg.k)
-
-    def one(dp):
-        pc = PriceChange.scalar(cfg.p0, cfg.p0 + dp, y)
-        rep = build_report(surface, pc, quad, cfg.b_lo, cfg.b_hi, thresholds)
-        return rep.to_dict()
-
-    reports = [one(dp) for dp in cfg.dp]
+    reports = [build_report(surface, PriceChange.scalar(cfg.p0, cfg.p0 + dp, cfg.y), quad,
+                            cfg.b_lo, cfg.b_hi, thresholds).to_dict() for dp in cfg.dp]
     header = ["dp", "first_order", "ra", "robust", "path", "bound_lower",
               "bound_upper", "var_robust", "var_additive", "var_first_order",
               "A1", "A2", "A3", "A4"]
@@ -354,6 +356,9 @@ def _cmd_welfare(cfg):
 
 
 def _cmd_oracle_check(cfg):
+    if cfg.data:
+        raise ValueError("oracle-check compares with a population's exact CV "
+                         "and reads no --data")
     _require_positive(cfg.quad_nodes, "--quad-nodes")
     pop = parse_population(cfg.population or "L0")
     surface = surface_from_population(pop, 4)
@@ -362,23 +367,12 @@ def _cmd_oracle_check(cfg):
     others = (cfg.p0,) * (pop.k - 1)
     pcs = [PriceChange(Budget((cfg.p0,) + others, cfg.y),
                        Budget((cfg.p0 + dp,) + others, cfg.y)) for dp in cfg.dp]
-    exacts = [res.mean for res in population_cv_sweep(pop, pcs)]
-
-    def one(dp, pc, exact):
-        ra = cv_ra(surface, pc)
-        robust = cv_moment_local(surface, 1, pc)
-        return {
-            "dp": dp,
-            "exact": exact,
-            "first_order": cv_first_order(surface, pc),
-            "ra": ra,
-            "robust": robust,
-            "path": cv_path(surface, pc, quad),
-            "err_ra": ra - exact,
-            "err_robust": robust - exact,
-        }
-
-    table = [one(*row) for row in zip(cfg.dp, pcs, exacts)]
+    table = []
+    for dp, pc, res in zip(cfg.dp, pcs, population_cv_sweep(pop, pcs)):
+        rep = build_report(surface, pc, quad)
+        table.append({"dp": dp, "exact": res.mean, "first_order": rep.first_order,
+                      "ra": rep.ra, "robust": rep.robust, "path": rep.path,
+                      "err_ra": rep.ra - res.mean, "err_robust": rep.robust - res.mean})
     header = ["dp", "exact", "first_order", "ra", "robust", "path",
               "err_ra", "err_robust"]
     write = functools.partial(_write_csv, os.path.join(cfg.out, "sweep.csv"), header,
@@ -389,19 +383,13 @@ def _cmd_oracle_check(cfg):
 def _cmd_rationality(cfg):
     degree = cfg.degree
     _require_positive(degree, "--degree")
-    pop = ds = None
-    if cfg.population:
-        pop = parse_population(cfg.population)
-        surface = surface_from_population(pop, degree + 2)
-    else:
-        surface, _, ds = _surface_for_config(cfg, max_order=3)
-        if degree + 2 > 3:
-            raise ValueError("fitted surfaces carry orders up to 3; degree must be 1")
+    if cfg.data and degree > 1:
+        raise ValueError("fitted surfaces carry orders up to 3; degree must be 1")
+    surface, pop, ds = _surface_for_config(cfg, degree + 2)
 
     def box_at(b):
         if pop is not None:
-            lo, hi = demand_support(pop, b)
-            return SupportBox(lo, hi)
+            return SupportBox(*pop.support(b))
         # empirical support: quantities observed within 5% of the budget
         lp0, ly0 = np.log(b.price(0)), np.log(b.income)
         near = ((np.abs(ds.log_prices[:, 0] - lp0) <= np.log(1.05))
@@ -417,13 +405,10 @@ def _cmd_rationality(cfg):
         for y in cfg.y_grid:
             b = Budget((p,), y)
             box = box_at(b)
-            if degree <= 1:
-                v = degree1_cone_test(surface, b, box)
-            else:
-                v = lp_violation_search(surface, b, degree, box)
-            rec = {"budget": {"prices": [p], "income": y}, "degree": degree}
-            rec.update(v.to_dict())
-            verdicts.append(rec)
+            v = (degree1_cone_test(surface, b, box) if degree == 1
+                 else lp_violation_search(surface, b, degree, box))
+            verdicts.append({"budget": {"prices": [p], "income": y}, "degree": degree,
+                             **v.to_dict()})
     write = functools.partial(_write_json, os.path.join(cfg.out, "verdicts.json"), verdicts)
     return _bundle(cfg, verdicts=verdicts), [write]
 

@@ -268,8 +268,10 @@ class _Design(NamedTuple):
 def _design(ds, basis, fs):
     """The sample's design for (basis, first stage), built on first use.
 
-    A rank deficient basis raises SingularDesignError naming the collinear
-    columns; nothing is stored then, so every call raises again.
+    A sample with no more rows than active basis columns raises
+    DegenerateDataError, and a rank deficient basis SingularDesignError
+    naming the collinear columns; nothing is stored then, so every call
+    raises again.
     """
     if not basis.include_control:
         fs = None  # then the first stage plays no part in the design
@@ -281,6 +283,8 @@ def _design(ds, basis, fs):
     # fixed (zero-variance) columns are pinned at coefficient zero
     active = [0] + [i for i in range(1, x_full.shape[1]) if np.std(x_full[:, i]) >= 1e-12]
     x = x_full[:, active]
+    if x.shape[0] <= x.shape[1]:
+        raise DegenerateDataError("%d rows cannot fit %d basis columns" % x.shape)
     q, r = np.linalg.qr(x)
     r_diag = np.abs(np.diag(r))
     if r_diag.min() <= r_diag.max() * max(x.shape) * np.finfo(float).eps:

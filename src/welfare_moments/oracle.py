@@ -737,8 +737,3 @@ def share_surface_from_population(pop, max_order, good=0):
         return r * m, r * (n * m + p * dm_dp), r * (-n * m + incomes * dm_dy)
 
     return ShareMomentSurface(max_order, batch, good=good)
-
-
-def demand_support(pop, b, good=0):
-    """Exact support bounds of quantity demanded at a budget."""
-    return pop.support(b, good)

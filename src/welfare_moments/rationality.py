@@ -27,14 +27,6 @@ class SimplexError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Translation:
-    """Value of the Slutsky functional against one monomial in demand."""
-
-    degree: int
-    value: float
-
-
-@dataclass(frozen=True)
 class SupportBox:
     """Bounds on quantity demanded at the tested budget."""
 
@@ -61,21 +53,16 @@ class RationalityVerdict:
 
 
 def monomial_translation(surface, degree, b):
-    """Translation of x^degree: population mean of (dq/dp + q dq/dy) q^degree."""
+    """Translation of x^degree: population mean of (dq/dp + q dq/dy) q^degree.
+
+    The n-th Slutsky moment inequality is ``monomial_translation(surface,
+    n - 1, b) <= 0``.
+    """
     if degree + 2 > surface.max_order:
         raise OrderError("degree %d needs moment order %d, surface has %d"
                          % (degree, degree + 2, surface.max_order))
     n = degree + 1
-    return Translation(degree, surface.d_price(n, b) / n
-                       + surface.d_income(n + 1, b) / (n + 1))
-
-
-def slutsky_moment_inequality(surface, n, b):
-    """Left side of the n-th Slutsky moment inequality; <= 0 is necessary.
-
-    Identical to the translation of the degree (n-1) monomial.
-    """
-    return monomial_translation(surface, n - 1, b).value
+    return surface.d_price(n, b) / n + surface.d_income(n + 1, b) / (n + 1)
 
 
 def translate_polynomial(coeffs, surface, b):
@@ -84,8 +71,7 @@ def translate_polynomial(coeffs, surface, b):
     if len(coeffs) - 1 + 2 > surface.max_order:
         raise OrderError("polynomial degree %d needs moment order %d"
                          % (len(coeffs) - 1, len(coeffs) + 1))
-    return float(sum(a * monomial_translation(surface, i, b).value
-                     for i, a in enumerate(coeffs)))
+    return float(sum(a * monomial_translation(surface, i, b) for i, a in enumerate(coeffs)))
 
 
 def degree1_cone_test(surface, b, box):
@@ -96,8 +82,8 @@ def degree1_cone_test(surface, b, box):
     """
     if surface.max_order < 3:
         raise OrderError("degree-1 cone test needs moment orders up to 3")
-    g0 = monomial_translation(surface, 0, b).value
-    g1 = monomial_translation(surface, 1, b).value
+    g0 = monomial_translation(surface, 0, b)
+    g1 = monomial_translation(surface, 1, b)
     margins = [g0, g1 - box.q_min * g0, box.q_max * g0 - g1]
     if box.q_min >= 0.0:
         margins.append(g1)
@@ -194,5 +180,5 @@ def hankel_verdict(gammas, box):
 def lp_violation_search(surface, b, degree, box):
     """Exact rationalizability verdict at the given polynomial degree
     (:func:`hankel_verdict` on the surface's translations at b)."""
-    gammas = [monomial_translation(surface, i, b).value for i in range(degree + 1)]
+    gammas = [monomial_translation(surface, i, b) for i in range(degree + 1)]
     return hankel_verdict(gammas, box)

@@ -25,7 +25,6 @@ from welfare_moments import (
     cv_path,
     cv_ra,
     degree1_cone_test,
-    demand_support,
     first_stage,
     fit_moment_surface,
     fitted_surface,
@@ -221,12 +220,12 @@ def test_criterion_10_rationality_battery(l0_surface, cd2_surface):
     cd2 = CobbDouglasPopulation.two_type(0.3)
     worst = -np.inf
     for b in random_budgets(rng, 20, RATIONAL_P, RATIONAL_Y):
-        box = SupportBox(*demand_support(L0, b))
+        box = SupportBox(*L0.support(b))
         worst = max(worst, degree1_cone_test(l0_surface, b, box).worst_margin)
         for d in (1, 2, 3):
             worst = max(worst, lp_violation_search(l0_surface, b, d, box).worst_margin)
     for b in random_budgets(rng, 20, (0.5, 2.0), (1.0, 5.0), k=2):
-        box = SupportBox(*demand_support(cd2, b))
+        box = SupportBox(*cd2.support(b))
         for d in (1, 2, 3):
             worst = max(worst, lp_violation_search(cd2_surface, b, d, box).worst_margin)
     rational_ok = worst <= 1e-8
@@ -244,7 +243,7 @@ def test_criterion_10_rationality_battery(l0_surface, cd2_surface):
         mix = LinearTypeMixture([(m, r.uniform(0.0, 1.5), r.uniform(-1.0, 0.5),
                                   r.uniform(-0.2, 0.6)) for m in masses])
         sm = surface_from_population(mix, 5)
-        lo, hi = demand_support(mix, b0)
+        lo, hi = mix.support(b0)
         box = SupportBox(lo - 0.05, hi + 0.05)
         agree += (degree1_cone_test(sm, b0, box).passed
                   == lp_violation_search(sm, b0, 1, box).passed)

@@ -192,6 +192,37 @@ def test_lone_chebyshev_threshold_exits_1(tmp_path, capsys, monkeypatch, flag, g
     assert not out.exists()
 
 
+TWO_SOURCES = "--population and --data are two sources; give one"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["welfare", "--goods", "q", "--good", "fuel"],
+                 "--good 'fuel' is not one of --goods ['q']", id="good-outside-goods"),
+    pytest.param(["welfare", "--goods", "q,q"],
+                 "good 'q' appears more than once in --goods ['q', 'q']", id="repeated-good"),
+    pytest.param(["estimate", "--goods", "food,q,food"],
+                 "good 'food' appears more than once in --goods ['food', 'q', 'food']",
+                 id="repeated-good-estimate"),
+    pytest.param(["rationality", "--degree", "2"],
+                 "fitted surfaces carry orders up to 3; degree must be 1", id="fitted-degree"),
+    pytest.param(["welfare", "--population", "L0"], TWO_SOURCES, id="welfare-two-sources"),
+    pytest.param(["rationality", "--population", "L0"], TWO_SOURCES,
+                 id="rationality-two-sources"),
+    pytest.param(["oracle-check"],
+                 "oracle-check compares with a population's exact CV and reads no --data",
+                 id="oracle-check-data"),
+    pytest.param(["simulate", "--population", "L0", "--n", "10", "--seed", "1"],
+                 "simulate draws from --population and reads no --data", id="simulate-data"),
+])
+def test_bad_data_run_is_refused_before_any_read(tmp_path, capsys, argv, message):
+    # the file does not exist, so a run that read it would fail otherwise
+    out = tmp_path / "run"
+    assert main(argv + ["--data", str(tmp_path / "missing.csv"), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": message}
+    assert not out.exists()
+
+
 def test_config_file_grid_key_exits_1(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"population": "L0", "degree": 2, "grid": 40}))
@@ -335,6 +366,19 @@ def test_fitted_surface_outside_sample_exits_2(tmp_path, capsys, l0_draws, incom
     assert "income %s lies outside the estimation sample" % income in err["message"]
     assert "decomposition" not in captured.err and "overflow" not in captured.err
     assert not out.exists()
+
+
+def test_estimate_with_no_more_rows_than_basis_columns_exits_1(tmp_path, capsys, l0_draws):
+    lines = l0_draws.read_text().splitlines(keepends=True)
+    for rows, code in ((6, 1), (9, 0)):
+        data = tmp_path / ("head%d.csv" % rows)
+        data.write_text("".join(lines[:rows + 1]))
+        out = tmp_path / ("run%d" % rows)
+        assert main(["estimate", "--data", str(data), "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DegenerateDataError"
+    assert err["message"].startswith("6 rows cannot fit 8 basis columns")
 
 
 def test_zero_change_outside_sample_exits_2(tmp_path, capsys, l0_draws):

@@ -193,6 +193,19 @@ def test_fit_rank_deficient_basis():
         assert err.value.columns == ["log_p_fuel^1", "log_p_fuel^2", "log_p_fuel^3"]
 
 
+def test_sample_no_larger_than_basis_is_degenerate():
+    # a reduced QR of a wide basis has only n diagonal entries, so the rank
+    # check alone would pass it
+    ds = population_cross_section(L0, 9, 0)
+    assert fit_moment_surface(ds, "q", 1, BasisSpec(), first_stage(ds)).iters > 0
+    for n in (6, 8):
+        small = ds.take(np.arange(n))
+        with pytest.raises(DegenerateDataError,
+                           match="^%d rows cannot fit 8 basis columns" % n):
+            fit_moment_surface(small, "q", 1, BasisSpec(), first_stage(small))
+        assert small._designs == {}
+
+
 def _count_qr(monkeypatch):
     calls = []
     qr = np.linalg.qr

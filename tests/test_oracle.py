@@ -20,7 +20,6 @@ from welfare_moments import (
     compensated_jacobian_multigood,
     counterexample_discrepancy,
     cv_constant_income_effect,
-    demand_support,
     exact_cv_type,
     exact_moment,
     income_effect_moment,
@@ -238,7 +237,7 @@ def test_surface_degenerate_population_jensen_equality():
 
 
 def test_demand_support_l0():
-    lo, hi = demand_support(L0, B_STAR)
+    lo, hi = L0.support(B_STAR)
     assert lo == pytest.approx(-1.0 / 3.0, abs=1e-12)
     assert hi == pytest.approx(4.0 / 3.0, abs=1e-12)
 
@@ -246,8 +245,8 @@ def test_demand_support_l0():
 def test_q0_support_matches_l0():
     rng = np.random.default_rng(9)
     for b in random_budgets(rng, 5, EQUIV_P, EQUIV_Y):
-        lo_l, hi_l = demand_support(L0, b)
-        lo_q, hi_q = demand_support(Q0, b)
+        lo_l, hi_l = L0.support(b)
+        lo_q, hi_q = Q0.support(b)
         assert lo_q == pytest.approx(lo_l, abs=1e-9)
         assert hi_q == pytest.approx(hi_l, abs=1e-9)
 

@@ -10,10 +10,8 @@ from welfare_moments import (
     RationalityVerdict,
     SupportBox,
     degree1_cone_test,
-    demand_support,
     lp_violation_search,
     monomial_translation,
-    slutsky_moment_inequality,
     surface_from_population,
     translate_polynomial,
 )
@@ -36,7 +34,7 @@ def _grid_lp(surface, b, degree, box, grid_size):
     """(c, a_ub, b_ub) of the grid LP: maximize the translation over
     l1-normalized polynomials nonnegative at Chebyshev points of the box;
     the variables are the positive and negative parts of the coefficients."""
-    gammas = np.array([monomial_translation(surface, i, b).value
+    gammas = np.array([monomial_translation(surface, i, b)
                        for i in range(degree + 1)])
     grid = _chebyshev_lobatto(box.q_min, box.q_max, grid_size)
     vand = np.vander(grid, degree + 1, increasing=True)  # rows: [1, x, x^2, ...]
@@ -96,7 +94,7 @@ def violator_surface():
 
 
 def test_slutsky_inequality_l0(l0_surface):
-    got = slutsky_moment_inequality(l0_surface, 1, B_STAR)
+    got = monomial_translation(l0_surface, 0, B_STAR)
     assert got == pytest.approx(-25.0 / 36.0, abs=1e-12)
     assert got <= 0.0
 
@@ -104,21 +102,13 @@ def test_slutsky_inequality_l0(l0_surface):
 def test_slutsky_inequality_quasilinear_downward():
     pop = LinearTypeMixture([(1.0, 2.0, -0.8, 0.0)])
     surface = surface_from_population(pop, 3)
-    assert slutsky_moment_inequality(surface, 1, B_STAR) == pytest.approx(-0.8)
+    assert monomial_translation(surface, 0, B_STAR) == pytest.approx(-0.8)
 
 
 def test_slutsky_inequality_violator():
     upward = LinearTypeMixture([(1.0, 0.5, 1.0, 0.0)])
     surface = surface_from_population(upward, 3)
-    assert slutsky_moment_inequality(surface, 1, B_STAR) == pytest.approx(1.0)
-
-
-def test_slutsky_equals_monomial_translation(l0_surface):
-    rng = np.random.default_rng(13)
-    for b in random_budgets(rng, 5, RATIONAL_P, RATIONAL_Y):
-        for n in (1, 2, 3, 4):
-            assert slutsky_moment_inequality(l0_surface, n, b) == pytest.approx(
-                monomial_translation(l0_surface, n - 1, b).value, abs=1e-12)
+    assert monomial_translation(surface, 0, B_STAR) == pytest.approx(1.0)
 
 
 def test_translate_polynomial(l0_surface):
@@ -133,7 +123,7 @@ def test_translate_polynomial(l0_surface):
 
 
 def test_degree1_cone_l0_passes(l0_surface):
-    box = SupportBox(*demand_support(L0, B_STAR))
+    box = SupportBox(*L0.support(B_STAR))
     verdict = degree1_cone_test(l0_surface, B_STAR, box)
     assert verdict.passed
     assert verdict.worst_margin < 0.0
@@ -143,8 +133,8 @@ def test_degree1_cone_constructed_failure():
     # translations: degree zero -1, degree one +0.5 on support [0, 1]
     pop = LinearTypeMixture([(0.5, 3.6, -3.5, 0.0), (0.5, -0.6, 1.5, 0.0)])
     surface = surface_from_population(pop, 3)
-    assert monomial_translation(surface, 0, B_STAR).value == pytest.approx(-1.0)
-    assert monomial_translation(surface, 1, B_STAR).value == pytest.approx(0.5)
+    assert monomial_translation(surface, 0, B_STAR) == pytest.approx(-1.0)
+    assert monomial_translation(surface, 1, B_STAR) == pytest.approx(0.5)
     verdict = degree1_cone_test(surface, B_STAR, SupportBox(0.0, 1.0))
     assert not verdict.passed
     assert verdict.worst_margin == pytest.approx(0.5)
@@ -153,8 +143,8 @@ def test_degree1_cone_constructed_failure():
 def test_degree1_cone_degenerate_box(l0_surface):
     q_bar = 0.5
     verdict = degree1_cone_test(l0_surface, B_STAR, SupportBox(q_bar, q_bar))
-    g0 = monomial_translation(l0_surface, 0, B_STAR).value
-    g1 = monomial_translation(l0_surface, 1, B_STAR).value
+    g0 = monomial_translation(l0_surface, 0, B_STAR)
+    g1 = monomial_translation(l0_surface, 1, B_STAR)
     expected = max(g0, g1 - q_bar * g0, q_bar * g0 - g1, g1)
     assert verdict.worst_margin == pytest.approx(expected, abs=1e-14)
 
@@ -180,7 +170,7 @@ def test_lp_agrees_with_cone_on_random_surfaces(l0_surface):
         mix = LinearTypeMixture([(m, rng.uniform(0.0, 1.5), rng.uniform(-1.0, 0.5),
                                   rng.uniform(-0.2, 0.6)) for m in masses])
         surface = surface_from_population(mix, 5)
-        lo, hi = demand_support(mix, b0)
+        lo, hi = mix.support(b0)
         box = SupportBox(lo - 0.05, hi + 0.05)
         cone = degree1_cone_test(surface, b0, box)
         lp = lp_violation_search(surface, b0, 1, box)
@@ -192,12 +182,12 @@ def test_lp_rational_oracles_pass(l0_surface, cd2_surface):
     rng = np.random.default_rng(42)
     cd2 = CobbDouglasPopulation.two_type(0.3)
     for b in random_budgets(rng, 20, RATIONAL_P, RATIONAL_Y):
-        box = SupportBox(*demand_support(L0, b))
+        box = SupportBox(*L0.support(b))
         for d in (1, 2, 3):
             verdict = lp_violation_search(l0_surface, b, d, box)
             assert verdict.passed and verdict.worst_margin <= 1e-8
     for b in random_budgets(rng, 20, (0.5, 2.0), (1.0, 5.0), k=2):
-        box = SupportBox(*demand_support(cd2, b))
+        box = SupportBox(*cd2.support(b))
         for d in (1, 2, 3):
             verdict = lp_violation_search(cd2_surface, b, d, box)
             assert verdict.passed and verdict.worst_margin <= 1e-8
@@ -243,7 +233,7 @@ def test_lp_grid_doubling_stability(violator_surface, l0_surface):
     v1 = lp_violation_search_reference(violator_surface, b0, 2, SupportBox(0.0, 1.0), 512)
     v2 = lp_violation_search_reference(violator_surface, b0, 2, SupportBox(0.0, 1.0), 1024)
     assert abs(v1.worst_margin - v2.worst_margin) < 1e-6
-    box = SupportBox(*demand_support(L0, B_STAR))
+    box = SupportBox(*L0.support(B_STAR))
     r1 = lp_violation_search_reference(l0_surface, B_STAR, 2, box, 512)
     r2 = lp_violation_search_reference(l0_surface, B_STAR, 2, box, 1024)
     assert abs(r1.worst_margin - r2.worst_margin) < 1e-6
@@ -280,7 +270,7 @@ def test_hankel_flags_match_lp_reference_on_rational_grids():
     surfaces = {}
     for pop, b in _rational_grids():
         surface = surfaces.setdefault(pop, surface_from_population(pop, 5))
-        box = SupportBox(*demand_support(pop, b))
+        box = SupportBox(*pop.support(b))
         for d in (1, 2, 3):
             exact = lp_violation_search(surface, b, d, box)
             reference = lp_violation_search_reference(surface, b, d, box)
@@ -294,7 +284,7 @@ def test_hankel_flags_match_lp_reference_on_random_mixtures():
     for i in range(50):
         mix = random_mixture(100 + i)
         surface = surface_from_population(mix, 5)
-        lo, hi = demand_support(mix, b0)
+        lo, hi = mix.support(b0)
         box = SupportBox(lo - 0.05, hi + 0.05)
         for d in (1, 2, 3):
             exact = lp_violation_search(surface, b0, d, box)
@@ -309,7 +299,7 @@ def test_hankel_witness_translation_equals_margin():
     for i in range(50):
         mix = random_mixture(100 + i)
         surface = surface_from_population(mix, 6)
-        lo, hi = demand_support(mix, b0)
+        lo, hi = mix.support(b0)
         box = SupportBox(lo - 0.05, hi + 0.05)
         for d in (1, 2, 3, 4):
             verdict = lp_violation_search(surface, b0, d, box)
@@ -331,7 +321,7 @@ def test_hankel_failure_persists_at_higher_degree():
     for i in range(50):
         mix = random_mixture(100 + i)
         surface = surface_from_population(mix, 6)
-        lo, hi = demand_support(mix, b0)
+        lo, hi = mix.support(b0)
         box = SupportBox(lo - 0.05, hi + 0.05)
         flags = [lp_violation_search(surface, b0, d, box).passed for d in (1, 2, 3, 4)]
         for lower, higher in zip(flags, flags[1:]):
@@ -365,9 +355,9 @@ def test_hankel_margin_stable_under_last_bit_changes():
     pop = CobbDouglasPopulation.two_type(0.3)
     surface = surface_from_population(pop, 5)
     for _, b in _rational_grids()[16:]:
-        box = SupportBox(*demand_support(pop, b))
+        box = SupportBox(*pop.support(b))
         for d in (2, 3):
-            gammas = np.array([monomial_translation(surface, k, b).value
+            gammas = np.array([monomial_translation(surface, k, b)
                                for k in range(d + 1)])
             base = hankel_verdict(gammas, box)
             nudged = np.nextafter(gammas, np.where(rng.random(d + 1) < 0.5, -np.inf, np.inf))
@@ -380,11 +370,11 @@ def test_lp_reference_matches_scipy_linprog(violator_surface, l0_surface):
     linprog = pytest.importorskip("scipy.optimize").linprog
     b0 = Budget((1.0,), 2.0)
     cases = [(violator_surface, b0, d, SupportBox(0.0, 1.0)) for d in (1, 2, 3)]
-    box = SupportBox(*demand_support(L0, B_STAR))
+    box = SupportBox(*L0.support(B_STAR))
     cases += [(l0_surface, B_STAR, d, box) for d in (1, 2, 3)]
     for i in range(5):
         mix = random_mixture(100 + i)
-        lo, hi = demand_support(mix, b0)
+        lo, hi = mix.support(b0)
         cases.append((surface_from_population(mix, 5), b0, 3,
                       SupportBox(lo - 0.05, hi + 0.05)))
     for surface, b, d, box in cases:
