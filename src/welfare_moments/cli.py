@@ -294,6 +294,19 @@ def _surface_for_config(cfg, max_order):
     return fitted_surface(fits).moment_surface, None, ds
 
 
+def _n_prices(ds):
+    """Prices in a budget: one per --goods column on --data, else one."""
+    return 1 if ds is None else len(ds.goods)
+
+
+def _price_change(cfg, dp, k, good):
+    """A change of ``good``'s price by dp at income --y, in budgets of k
+    prices that all start at --p0."""
+    start = (cfg.p0,) * k
+    end = start[:good] + (cfg.p0 + dp,) + start[good + 1:]
+    return PriceChange(Budget(start, cfg.y), Budget(end, cfg.y))
+
+
 def _require_positive(value, flag):
     """Refuse a count flag below 1 before any surface is built."""
     if value < 1:
@@ -323,6 +336,8 @@ def _cmd_simulate(cfg):
 
 
 def _cmd_estimate(cfg):
+    if cfg.population:
+        raise ValueError("estimate fits --data and reads no --population")
     if not cfg.data:
         raise ValueError("--data is required for estimate")
     ds, warnings = ingest_csv(cfg.data, cfg.goods)
@@ -338,10 +353,11 @@ def _cmd_welfare(cfg):
     if (cfg.z is None) != (cfg.k is None):
         raise ValueError("--z and --k must be given together, got only %s"
                          % ("--z" if cfg.k is None else "--k"))
-    surface, _, _ = _surface_for_config(cfg, 4)
+    surface, _, ds = _surface_for_config(cfg, 4)
     quad = QuadratureRule.gauss_legendre(cfg.quad_nodes)
     thresholds = None if cfg.z is None else (cfg.z, cfg.k)
-    reports = [build_report(surface, PriceChange.scalar(cfg.p0, cfg.p0 + dp, cfg.y), quad,
+    k = _n_prices(ds)
+    reports = [build_report(surface, _price_change(cfg, dp, k, surface.good), quad,
                             cfg.b_lo, cfg.b_hi, thresholds).to_dict() for dp in cfg.dp]
     header = ["dp", "first_order", "ra", "robust", "path", "bound_lower",
               "bound_upper", "var_robust", "var_additive", "var_first_order",
@@ -363,10 +379,7 @@ def _cmd_oracle_check(cfg):
     pop = parse_population(cfg.population or "L0")
     surface = surface_from_population(pop, 4)
     quad = QuadratureRule.gauss_legendre(cfg.quad_nodes)
-    # A k-good population gets k-price budgets: every price at p0, good 0 moving.
-    others = (cfg.p0,) * (pop.k - 1)
-    pcs = [PriceChange(Budget((cfg.p0,) + others, cfg.y),
-                       Budget((cfg.p0 + dp,) + others, cfg.y)) for dp in cfg.dp]
+    pcs = [_price_change(cfg, dp, pop.k, 0) for dp in cfg.dp]
     table = []
     for dp, pc, res in zip(cfg.dp, pcs, population_cv_sweep(pop, pcs)):
         rep = build_report(surface, pc, quad)
@@ -386,29 +399,30 @@ def _cmd_rationality(cfg):
     if cfg.data and degree > 1:
         raise ValueError("fitted surfaces carry orders up to 3; degree must be 1")
     surface, pop, ds = _surface_for_config(cfg, degree + 2)
+    j = surface.good
 
     def box_at(b):
         if pop is not None:
             return SupportBox(*pop.support(b))
-        # empirical support: quantities observed within 5% of the budget
-        lp0, ly0 = np.log(b.price(0)), np.log(b.income)
-        near = ((np.abs(ds.log_prices[:, 0] - lp0) <= np.log(1.05))
+        # empirical support: the good's quantities observed within 5% of the budget
+        lp0, ly0 = np.log(b.price(j)), np.log(b.income)
+        near = ((np.abs(ds.log_prices[:, j] - lp0) <= np.log(1.05))
                 & (np.abs(ds.log_y - ly0) <= np.log(1.05)))
         if not np.any(near):
             raise ValueError("no observations within 5%% of budget (%g, %g)"
-                             % (b.price(0), b.income))
-        q = ds.shares[near, 0] * np.exp(ds.log_y[near] - ds.log_prices[near, 0])
+                             % (b.price(j), b.income))
+        q = ds.shares[near, j] * np.exp(ds.log_y[near] - ds.log_prices[near, j])
         return SupportBox(float(np.min(q)), float(np.max(q)))
 
     verdicts = []
     for p in cfg.p_grid:
         for y in cfg.y_grid:
-            b = Budget((p,), y)
+            b = Budget((p,) * _n_prices(ds), y)
             box = box_at(b)
             v = (degree1_cone_test(surface, b, box) if degree == 1
                  else lp_violation_search(surface, b, degree, box))
-            verdicts.append({"budget": {"prices": [p], "income": y}, "degree": degree,
-                             **v.to_dict()})
+            verdicts.append({"budget": {"prices": list(b.prices), "income": y},
+                             "degree": degree, **v.to_dict()})
     write = functools.partial(_write_json, os.path.join(cfg.out, "verdicts.json"), verdicts)
     return _bundle(cfg, verdicts=verdicts), [write]
 

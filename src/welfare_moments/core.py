@@ -192,6 +192,20 @@ class ShareMomentSurface(_Surface):
         return self._read(2, n, b)
 
 
+def monomial_translation(surface, degree, b):
+    """Slutsky moment S_(degree+1): population mean of (dq/dp + q dq/dy) q^degree.
+
+    It is the translation of x^degree; the n-th Slutsky moment inequality
+    is ``monomial_translation(surface, n - 1, b) <= 0``, and n S_n is the
+    price slope of the n-th compensated demand moment.
+    """
+    if degree + 2 > surface.max_order:
+        raise OrderError("degree %d needs moment order %d, surface has %d"
+                         % (degree, degree + 2, surface.max_order))
+    n = degree + 1
+    return surface.d_price(n, b) / n + surface.d_income(n + 1, b) / (n + 1)
+
+
 # Relative step of every central difference: the reference partials below
 # and the log-income derivative in ``welfare.price_index_decompose``.
 FD_STEP = 1e-5

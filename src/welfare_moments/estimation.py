@@ -243,9 +243,9 @@ def first_stage(ds):
             dropped.append(labels[i])
         else:
             keep.append(i)
-    design = x[:, keep]
+    design, kept = x[:, keep], [labels[i] for i in keep]
     if ds.n <= design.shape[1] or np.linalg.matrix_rank(design) < design.shape[1]:
-        raise SingularDesignError(_collinear_columns(x, labels) or labels[1:])
+        raise SingularDesignError(_collinear_columns(design, kept) or kept[1:])
     coef, *_ = np.linalg.lstsq(design, ds.log_y, rcond=None)
     residuals = ds.log_y - design @ coef
     full = dict.fromkeys(labels, 0.0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OrderError
+from .core import OrderError, monomial_translation
 
 
 TOLERANCE = 1e-8  # a verdict passes when its worst margin is at most this
@@ -50,19 +50,6 @@ class RationalityVerdict:
             "worst_margin": float(self.worst_margin),
             "witness_coeffs": list(self.witness) if self.witness is not None else [],
         }
-
-
-def monomial_translation(surface, degree, b):
-    """Translation of x^degree: population mean of (dq/dp + q dq/dy) q^degree.
-
-    The n-th Slutsky moment inequality is ``monomial_translation(surface,
-    n - 1, b) <= 0``.
-    """
-    if degree + 2 > surface.max_order:
-        raise OrderError("degree %d needs moment order %d, surface has %d"
-                         % (degree, degree + 2, surface.max_order))
-    n = degree + 1
-    return surface.d_price(n, b) / n + surface.d_income(n + 1, b) / (n + 1)
 
 
 def translate_polynomial(coeffs, surface, b):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FD_STEP, OrderError, ShapeError
+from .core import FD_STEP, OrderError, ShapeError, monomial_translation
 
 
 class InternalConsistencyError(RuntimeError):
@@ -72,38 +72,36 @@ def _path_bound(dp, t, w, m1, effect):
 
 
 def compensated_moment_fo(surface, n, b, dp):
-    """First-order approximation of the n-th compensated demand moment."""
-    if n + 1 > surface.max_order:
-        raise OrderError("needs moment order %d, surface has %d" % (n + 1, surface.max_order))
-    correction = (surface.d_price(n, b) / n
-                  + surface.d_income(n + 1, b) / (n + 1))
-    return surface.moment(n, b) + correction * dp
+    """First-order approximation of the n-th compensated demand moment,
+    M_n + n S_n dp with S_n the n-th Slutsky moment."""
+    return surface.moment(n, b) + n * monomial_translation(surface, n - 1, b) * dp
+
+
+def _share_slope(share_surface, n, b):
+    """The share surface's Slutsky moment: the mean of
+    w^(n-1) (dw/dlogp + w dw/dlogy + w^2), from the log-derivatives of
+    W_n and W_(n+1)."""
+    if n + 1 > share_surface.max_order:
+        raise OrderError("needs share order %d, surface has %d" % (n + 1, share_surface.max_order))
+    return (share_surface.d_logp(n, b) / n
+            + share_surface.d_logy(n + 1, b) / (n + 1)
+            + share_surface.moment(n + 1, b))
 
 
 def compensated_share_moment(share_surface, n, b, dp):
     """First-order approximation of the n-th compensated budget-share moment."""
-    if n + 1 > share_surface.max_order:
-        raise OrderError("needs share order %d, surface has %d" % (n + 1, share_surface.max_order))
     p0 = b.price(share_surface.good)
-    correction = (share_surface.d_logp(n, b) / n
-                  + share_surface.d_logy(n + 1, b) / (n + 1)
-                  + share_surface.moment(n + 1, b))
-    return share_surface.moment(n, b) + correction * (dp / p0)
+    return share_surface.moment(n, b) + n * _share_slope(share_surface, n, b) * (dp / p0)
 
 
 def cv_moment_local(surface, n, pc):
-    """Second-order approximation of the n-th moment of the compensating variation.
+    """Second-order approximation of the n-th moment of the compensating variation:
+    dp^n times the n-th compensated demand moment at the midpoint price.
 
     Uses only the n-th and (n+1)-st demand moments at the initial budget.
     """
-    if n + 1 > surface.max_order:
-        raise OrderError("needs moment order %d, surface has %d" % (n + 1, surface.max_order))
     dp = _own_delta(surface, pc)
-    b0 = pc.start
-    inner = (surface.moment(n, b0)
-             + (dp / 2.0) * (surface.d_price(n, b0)
-                             + surface.d_income(n + 1, b0) * n / (n + 1.0)))
-    return dp ** n * inner
+    return dp ** n * compensated_moment_fo(surface, n, pc.start, dp / 2.0)
 
 
 def cv_first_order(surface, pc):
@@ -111,13 +109,17 @@ def cv_first_order(surface, pc):
     return _own_delta(surface, pc) * surface.moment(1, pc.start)
 
 
-def cv_ra(surface, pc):
-    """Representative-agent welfare effect; treats mean demand as one consumer."""
+def _local_bound(surface, pc, effect):
+    """Local CV of one consumer with mean demand and income effect ``effect``."""
     dp = _own_delta(surface, pc)
     b0 = pc.start
     m1 = surface.moment(1, b0)
-    return dp * m1 + (dp ** 2 / 2.0) * (surface.d_price(1, b0)
-                                        + m1 * surface.d_income(1, b0))
+    return dp * m1 + (dp ** 2 / 2.0) * (surface.d_price(1, b0) + m1 * effect)
+
+
+def cv_ra(surface, pc):
+    """Representative-agent welfare effect; treats mean demand as one consumer."""
+    return _local_bound(surface, pc, surface.d_income(1, pc.start))
 
 
 def cv_path(surface, pc, quad=None):
@@ -145,15 +147,7 @@ def hn_bounds_local(surface, pc, b_lo, b_hi):
     """
     if b_lo > b_hi:
         raise ValueError("lower income-effect bound exceeds upper bound")
-    dp = _own_delta(surface, pc)
-    b0 = pc.start
-    m1 = surface.moment(1, b0)
-    dpm1 = surface.d_price(1, b0)
-
-    def bound(eff):
-        return dp * m1 + (dp ** 2 / 2.0) * (dpm1 + m1 * eff)
-
-    lo, hi = bound(b_lo), bound(b_hi)
+    lo, hi = _local_bound(surface, pc, b_lo), _local_bound(surface, pc, b_hi)
     return (lo, hi) if lo <= hi else (hi, lo)
 
 
@@ -235,6 +229,10 @@ def cv_variance(surface, pc, kind="robust"):
     """
     if kind not in VARIANCE_KINDS:
         raise ValueError("kind must be one of %s" % (VARIANCE_KINDS,))
+    if kind == "robust":
+        if surface.max_order < 3:
+            raise OrderError("robust variance needs moment orders up to 3")
+        return cv_moment_local(surface, 2, pc) - cv_moment_local(surface, 1, pc) ** 2
     dp = _own_delta(surface, pc)
     b0 = pc.start
     m1 = surface.moment(1, b0)
@@ -243,17 +241,8 @@ def cv_variance(surface, pc, kind="robust"):
         return dp ** 2 * (m2 - m1 ** 2)
     dpm1 = surface.d_price(1, b0)
     dym1 = surface.d_income(1, b0)
-    if kind == "additive_separable":
-        first = m2 + dp * (m1 * dpm1 + m2 * dym1)
-        second = m1 + (dp / 2.0) * (dpm1 + m1 * dym1)
-        return dp ** 2 * (first - second ** 2)
-    if surface.max_order < 3:
-        raise OrderError("robust variance needs moment orders up to 3")
-    dpm2 = surface.d_price(2, b0)
-    dym2 = surface.d_income(2, b0)
-    dym3 = surface.d_income(3, b0)
-    first = m2 + (dp / 2.0) * (dpm2 + (2.0 / 3.0) * dym3)
-    second = m1 + (dp / 2.0) * (dpm1 + 0.5 * dym2)
+    first = m2 + dp * (m1 * dpm1 + m2 * dym1)
+    second = m1 + (dp / 2.0) * (dpm1 + m1 * dym1)
     return dp ** 2 * (first - second ** 2)
 
 
@@ -292,7 +281,7 @@ def cv_decompose(surface, pc):
     a3 = half * (m2 - m1 ** 2) / y
     a4 = half * (0.5 * dym2 - m1 * dym1 - (m2 - m1 ** 2) / y)
     dec = CvDecomposition(a1, a2, a3, a4)
-    target = half * (dpm1 + 0.5 * dym2)
+    target = half * monomial_translation(surface, 0, b0)
     if abs(dec.total - target) > 1e-10 * max(1.0, abs(target)):
         raise InternalConsistencyError(
             "CV decomposition sums to %.3e, expected %.3e" % (dec.total, target))
@@ -307,12 +296,8 @@ def price_index(share_surface, dlogp, b):
     """
     if share_surface.max_order < 2:
         raise OrderError("price index needs share orders up to 2")
-    w1 = share_surface.moment(1, b)
-    w2 = share_surface.moment(2, b)
-    second = (share_surface.d_logp(1, b)
-              + 0.5 * share_surface.d_logy(2, b)
-              + w2)
-    return w1 * dlogp + (dlogp ** 2 / 2.0) * second
+    return (share_surface.moment(1, b) * dlogp
+            + (dlogp ** 2 / 2.0) * _share_slope(share_surface, 1, b))
 
 
 @dataclass(frozen=True)
@@ -352,7 +337,7 @@ def price_index_decompose(share_surface, dlogp, b):
         return a1, a2, a3, a4, ra, het
 
     a1, a2, a3, a4, _, _ = parts(b)
-    target = price_index(share_surface, dlogp, b) - share_surface.moment(1, b) * dlogp
+    target = (dlogp ** 2 / 2.0) * _share_slope(share_surface, 1, b)
     total = a1 + a2 + a3 + a4
     if abs(total - target) > 1e-10 * max(1.0, abs(target)):
         raise InternalConsistencyError(
@@ -373,9 +358,7 @@ def price_index_decompose(share_surface, dlogp, b):
 
 def tax_deadweight(surface, b, tau, dtau_dtheta):
     """Efficiency effect of a marginal perturbation of a linear tax rate."""
-    slope = (surface.d_price(1, b)
-             + 0.5 * surface.d_income(2, b)
-             - surface.d_income(1, b))
+    slope = monomial_translation(surface, 0, b) - surface.d_income(1, b)
     return slope * tau * dtau_dtheta
 
 
@@ -457,6 +440,8 @@ def build_report(surface, pc, quad=None, b_lo=None, b_hi=None,
         raise ValueError("lower income-effect bound exceeds upper bound")
 
     robust = cv_moment_local(surface, 1, pc)
+    moments = (robust,) + tuple(cv_moment_local(surface, n, pc)
+                                for n in range(2, surface.max_order))
     t, w = np.asarray(quad.nodes), np.asarray(quad.weights)
     # one batch on the price path serves the path value and the worst-case bounds
     path_m, _, path_dy = _on_path(surface, pc, 2, t)
@@ -477,8 +462,6 @@ def build_report(surface, pc, quad=None, b_lo=None, b_hi=None,
         "additive": cv_variance(surface, pc, "additive_separable"),
         "first_order": cv_variance(surface, pc, "first_order"),
     }
-    moments = tuple(cv_moment_local(surface, n, pc)
-                    for n in range(1, surface.max_order))
     return WelfareReport(
         dp=dp,
         first_order=cv_first_order(surface, pc),

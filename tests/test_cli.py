@@ -1,10 +1,13 @@
 import csv
 import json
 import math
+import shlex
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from welfare_moments import Budget, MomentSurface, PriceChange, cli
@@ -213,6 +216,8 @@ TWO_SOURCES = "--population and --data are two sources; give one"
                  id="oracle-check-data"),
     pytest.param(["simulate", "--population", "L0", "--n", "10", "--seed", "1"],
                  "simulate draws from --population and reads no --data", id="simulate-data"),
+    pytest.param(["estimate", "--population", "Q0"],
+                 "estimate fits --data and reads no --population", id="estimate-population"),
 ])
 def test_bad_data_run_is_refused_before_any_read(tmp_path, capsys, argv, message):
     # the file does not exist, so a run that read it would fail otherwise
@@ -417,6 +422,40 @@ def test_inverted_income_effect_bounds_exit_1(tmp_path, capsys, extra):
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def cd2_draws(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cd2_draws")
+    assert main(["simulate", "--population", "CD2(0.3)", "--goods", "food,fuel",
+                 "--n", "5000", "--seed", "3", "--out", str(out)]) == 0
+    return out / "draws.csv"
+
+
+def test_multigood_data_runs_price_every_good(tmp_path, monkeypatch, cd2_draws):
+    # a budget carries one price per good, all at --p0, and only --good moves
+    source = ["--data", str(cd2_draws), "--goods", "food,fuel", "--good", "fuel"]
+    assert main(["welfare"] + source + ["--p0", "1", "--y", "2", "--dp", "0.05",
+                                        "--out", str(tmp_path / "wel")]) == 0
+    robust = json.load(open(tmp_path / "wel" / "report.json"))["reports"][0]["robust"]
+    pc = PriceChange(Budget((1.0, 1.0), 2.0), Budget((1.0, 1.05), 2.0))
+    exact = cobb_douglas_cv_mean(parse_population("CD2(0.3)"), pc)
+    assert robust == pytest.approx(exact, rel=0.01)
+
+    boxes = []
+    cone_test = cli.degree1_cone_test
+    monkeypatch.setattr(cli, "degree1_cone_test",
+                        lambda surface, b, box: boxes.append(box) or cone_test(surface, b, box))
+    assert main(["rationality"] + source + ["--p-grid", "1", "--y-grid", "2",
+                                            "--out", str(tmp_path / "rat")]) == 0
+    verdicts = json.load(open(tmp_path / "rat" / "verdicts.json"))
+    assert [v["budget"] for v in verdicts] == [{"prices": [1.0, 1.0], "income": 2.0}]
+    # the empirical box holds fuel's quantities near the budget, not food's
+    ds, _ = ingest_csv(cd2_draws, ["food", "fuel"])
+    near = (np.abs(ds.log_prices[:, 1]) <= np.log(1.05)) & (np.abs(ds.log_y - np.log(2.0))
+                                                            <= np.log(1.05))
+    q = ds.shares[near, 1] * np.exp(ds.log_y[near] - ds.log_prices[near, 1])
+    assert [(box.q_min, box.q_max) for box in boxes] == [(q.min(), q.max())]
+
+
 def test_simulate_requires_seed(tmp_path):
     assert main(["simulate", "--population", "L0", "--n", "10",
                  "--out", str(tmp_path)]) == 1
@@ -444,3 +483,28 @@ def test_dataset_csv_matches_row_writer(tmp_path, population):
     _write_dataset_csv(tmp_path / "new.csv", ds)
     write_dataset_rows(tmp_path / "old.csv", ds)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def readme_cli_lines():
+    """The command lines of the README's CLI block, without the program name."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("welfare-moments ")]
+
+
+@pytest.fixture(scope="module")
+def readme_dir(tmp_path_factory):
+    """A directory holding the draws of the README's simulate example."""
+    out = tmp_path_factory.mktemp("readme")
+    simulate = next(argv for argv in readme_cli_lines() if argv[0] == "simulate")
+    assert main([str(out) if arg == "dir" else arg for arg in simulate]) == 0
+    return out
+
+
+@pytest.mark.parametrize("argv", readme_cli_lines(), ids=" ".join)
+def test_readme_cli_example_runs(readme_dir, argv):
+    # "dir" is the output directory and "dir/draws.csv" the simulated draws
+    argv = [arg.replace("dir", str(readme_dir), 1) if arg.split("/")[0] == "dir" else arg
+            for arg in argv]
+    assert main(argv) == 0

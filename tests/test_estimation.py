@@ -75,6 +75,17 @@ def test_first_stage_singular_design():
         first_stage(ds)
 
 
+def test_first_stage_names_only_kept_collinear_columns():
+    # log_p_b is constant, so it is dropped with coefficient zero and is not
+    # one of the collinear columns; log_z is an affine image of log_p_a
+    lp_a = np.random.default_rng(2).uniform(-0.3, 0.3, 50)
+    ds = Dataset(("a", "b"), np.full((50, 2), 0.2), np.column_stack([lp_a, np.zeros(50)]),
+                 1.0 + lp_a, 2.0 * lp_a + 1.0)
+    with pytest.raises(SingularDesignError) as err:
+        first_stage(ds)
+    assert err.value.columns == ["log_p_a"]
+
+
 def test_fit_constant_shares():
     ds = constant_dataset()
     fit1 = fit_moment_surface(ds, "q", 1, NO_CONTROL)

@@ -97,6 +97,40 @@ def test_compensated_moment_fo_quasilinear_exact():
     assert got == pytest.approx(surface.moment(1, shifted), abs=1e-12)
 
 
+HALVING_DPS = (1e-2, 5e-3, 2.5e-3)
+
+
+def assert_second_order(errors):
+    """Errors at HALVING_DPS are below 2 dp^2 and fall by 4 as dp halves
+    (a zero error stays at rounding)."""
+    assert errors[0] <= 2.0 * HALVING_DPS[0] ** 2
+    for coarse, fine in zip(errors, errors[1:]):
+        assert fine <= 1.05 * coarse / 4.0 + 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_compensated_moment_fo_is_first_order_at_every_order(n):
+    # without income effects compensated demand is demand, so the exact
+    # compensated moment is the moment at the new price; the error of a
+    # first-order approximation falls like dp^2
+    surface = surface_from_population(
+        LinearTypeMixture([(0.5, 1.0, -0.5, 0.0), (0.5, 2.0, -0.8, 0.0)]), n + 1)
+    errors = [abs(compensated_moment_fo(surface, n, B_STAR, dp)
+                  - surface.moment(n, B_STAR.with_price(0, B_STAR.price(0) + dp)))
+              for dp in HALVING_DPS]
+    assert_second_order(errors)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_compensated_share_moment_is_first_order_at_every_order(n):
+    # a CD(0.5) consumer's compensated share p h / y is 0.5 (p1 / p0)^0.5
+    ws = share_surface_from_population(CobbDouglasPopulation.single(0.5), n + 1)
+    b = Budget((1.0, 1.0), 2.0)
+    errors = [abs(compensated_share_moment(ws, n, b, dp) - 0.5 ** n * (1.0 + dp) ** (n / 2.0))
+              for dp in HALVING_DPS]
+    assert_second_order(errors)
+
+
 def test_compensated_moment_fo_order_error(l0_surface):
     with pytest.raises(OrderError):
         compensated_moment_fo(l0_surface, 6, B_STAR, 0.1)
@@ -601,6 +635,27 @@ def chebyshev_bounds_reference(surface, pc, b_lo, b_hi, z, k, quad=DEFAULT_QUAD,
     return float(lower), float(upper)
 
 
+# The hand-written second-order CV moments that are now read from the Slutsky
+# moment, kept as their independent reference.
+
+def cv_moment_local_reference(surface, n, pc):
+    dp = pc.scalar_delta(surface.good)
+    b0 = pc.start
+    inner = (surface.moment(n, b0)
+             + (dp / 2.0) * (surface.d_price(n, b0)
+                             + surface.d_income(n + 1, b0) * n / (n + 1.0)))
+    return dp ** n * inner
+
+
+def cv_variance_robust_reference(surface, pc):
+    dp = pc.scalar_delta(surface.good)
+    b0 = pc.start
+    m1, m2 = surface.moment(1, b0), surface.moment(2, b0)
+    first = m2 + (dp / 2.0) * (surface.d_price(2, b0) + (2.0 / 3.0) * surface.d_income(3, b0))
+    second = m1 + (dp / 2.0) * (surface.d_price(1, b0) + 0.5 * surface.d_income(2, b0))
+    return dp ** 2 * (first - second ** 2)
+
+
 def close(got, ref):
     return got == pytest.approx(ref, rel=1e-13, abs=1e-15)
 
@@ -669,6 +724,25 @@ def test_q0_chebyshev_grid_across_the_kink():
         cheb = chebyshev_bounds(surface, pc, 0.0, 1.0, z, k)
         ref = chebyshev_bounds_reference(surface, pc, 0.0, 1.0, z, k)
         assert close(cheb.lower, ref[0]) and close(cheb.upper, ref[1])
+
+
+@pytest.mark.parametrize("name", [c[0] for c in BATCH_CASES] + ["fitted"])
+def test_cv_moments_match_the_hand_written_formulas(name, request):
+    if name == "fitted":
+        surface = request.getfixturevalue("l0_fitted_surface").moment_surface
+        pcs = [PriceChange.scalar(1.0, 1.0 + dp, 4.0) for dp in (0.05, -0.06)]
+    else:
+        _, make, pcs = next(c for c in BATCH_CASES if c[0] == name)
+        surface = make()
+    for pc in pcs:
+        for n in range(1, surface.max_order):
+            assert cv_moment_local(surface, n, pc) == pytest.approx(
+                cv_moment_local_reference(surface, n, pc), rel=1e-14, abs=0.0)
+        # a difference of two terms of the second CV moment's size, so its
+        # rounding error scales with that size
+        assert cv_variance(surface, pc, "robust") == pytest.approx(
+            cv_variance_robust_reference(surface, pc),
+            rel=0.0, abs=1e-14 * cv_moment_local_reference(surface, 2, pc))
 
 
 @pytest.mark.parametrize("name, make, pcs", BATCH_CASES, ids=[c[0] for c in BATCH_CASES])
