@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -85,29 +85,51 @@ class RowDataError(ValueError):
                          % (count, errors[0][0], errors[0][1]))
 
 
+def _float_list(text):
+    return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _setting(flag, default, commands, **argparse_kw):
+    """A RunConfig field: its flag, its default, the commands that read it
+    (space-separated) and the keywords of its argparse argument."""
+    default_kw = ({"default_factory": lambda: list(default)} if isinstance(default, list)
+                  else {"default": default})
+    return field(**default_kw, metadata={"flag": flag, "commands": commands.split(),
+                                         "argparse": argparse_kw})
+
+
+_ALL = "simulate estimate welfare oracle-check rationality"
+_FIT = "estimate welfare rationality"  # a sample's fit: --data, --goods, fit flags
+_PATH = "welfare oracle-check"  # the price changes and their quadrature
+
+
 @dataclass
 class RunConfig:
-    population: str = None
-    data: str = None
-    goods: list = field(default_factory=lambda: ["q"])
-    good: str = None
-    price_degree: int = 3
-    income_degree: int = 3
-    include_control: bool = True
-    p0: float = 1.0
-    y: float = 2.0
-    dp: list = field(default_factory=lambda: [0.05])
-    b_lo: float = None
-    b_hi: float = None
-    z: float = None
-    k: float = None
-    quad_nodes: int = 32
-    degree: int = 1
-    p_grid: list = field(default_factory=lambda: [1.0])
-    y_grid: list = field(default_factory=lambda: [2.0])
-    n: int = 1000
-    seed: int = None
-    out: str = "."
+    """Every setting of a run.  Each field is a row of the CLI's one table
+    of flags: its flag, its default and the commands that read it; a
+    command refuses a setting it does not read."""
+
+    population: str = _setting("--population", None, "simulate welfare oracle-check rationality")
+    data: str = _setting("--data", None, _FIT)
+    goods: list = _setting("--goods", ["q"], "simulate " + _FIT, type=lambda s: s.split(","))
+    good: str = _setting("--good", None, "welfare rationality")
+    price_degree: int = _setting("--basis-degree", 3, _FIT, type=int)
+    income_degree: int = _setting("--income-degree", 3, _FIT, type=int)
+    include_control: bool = _setting("--no-control", True, _FIT, action="store_false")
+    p0: float = _setting("--p0", 1.0, _PATH, type=float)
+    y: float = _setting("--y", 2.0, _PATH, type=float)
+    dp: list = _setting("--dp", [0.05], _PATH, type=_float_list)
+    b_lo: float = _setting("--b-lo", None, "welfare", type=float)
+    b_hi: float = _setting("--b-hi", None, "welfare", type=float)
+    z: float = _setting("--z", None, "welfare", type=float)
+    k: float = _setting("--k", None, "welfare", type=float)
+    quad_nodes: int = _setting("--quad-nodes", 32, _PATH, type=int)
+    degree: int = _setting("--degree", 1, "rationality", type=int)
+    p_grid: list = _setting("--p-grid", [1.0], "rationality", type=_float_list)
+    y_grid: list = _setting("--y-grid", [2.0], "rationality", type=_float_list)
+    n: int = _setting("--n", 1000, "simulate", type=int)
+    seed: int = _setting("--seed", None, _ALL, type=int)  # every bundle records it
+    out: str = _setting("--out", ".", _ALL)
 
     def canonical(self):
         payload = asdict(self)
@@ -116,6 +138,14 @@ class RunConfig:
 
     def hash(self):
         return hashlib.sha256(self.canonical().encode()).hexdigest()
+
+
+SETTINGS = {f.name: f for f in fields(RunConfig)}
+# each field's argparse argument, built once: per parse it cost about 5% of parsing
+_ARGUMENTS = [(f.metadata["flag"], dict(f.metadata["argparse"], dest=f.name, default=None))
+              for f in SETTINGS.values()]
+# what a --population surface ignores: it models its good 0 and fits nothing
+_DATA_ONLY = ("goods", "good", "price_degree", "income_degree", "include_control")
 
 
 def parse_population(name):
@@ -282,6 +312,10 @@ def _surface_for_config(cfg, max_order):
     if cfg.population and cfg.data:
         raise ValueError("--population and --data are two sources; give one")
     if cfg.population:
+        moved = [k for k in _DATA_ONLY if getattr(cfg, k) != getattr(RunConfig(), k)]
+        if moved:
+            raise UsageError("a --population surface models its good 0 and reads no %s"
+                             % SETTINGS[moved[0]].metadata["flag"])
         pop = parse_population(cfg.population)
         return surface_from_population(pop, max_order), pop, None
     if not cfg.data:
@@ -292,11 +326,6 @@ def _surface_for_config(cfg, max_order):
     ds, _ = ingest_csv(cfg.data, cfg.goods)
     _, fits = _fit(cfg, ds, (good,))
     return fitted_surface(fits).moment_surface, None, ds
-
-
-def _n_prices(ds):
-    """Prices in a budget: one per --goods column on --data, else one."""
-    return 1 if ds is None else len(ds.goods)
 
 
 def _price_change(cfg, dp, k, good):
@@ -314,21 +343,20 @@ def _require_positive(value, flag):
 
 
 def _bundle(cfg, **payload):
-    bundle = {"version": __version__, "seed": cfg.seed, "config_hash": cfg.hash()}
-    bundle.update(payload)
-    return bundle
+    return {"version": __version__, "seed": cfg.seed, "config_hash": cfg.hash(), **payload}
 
 
 def _cmd_simulate(cfg):
-    if cfg.data:
-        raise ValueError("simulate draws from --population and reads no --data")
     if cfg.seed is None:
         raise ValueError("--seed is required for simulate")
     _require_positive(cfg.n, "--n")
     pop = parse_population(cfg.population or "L0")
+    named = cfg.goods != RunConfig().goods  # else a k-good population names g0..g(k-1)
+    if named and len(cfg.goods) != pop.k:
+        raise ValueError("--goods %r names %d goods, but the population has %d"
+                         % (cfg.goods, len(cfg.goods), pop.k))
     if isinstance(pop, CobbDouglasPopulation):
-        ds = cobb_douglas_cross_section(pop, cfg.n, cfg.seed, goods=cfg.goods
-                                        if len(cfg.goods) == pop.k else None)
+        ds = cobb_douglas_cross_section(pop, cfg.n, cfg.seed, goods=cfg.goods if named else None)
     else:
         ds = population_cross_section(pop, cfg.n, cfg.seed, good=cfg.goods[0])
     write = functools.partial(_write_dataset_csv, os.path.join(cfg.out, "draws.csv"), ds)
@@ -336,8 +364,6 @@ def _cmd_simulate(cfg):
 
 
 def _cmd_estimate(cfg):
-    if cfg.population:
-        raise ValueError("estimate fits --data and reads no --population")
     if not cfg.data:
         raise ValueError("--data is required for estimate")
     ds, warnings = ingest_csv(cfg.data, cfg.goods)
@@ -356,25 +382,19 @@ def _cmd_welfare(cfg):
     surface, _, ds = _surface_for_config(cfg, 4)
     quad = QuadratureRule.gauss_legendre(cfg.quad_nodes)
     thresholds = None if cfg.z is None else (cfg.z, cfg.k)
-    k = _n_prices(ds)
+    k = 1 if ds is None else len(ds.goods)  # one price per --goods column on --data
     reports = [build_report(surface, _price_change(cfg, dp, k, surface.good), quad,
                             cfg.b_lo, cfg.b_hi, thresholds).to_dict() for dp in cfg.dp]
-    header = ["dp", "first_order", "ra", "robust", "path", "bound_lower",
-              "bound_upper", "var_robust", "var_additive", "var_first_order",
-              "A1", "A2", "A3", "A4"]
-    rows = [[r["dp"], r["first_order"], r["ra"], r["robust"], r["path"],
-             r["bounds"]["lower"], r["bounds"]["upper"], r["variance"]["robust"],
-             r["variance"]["additive"], r["variance"]["first_order"],
-             r["decomposition"]["A1"], r["decomposition"]["A2"],
-             r["decomposition"]["A3"], r["decomposition"]["A4"]] for r in reports]
+    header = ["dp", "first_order", "ra", "robust", "path", "bound_lower", "bound_upper",
+              "var_robust", "var_additive", "var_first_order", "A1", "A2", "A3", "A4"]
+    rows = [[r[c] for c in header[:5]] + [r["bounds"][c] for c in ("lower", "upper")]
+            + [r["variance"][c] for c in ("robust", "additive", "first_order")]
+            + [r["decomposition"][c] for c in header[10:]] for r in reports]
     write = functools.partial(_write_csv, os.path.join(cfg.out, "sweep.csv"), header, rows)
     return _bundle(cfg, reports=reports), [write]
 
 
 def _cmd_oracle_check(cfg):
-    if cfg.data:
-        raise ValueError("oracle-check compares with a population's exact CV "
-                         "and reads no --data")
     _require_positive(cfg.quad_nodes, "--quad-nodes")
     pop = parse_population(cfg.population or "L0")
     surface = surface_from_population(pop, 4)
@@ -415,9 +435,10 @@ def _cmd_rationality(cfg):
         return SupportBox(float(np.min(q)), float(np.max(q)))
 
     verdicts = []
+    k = 1 if ds is None else len(ds.goods)  # one price per --goods column on --data
     for p in cfg.p_grid:
         for y in cfg.y_grid:
-            b = Budget((p,) * _n_prices(ds), y)
+            b = Budget((p,) * k, y)
             box = box_at(b)
             v = (degree1_cone_test(surface, b, box) if degree == 1
                  else lp_violation_search(surface, b, degree, box))
@@ -427,13 +448,8 @@ def _cmd_rationality(cfg):
     return _bundle(cfg, verdicts=verdicts), [write]
 
 
-COMMANDS = {
-    "simulate": _cmd_simulate,
-    "estimate": _cmd_estimate,
-    "welfare": _cmd_welfare,
-    "rationality": _cmd_rationality,
-    "oracle-check": _cmd_oracle_check,
-}
+COMMANDS = {"simulate": _cmd_simulate, "estimate": _cmd_estimate, "welfare": _cmd_welfare,
+            "rationality": _cmd_rationality, "oracle-check": _cmd_oracle_check}
 
 VALIDATION_ERRORS = (SchemaError, RowDataError, SingularDesignError,
                      DegenerateDataError, ValueError, FileNotFoundError,
@@ -463,73 +479,54 @@ def run(command, cfg):
     return bundle, 0
 
 
-def _float_list(text):
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
 def build_parser():
     parser = _Parser(prog="welfare-moments",
                      description="Welfare effects of price changes "
                                  "from cross-sectional demand moments")
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--population")
-    parser.add_argument("--data")
-    parser.add_argument("--goods", type=lambda s: s.split(","))
-    parser.add_argument("--good")
-    parser.add_argument("--basis-degree", type=int, dest="price_degree")
-    parser.add_argument("--income-degree", type=int, dest="income_degree")
-    parser.add_argument("--no-control", action="store_false", dest="include_control",
-                        default=None)
-    parser.add_argument("--p0", type=float)
-    parser.add_argument("--y", type=float)
-    parser.add_argument("--dp", type=_float_list)
-    parser.add_argument("--b-lo", type=float, dest="b_lo")
-    parser.add_argument("--b-hi", type=float, dest="b_hi")
-    parser.add_argument("--z", type=float)
-    parser.add_argument("--k", type=float)
-    parser.add_argument("--quad-nodes", type=int, dest="quad_nodes")
-    parser.add_argument("--degree", type=int)
-    parser.add_argument("--p-grid", type=_float_list, dest="p_grid")
-    parser.add_argument("--y-grid", type=_float_list, dest="y_grid")
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out")
+    for flag, kw in _ARGUMENTS:
+        parser.add_argument(flag, **kw)
     return parser
 
 
-def _file_value(action, key, value):
+def _file_value(key, value):
     """A config-file value, parsed by its flag's converter from the text it
     would have on the command line (a number as JSON, a list's items joined
     by commas); the result must equal the value, so "100" is no number."""
+    meta = SETTINGS[key].metadata
+    switch = "action" in meta["argparse"]  # a flag that takes no value
     items = value if isinstance(value, list) else [value]
     text = ",".join(v if isinstance(v, str) else json.dumps(v) for v in items)
     try:
-        parsed = value if action.nargs == 0 else (action.type or str)(text)
+        parsed = value if switch else meta["argparse"].get("type", str)(text)
     except ValueError:
         parsed = None
-    if parsed == value and (action.nargs != 0 or isinstance(value, bool)):
+    if parsed == value and (not switch or isinstance(value, bool)):
         return parsed
     raise UsageError("config key %r: %s is not a valid %s value"
-                     % (key, json.dumps(value), action.option_strings[0]))
+                     % (key, json.dumps(value), meta["flag"]))
 
 
 def config_from_args(args):
-    cfg = RunConfig()
+    """The defaults, then the --config file's keys, then the flags.  A key
+    or flag that the command does not read is a UsageError, raised after
+    every file value's own type check and before any data file is read."""
+    given = {}
     if args.config:
         with open(args.config) as fh:
-            file_cfg = json.load(fh)
-        actions = {a.dest: a for a in build_parser()._actions}
-        for key, value in file_cfg.items():
-            if key not in vars(cfg):
-                raise ValueError("unknown config key %r" % key)
-            if value is not None:  # null keeps the default, as an absent flag does
-                setattr(cfg, key, _file_value(actions[key], key, value))
-    for key in vars(cfg):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    return cfg
+            for key, value in json.load(fh).items():
+                if key not in SETTINGS:
+                    raise ValueError("unknown config key %r" % key)
+                if value is not None:  # null keeps the default, as an absent flag does
+                    given[key] = _file_value(key, value)
+    given.update((key, getattr(args, key)) for key in SETTINGS if getattr(args, key) is not None)
+    for key in given:
+        meta = SETTINGS[key].metadata
+        if args.command not in meta["commands"]:
+            name = meta["flag"] if getattr(args, key) is not None else "config key %r" % key
+            raise UsageError("%s does not read %s" % (args.command, name))
+    return RunConfig(**given)
 
 
 def main(argv=None):

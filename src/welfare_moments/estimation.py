@@ -233,7 +233,8 @@ def first_stage(ds):
     """OLS of log expenditure on intercept, log instrument, and log prices.
 
     Zero-variance price columns are dropped with coefficient zero; a rank
-    deficient design raises SingularDesignError naming the columns.
+    deficient design raises SingularDesignError naming the columns, and a
+    full-rank one with no more rows than columns DegenerateDataError.
     """
     labels = ["const", "log_z"] + ["log_p_%s" % g for g in ds.goods]
     x = np.column_stack([np.ones(ds.n), ds.log_z, ds.log_prices])
@@ -244,8 +245,10 @@ def first_stage(ds):
         else:
             keep.append(i)
     design, kept = x[:, keep], [labels[i] for i in keep]
-    if ds.n <= design.shape[1] or np.linalg.matrix_rank(design) < design.shape[1]:
+    if np.linalg.matrix_rank(design) < design.shape[1]:
         raise SingularDesignError(_collinear_columns(design, kept) or kept[1:])
+    if ds.n <= design.shape[1]:
+        raise DegenerateDataError("%d rows cannot fit %d columns" % design.shape)
     coef, *_ = np.linalg.lstsq(design, ds.log_y, rcond=None)
     residuals = ds.log_y - design @ coef
     full = dict.fromkeys(labels, 0.0)

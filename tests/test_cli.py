@@ -198,33 +198,174 @@ def test_lone_chebyshev_threshold_exits_1(tmp_path, capsys, monkeypatch, flag, g
 TWO_SOURCES = "--population and --data are two sources; give one"
 
 
-@pytest.mark.parametrize("argv, message", [
-    pytest.param(["welfare", "--goods", "q", "--good", "fuel"],
+@pytest.mark.parametrize("argv, error, message", [
+    pytest.param(["welfare", "--goods", "q", "--good", "fuel"], "ValueError",
                  "--good 'fuel' is not one of --goods ['q']", id="good-outside-goods"),
-    pytest.param(["welfare", "--goods", "q,q"],
+    pytest.param(["welfare", "--goods", "q,q"], "ValueError",
                  "good 'q' appears more than once in --goods ['q', 'q']", id="repeated-good"),
-    pytest.param(["estimate", "--goods", "food,q,food"],
+    pytest.param(["estimate", "--goods", "food,q,food"], "ValueError",
                  "good 'food' appears more than once in --goods ['food', 'q', 'food']",
                  id="repeated-good-estimate"),
-    pytest.param(["rationality", "--degree", "2"],
+    pytest.param(["rationality", "--degree", "2"], "ValueError",
                  "fitted surfaces carry orders up to 3; degree must be 1", id="fitted-degree"),
-    pytest.param(["welfare", "--population", "L0"], TWO_SOURCES, id="welfare-two-sources"),
-    pytest.param(["rationality", "--population", "L0"], TWO_SOURCES,
+    pytest.param(["welfare", "--population", "L0"], "ValueError", TWO_SOURCES,
+                 id="welfare-two-sources"),
+    pytest.param(["rationality", "--population", "L0"], "ValueError", TWO_SOURCES,
                  id="rationality-two-sources"),
-    pytest.param(["oracle-check"],
-                 "oracle-check compares with a population's exact CV and reads no --data",
+    pytest.param(["oracle-check"], "UsageError", "oracle-check does not read --data",
                  id="oracle-check-data"),
-    pytest.param(["simulate", "--population", "L0", "--n", "10", "--seed", "1"],
-                 "simulate draws from --population and reads no --data", id="simulate-data"),
-    pytest.param(["estimate", "--population", "Q0"],
-                 "estimate fits --data and reads no --population", id="estimate-population"),
+    pytest.param(["simulate", "--population", "L0", "--n", "10", "--seed", "1"], "UsageError",
+                 "simulate does not read --data", id="simulate-data"),
+    pytest.param(["estimate", "--population", "Q0"], "UsageError",
+                 "estimate does not read --population", id="estimate-population"),
 ])
-def test_bad_data_run_is_refused_before_any_read(tmp_path, capsys, argv, message):
+def test_bad_data_run_is_refused_before_any_read(tmp_path, capsys, argv, error, message):
     # the file does not exist, so a run that read it would fail otherwise
     out = tmp_path / "run"
     assert main(argv + ["--data", str(tmp_path / "missing.csv"), "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)
-    assert err == {"error": "ValueError", "message": message}
+    assert err == {"error": error, "message": message}
+    assert not out.exists()
+
+
+# Every setting: its flag, a command-line value (None for a switch), its
+# config key and the value both set; written out here, not read from RunConfig.
+SETTING_VALUES = [
+    ("--population", "L0", "population", "L0"), ("--data", "draws.csv", "data", "draws.csv"),
+    ("--goods", "q", "goods", ["q"]), ("--good", "q", "good", "q"),
+    ("--basis-degree", "3", "price_degree", 3), ("--income-degree", "3", "income_degree", 3),
+    ("--no-control", None, "include_control", False), ("--p0", "1", "p0", 1.0),
+    ("--y", "2", "y", 2.0), ("--dp", "0.05", "dp", [0.05]), ("--b-lo", "0", "b_lo", 0.0),
+    ("--b-hi", "1", "b_hi", 1.0), ("--z", "0.3", "z", 0.3), ("--k", "0.5", "k", 0.5),
+    ("--quad-nodes", "32", "quad_nodes", 32), ("--degree", "1", "degree", 1),
+    ("--p-grid", "1", "p_grid", [1.0]), ("--y-grid", "2", "y_grid", [2.0]),
+    ("--n", "10", "n", 10), ("--seed", "1", "seed", 1), ("--out", "elsewhere", "out", "elsewhere"),
+]
+FIT_FLAGS = {"--basis-degree", "--income-degree", "--no-control"}
+# The flags each command reads besides --config, --out and --seed.
+READS = {
+    "simulate": {"--population", "--goods", "--n"},
+    "estimate": {"--data", "--goods"} | FIT_FLAGS,
+    "welfare": {"--population", "--data", "--goods", "--good", "--p0", "--y", "--dp", "--b-lo",
+                "--b-hi", "--z", "--k", "--quad-nodes"} | FIT_FLAGS,
+    "oracle-check": {"--population", "--p0", "--y", "--dp", "--quad-nodes"},
+    "rationality": {"--population", "--data", "--goods", "--good", "--degree", "--p-grid",
+                    "--y-grid"} | FIT_FLAGS,
+}
+
+
+def test_settings_table_names_every_flag():
+    flags = {a.option_strings[0] for a in cli.build_parser()._actions if a.option_strings}
+    assert flags == {flag for flag, *_ in SETTING_VALUES} | {"-h", "--config"}
+    accepted = sum(len(READS[c] | {"--config", "--out", "--seed"}) for c in READS)
+    assert (accepted, len(READS) * len(flags - {"-h"})) == (53, 110)
+
+
+def test_every_command_refuses_every_flag_it_does_not_read(tmp_path, capsys):
+    out = tmp_path / "run"
+    for command, reads in READS.items():
+        for flag, value, key, setting in SETTING_VALUES:
+            argv = [command, flag] + ([] if value is None else [value])
+            if flag in reads | {"--out", "--seed"}:
+                cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
+                assert getattr(cfg, key) == setting, argv
+                continue
+            assert main(argv + ["--out", str(out)]) == 1, argv
+            err = json.loads(capsys.readouterr().err)
+            assert err == {"error": "UsageError",
+                           "message": "%s does not read %s" % (command, flag)}, argv
+            assert not out.exists()
+
+
+def test_config_file_key_the_command_does_not_read_exits_1(tmp_path, capsys):
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "run"
+    for command, reads in READS.items():
+        for flag, _, key, value in SETTING_VALUES:
+            if flag in reads | {"--out", "--seed"}:
+                continue
+            cfg_path.write_text(json.dumps({key: value}))
+            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err == {"error": "UsageError",
+                           "message": "%s does not read config key %r" % (command, key)}
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["welfare", "rationality"])
+@pytest.mark.parametrize("extra, flag", [
+    (["--goods", "food,fuel", "--good", "fuel"], "--goods"),
+    (["--good", "nonsense"], "--good"),
+    (["--basis-degree", "2"], "--basis-degree"),
+    (["--no-control"], "--no-control"),
+])
+def test_population_run_refuses_settings_of_a_fit(tmp_path, capsys, monkeypatch, command,
+                                                  extra, flag):
+    def no_surface(*args):
+        raise AssertionError("a surface was built")
+
+    monkeypatch.setattr(cli, "surface_from_population", no_surface)
+    out = tmp_path / "run"
+    assert main([command, "--population", "CD(0.3)"] + extra + ["--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "UsageError",
+                   "message": "a --population surface models its good 0 and reads no %s" % flag}
+    assert not out.exists()
+
+
+def test_population_run_accepts_default_fit_settings(tmp_path):
+    assert main(["welfare", "--population", "L0", "--goods", "q", "--basis-degree", "3",
+                 "--out", str(tmp_path / "a")]) == 0
+    assert main(["welfare", "--population", "L0", "--out", str(tmp_path / "b")]) == 0
+    assert ((tmp_path / "a" / "report.json").read_bytes()
+            == (tmp_path / "b" / "report.json").read_bytes())
+
+
+@pytest.mark.parametrize("population, goods, k", [("L0", "a,b", 1), ("Q0", "a,b", 1),
+                                                  ("CD2(0.3)", "a", 2), ("CD(0.3)", "a,b,c", 2)])
+def test_simulate_refuses_goods_the_population_does_not_have(tmp_path, capsys, population,
+                                                             goods, k):
+    out = tmp_path / "run"
+    assert main(["simulate", "--population", population, "--goods", goods, "--n", "10",
+                 "--seed", "1", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError",
+                   "message": "--goods %r names %d goods, but the population has %d"
+                   % (goods.split(","), len(goods.split(",")), k)}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, columns", [
+    (["--population", "L0"], ["q"]), (["--population", "CD2(0.3)"], ["g0", "g1"]),
+    (["--population", "CD2(0.3)", "--goods", "food,fuel"], ["food", "fuel"]),
+    (["--population", "Q0", "--goods", "x"], ["x"]),
+])
+def test_simulate_goods_name_the_columns(tmp_path, argv, columns):
+    assert main(["simulate"] + argv + ["--n", "10", "--seed", "1", "--out", str(tmp_path)]) == 0
+    assert json.load(open(tmp_path / "report.json"))["columns"] == columns
+
+
+def test_simulate_q0_draws_lie_in_the_support(tmp_path):
+    assert main(["simulate", "--population", "Q0", "--n", "2000", "--seed", "5",
+                 "--out", str(tmp_path)]) == 0
+    ds, _ = ingest_csv(tmp_path / "draws.csv", ["q"])
+    p, y = np.exp(ds.log_prices[:, 0]), np.exp(ds.log_y)
+    q = ds.shares[:, 0] * y / p
+    for qi, pi, yi in zip(q, p, y):
+        lo, hi = parse_population("Q0").support(Budget((pi,), yi))
+        # q went through the share w = p q / y and back: a few ulps of slack
+        assert lo * (1 - 1e-13) <= qi <= hi * (1 + 1e-13)
+
+
+def test_row_data_error_lists_its_rows_on_stderr(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    write_csv(path, HEADER, [[0.2, 0.0, 1.0, 1.0], [1.5, 0.0, 1.0, 1.0], ["x", 0.0, 1.0, 1.0]])
+    out = tmp_path / "run"
+    assert main(["estimate", "--data", str(path), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "RowDataError",
+                   "message": "2 malformed data rows (first: line 3: share outside [0, 1])",
+                   "rows": [{"line": 3, "problem": "share outside [0, 1]"},
+                            {"line": 4, "problem": "unparseable numeric cell"}]}
     assert not out.exists()
 
 

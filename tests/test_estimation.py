@@ -75,6 +75,14 @@ def test_first_stage_singular_design():
         first_stage(ds)
 
 
+def test_first_stage_with_no_more_rows_than_columns_is_degenerate():
+    # three rows of full rank fit const, log_z and log_p_q exactly: too few, not collinear
+    ds = Dataset(("q",), np.full((3, 1), 0.2), np.array([[0.0], [0.1], [-0.1]]),
+                 np.array([1.0, 1.2, 0.9]), np.array([0.5, 0.7, 0.6]))
+    with pytest.raises(DegenerateDataError, match="^3 rows cannot fit 3 columns$"):
+        first_stage(ds)
+
+
 def test_first_stage_names_only_kept_collinear_columns():
     # log_p_b is constant, so it is dropped with coefficient zero and is not
     # one of the collinear columns; log_z is an affine image of log_p_a

@@ -500,6 +500,20 @@ CLOSED_FORM_POPULATIONS = (L0, Q0, CobbDouglasPopulation.two_type(0.3),
                            LinearTypeMixture([(0.2, 0.6, -0.5, 0.3), (0.8, 1.0, -1.0, 0.1)]))
 
 
+def test_cobb_douglas_rk4_matches_closed_form():
+    # the RK4 reference of CD (_cv_rate) against the expm1/log1p closed form,
+    # on moves of good 0, of good 1 and of both
+    pop = CobbDouglasPopulation.two_type(0.3)
+    pcs = [PriceChange(Budget((1.0, 1.0), 2.0), Budget((1.15, 1.0), 2.0)),
+           PriceChange(Budget((1.0, 1.0), 2.0), Budget((1.0, 0.8), 2.0)),
+           PriceChange(Budget((0.8, 1.3), 3.0), Budget((0.9, 1.1), 3.0))]
+    exact = population_cv_sweep(pop, pcs)
+    for steps in (1024, 4096):
+        for rk4, res in zip(population_cv_sweep(pop, pcs, OdeConfig(steps)), exact):
+            assert res.raw_moments == pytest.approx(rk4.raw_moments, rel=0.0, abs=1e-12)
+    assert exact[1].mean == pytest.approx(cobb_douglas_cv_mean(pop, pcs[1]), rel=1e-14)
+
+
 def test_population_cv_sweep_zero_change_is_exactly_zero():
     pc = PriceChange.scalar(1.0, 1.0, 2.0)
     for pop in CLOSED_FORM_POPULATIONS:
