@@ -161,6 +161,15 @@ def parse_population(name):
     raise ValueError("unknown population %r (use L0, Q0, CD(a), CD2(a))" % name)
 
 
+def _distinct(goods):
+    """``goods`` as a tuple, refusing a good listed twice."""
+    repeated = [g for i, g in enumerate(goods) if g in goods[:i]]
+    if repeated:
+        raise ValueError("good %r appears more than once in --goods %r"
+                         % (repeated[0], list(goods)))
+    return tuple(goods)
+
+
 def ingest_csv(path, goods):
     """Parse and validate the household CSV; returns (Dataset, warnings).
 
@@ -171,11 +180,7 @@ def ingest_csv(path, goods):
     out-of-range rows fail the whole file with a :class:`RowDataError`
     that lists the first 100 by physical line number.
     """
-    goods = tuple(goods)
-    repeated = [g for i, g in enumerate(goods) if g in goods[:i]]
-    if repeated:
-        raise ValueError("good %r appears more than once in --goods %r"
-                         % (repeated[0], list(goods)))
+    goods = _distinct(goods)
     required = ["w_%s" % g for g in goods] + ["log_p_%s" % g for g in goods]
     required += ["log_y", "log_z"]
     k = len(goods)
@@ -336,10 +341,18 @@ def _price_change(cfg, dp, k, good):
     return PriceChange(Budget(start, cfg.y), Budget(end, cfg.y))
 
 
-def _require_positive(value, flag):
-    """Refuse a count flag below 1 before any surface is built."""
-    if value < 1:
-        raise ValueError("%s must be >= 1, got %r" % (flag, value))
+def _require_valid(cfg, *keys):
+    """Refuse, before any surface is built or file read, a count below 1, an
+    empty list, and a price or income that is not a finite number above zero
+    (for --dp, the price --p0 + dp); a count of 1 or more passes the latter."""
+    for key in keys:
+        meta, given = SETTINGS[key].metadata, getattr(cfg, key)
+        if meta["argparse"]["type"] is int and given < 1:
+            raise ValueError("%s must be >= 1, got %r" % (meta["flag"], given))
+        values = [cfg.p0 + dp for dp in given] if key == "dp" else np.atleast_1d(given)
+        if not (len(values) and all(0.0 < v < math.inf for v in values)):
+            raise ValueError("%s %s: budgets need finite prices and incomes above zero"
+                             % (meta["flag"], given))
 
 
 def _bundle(cfg, **payload):
@@ -349,7 +362,8 @@ def _bundle(cfg, **payload):
 def _cmd_simulate(cfg):
     if cfg.seed is None:
         raise ValueError("--seed is required for simulate")
-    _require_positive(cfg.n, "--n")
+    _require_valid(cfg, "n")
+    _distinct(cfg.goods)
     pop = parse_population(cfg.population or "L0")
     named = cfg.goods != RunConfig().goods  # else a k-good population names g0..g(k-1)
     if named and len(cfg.goods) != pop.k:
@@ -375,7 +389,7 @@ def _cmd_estimate(cfg):
 
 
 def _cmd_welfare(cfg):
-    _require_positive(cfg.quad_nodes, "--quad-nodes")
+    _require_valid(cfg, "quad_nodes", "p0", "y", "dp")
     if (cfg.z is None) != (cfg.k is None):
         raise ValueError("--z and --k must be given together, got only %s"
                          % ("--z" if cfg.k is None else "--k"))
@@ -395,7 +409,7 @@ def _cmd_welfare(cfg):
 
 
 def _cmd_oracle_check(cfg):
-    _require_positive(cfg.quad_nodes, "--quad-nodes")
+    _require_valid(cfg, "quad_nodes", "p0", "y", "dp")
     pop = parse_population(cfg.population or "L0")
     surface = surface_from_population(pop, 4)
     quad = QuadratureRule.gauss_legendre(cfg.quad_nodes)
@@ -414,11 +428,10 @@ def _cmd_oracle_check(cfg):
 
 
 def _cmd_rationality(cfg):
-    degree = cfg.degree
-    _require_positive(degree, "--degree")
-    if cfg.data and degree > 1:
+    _require_valid(cfg, "degree", "p_grid", "y_grid")
+    if cfg.data and cfg.degree > 1:
         raise ValueError("fitted surfaces carry orders up to 3; degree must be 1")
-    surface, pop, ds = _surface_for_config(cfg, degree + 2)
+    surface, pop, ds = _surface_for_config(cfg, cfg.degree + 2)
     j = surface.good
 
     def box_at(b):
@@ -440,10 +453,10 @@ def _cmd_rationality(cfg):
         for y in cfg.y_grid:
             b = Budget((p,) * k, y)
             box = box_at(b)
-            v = (degree1_cone_test(surface, b, box) if degree == 1
-                 else lp_violation_search(surface, b, degree, box))
+            v = (degree1_cone_test(surface, b, box) if cfg.degree == 1
+                 else lp_violation_search(surface, b, cfg.degree, box))
             verdicts.append({"budget": {"prices": list(b.prices), "income": y},
-                             "degree": degree, **v.to_dict()})
+                             "degree": cfg.degree, **v.to_dict()})
     write = functools.partial(_write_json, os.path.join(cfg.out, "verdicts.json"), verdicts)
     return _bundle(cfg, verdicts=verdicts), [write]
 
@@ -515,11 +528,14 @@ def config_from_args(args):
     given = {}
     if args.config:
         with open(args.config) as fh:
-            for key, value in json.load(fh).items():
-                if key not in SETTINGS:
-                    raise ValueError("unknown config key %r" % key)
-                if value is not None:  # null keeps the default, as an absent flag does
-                    given[key] = _file_value(key, value)
+            entries = json.load(fh)
+        if not isinstance(entries, dict):
+            raise UsageError("--config %s holds no JSON object of settings" % args.config)
+        for key, value in entries.items():
+            if key not in SETTINGS:
+                raise ValueError("unknown config key %r" % key)
+            if value is not None:  # null keeps the default, as an absent flag does
+                given[key] = _file_value(key, value)
     given.update((key, getattr(args, key)) for key in SETTINGS if getattr(args, key) is not None)
     for key in given:
         meta = SETTINGS[key].metadata

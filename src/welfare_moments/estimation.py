@@ -216,45 +216,41 @@ def _basis_matrix(log_prices, log_y, control, spec):
     return np.column_stack(cols)
 
 
-def _collinear_columns(x, labels):
-    """Name columns that do not add rank, scanning left to right."""
-    bad = []
-    kept = np.empty((x.shape[0], 0))
-    for i in range(x.shape[1]):
-        cand = np.column_stack([kept, x[:, i]])
-        if np.linalg.matrix_rank(cand) > kept.shape[1]:
-            kept = cand
-        else:
-            bad.append(labels[i])
-    return bad
+def _screened_qr(x, labels, what):
+    """The intercept and every varying column of ``x``: (their indices, the
+    columns, q, r) of the reduced QR ``x[:, kept] = q r``.
+
+    A sample with no more rows than kept columns raises DegenerateDataError
+    ("<rows> rows cannot fit <kept> <what>").  A kept column adds no rank to
+    the columns before it exactly when its R diagonal vanishes, so
+    SingularDesignError names exactly those columns' labels.
+    """
+    kept = [0] + [i for i in range(1, x.shape[1]) if np.std(x[:, i]) >= 1e-12]
+    x = x[:, kept]
+    if x.shape[0] <= x.shape[1]:
+        raise DegenerateDataError("%d rows cannot fit %d %s" % (*x.shape, what))
+    q, r = np.linalg.qr(x)
+    r_diag = np.abs(np.diag(r))
+    collinear = np.flatnonzero(r_diag <= r_diag.max() * max(x.shape) * np.finfo(float).eps)
+    if collinear.size:
+        raise SingularDesignError([labels[kept[i]] for i in collinear])
+    return kept, x, q, r
 
 
 def first_stage(ds):
     """OLS of log expenditure on intercept, log instrument, and log prices.
 
-    Zero-variance price columns are dropped with coefficient zero; a rank
-    deficient design raises SingularDesignError naming the columns, and a
-    full-rank one with no more rows than columns DegenerateDataError.
+    Zero-variance price columns are dropped with coefficient zero; the rest
+    are screened and solved through one QR (:func:`_screened_qr`).
     """
     labels = ["const", "log_z"] + ["log_p_%s" % g for g in ds.goods]
     x = np.column_stack([np.ones(ds.n), ds.log_z, ds.log_prices])
-    keep, dropped = [0], []
-    for i in range(1, x.shape[1]):
-        if np.std(x[:, i]) < 1e-12:
-            dropped.append(labels[i])
-        else:
-            keep.append(i)
-    design, kept = x[:, keep], [labels[i] for i in keep]
-    if np.linalg.matrix_rank(design) < design.shape[1]:
-        raise SingularDesignError(_collinear_columns(design, kept) or kept[1:])
-    if ds.n <= design.shape[1]:
-        raise DegenerateDataError("%d rows cannot fit %d columns" % design.shape)
-    coef, *_ = np.linalg.lstsq(design, ds.log_y, rcond=None)
-    residuals = ds.log_y - design @ coef
+    kept, design, q, r = _screened_qr(x, labels, "columns")
+    coef = np.linalg.solve(r, q.T @ ds.log_y)
     full = dict.fromkeys(labels, 0.0)
-    for pos, i in enumerate(keep):
-        full[labels[i]] = float(coef[pos])
-    return FirstStageFit(coefficients=full, residuals=residuals, dropped=tuple(dropped))
+    full.update((labels[i], float(c)) for i, c in zip(kept, coef))
+    return FirstStageFit(coefficients=full, residuals=ds.log_y - design @ coef,
+                         dropped=tuple(labels[i] for i in range(x.shape[1]) if i not in kept))
 
 
 class _Design(NamedTuple):
@@ -271,10 +267,9 @@ class _Design(NamedTuple):
 def _design(ds, basis, fs):
     """The sample's design for (basis, first stage), built on first use.
 
-    A sample with no more rows than active basis columns raises
-    DegenerateDataError, and a rank deficient basis SingularDesignError
-    naming the collinear columns; nothing is stored then, so every call
-    raises again.
+    Fixed (zero-variance) basis columns are pinned at coefficient zero, and
+    the rest go through :func:`_screened_qr`; a design it refuses is not
+    stored, so every call raises again.
     """
     if not basis.include_control:
         fs = None  # then the first stage plays no part in the design
@@ -282,18 +277,7 @@ def _design(ds, basis, fs):
     if design is not None:
         return design
     x_full = _basis_matrix(ds.log_prices, ds.log_y, None if fs is None else fs.residuals, basis)
-
-    # fixed (zero-variance) columns are pinned at coefficient zero
-    active = [0] + [i for i in range(1, x_full.shape[1]) if np.std(x_full[:, i]) >= 1e-12]
-    x = x_full[:, active]
-    if x.shape[0] <= x.shape[1]:
-        raise DegenerateDataError("%d rows cannot fit %d basis columns" % x.shape)
-    q, r = np.linalg.qr(x)
-    r_diag = np.abs(np.diag(r))
-    if r_diag.min() <= r_diag.max() * max(x.shape) * np.finfo(float).eps:
-        labels = _basis_labels(ds.goods, basis)
-        active_labels = [labels[i] for i in active]
-        raise SingularDesignError(_collinear_columns(x, active_labels) or active_labels)
+    active, x, q, r = _screened_qr(x_full, _basis_labels(ds.goods, basis), "basis columns")
     region = np.column_stack([ds.log_prices, ds.log_y])
     design = _Design(x, active, x_full.shape[1], q, r,
                      (region.min(axis=0), region.max(axis=0)))

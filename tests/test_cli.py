@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -195,6 +196,60 @@ def test_lone_chebyshev_threshold_exits_1(tmp_path, capsys, monkeypatch, flag, g
     assert not out.exists()
 
 
+BUDGETS = "budgets need finite prices and incomes above zero"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["welfare", "--population", "L0", "--p0", "-1"], "--p0 -1.0"),
+    (["welfare", "--population", "L0", "--p0", "nan"], "--p0 nan"),
+    (["welfare", "--population", "L0", "--y", "0"], "--y 0.0"),
+    (["welfare", "--data", "missing.csv", "--p0", "-1"], "--p0 -1.0"),
+    (["welfare", "--population", "L0", "--dp=0.05,-1.5"], "--dp [0.05, -1.5]"),
+    (["welfare", "--population", "L0", "--dp="], "--dp []"),
+    (["oracle-check", "--dp=-2"], "--dp [-2.0]"),
+    (["oracle-check", "--p0", "2", "--dp=-2"], "--dp [-2.0]"),
+    (["oracle-check", "--dp="], "--dp []"),
+    (["rationality", "--population", "L0", "--p-grid", "-1"], "--p-grid [-1.0]"),
+    (["rationality", "--population", "L0", "--y-grid", "inf"], "--y-grid [inf]"),
+    (["rationality", "--data", "missing.csv", "--y-grid", "1,0"], "--y-grid [1.0, 0.0]"),
+    (["rationality", "--population", "L0", "--p-grid="], "--p-grid []"),
+    (["rationality", "--population", "L0", "--y-grid="], "--y-grid []"),
+])
+def test_bad_budget_value_exits_1_before_any_surface(tmp_path, capsys, monkeypatch, argv,
+                                                      message):
+    def no_surface(*args):
+        raise AssertionError("a surface was built or a file read")
+
+    for name in ("surface_from_population", "ingest_csv", "population_cv_sweep"):
+        monkeypatch.setattr(cli, name, no_surface)
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": "%s: %s" % (message, BUDGETS)}
+    assert not out.exists()
+
+
+def test_bad_budget_value_in_config_file_exits_1(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"population": "L0", "y": -2}))
+    out = tmp_path / "run"
+    assert main(["welfare", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": "--y -2.0: %s" % BUDGETS}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["welfare"], "either --population or --data is required"),
+    (["estimate"], "--data is required for estimate"),
+])
+def test_run_without_its_data_source_exits_1(tmp_path, capsys, argv, message):
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+    assert not out.exists()
+
+
 TWO_SOURCES = "--population and --data are two sources; give one"
 
 
@@ -344,6 +399,20 @@ def test_simulate_goods_name_the_columns(tmp_path, argv, columns):
     assert json.load(open(tmp_path / "report.json"))["columns"] == columns
 
 
+def test_simulate_refuses_a_repeated_good_before_drawing(tmp_path, capsys, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("households were drawn")
+
+    monkeypatch.setattr(cli, "cobb_douglas_cross_section", no_draws)
+    out = tmp_path / "run"
+    assert main(["simulate", "--population", "CD2(0.3)", "--goods", "a,a", "--n", "10",
+                 "--seed", "1", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError",
+                   "message": "good 'a' appears more than once in --goods ['a', 'a']"}
+    assert not out.exists()
+
+
 def test_simulate_q0_draws_lie_in_the_support(tmp_path):
     assert main(["simulate", "--population", "Q0", "--n", "2000", "--seed", "5",
                  "--out", str(tmp_path)]) == 0
@@ -400,6 +469,18 @@ def test_config_file_value_of_wrong_type_exits_1(tmp_path, capsys, key, value, f
     assert err == {"error": "UsageError",
                    "message": "config key %r: %s is not a valid %s value"
                    % (key, json.dumps(value), flag)}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '"L0"', "3"], ids=["list", "string", "number"])
+def test_config_file_that_is_no_object_exits_1(tmp_path, capsys, content):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(content)
+    out = tmp_path / "run"
+    assert main(["welfare", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "UsageError",
+                   "message": "--config %s holds no JSON object of settings" % cfg_path}
     assert not out.exists()
 
 
@@ -537,6 +618,17 @@ def test_zero_change_outside_sample_exits_2(tmp_path, capsys, l0_draws):
     assert not out.exists()
 
 
+def test_rationality_data_budget_without_nearby_observations_exits_1(tmp_path, capsys,
+                                                                      l0_draws):
+    # the empirical support box needs households within 5% of the budget
+    out = tmp_path / "run"
+    assert main(["rationality", "--data", str(l0_draws), "--p-grid", "1", "--y-grid", "40",
+                 "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": "no observations within 5% of budget (1, 40)"}
+    assert not out.exists()
+
+
 def test_zero_change_writes_unsigned_zeros(tmp_path):
     # on L0 the general path gives A1 = A4 = -0.0, which must be written 0.0
     out = tmp_path / "run"
@@ -649,3 +741,16 @@ def test_readme_cli_example_runs(readme_dir, argv):
     argv = [arg.replace("dir", str(readme_dir), 1) if arg.split("/")[0] == "dir" else arg
             for arg in argv]
     assert main(argv) == 0
+
+
+def test_readme_library_quickstart_runs_and_prints_its_values():
+    # the first python block; "name = ...  # 0.046528 (...)" gives a value to its digits
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    commented = re.findall(r"^(\w+) = .*# ([0-9]+\.([0-9]+)) ", block, re.MULTILINE)
+    assert [value for _, value, _ in commented] == ["0.046528", "0.046250", "0.046444",
+                                                    "0.046476"]
+    for name, value, digits in commented:
+        assert "%.*f" % (len(digits), namespace[name]) == value, name

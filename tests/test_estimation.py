@@ -71,7 +71,8 @@ def test_first_stage_singular_design():
     ds = Dataset(("a", "b", "c"), np.full((2, 3), 0.2),
                  np.arange(6, dtype=float).reshape(2, 3),
                  np.array([1.0, 2.0]), np.array([0.5, 1.5]))
-    with pytest.raises(SingularDesignError):
+    # five columns vary over two rows: too few rows, reported before any rank test
+    with pytest.raises(DegenerateDataError, match="^2 rows cannot fit 5 columns$"):
         first_stage(ds)
 
 
@@ -244,14 +245,16 @@ def _small_cd2():
 
 
 def test_orders_and_goods_of_a_sample_share_one_qr(monkeypatch):
-    calls = _count_qr(monkeypatch)
+    # the first stages take their own QR before the counter counts share designs
     ds = population_cross_section(L0, 4000, seed=3)
     fs = first_stage(ds)
+    cd2, cd2_fs = _small_cd2()
+    calls = _count_qr(monkeypatch)
     for order in (1, 2, 3):
         fit_moment_surface(ds, "q", order, BasisSpec(), fs)
     assert len(calls) == 1
     calls.clear()
-    ds, fs = _small_cd2()
+    ds, fs = cd2, cd2_fs
     for good in ds.goods:
         for order in (1, 2, 3):
             fit_moment_surface(ds, good, order, BasisSpec(), fs)
@@ -272,12 +275,14 @@ def test_shared_design_fits_equal_fresh_fits():
 
 
 def test_design_is_kept_per_first_stage_and_basis(monkeypatch):
-    calls = _count_qr(monkeypatch)
+    # the first stages take their own QR before the counter counts share designs
     ds, fs = _small_cd2()
+    other_fs = first_stage(ds)
+    calls = _count_qr(monkeypatch)
     fit_moment_surface(ds, "food", 1, BasisSpec(), fs)
     fit_moment_surface(ds, "fuel", 2, BasisSpec(), fs)
     assert len(calls) == 1
-    fit_moment_surface(ds, "food", 1, BasisSpec(), first_stage(ds))
+    fit_moment_surface(ds, "food", 1, BasisSpec(), other_fs)
     assert len(calls) == 2
     fit_moment_surface(ds, "food", 1, BasisSpec(price_degree=2), fs)
     assert len(calls) == 3
