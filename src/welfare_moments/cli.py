@@ -7,7 +7,8 @@ budget grid), and ``oracle-check`` (approximation-versus-exact error
 table).  All outputs are deterministic given the configuration and seed,
 and runs are serial.  Nothing is written until every number in the
 result is finite; errors are emitted as JSON on standard error with exit
-code 1 for validation problems and 2 for numeric failures.
+code 1 for validation problems and 2 for numeric failures or exhausted
+memory.
 """
 
 from __future__ import annotations
@@ -29,11 +30,9 @@ from . import __version__
 from .core import Budget, DomainError, OrderError, PriceChange
 from .estimation import (
     BasisSpec,
-    BootstrapInstabilityError,
     Dataset,
     DegenerateDataError,
     FitError,
-    SingularDesignError,
     first_stage,
     fit_moment_surface,
     fitted_surface,
@@ -52,11 +51,7 @@ from .rationality import (
     lp_violation_search,
 )
 from .synthetic import cobb_douglas_cross_section, population_cross_section
-from .welfare import (
-    InternalConsistencyError,
-    QuadratureRule,
-    build_report,
-)
+from .welfare import DEFAULT_QUAD, InternalConsistencyError, build_report, income_effect_bounds
 
 
 class UsageError(ValueError):
@@ -89,46 +84,60 @@ def _float_list(text):
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _setting(flag, default, commands, **argparse_kw):
-    """A RunConfig field: its flag, its default, the commands that read it
-    (space-separated) and the keywords of its argparse argument."""
+def _setting(flag, default, commands, domain=None, source=None, required="", **argparse_kw):
+    """A RunConfig field: its flag, its default, the commands that read it, the
+    DOMAINS key its values must pass, the source ("data") a two-source command
+    needs to read it, the commands that require it, and its argparse keywords."""
     default_kw = ({"default_factory": lambda: list(default)} if isinstance(default, list)
                   else {"default": default})
     return field(**default_kw, metadata={"flag": flag, "commands": commands.split(),
-                                         "argparse": argparse_kw})
+                                         "domain": domain, "source": source,
+                                         "required": required.split(), "argparse": argparse_kw})
+
+
+# per domain: the test of a value and the message, of flag and value, that refuses it
+DOMAINS = {
+    "count": (lambda v: v >= 1, "%s must be >= 1, got %r"),
+    "seed": (lambda v: v >= 0, "%s must be >= 0, got %r"),
+    "budget": (lambda v: v != [] and all(0.0 < x < math.inf for x in np.atleast_1d(v)),
+               "%s %s: budgets need finite prices and incomes above zero"),
+    "finite": (math.isfinite, "%s %s: must be a finite number"),
+}
 
 
 _ALL = "simulate estimate welfare oracle-check rationality"
 _FIT = "estimate welfare rationality"  # a sample's fit: --data, --goods, fit flags
-_PATH = "welfare oracle-check"  # the price changes and their quadrature
+_PATH = "welfare oracle-check"  # the price changes
 
 
 @dataclass
 class RunConfig:
     """Every setting of a run.  Each field is a row of the CLI's one table
-    of flags: its flag, its default and the commands that read it; a
-    command refuses a setting it does not read."""
+    of flags (see ``_setting``); a command refuses a setting it does not
+    read, and :func:`run` refuses a bad value or combination of values."""
 
     population: str = _setting("--population", None, "simulate welfare oracle-check rationality")
-    data: str = _setting("--data", None, _FIT)
-    goods: list = _setting("--goods", ["q"], "simulate " + _FIT, type=lambda s: s.split(","))
-    good: str = _setting("--good", None, "welfare rationality")
-    price_degree: int = _setting("--basis-degree", 3, _FIT, type=int)
-    income_degree: int = _setting("--income-degree", 3, _FIT, type=int)
-    include_control: bool = _setting("--no-control", True, _FIT, action="store_false")
-    p0: float = _setting("--p0", 1.0, _PATH, type=float)
-    y: float = _setting("--y", 2.0, _PATH, type=float)
-    dp: list = _setting("--dp", [0.05], _PATH, type=_float_list)
-    b_lo: float = _setting("--b-lo", None, "welfare", type=float)
-    b_hi: float = _setting("--b-hi", None, "welfare", type=float)
-    z: float = _setting("--z", None, "welfare", type=float)
-    k: float = _setting("--k", None, "welfare", type=float)
-    quad_nodes: int = _setting("--quad-nodes", 32, _PATH, type=int)
-    degree: int = _setting("--degree", 1, "rationality", type=int)
-    p_grid: list = _setting("--p-grid", [1.0], "rationality", type=_float_list)
-    y_grid: list = _setting("--y-grid", [2.0], "rationality", type=_float_list)
-    n: int = _setting("--n", 1000, "simulate", type=int)
-    seed: int = _setting("--seed", None, _ALL, type=int)  # every bundle records it
+    data: str = _setting("--data", None, _FIT, required="estimate")
+    goods: list = _setting("--goods", ["q"], "simulate " + _FIT, source="data",
+                           type=lambda s: s.split(","))
+    good: str = _setting("--good", None, "welfare rationality", source="data")
+    price_degree: int = _setting("--basis-degree", 3, _FIT, "count", "data", type=int)
+    income_degree: int = _setting("--income-degree", 3, _FIT, "count", "data", type=int)
+    include_control: bool = _setting("--no-control", True, _FIT, source="data",
+                                     action="store_false")
+    p0: float = _setting("--p0", 1.0, _PATH, "budget", type=float)
+    y: float = _setting("--y", 2.0, _PATH, "budget", type=float)
+    dp: list = _setting("--dp", [0.05], _PATH, "budget", type=_float_list)  # prices --p0 + dp
+    b_lo: float = _setting("--b-lo", None, "welfare", "finite", type=float)
+    b_hi: float = _setting("--b-hi", None, "welfare", "finite", type=float)
+    z: float = _setting("--z", None, "welfare", "finite", type=float)
+    k: float = _setting("--k", None, "welfare", "finite", type=float)
+    degree: int = _setting("--degree", 1, "rationality", "count", type=int)
+    p_grid: list = _setting("--p-grid", [1.0], "rationality", "budget", type=_float_list)
+    y_grid: list = _setting("--y-grid", [2.0], "rationality", "budget", type=_float_list)
+    n: int = _setting("--n", 1000, "simulate", "count", type=int)
+    # every bundle records the seed
+    seed: int = _setting("--seed", None, _ALL, "seed", required="simulate", type=int)
     out: str = _setting("--out", ".", _ALL)
 
     def canonical(self):
@@ -144,8 +153,7 @@ SETTINGS = {f.name: f for f in fields(RunConfig)}
 # each field's argparse argument, built once: per parse it cost about 5% of parsing
 _ARGUMENTS = [(f.metadata["flag"], dict(f.metadata["argparse"], dest=f.name, default=None))
               for f in SETTINGS.values()]
-# what a --population surface ignores: it models its good 0 and fits nothing
-_DATA_ONLY = ("goods", "good", "price_degree", "income_degree", "include_control")
+_DEFAULTS = RunConfig()
 
 
 def parse_population(name):
@@ -314,22 +322,11 @@ def _fit(cfg, ds, goods):
 def _surface_for_config(cfg, max_order):
     """(surface, population, dataset) of the run's one source: a population's
     surface carries orders up to ``max_order``, one fitted on --data orders 1-3."""
-    if cfg.population and cfg.data:
-        raise ValueError("--population and --data are two sources; give one")
     if cfg.population:
-        moved = [k for k in _DATA_ONLY if getattr(cfg, k) != getattr(RunConfig(), k)]
-        if moved:
-            raise UsageError("a --population surface models its good 0 and reads no %s"
-                             % SETTINGS[moved[0]].metadata["flag"])
         pop = parse_population(cfg.population)
         return surface_from_population(pop, max_order), pop, None
-    if not cfg.data:
-        raise ValueError("either --population or --data is required")
-    good = cfg.good or cfg.goods[0]
-    if good not in cfg.goods:
-        raise ValueError("--good %r is not one of --goods %r" % (good, list(cfg.goods)))
     ds, _ = ingest_csv(cfg.data, cfg.goods)
-    _, fits = _fit(cfg, ds, (good,))
+    _, fits = _fit(cfg, ds, (cfg.good or cfg.goods[0],))
     return fitted_surface(fits).moment_surface, None, ds
 
 
@@ -341,18 +338,43 @@ def _price_change(cfg, dp, k, good):
     return PriceChange(Budget(start, cfg.y), Budget(end, cfg.y))
 
 
-def _require_valid(cfg, *keys):
-    """Refuse, before any surface is built or file read, a count below 1, an
-    empty list, and a price or income that is not a finite number above zero
-    (for --dp, the price --p0 + dp); a count of 1 or more passes the latter."""
-    for key in keys:
-        meta, given = SETTINGS[key].metadata, getattr(cfg, key)
-        if meta["argparse"]["type"] is int and given < 1:
-            raise ValueError("%s must be >= 1, got %r" % (meta["flag"], given))
-        values = [cfg.p0 + dp for dp in given] if key == "dp" else np.atleast_1d(given)
-        if not (len(values) and all(0.0 < v < math.inf for v in values)):
-            raise ValueError("%s %s: budgets need finite prices and incomes above zero"
-                             % (meta["flag"], given))
+def _check_settings(command, cfg):
+    """Refuse a run's settings before any work: each value outside its row's
+    domain, then every rule between settings.  A setting the command does
+    not read keeps its default, and the defaults pass every check."""
+    for key, f in SETTINGS.items():
+        meta, given = f.metadata, getattr(cfg, key)
+        if given in (None, "") and command in meta["required"]:
+            raise ValueError("%s is required for %s" % (meta["flag"], command))
+        value = [cfg.p0 + dp for dp in given] if key == "dp" else given
+        if meta["domain"] and given is not None and not DOMAINS[meta["domain"]][0](value):
+            raise ValueError(DOMAINS[meta["domain"]][1] % (meta["flag"], given))
+    reads = {key for key, f in SETTINGS.items() if command in f.metadata["commands"]}
+    if cfg.population and cfg.data:
+        raise ValueError("--population and --data are two sources; give one")
+    if {"population", "data"} <= reads and not (cfg.population or cfg.data):
+        raise ValueError("either --population or --data is required")
+    if cfg.population and "data" in reads:  # the population's good 0; nothing is fitted
+        moved = [f.metadata["flag"] for key, f in SETTINGS.items() if f.metadata["source"]
+                 and getattr(cfg, key) != getattr(_DEFAULTS, key)]
+        if moved:
+            raise UsageError("a --population surface models its good 0 and reads no %s" % moved[0])
+    if cfg.good is not None and cfg.good not in cfg.goods:
+        raise ValueError("--good %r is not one of --goods %r" % (cfg.good, list(cfg.goods)))
+    _distinct(cfg.goods)
+    k = parse_population(cfg.population or "L0").k  # an unknown population stops here
+    if command == "simulate" and cfg.goods != _DEFAULTS.goods and len(cfg.goods) != k:
+        raise ValueError("--goods %r names %d goods, but the population has %d"
+                         % (cfg.goods, len(cfg.goods), k))
+    if cfg.data and cfg.degree > 1:
+        raise ValueError("fitted surfaces carry orders up to 3; degree must be 1")
+    if (cfg.z is None) != (cfg.k is None):
+        raise ValueError("--z and --k must be given together, got only %s"
+                         % ("--z" if cfg.k is None else "--k"))
+    b_lo, b_hi = income_effect_bounds(cfg.b_lo, cfg.b_hi, cfg.p0)
+    if cfg.z is not None and not (b_lo <= cfg.z <= b_hi and b_lo <= cfg.k <= b_hi):
+        raise ValueError("--z %s, --k %s: thresholds must lie inside the income-effect "
+                         "bounds [%s, %s]" % (cfg.z, cfg.k, b_lo, b_hi))
 
 
 def _bundle(cfg, **payload):
@@ -360,15 +382,8 @@ def _bundle(cfg, **payload):
 
 
 def _cmd_simulate(cfg):
-    if cfg.seed is None:
-        raise ValueError("--seed is required for simulate")
-    _require_valid(cfg, "n")
-    _distinct(cfg.goods)
     pop = parse_population(cfg.population or "L0")
-    named = cfg.goods != RunConfig().goods  # else a k-good population names g0..g(k-1)
-    if named and len(cfg.goods) != pop.k:
-        raise ValueError("--goods %r names %d goods, but the population has %d"
-                         % (cfg.goods, len(cfg.goods), pop.k))
+    named = cfg.goods != _DEFAULTS.goods  # else a k-good population names g0..g(k-1)
     if isinstance(pop, CobbDouglasPopulation):
         ds = cobb_douglas_cross_section(pop, cfg.n, cfg.seed, goods=cfg.goods if named else None)
     else:
@@ -378,8 +393,6 @@ def _cmd_simulate(cfg):
 
 
 def _cmd_estimate(cfg):
-    if not cfg.data:
-        raise ValueError("--data is required for estimate")
     ds, warnings = ingest_csv(cfg.data, cfg.goods)
     fs, fits = _fit(cfg, ds, ds.goods)
     fit_dicts = [f.to_dict() for f in fits]
@@ -389,15 +402,10 @@ def _cmd_estimate(cfg):
 
 
 def _cmd_welfare(cfg):
-    _require_valid(cfg, "quad_nodes", "p0", "y", "dp")
-    if (cfg.z is None) != (cfg.k is None):
-        raise ValueError("--z and --k must be given together, got only %s"
-                         % ("--z" if cfg.k is None else "--k"))
     surface, _, ds = _surface_for_config(cfg, 4)
-    quad = QuadratureRule.gauss_legendre(cfg.quad_nodes)
     thresholds = None if cfg.z is None else (cfg.z, cfg.k)
     k = 1 if ds is None else len(ds.goods)  # one price per --goods column on --data
-    reports = [build_report(surface, _price_change(cfg, dp, k, surface.good), quad,
+    reports = [build_report(surface, _price_change(cfg, dp, k, surface.good), DEFAULT_QUAD,
                             cfg.b_lo, cfg.b_hi, thresholds).to_dict() for dp in cfg.dp]
     header = ["dp", "first_order", "ra", "robust", "path", "bound_lower", "bound_upper",
               "var_robust", "var_additive", "var_first_order", "A1", "A2", "A3", "A4"]
@@ -409,14 +417,12 @@ def _cmd_welfare(cfg):
 
 
 def _cmd_oracle_check(cfg):
-    _require_valid(cfg, "quad_nodes", "p0", "y", "dp")
     pop = parse_population(cfg.population or "L0")
     surface = surface_from_population(pop, 4)
-    quad = QuadratureRule.gauss_legendre(cfg.quad_nodes)
     pcs = [_price_change(cfg, dp, pop.k, 0) for dp in cfg.dp]
     table = []
     for dp, pc, res in zip(cfg.dp, pcs, population_cv_sweep(pop, pcs)):
-        rep = build_report(surface, pc, quad)
+        rep = build_report(surface, pc)
         table.append({"dp": dp, "exact": res.mean, "first_order": rep.first_order,
                       "ra": rep.ra, "robust": rep.robust, "path": rep.path,
                       "err_ra": rep.ra - res.mean, "err_robust": rep.robust - res.mean})
@@ -428,9 +434,6 @@ def _cmd_oracle_check(cfg):
 
 
 def _cmd_rationality(cfg):
-    _require_valid(cfg, "degree", "p_grid", "y_grid")
-    if cfg.data and cfg.degree > 1:
-        raise ValueError("fitted surfaces carry orders up to 3; degree must be 1")
     surface, pop, ds = _surface_for_config(cfg, cfg.degree + 2)
     j = surface.good
 
@@ -464,21 +467,19 @@ def _cmd_rationality(cfg):
 COMMANDS = {"simulate": _cmd_simulate, "estimate": _cmd_estimate, "welfare": _cmd_welfare,
             "rationality": _cmd_rationality, "oracle-check": _cmd_oracle_check}
 
-VALIDATION_ERRORS = (SchemaError, RowDataError, SingularDesignError,
-                     DegenerateDataError, ValueError, FileNotFoundError,
-                     NotADirectoryError, KeyError)
-NUMERIC_ERRORS = (DomainError, OrderError, NumericError, FitError,
-                  InternalConsistencyError,
-                  BootstrapInstabilityError, FloatingPointError, OverflowError)
+VALIDATION_ERRORS = (ValueError, FileNotFoundError, NotADirectoryError, KeyError)
+NUMERIC_ERRORS = (DomainError, OrderError, NumericError, FitError, InternalConsistencyError,
+                  FloatingPointError, OverflowError, MemoryError)
 
 
 def run(command, cfg):
     """Execute one subcommand; returns (bundle, exit_code).
 
-    A command returns its bundle and the writers of its other files; nothing
-    is written, and the output directory is not created, until the bundle
-    is checked finite and serialised.
+    The settings are checked first.  A command returns its bundle and the
+    writers of its other files; nothing is written, and the output directory
+    is not created, until the bundle is checked finite and serialised.
     """
+    _check_settings(command, cfg)
     bundle, writers = COMMANDS[command](cfg)
     bad = _first_non_finite(bundle)
     if bad is not None:
@@ -551,16 +552,15 @@ def main(argv=None):
         cfg = config_from_args(args)
         _, code = run(args.command, cfg)
         return code
-    except NUMERIC_ERRORS as exc:
+    except NUMERIC_ERRORS + VALIDATION_ERRORS as exc:
         _emit_error(exc)
-        return 2
-    except VALIDATION_ERRORS as exc:
-        _emit_error(exc)
-        return 1
+        return 2 if isinstance(exc, NUMERIC_ERRORS) else 1
 
 
 def _emit_error(exc):
-    payload = {"error": type(exc).__name__, "message": str(exc)}
+    # numpy's _ArrayMemoryError is a MemoryError too
+    name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+    payload = {"error": name, "message": str(exc)}
     if isinstance(exc, RowDataError):
         payload["rows"] = [{"line": line, "problem": msg} for line, msg in exc.errors]
     if isinstance(exc, SchemaError):

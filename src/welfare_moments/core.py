@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -190,6 +191,16 @@ class ShareMomentSurface(_Surface):
 
     def d_logy(self, n, b):
         return self._read(2, n, b)
+
+
+@lru_cache(maxsize=4)
+def gauss_legendre01(n):
+    """The n-node Gauss-Legendre rule on [0, 1] as read-only (nodes, weights)
+    arrays; the weights sum to one."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = (x + 1.0) / 2.0, w / 2.0
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def monomial_translation(surface, degree, b):

@@ -461,8 +461,8 @@ REPLICATE_ERRORS = (FitError, SingularDesignError, DegenerateDataError, DomainEr
 def bootstrap(ds, statistic, cfg):
     """Percentile bootstrap over row resamples; deterministic given the seed.
 
-    Each replicate derives its RNG stream from (seed, replicate index),
-    so parallel and serial evaluation orders agree.
+    Replicate r resamples rows with the stream seeded by (seed, r), so its
+    draw does not depend on the replicates before it.
     """
     point = float(statistic(ds))
     values, failures = [], 0

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .core import (
     OrderError,
     ShapeError,
     ShareMomentSurface,
+    gauss_legendre01,
 )
 
 
@@ -45,13 +45,6 @@ class NumericError(RuntimeError):
 
 
 GL_NODES = 64  # Gauss-Legendre nodes of a type table and of cv_constant_income_effect
-
-
-@lru_cache(maxsize=1)
-def _leggauss01():
-    """The GL_NODES rule on [0, 1], built on first use; weights sum to one."""
-    x, w = np.polynomial.legendre.leggauss(GL_NODES)
-    return (x + 1.0) / 2.0, w / 2.0
 
 
 @dataclass(frozen=True)
@@ -244,7 +237,7 @@ class _TypeTable:
 
     def _mean(self, b, good, f):
         p = self._own_price(b, good)
-        nodes, w = self._types(b.income, good, *_leggauss01())
+        nodes, w = self._types(b.income, good, *gauss_legendre01(GL_NODES))
         total = 0.0
         for w_row, v_row in zip(w, f(*self._demand(nodes, p, b.income))):
             total += float(np.dot(w_row, v_row))
@@ -282,7 +275,7 @@ class _TypeTable:
         n = np.arange(1, max_order + 1)[:, None]
         for y in dict.fromkeys(incomes.tolist()):
             sel = np.flatnonzero(incomes == y)
-            nodes, w = self._types(y, good, *_leggauss01())
+            nodes, w = self._types(y, good, *gauss_legendre01(GL_NODES))
             q, dq_dp, dq_dy = self._demand(nodes, prices[sel, good, None, None], y)
             w = w.ravel()
 
@@ -308,7 +301,7 @@ class _TypeTable:
     def cv_family(self, pcs):
         """Type nodes of every (price change, type) pair, their weights, and
         the number of pairs of each price change."""
-        x, w = _leggauss01()
+        x, w = gauss_legendre01(GL_NODES)
         tables = [self._types(pc.income, 0, x, w) for pc in pcs]
         weights = [t for _, t in tables]
         nodes = [np.concatenate([np.broadcast_to(a, t.shape).ravel()
@@ -650,7 +643,7 @@ def cv_constant_income_effect(demand, a, pc):
     dp = pc.delta
     y = pc.income
     rate = float(np.dot(np.atleast_1d(a), dp))
-    x, w = _leggauss01()
+    x, w = gauss_legendre01(GL_NODES)
     total = 0.0
     for t, wt in zip(x, w):
         q = np.atleast_1d(np.asarray(demand(p0 + t * dp, y), dtype=float))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FD_STEP, OrderError, ShapeError, monomial_translation
+from .core import FD_STEP, OrderError, ShapeError, gauss_legendre01, monomial_translation
 
 
 class InternalConsistencyError(RuntimeError):
@@ -37,8 +37,7 @@ class QuadratureRule:
 
     @classmethod
     def gauss_legendre(cls, n=32):
-        x, w = np.polynomial.legendre.leggauss(n)
-        return cls(tuple((x + 1.0) / 2.0), tuple(w / 2.0))
+        return cls(*map(tuple, gauss_legendre01(n)))
 
     def integrate(self, f):
         return float(sum(wt * f(t) for t, wt in zip(self.nodes, self.weights)))
@@ -145,8 +144,7 @@ def hn_bounds_local(surface, pc, b_lo, b_hi):
     demand is nonnegative, for either sign of the price change, so the
     pair comes back ordered as (lower, upper).
     """
-    if b_lo > b_hi:
-        raise ValueError("lower income-effect bound exceeds upper bound")
+    income_effect_bounds(b_lo, b_hi)  # refuses b_lo > b_hi
     lo, hi = _local_bound(surface, pc, b_lo), _local_bound(surface, pc, b_hi)
     return (lo, hi) if lo <= hi else (hi, lo)
 
@@ -424,20 +422,26 @@ def _unsigned_zeros(obj):
     return obj + 0.0 if isinstance(obj, float) else obj
 
 
+def income_effect_bounds(b_lo, b_hi, price=None):
+    """The bounds [b_lo, b_hi] of a report at the modeled good's initial
+    ``price``; an unset one takes the normal-good worst case [0, 1/price]."""
+    b_lo = 0.0 if b_lo is None else b_lo
+    b_hi = 1.0 / price if b_hi is None else b_hi
+    if b_lo > b_hi:
+        raise ValueError("lower income-effect bound exceeds upper bound")
+    return b_lo, b_hi
+
+
 def build_report(surface, pc, quad=None, b_lo=None, b_hi=None,
                  chebyshev_thresholds=None):
     """Assemble a full welfare report for one price change.
 
-    Income-effect bounds default to the normal-good worst case
-    [0, 1/p] for the modeled good's initial price; passing
+    Income-effect bounds are :func:`income_effect_bounds`; passing
     ``chebyshev_thresholds=(z, k)`` switches the bound kind.
     """
     quad = quad or DEFAULT_QUAD
     dp = _own_delta(surface, pc)
-    b_lo = 0.0 if b_lo is None else b_lo
-    b_hi = 1.0 / pc.start.price(surface.good) if b_hi is None else b_hi
-    if b_lo > b_hi:
-        raise ValueError("lower income-effect bound exceeds upper bound")
+    b_lo, b_hi = income_effect_bounds(b_lo, b_hi, pc.start.price(surface.good))
 
     robust = cv_moment_local(surface, 1, pc)
     moments = (robust,) + tuple(cv_moment_local(surface, n, pc)

@@ -11,7 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from welfare_moments import Budget, MomentSurface, PriceChange, cli
+from welfare_moments import (
+    Budget,
+    MomentSurface,
+    PriceChange,
+    QuadratureRule,
+    build_report,
+    cli,
+    surface_from_population,
+)
 from welfare_moments.cli import (
     RowDataError,
     RunConfig,
@@ -168,8 +176,8 @@ def test_usage_error_exits_1_with_json(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv, flag, value", [
     (["rationality", "--population", "L0", "--degree", "0"], "--degree", "0"),
     (["rationality", "--population", "L0", "--degree", "-2"], "--degree", "-2"),
-    (["welfare", "--population", "L0", "--quad-nodes", "0"], "--quad-nodes", "0"),
-    (["oracle-check", "--population", "L0", "--quad-nodes", "0"], "--quad-nodes", "0"),
+    (["welfare", "--data", "missing.csv", "--basis-degree", "0"], "--basis-degree", "0"),
+    (["rationality", "--data", "missing.csv", "--income-degree", "0"], "--income-degree", "0"),
     (["simulate", "--population", "L0", "--n", "-3", "--seed", "1"], "--n", "-3"),
     (["simulate", "--population", "L0", "--n", "0", "--seed", "1"], "--n", "0"),
 ])
@@ -292,7 +300,7 @@ SETTING_VALUES = [
     ("--no-control", None, "include_control", False), ("--p0", "1", "p0", 1.0),
     ("--y", "2", "y", 2.0), ("--dp", "0.05", "dp", [0.05]), ("--b-lo", "0", "b_lo", 0.0),
     ("--b-hi", "1", "b_hi", 1.0), ("--z", "0.3", "z", 0.3), ("--k", "0.5", "k", 0.5),
-    ("--quad-nodes", "32", "quad_nodes", 32), ("--degree", "1", "degree", 1),
+    ("--degree", "1", "degree", 1),
     ("--p-grid", "1", "p_grid", [1.0]), ("--y-grid", "2", "y_grid", [2.0]),
     ("--n", "10", "n", 10), ("--seed", "1", "seed", 1), ("--out", "elsewhere", "out", "elsewhere"),
 ]
@@ -302,8 +310,8 @@ READS = {
     "simulate": {"--population", "--goods", "--n"},
     "estimate": {"--data", "--goods"} | FIT_FLAGS,
     "welfare": {"--population", "--data", "--goods", "--good", "--p0", "--y", "--dp", "--b-lo",
-                "--b-hi", "--z", "--k", "--quad-nodes"} | FIT_FLAGS,
-    "oracle-check": {"--population", "--p0", "--y", "--dp", "--quad-nodes"},
+                "--b-hi", "--z", "--k"} | FIT_FLAGS,
+    "oracle-check": {"--population", "--p0", "--y", "--dp"},
     "rationality": {"--population", "--data", "--goods", "--good", "--degree", "--p-grid",
                     "--y-grid"} | FIT_FLAGS,
 }
@@ -313,7 +321,7 @@ def test_settings_table_names_every_flag():
     flags = {a.option_strings[0] for a in cli.build_parser()._actions if a.option_strings}
     assert flags == {flag for flag, *_ in SETTING_VALUES} | {"-h", "--config"}
     accepted = sum(len(READS[c] | {"--config", "--out", "--seed"}) for c in READS)
-    assert (accepted, len(READS) * len(flags - {"-h"})) == (53, 110)
+    assert (accepted, len(READS) * len(flags - {"-h"})) == (51, 105)
 
 
 def test_every_command_refuses_every_flag_it_does_not_read(tmp_path, capsys):
@@ -373,6 +381,122 @@ def test_population_run_accepts_default_fit_settings(tmp_path):
     assert main(["welfare", "--population", "L0", "--out", str(tmp_path / "b")]) == 0
     assert ((tmp_path / "a" / "report.json").read_bytes()
             == (tmp_path / "b" / "report.json").read_bytes())
+
+
+FINITE = "must be a finite number"
+INVERTED = "lower income-effect bound exceeds upper bound"
+
+
+def _refused(argv, message, error="ValueError", config=None):
+    return pytest.param(argv, config, error, message,
+                        id=" ".join(argv + ([json.dumps(config)] if config else [])))
+
+
+# "DATA" stands for a --data path; no file is there, and none may be read
+REFUSED = [
+    _refused(["welfare", "--data", "DATA", "--basis-degree", "0"],
+             "--basis-degree must be >= 1, got 0"),
+    _refused(["welfare", "--data", "DATA", "--income-degree", "0"],
+             "--income-degree must be >= 1, got 0"),
+    _refused(["welfare", "--data", "DATA", "--b-lo", "1", "--b-hi", "0"], INVERTED),
+    _refused(["welfare", "--population", "L0", "--b-lo", "2"], INVERTED),  # --b-hi 1/p0
+    _refused(["welfare", "--data", "DATA", "--z", "9", "--k", "9"],
+             "--z 9.0, --k 9.0: thresholds must lie inside the income-effect bounds [0.0, 1.0]"),
+    _refused(["welfare", "--population", "L0", "--p0", "4", "--z", "0.3", "--k", "0.3"],
+             "--z 0.3, --k 0.3: thresholds must lie inside the income-effect bounds [0.0, 0.25]"),
+    _refused(["welfare", "--population", "L0", "--z", "9", "--k", "9", "--dp=-0.05"],
+             "--z 9.0, --k 9.0: thresholds must lie inside the income-effect bounds [0.0, 1.0]"),
+    _refused(["welfare", "--population", "L0", "--b-lo", "nan"], "--b-lo nan: " + FINITE),
+    _refused(["welfare", "--population", "L0", "--b-hi", "inf"], "--b-hi inf: " + FINITE),
+    _refused(["welfare", "--population", "L0", "--z", "nan", "--k", "0.5"], "--z nan: " + FINITE),
+    _refused(["welfare", "--population", "L0"], "--b-hi inf: " + FINITE,
+             config={"b_hi": math.inf}),
+    _refused(["simulate", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    _refused(["welfare", "--population", "L0", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    _refused(["simulate", "--n", "0", "--seed", "1"], "--n must be >= 1, got 0"),
+    _refused(["simulate", "--n", "10"], "--seed is required for simulate"),
+    _refused(["rationality", "--population", "L0", "--degree", "0"],
+             "--degree must be >= 1, got 0"),
+    _refused(["welfare", "--data", "DATA", "--p0", "-1"], "--p0 -1.0: " + BUDGETS),
+    _refused(["oracle-check", "--p0", "2", "--dp=-2"], "--dp [-2.0]: " + BUDGETS),
+    _refused(["rationality", "--data", "DATA", "--y-grid", "1,0"],
+             "--y-grid [1.0, 0.0]: " + BUDGETS),
+    _refused(["welfare", "--population", "L0", "--z", "0.3"],
+             "--z and --k must be given together, got only --z"),
+    _refused(["welfare"], "either --population or --data is required"),
+    _refused(["estimate"], "--data is required for estimate"),
+    _refused(["rationality", "--population", "L0", "--data", "DATA"], TWO_SOURCES),
+    _refused(["welfare", "--data", "DATA", "--goods", "q", "--good", "fuel"],
+             "--good 'fuel' is not one of --goods ['q']"),
+    _refused(["estimate", "--data", "DATA", "--goods", "q,q"],
+             "good 'q' appears more than once in --goods ['q', 'q']"),
+    _refused(["simulate", "--population", "CD2(0.3)", "--goods", "a,a", "--seed", "1"],
+             "good 'a' appears more than once in --goods ['a', 'a']"),
+    _refused(["simulate", "--population", "L0", "--goods", "a,b", "--seed", "1"],
+             "--goods ['a', 'b'] names 2 goods, but the population has 1"),
+    _refused(["rationality", "--data", "DATA", "--degree", "2"],
+             "fitted surfaces carry orders up to 3; degree must be 1"),
+    _refused(["welfare", "--population", "L0", "--no-control"],
+             "a --population surface models its good 0 and reads no --no-control",
+             "UsageError"),
+    _refused(["welfare", "--population", "nope"],
+             "unknown population 'nope' (use L0, Q0, CD(a), CD2(a))"),
+    _refused(["welfare", "--population", "CD2(nan)"],
+             "share vectors must be finite, nonnegative and sum to 1"),
+    _refused(["oracle-check", "--degree", "2"], "oracle-check does not read --degree",
+             "UsageError"),
+    _refused(["welfare", "--population", "L0", "--quad-nodes", "32"],
+             "unrecognized arguments: --quad-nodes 32", "UsageError"),
+    _refused(["welfare", "--population", "L0"], "unknown config key 'quad_nodes'",
+             config={"quad_nodes": 32}),
+    _refused(["welfare", "--population", "L0"], "config key 'b_lo': NaN is not a valid "
+             "--b-lo value", "UsageError", config={"b_lo": math.nan}),
+]
+
+
+@pytest.mark.parametrize("argv, config, error, message", REFUSED)
+def test_bad_settings_are_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, config,
+                                                  error, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a file was read, a surface built or households drawn")
+
+    for name in ("ingest_csv", "surface_from_population", "fit_moment_surface",
+                 "population_cv_sweep", "cobb_douglas_cross_section", "population_cross_section"):
+        monkeypatch.setattr(cli, name, no_work)
+    argv = [str(tmp_path / "draws.csv") if arg == "DATA" else arg for arg in argv]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": error, "message": message}
+    assert not out.exists()
+
+
+class _ArrayMemoryError(MemoryError):
+    """Stands in for numpy's MemoryError subclass of the same name."""
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), _ArrayMemoryError("Unable to allocate 71 PiB")])
+def test_out_of_memory_exits_2_with_json(tmp_path, capsys, monkeypatch, exc):
+    def no_memory(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "surface_from_population", no_memory)
+    out = tmp_path / "run"
+    assert main(["welfare", "--population", "L0", "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "MemoryError", "message": str(exc)}
+    assert not out.exists()
+
+
+def test_welfare_reads_the_32_node_rule(tmp_path):
+    assert main(["welfare", "--population", "Q0", "--dp=-0.1,0.2", "--out", str(tmp_path)]) == 0
+    reports = json.load(open(tmp_path / "report.json"))["reports"]
+    surface = surface_from_population(parse_population("Q0"), 4)
+    rule = QuadratureRule.gauss_legendre(32)
+    for dp, report in zip((-0.1, 0.2), reports):
+        pc = PriceChange(Budget((1.0,), 2.0), Budget((1.0 + dp,), 2.0))
+        assert report == json.loads(json.dumps(build_report(surface, pc, rule).to_dict()))
 
 
 @pytest.mark.parametrize("population, goods, k", [("L0", "a,b", 1), ("Q0", "a,b", 1),
@@ -741,6 +865,16 @@ def test_readme_cli_example_runs(readme_dir, argv):
     argv = [arg.replace("dir", str(readme_dir), 1) if arg.split("/")[0] == "dir" else arg
             for arg in argv]
     assert main(argv) == 0
+
+
+def test_readme_flag_table_is_the_settings_table():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^  \| `([a-z-]+)` \| (.*) \|$", section, re.MULTILINE)
+    table = {command: set(re.findall(r"`(--[a-z0-9-]+)`", cell)) for command, cell in rows}
+    assert table == {command: {f.metadata["flag"] for f in cli.SETTINGS.values()
+                               if command in f.metadata["commands"]} - {"--out", "--seed"}
+                     for command in cli.COMMANDS}
 
 
 def test_readme_library_quickstart_runs_and_prints_its_values():

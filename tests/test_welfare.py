@@ -46,6 +46,7 @@ from welfare_moments import (
     tax_deadweight,
 )
 from welfare_moments import estimation
+from welfare_moments.core import gauss_legendre01
 from welfare_moments.oracle import B_STAR
 from welfare_moments.synthetic import population_cross_section
 from welfare_moments.welfare import DEFAULT_QUAD, QuadratureRule
@@ -80,6 +81,19 @@ def test_quadrature_rule_weights():
     assert quad.integrate(lambda t: t ** 3) == pytest.approx(0.25, abs=1e-13)
     with pytest.raises(ValueError):
         QuadratureRule((0.5,), (-1.0,))
+
+
+@pytest.mark.parametrize("n", [8, 32, 64])
+def test_one_gauss_legendre_rule_on_the_unit_interval(n):
+    # the rule the path integrals and the oracle's type tables read, bit for bit
+    x, w = np.polynomial.legendre.leggauss(n)
+    nodes, weights = gauss_legendre01(n)
+    assert nodes.tolist() == ((x + 1.0) / 2.0).tolist()
+    assert weights.tolist() == (w / 2.0).tolist()
+    quad = QuadratureRule.gauss_legendre(n)
+    assert (quad.nodes, quad.weights) == (tuple((x + 1.0) / 2.0), tuple(w / 2.0))
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0  # the cached arrays are shared, so they are read-only
 
 
 def test_compensated_moment_fo_l0(l0_surface):
