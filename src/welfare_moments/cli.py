@@ -45,11 +45,7 @@ from .oracle import (
     population_cv_sweep,
     surface_from_population,
 )
-from .rationality import (
-    SupportBox,
-    degree1_cone_test,
-    lp_violation_search,
-)
+from .rationality import SupportBox, lp_violation_search
 from .synthetic import cobb_douglas_cross_section, population_cross_section
 from .welfare import DEFAULT_QUAD, InternalConsistencyError, build_report, income_effect_bounds
 
@@ -61,6 +57,18 @@ class UsageError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would print usage and exit 2
         raise UsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse reads "-inf" or "-1e-3" after a space as a flag: join each
+        # such number to its flag, as "--b-lo=-inf"
+        joined = []
+        for token in sys.argv[1:] if args is None else args:
+            read = _NUMBER_FLAGS.get(joined[-1]) if joined else None
+            if read and token.startswith("-") and _parses(read, token):
+                joined[-1] += "=" + token
+            else:
+                joined.append(token)
+        return super().parse_known_args(joined, namespace)
 
 
 class SchemaError(ValueError):
@@ -82,6 +90,14 @@ class RowDataError(ValueError):
 
 def _float_list(text):
     return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _parses(read, text):
+    try:
+        read(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _setting(flag, default, commands, domain=None, source=None, required="", **argparse_kw):
@@ -153,6 +169,9 @@ SETTINGS = {f.name: f for f in fields(RunConfig)}
 # each field's argparse argument, built once: per parse it cost about 5% of parsing
 _ARGUMENTS = [(f.metadata["flag"], dict(f.metadata["argparse"], dest=f.name, default=None))
               for f in SETTINGS.values()]
+# the flags whose value is a number, or a list of numbers, and how to read one
+_NUMBER_FLAGS = {flag: _float_list if kw["type"] is _float_list else float
+                 for flag, kw in _ARGUMENTS if kw.get("type") in (int, float, _float_list)}
 _DEFAULTS = RunConfig()
 
 
@@ -455,9 +474,7 @@ def _cmd_rationality(cfg):
     for p in cfg.p_grid:
         for y in cfg.y_grid:
             b = Budget((p,) * k, y)
-            box = box_at(b)
-            v = (degree1_cone_test(surface, b, box) if cfg.degree == 1
-                 else lp_violation_search(surface, b, cfg.degree, box))
+            v = lp_violation_search(surface, b, cfg.degree, box_at(b))
             verdicts.append({"budget": {"prices": list(b.prices), "income": y},
                              "degree": cfg.degree, **v.to_dict()})
     write = functools.partial(_write_json, os.path.join(cfg.out, "verdicts.json"), verdicts)

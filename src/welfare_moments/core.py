@@ -208,11 +208,9 @@ def monomial_translation(surface, degree, b):
 
     It is the translation of x^degree; the n-th Slutsky moment inequality
     is ``monomial_translation(surface, n - 1, b) <= 0``, and n S_n is the
-    price slope of the n-th compensated demand moment.
+    price slope of the n-th compensated demand moment.  It reads order
+    degree + 2, so a surface without it raises :class:`OrderError`.
     """
-    if degree + 2 > surface.max_order:
-        raise OrderError("degree %d needs moment order %d, surface has %d"
-                         % (degree, degree + 2, surface.max_order))
     n = degree + 1
     return surface.d_price(n, b) / n + surface.d_income(n + 1, b) / (n + 1)
 

@@ -310,8 +310,9 @@ class _TypeTable:
         return nodes, np.concatenate([t.ravel() for t in weights]), [t.size for t in weights]
 
     def _kinks(self, nodes):
-        """Income at which each type's demand changes slope, or None if none does."""
-        return None
+        """Income at which each type's demand changes slope; +inf for a type
+        whose demand has no kink."""
+        return np.full_like(nodes[0], np.inf)
 
     def _cv_rate(self, pcs, nodes, owner):
         p0, dp = _own_price_paths(pcs, owner)
@@ -333,7 +334,7 @@ class _TypeTable:
         Raises DomainError for the element whose income reaches zero first.
         """
         p0, dp = _own_price_paths(pcs, owner)
-        kinks = self._kinks(nodes)
+        kinks = self._kinks(nodes)  # a kink at +inf is never crossed
         s, t0, income = np.zeros_like(y0), np.zeros_like(y0), y0.copy()
         exit_t = np.full_like(y0, np.inf)
         live = np.arange(len(y0))
@@ -343,21 +344,18 @@ class _TypeTable:
             p = p0[live] + t0[live] * d
             q, dq_dp, dq_dy = self._demand(sub, p, y)
             r0 = q * d
-            if kinks is not None:
-                # On its kink a type takes the slopes of the side its income
-                # moves to: the sign of the rate, or of dq/dp where that is 0.
-                k = kinks[live]
-                on = y == k
-                if np.any(on):
-                    falling = np.where(r0 != 0.0, r0, dq_dp) < 0.0
-                    side = np.nextafter(k, np.where(falling, -np.inf, np.inf))
-                    _, dq_dp, dq_dy = self._demand(sub, p, np.where(on, side, y))
+            # On its kink a type takes the slopes of the side its income
+            # moves to: the sign of the rate, or of dq/dp where that is 0.
+            k = kinks[live]
+            on = y == k
+            if np.any(on):
+                falling = np.where(r0 != 0.0, r0, dq_dp) < 0.0
+                side = np.nextafter(k, np.where(falling, -np.inf, np.inf))
+                _, dq_dp, dq_dy = self._demand(sub, p, np.where(on, side, y))
             r0, lam, a1 = np.broadcast_arrays(r0, dq_dy * d, dq_dp * d * d)
             span = 1.0 - t0[live]
             turn = _turning_point(r0, lam, a1)
-            end = span
-            if kinks is not None:
-                end = np.minimum(span, _first_crossing(r0, lam, a1, k - y, turn, span))
+            end = np.minimum(span, _first_crossing(r0, lam, a1, k - y, turn, span))
             gain = _piece_gain(r0, lam, a1, end)[0]
             # the income's least value on the piece: at an end or the turning point
             low = np.minimum(turn, end)
@@ -373,8 +371,7 @@ class _TypeTable:
             t0[live] += end
             crossed = (end < span) & ~out
             income[live] = y + gain
-            if kinks is not None:
-                income[live[crossed]] = k[crossed]
+            income[live[crossed]] = k[crossed]
             live = live[crossed]
             if not live.size:
                 break
@@ -420,9 +417,7 @@ class LinearHeteroPopulation(_TypeTable):
     def draw_quantities(self, rng, p_arr, y_arr):
         n = len(p_arr)
         om = rng.uniform(self.a0, self.a1, size=n)
-        vals = np.array([a for a, _ in self.effects])
-        probs = np.array([p for _, p in self.effects])
-        ef = rng.choice(vals, size=n, p=probs)
+        ef = rng.choice(self._effect, size=n, p=self._w)
         return om - self.beta * np.asarray(p_arr) + ef * np.asarray(y_arr)
 
 
@@ -700,8 +695,6 @@ def aggregate_expenditure(pop, prices, u):
     exponent alpha . log(p) is the same for every type.
     """
     prices = np.asarray(prices, dtype=float)
-    if np.any(prices <= 0.0):
-        raise DomainError("prices must be strictly positive")
     e_total = sum(prob * pop.expenditure(alpha, prices, u) for alpha, prob in pop.types)
     e_ra = u * float(np.prod(prices ** pop.mean_shares()))
     return float(e_total), float(e_ra)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OrderError, monomial_translation
+from .core import monomial_translation
 
 
 TOLERANCE = 1e-8  # a verdict passes when its worst margin is at most this
@@ -54,10 +54,6 @@ class RationalityVerdict:
 
 def translate_polynomial(coeffs, surface, b):
     """Translation of a polynomial sum a_i x^i, by linearity over monomials."""
-    coeffs = list(coeffs)
-    if len(coeffs) - 1 + 2 > surface.max_order:
-        raise OrderError("polynomial degree %d needs moment order %d"
-                         % (len(coeffs) - 1, len(coeffs) + 1))
     return float(sum(a * monomial_translation(surface, i, b) for i, a in enumerate(coeffs)))
 
 
@@ -65,10 +61,10 @@ def degree1_cone_test(surface, b, box):
     """Check the cone generators of degree <= 1 polynomials nonnegative on the box.
 
     Generators: 1, (x - q_min), (q_max - x), and x itself when the
-    support is nonnegative.  All translations must be nonpositive.
+    support is nonnegative.  All translations must be nonpositive; the
+    margin is the largest, in x units, and no witness is returned.  It is
+    the independent check of :func:`lp_violation_search` at degree 1.
     """
-    if surface.max_order < 3:
-        raise OrderError("degree-1 cone test needs moment orders up to 3")
     g0 = monomial_translation(surface, 0, b)
     g1 = monomial_translation(surface, 1, b)
     margins = [g0, g1 - box.q_min * g0, box.q_max * g0 - g1]
@@ -165,7 +161,7 @@ def hankel_verdict(gammas, box):
 
 
 def lp_violation_search(surface, b, degree, box):
-    """Exact rationalizability verdict at the given polynomial degree
-    (:func:`hankel_verdict` on the surface's translations at b)."""
+    """Exact rationalizability verdict at the given polynomial degree, 1
+    included (:func:`hankel_verdict` on the surface's translations at b)."""
     gammas = [monomial_translation(surface, i, b) for i in range(degree + 1)]
     return hankel_verdict(gammas, box)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FD_STEP, OrderError, ShapeError, gauss_legendre01, monomial_translation
+from .core import FD_STEP, ShapeError, gauss_legendre01, monomial_translation
 
 
 class InternalConsistencyError(RuntimeError):
@@ -80,8 +80,6 @@ def _share_slope(share_surface, n, b):
     """The share surface's Slutsky moment: the mean of
     w^(n-1) (dw/dlogp + w dw/dlogy + w^2), from the log-derivatives of
     W_n and W_(n+1)."""
-    if n + 1 > share_surface.max_order:
-        raise OrderError("needs share order %d, surface has %d" % (n + 1, share_surface.max_order))
     return (share_surface.d_logp(n, b) / n
             + share_surface.d_logy(n + 1, b) / (n + 1)
             + share_surface.moment(n + 1, b))
@@ -129,8 +127,6 @@ def cv_path(surface, pc, quad=None):
     with weight (1 - t).
     """
     quad = quad or DEFAULT_QUAD
-    if surface.max_order < 2:
-        raise OrderError("path approximation needs moment orders up to 2")
     dp = _own_delta(surface, pc)
     t, w = np.asarray(quad.nodes), np.asarray(quad.weights)
     moments, _, d_income = _on_path(surface, pc, 2, t)
@@ -228,8 +224,6 @@ def cv_variance(surface, pc, kind="robust"):
     if kind not in VARIANCE_KINDS:
         raise ValueError("kind must be one of %s" % (VARIANCE_KINDS,))
     if kind == "robust":
-        if surface.max_order < 3:
-            raise OrderError("robust variance needs moment orders up to 3")
         return cv_moment_local(surface, 2, pc) - cv_moment_local(surface, 1, pc) ** 2
     dp = _own_delta(surface, pc)
     b0 = pc.start
@@ -292,8 +286,6 @@ def price_index(share_surface, dlogp, b):
     Interpreted as the proportional compensated expenditure change
     (e(p1, v0) - y) / y for a log price change of the modeled good.
     """
-    if share_surface.max_order < 2:
-        raise OrderError("price index needs share orders up to 2")
     return (share_surface.moment(1, b) * dlogp
             + (dlogp ** 2 / 2.0) * _share_slope(share_surface, 1, b))
 
@@ -318,9 +310,6 @@ def price_index_decompose(share_surface, dlogp, b):
     part (first order plus a1 + a2) and of the heterogeneity part
     (a3 + a4), by central differences in log income.
     """
-    if share_surface.max_order < 2:
-        raise OrderError("price index decomposition needs share orders up to 2")
-
     def parts(budget):
         w1 = share_surface.moment(1, budget)
         w2 = share_surface.moment(2, budget)

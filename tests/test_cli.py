@@ -13,6 +13,7 @@ import pytest
 
 from welfare_moments import (
     Budget,
+    L0,
     MomentSurface,
     PriceChange,
     QuadratureRule,
@@ -30,6 +31,7 @@ from welfare_moments.cli import (
     parse_population,
     run,
 )
+from welfare_moments.rationality import SupportBox, lp_violation_search, translate_polynomial
 from welfare_moments.synthetic import cobb_douglas_cross_section, population_cross_section
 
 from conftest import cobb_douglas_cv_mean, constant_batch, loglog_slope
@@ -146,6 +148,36 @@ def test_cli_rationality_verdicts(tmp_path):
     assert verdicts[0]["pass"] is True
     assert set(verdicts[0]) == {"budget", "degree", "pass", "worst_margin",
                                 "witness_coeffs"}
+
+
+def test_cli_degree_one_verdict_is_the_hankel_verdict(tmp_path):
+    assert main(["rationality", "--population", "L0", "--p-grid", "1", "--y-grid", "2,4",
+                 "--out", str(tmp_path)]) == 0
+    passing, failing = json.load(open(tmp_path / "verdicts.json"))
+    surface = surface_from_population(L0, 3)
+    b = Budget((1.0,), 2.0)
+    hankel = lp_violation_search(surface, b, 1, SupportBox(*L0.support(b)))
+    assert passing["pass"] is True and passing["witness_coeffs"] == []
+    assert passing["worst_margin"] == hankel.worst_margin
+    # a failing verdict carries its witness, whose translation is the margin
+    assert failing["pass"] is False
+    assert translate_polynomial(failing["witness_coeffs"], surface, Budget((1.0,), 4.0)) \
+        == pytest.approx(failing["worst_margin"], abs=1e-12)
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--b-lo", "-inf"), ("--b-lo", "-1e-3"), ("--b-lo", "-0.5"), ("--p0", "-1e-3"),
+    ("--dp", "-0.05,0.05"), ("--dp", "-1e-2"), ("--seed", "-1"), ("--z", "-nan"),
+])
+def test_negative_value_after_a_space_reads_as_with_equals(tmp_path, capsys, flag, value):
+    # argparse alone reads "-inf" or "-1e-3" after a space as a flag
+    runs = []
+    for name, form in (("space", [flag, value]), ("equals", [flag + "=" + value])):
+        out = tmp_path / name
+        code = main(["welfare", "--population", "L0", *form, "--out", str(out)])
+        files = {f.name: f.read_bytes() for f in out.iterdir()} if out.exists() else {}
+        runs.append((code, capsys.readouterr().err, files))
+    assert runs[0] == runs[1]
 
 
 def test_cli_error_exit_codes(tmp_path):
@@ -798,9 +830,9 @@ def test_multigood_data_runs_price_every_good(tmp_path, monkeypatch, cd2_draws):
     assert robust == pytest.approx(exact, rel=0.01)
 
     boxes = []
-    cone_test = cli.degree1_cone_test
-    monkeypatch.setattr(cli, "degree1_cone_test",
-                        lambda surface, b, box: boxes.append(box) or cone_test(surface, b, box))
+    verdict = cli.lp_violation_search
+    monkeypatch.setattr(cli, "lp_violation_search", lambda surface, b, degree, box:
+                        boxes.append(box) or verdict(surface, b, degree, box))
     assert main(["rationality"] + source + ["--p-grid", "1", "--y-grid", "2",
                                             "--out", str(tmp_path / "rat")]) == 0
     verdicts = json.load(open(tmp_path / "rat" / "verdicts.json"))

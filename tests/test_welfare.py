@@ -46,8 +46,9 @@ from welfare_moments import (
     tax_deadweight,
 )
 from welfare_moments import estimation
-from welfare_moments.core import gauss_legendre01
+from welfare_moments.core import gauss_legendre01, monomial_translation
 from welfare_moments.oracle import B_STAR
+from welfare_moments.rationality import SupportBox, degree1_cone_test
 from welfare_moments.synthetic import population_cross_section
 from welfare_moments.welfare import DEFAULT_QUAD, QuadratureRule
 
@@ -595,6 +596,22 @@ def test_price_index_order_error():
         price_index(shallow, 0.1, Budget((1.0, 1.0), 2.0))
     with pytest.raises(OrderError):
         price_index_decompose(shallow, 0.1, Budget((1.0, 1.0), 2.0))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: cv_path(surface_from_population(L0, 1), PC_STAR), id="cv_path"),
+    pytest.param(lambda: degree1_cone_test(surface_from_population(L0, 2), B_STAR,
+                                           SupportBox(0.0, 1.0)), id="degree1_cone_test"),
+    pytest.param(lambda: monomial_translation(surface_from_population(L0, 2), 1, B_STAR),
+                 id="monomial_translation"),
+    pytest.param(lambda: compensated_share_moment(
+        share_surface_from_population(CobbDouglasPopulation.single(0.5), 2), 2,
+        Budget((1.0, 1.0), 2.0), 0.1), id="compensated_share_moment"),
+])
+def test_short_surface_refuses_from_its_read(call):
+    # the formula checks no order: the surface's own read refuses the missing one
+    with pytest.raises(OrderError, match=r"^order \d outside 1\.\.\d$"):
+        call()
 
 
 # The node-by-node path integrals that the batched ones replaced, kept as
