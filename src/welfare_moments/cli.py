@@ -511,7 +511,7 @@ def run(command, cfg):
 
 
 def build_parser():
-    parser = _Parser(prog="welfare-moments",
+    parser = _Parser(prog="welfare-moments", allow_abbrev=False,
                      description="Welfare effects of price changes "
                                  "from cross-sectional demand moments")
     parser.add_argument("command", choices=sorted(COMMANDS))

@@ -206,11 +206,13 @@ def _basis_labels(goods, spec):
 def _basis_matrix(log_prices, log_y, control, spec):
     n = len(log_y)
     cols = [np.ones(n)]
-    for j in range(log_prices.shape[1]):
-        for s in range(1, spec.price_degree + 1):
-            cols.append(log_prices[:, j] ** s)
-    for s in range(1, spec.income_degree + 1):
-        cols.append(log_y ** s)
+    # powers by running products: np.power of a negative base (a log price
+    # below 0) takes pow's scalar path, about 50 times slower
+    for x, degree in [*((lp, spec.price_degree) for lp in log_prices.T),
+                      (log_y, spec.income_degree)]:
+        cols.append(x)
+        for _ in range(1, degree):
+            cols.append(cols[-1] * x)
     if spec.include_control:
         cols.append(control if control is not None else np.zeros(n))
     return np.column_stack(cols)
@@ -220,7 +222,9 @@ def _screened_qr(x, labels, what):
     """The intercept and every varying column of ``x``: (their indices, the
     columns, q, r) of the reduced QR ``x[:, kept] = q r``.
 
-    A sample with no more rows than kept columns raises DegenerateDataError
+    Only R is factored; q is ``x R^-1`` (Bjorck 1996's Q-less QR, orthogonal
+    to about eps cond(x)), a third of the cost of Q from the reflectors.  A
+    sample with no more rows than kept columns raises DegenerateDataError
     ("<rows> rows cannot fit <kept> <what>").  A kept column adds no rank to
     the columns before it exactly when its R diagonal vanishes, so
     SingularDesignError names exactly those columns' labels.
@@ -229,24 +233,27 @@ def _screened_qr(x, labels, what):
     x = x[:, kept]
     if x.shape[0] <= x.shape[1]:
         raise DegenerateDataError("%d rows cannot fit %d %s" % (*x.shape, what))
-    q, r = np.linalg.qr(x)
+    r = np.linalg.qr(x, mode="r")
     r_diag = np.abs(np.diag(r))
     collinear = np.flatnonzero(r_diag <= r_diag.max() * max(x.shape) * np.finfo(float).eps)
     if collinear.size:
         raise SingularDesignError([labels[kept[i]] for i in collinear])
-    return kept, x, q, r
+    return kept, x, x @ np.linalg.inv(r), r
 
 
 def first_stage(ds):
     """OLS of log expenditure on intercept, log instrument, and log prices.
 
     Zero-variance price columns are dropped with coefficient zero; the rest
-    are screened and solved through one QR (:func:`_screened_qr`).
+    are screened, factored and solved through :func:`_screened_qr`.
     """
     labels = ["const", "log_z"] + ["log_p_%s" % g for g in ds.goods]
     x = np.column_stack([np.ones(ds.n), ds.log_z, ds.log_prices])
     kept, design, q, r = _screened_qr(x, labels, "columns")
+    # one corrected semi-normal step (Bjorck 1996): q's loss of orthogonality
+    # left the coefficients up to 1e-12 off lstsq's on L0; the step, 1e-15
     coef = np.linalg.solve(r, q.T @ ds.log_y)
+    coef += np.linalg.solve(r, q.T @ (ds.log_y - design @ coef))
     full = dict.fromkeys(labels, 0.0)
     full.update((labels[i], float(c)) for i, c in zip(kept, coef))
     return FirstStageFit(coefficients=full, residuals=ds.log_y - design @ coef,
@@ -254,12 +261,13 @@ def first_stage(ds):
 
 
 class _Design(NamedTuple):
-    """The order-independent part of a share-moment fit on one sample."""
+    """The order-independent part of a share-moment fit on one sample: the
+    basis and the one factor that every start and Gauss-Newton step reads."""
 
     x: np.ndarray  # basis columns that vary over the sample
     active: list  # their indices among all basis columns
     n_columns: int
-    q: np.ndarray  # x = q r
+    q: np.ndarray  # x = q r, with q = x r^-1 (see _screened_qr)
     r: np.ndarray
     domain: tuple  # MomentFit.domain
 
@@ -278,9 +286,9 @@ def _design(ds, basis, fs):
         return design
     x_full = _basis_matrix(ds.log_prices, ds.log_y, None if fs is None else fs.residuals, basis)
     active, x, q, r = _screened_qr(x_full, _basis_labels(ds.goods, basis), "basis columns")
-    region = np.column_stack([ds.log_prices, ds.log_y])
-    design = _Design(x, active, x_full.shape[1], q, r,
-                     (region.min(axis=0), region.max(axis=0)))
+    columns = [*ds.log_prices.T, ds.log_y]
+    domain = (np.array([c.min() for c in columns]), np.array([c.max() for c in columns]))
+    design = _Design(x, active, x_full.shape[1], q, r, domain)
     ds._designs[basis, fs] = design
     return design
 
@@ -296,8 +304,9 @@ def fit_moment_surface(ds, good, order, basis=None, fs=None):
 
     Initialization comes from OLS of log(w^n + 1e-6) on the basis over
     rows with positive shares; zero-share rows stay in the nonlinear fit.
-    The basis, its rank check and QR come from the sample's design for
-    (basis, fs), which every order and good fitted on ``ds`` shares.
+    The basis, its rank check and factor come from the sample's design for
+    (basis, fs), which every order and good fitted on ``ds`` shares; the
+    start and every step are solved through that factor.
     """
     basis = basis or BasisSpec()
     k = ds.good_index(good)
@@ -316,8 +325,11 @@ def fit_moment_surface(ds, good, order, basis=None, fs=None):
     x, active, n_columns, q, r, domain = _design(ds, basis, fs)
     target = w ** order
 
+    # x[pos] = qp r with qp = q[pos], so the start is r^-1 (qp'qp)^-1 qp'b
     pos = w > 0.0
-    theta_active, *_ = np.linalg.lstsq(x[pos], np.log(target[pos] + 1e-6), rcond=None)
+    qp = q[pos]
+    theta_active = np.linalg.solve(
+        r, np.linalg.solve(qp.T @ qp, qp.T @ np.log(target[pos] + 1e-6)))
 
     def predict(th):
         return np.exp(np.clip(x @ th, -700.0, 700.0))
@@ -329,12 +341,12 @@ def fit_moment_surface(ds, good, order, basis=None, fs=None):
         jac_q = pred[:, None] * q
         resid = target - pred
         grad_q = jac_q.T @ resid
-        grad_norm = float(np.linalg.norm(r.T @ grad_q))
         try:
             chol = np.linalg.cholesky(jac_q.T @ jac_q)
         except np.linalg.LinAlgError:
             raise FitError("Gauss-Newton normal matrix is not positive definite",
-                           theta=theta_active, gradient_norm=grad_norm) from None
+                           theta=theta_active,
+                           gradient_norm=float(np.linalg.norm(r.T @ grad_q))) from None
         step = np.linalg.solve(r, np.linalg.solve(chol.T, np.linalg.solve(chol, grad_q)))
         scale = 1.0
         improved = False
@@ -353,8 +365,9 @@ def fit_moment_surface(ds, good, order, basis=None, fs=None):
         if rel_change < GN_MIN_DECREASE:
             break
     else:
+        # gradient_norm is taken where the last step started
         raise FitError("Gauss-Newton did not converge in %d iterations" % GN_MAX_STEPS,
-                       theta=theta_active, gradient_norm=grad_norm)
+                       theta=theta_active, gradient_norm=float(np.linalg.norm(r.T @ grad_q)))
 
     theta = np.zeros(n_columns)
     theta[active] = theta_active

@@ -479,6 +479,13 @@ REFUSED = [
              "UsageError"),
     _refused(["welfare", "--population", "L0", "--quad-nodes", "32"],
              "unrecognized arguments: --quad-nodes 32", "UsageError"),
+    # each flag has one spelling: argparse's unique prefixes are refused
+    _refused(["welfare", "--population", "L0", "--b-l", "-inf"],
+             "unrecognized arguments: --b-l -inf", "UsageError"),
+    _refused(["welfare", "--population", "L0", "--b-l=-inf"],
+             "unrecognized arguments: --b-l=-inf", "UsageError"),
+    _refused(["welfare", "--population", "L0", "--b-l", "0.1"],
+             "unrecognized arguments: --b-l 0.1", "UsageError"),
     _refused(["welfare", "--population", "L0"], "unknown config key 'quad_nodes'",
              config={"quad_nodes": 32}),
     _refused(["welfare", "--population", "L0"], "config key 'b_lo': NaN is not a valid "

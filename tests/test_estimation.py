@@ -23,6 +23,8 @@ from welfare_moments.estimation import (
     FitError,
     SingularDesignError,
     _basis_matrix,
+    _basis_labels,
+    _screened_qr,
 )
 from welfare_moments.oracle import CobbDouglasPopulation
 from welfare_moments.synthetic import (
@@ -93,6 +95,49 @@ def test_first_stage_names_only_kept_collinear_columns():
     with pytest.raises(SingularDesignError) as err:
         first_stage(ds)
     assert err.value.columns == ["log_p_a"]
+
+
+def _l0_sample(n, seed=3):
+    return population_cross_section(L0, n, seed=seed)
+
+
+def _cd2_sample(n, seed=5):
+    pop = CobbDouglasPopulation.two_type(0.3)
+    return cobb_douglas_cross_section(pop, n, seed, goods=("food", "fuel"))
+
+
+@pytest.mark.parametrize("n", [5000, 100000])
+@pytest.mark.parametrize("sample", [_l0_sample, _cd2_sample], ids=["L0", "CD2(0.3)"])
+def test_first_stage_matches_lstsq_oracle(sample, n):
+    ds = sample(n)
+    fs = first_stage(ds)
+    x = np.column_stack([np.ones(ds.n), ds.log_z, ds.log_prices])
+    oracle, *_ = np.linalg.lstsq(x, ds.log_y, rcond=None)
+    coef = np.array(list(fs.coefficients.values()))
+    assert np.linalg.norm(coef - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    assert np.allclose(fs.residuals, ds.log_y - x @ oracle, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("sample", [_l0_sample, _cd2_sample], ids=["L0", "CD2(0.3)"])
+def test_screened_qr_factors_the_design(sample):
+    # q = x R^-1 is orthogonal to about eps cond(x); cond is about 7.5e4 on L0
+    ds = sample(20000)
+    x = _basis_matrix(ds.log_prices, ds.log_y, first_stage(ds).residuals, BasisSpec())
+    kept, x, q, r = _screened_qr(x, _basis_labels(ds.goods, BasisSpec()), "basis columns")
+    assert np.linalg.norm(q.T @ q - np.eye(len(kept))) <= 1e-10
+    assert np.linalg.norm(q @ r - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_basis_powers_match_np_power():
+    rng = np.random.default_rng(12)
+    log_p = rng.uniform(-0.4, 0.4, (5000, 2))
+    log_y = rng.uniform(-1.0, 2.0, 5000)
+    spec = BasisSpec(price_degree=4, income_degree=3, include_control=False)
+    x = _basis_matrix(log_p, log_y, None, spec)
+    ref = np.column_stack([np.ones(5000)] + [log_p[:, j] ** s for j in range(2)
+                                             for s in range(1, 5)]
+                          + [log_y ** s for s in range(1, 4)])
+    assert np.all(np.abs(x - ref) <= 4 * np.spacing(np.abs(ref)))
 
 
 def test_fit_constant_shares():
@@ -187,8 +232,16 @@ def _cd2_case():
     return ds, ["food", "fuel"], BasisSpec(), first_stage(ds)
 
 
-@pytest.mark.parametrize("case", [_l0_case, _planted_case, _cd2_case],
-                         ids=["L0", "planted", "CD2(0.3)"])
+def _l0_zero_shares_case():
+    # about 3% of the shares are zero: the OLS start reads the other rows
+    ds = _l0_sample(20000)
+    shares = np.where(np.random.default_rng(4).random((ds.n, 1)) < 0.03, 0.0, ds.shares)
+    ds = Dataset(ds.goods, shares, ds.log_prices, ds.log_y, ds.log_z)
+    return ds, ["q"], BasisSpec(), first_stage(ds)
+
+
+@pytest.mark.parametrize("case", [_l0_case, _planted_case, _cd2_case, _l0_zero_shares_case],
+                         ids=["L0", "planted", "CD2(0.3)", "L0-zero-shares"])
 def test_fit_matches_lstsq_reference(case):
     ds, goods, basis, fs = case()
     for good in goods:
@@ -259,6 +312,19 @@ def test_orders_and_goods_of_a_sample_share_one_qr(monkeypatch):
         for order in (1, 2, 3):
             fit_moment_surface(ds, good, order, BasisSpec(), fs)
     assert len(calls) == 1
+
+
+def test_bootstrap_replicate_factors_twice_and_calls_no_lstsq(monkeypatch):
+    ds = _l0_sample(5000)
+    sample = ds.take(np.random.default_rng([3, 0]).integers(0, ds.n, ds.n))
+    qr_calls = _count_qr(monkeypatch)
+    lstsq, lstsq_calls = np.linalg.lstsq, []
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *args, **kwargs: lstsq_calls.append(args) or lstsq(*args, **kwargs))
+    fs = first_stage(sample)
+    for order in (1, 2, 3):
+        fit_moment_surface(sample, "q", order, BasisSpec(), fs)
+    assert (len(qr_calls), len(lstsq_calls)) == (2, 0)
 
 
 def test_shared_design_fits_equal_fresh_fits():
