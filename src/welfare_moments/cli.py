@@ -304,11 +304,12 @@ def _write_dataset_csv(path, ds):
     header = (["w_%s" % g for g in ds.goods]
               + ["log_p_%s" % g for g in ds.goods] + ["log_y", "log_z"])
     table = np.column_stack([ds.shares, ds.log_prices, ds.log_y, ds.log_z])
-    # rows end in csv.writer's "\r\n", as the header and the other CSV outputs do
+    # rows end in csv.writer's "\r\n", as the header and the other CSV outputs do;
+    # one % formats the whole table, row after row
     line = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.write("".join([line % tuple(row) for row in table.tolist()]))
+        fh.write((line * len(table)) % tuple(table.ravel().tolist()))
 
 
 def _write_json(path, obj):

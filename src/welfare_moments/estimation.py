@@ -53,6 +53,41 @@ class BootstrapInstabilityError(RuntimeError):
         super().__init__("statistic failed on %d of %d resamples" % (failures, total))
 
 
+class _Rows(NamedTuple):
+    """The rows that fits on a sample factor and iterate on.
+
+    A plain sample fits all of its rows (``index`` is None).  A sample that
+    ``take`` drew with a repeated index fits each distinct row once:
+    ``index`` holds a position of it in the sample, ``count`` how often the
+    sample holds it, and each row of a least-squares problem is scaled by
+    ``root``, the square root of its count (frequency weights).
+    """
+
+    index: np.ndarray = None
+    count: np.ndarray = None
+    root: np.ndarray = None
+
+    def pick(self, a):
+        """The fitted rows of ``a``, a per-sample-row array."""
+        return a if self.index is None else a[self.index]
+
+    def weigh(self, v, subset=slice(None)):
+        """The fitted rows ``v`` (of ``subset``), each scaled by its root count."""
+        if self.root is None:
+            return v
+        root = self.root[subset]
+        return root[:, None] * v if v.ndim == 2 else root * v
+
+    def spread(self, x):
+        """The standard deviation over the sample of each column of ``x``,
+        an array of fitted rows."""
+        if self.count is None:
+            return [np.std(column) for column in x.T]
+        total = self.count.sum()
+        mean = self.count @ x / total
+        return np.sqrt(self.count @ (x - mean) ** 2 / total)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Cross-section of budget shares, log prices, log expenditure, log instrument.
@@ -70,6 +105,7 @@ class Dataset:
     log_y: np.ndarray
     log_z: np.ndarray
     _designs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _rows: _Rows = field(default=_Rows(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("shares", "log_prices", "log_y", "log_z"):
@@ -94,9 +130,26 @@ class Dataset:
         return int(good)
 
     def take(self, indices):
+        """The sample of the rows ``indices`` (integer or boolean) select.
+
+        Its arrays hold one row per index, repeats included, so a statistic
+        that reads them sees the resample.  When an index repeats, as in a
+        bootstrap resample, the sample also records each distinct row with
+        its count, and fits on it run on those rows with the counts as
+        frequency weights: the same estimator on fewer rows.
+        """
         idx = np.asarray(indices)
-        return Dataset(self.goods, self.shares[idx], self.log_prices[idx],
-                       self.log_y[idx], self.log_z[idx])
+        sample = Dataset(self.goods, self.shares[idx], self.log_prices[idx],
+                         self.log_y[idx], self.log_z[idx])
+        source = np.arange(self.n)[idx]
+        count = np.bincount(source, minlength=self.n)
+        if count.max(initial=0) > 1:
+            position = np.empty(self.n, dtype=np.intp)
+            position[source] = np.arange(len(source))
+            held = np.flatnonzero(count)
+            count = count[held].astype(float)
+            object.__setattr__(sample, "_rows", _Rows(position[held], count, np.sqrt(count)))
+        return sample
 
 
 @dataclass(frozen=True)
@@ -218,7 +271,7 @@ def _basis_matrix(log_prices, log_y, control, spec):
     return np.column_stack(cols)
 
 
-def _screened_qr(x, labels, what):
+def _screened_qr(x, labels, what, rows=_Rows()):
     """The intercept and every varying column of ``x``: (their indices, the
     columns, q, r) of the reduced QR ``x[:, kept] = q r``.
 
@@ -228,34 +281,51 @@ def _screened_qr(x, labels, what):
     ("<rows> rows cannot fit <kept> <what>").  A kept column adds no rank to
     the columns before it exactly when its R diagonal vanishes, so
     SingularDesignError names exactly those columns' labels.
+
+    On a sample with repeated rows, ``x`` holds its distinct ``rows``: the
+    screen weighs each by its count, q and r factor the scaled rows,
+    sqrt(count) x = q r, and the row count and the rank threshold are the
+    sample's.  With fewer distinct rows than columns, R is padded with zero
+    rows to its full size, so the columns past the rank are named as on the
+    repeated rows.
     """
-    kept = [0] + [i for i in range(1, x.shape[1]) if np.std(x[:, i]) >= 1e-12]
+    kept = [0] + [i + 1 for i, s in enumerate(rows.spread(x[:, 1:])) if s >= 1e-12]
     x = x[:, kept]
-    if x.shape[0] <= x.shape[1]:
-        raise DegenerateDataError("%d rows cannot fit %d %s" % (*x.shape, what))
-    r = np.linalg.qr(x, mode="r")
+    n = x.shape[0] if rows.count is None else int(rows.count.sum())
+    if n <= x.shape[1]:
+        raise DegenerateDataError("%d rows cannot fit %d %s" % (n, x.shape[1], what))
+    scaled = rows.weigh(x)
+    r = np.linalg.qr(scaled, mode="r")
+    if r.shape[0] < x.shape[1]:
+        r = np.vstack([r, np.zeros((x.shape[1] - r.shape[0], x.shape[1]))])
     r_diag = np.abs(np.diag(r))
-    collinear = np.flatnonzero(r_diag <= r_diag.max() * max(x.shape) * np.finfo(float).eps)
+    collinear = np.flatnonzero(r_diag <= r_diag.max() * max(n, x.shape[1]) * np.finfo(float).eps)
     if collinear.size:
         raise SingularDesignError([labels[kept[i]] for i in collinear])
-    return kept, x, x @ np.linalg.inv(r), r
+    return kept, x, scaled @ np.linalg.inv(r), r
 
 
 def first_stage(ds):
     """OLS of log expenditure on intercept, log instrument, and log prices.
 
     Zero-variance price columns are dropped with coefficient zero; the rest
-    are screened, factored and solved through :func:`_screened_qr`.
+    are screened, factored and solved through :func:`_screened_qr`, on the
+    distinct rows weighted by their counts when the sample repeats rows.
+    The residuals hold one value per sample row.
     """
     labels = ["const", "log_z"] + ["log_p_%s" % g for g in ds.goods]
     x = np.column_stack([np.ones(ds.n), ds.log_z, ds.log_prices])
-    kept, design, q, r = _screened_qr(x, labels, "columns")
+    rows = ds._rows
+    kept, design, q, r = _screened_qr(rows.pick(x), labels, "columns", rows)
+    log_y = rows.pick(ds.log_y)
     # one corrected semi-normal step (Bjorck 1996): q's loss of orthogonality
     # left the coefficients up to 1e-12 off lstsq's on L0; the step, 1e-15
-    coef = np.linalg.solve(r, q.T @ ds.log_y)
-    coef += np.linalg.solve(r, q.T @ (ds.log_y - design @ coef))
+    coef = np.linalg.solve(r, q.T @ rows.weigh(log_y))
+    coef += np.linalg.solve(r, q.T @ rows.weigh(log_y - design @ coef))
     full = dict.fromkeys(labels, 0.0)
     full.update((labels[i], float(c)) for i, c in zip(kept, coef))
+    if rows.index is not None:
+        design = x[:, kept]  # every sample row gets its residual
     return FirstStageFit(coefficients=full, residuals=ds.log_y - design @ coef,
                          dropped=tuple(labels[i] for i in range(x.shape[1]) if i not in kept))
 
@@ -264,10 +334,10 @@ class _Design(NamedTuple):
     """The order-independent part of a share-moment fit on one sample: the
     basis and the one factor that every start and Gauss-Newton step reads."""
 
-    x: np.ndarray  # basis columns that vary over the sample
+    x: np.ndarray  # basis columns that vary over the sample, on its fitted rows
     active: list  # their indices among all basis columns
     n_columns: int
-    q: np.ndarray  # x = q r, with q = x r^-1 (see _screened_qr)
+    q: np.ndarray  # sqrt(count) x = q r, with q = sqrt(count) x r^-1 (see _screened_qr)
     r: np.ndarray
     domain: tuple  # MomentFit.domain
 
@@ -277,16 +347,21 @@ def _design(ds, basis, fs):
 
     Fixed (zero-variance) basis columns are pinned at coefficient zero, and
     the rest go through :func:`_screened_qr`; a design it refuses is not
-    stored, so every call raises again.
+    stored, so every call raises again.  The basis is built on the sample's
+    fitted rows (its distinct rows when it repeats rows).
     """
     if not basis.include_control:
         fs = None  # then the first stage plays no part in the design
     design = ds._designs.get((basis, fs))
     if design is not None:
         return design
-    x_full = _basis_matrix(ds.log_prices, ds.log_y, None if fs is None else fs.residuals, basis)
-    active, x, q, r = _screened_qr(x_full, _basis_labels(ds.goods, basis), "basis columns")
-    columns = [*ds.log_prices.T, ds.log_y]
+    rows = ds._rows
+    log_prices, log_y = rows.pick(ds.log_prices), rows.pick(ds.log_y)
+    control = None if fs is None else rows.pick(fs.residuals)
+    x_full = _basis_matrix(log_prices, log_y, control, basis)
+    active, x, q, r = _screened_qr(x_full, _basis_labels(ds.goods, basis), "basis columns",
+                                   rows)
+    columns = [*log_prices.T, log_y]
     domain = (np.array([c.min() for c in columns]), np.array([c.max() for c in columns]))
     design = _Design(x, active, x_full.shape[1], q, r, domain)
     ds._designs[basis, fs] = design
@@ -306,7 +381,9 @@ def fit_moment_surface(ds, good, order, basis=None, fs=None):
     rows with positive shares; zero-share rows stay in the nonlinear fit.
     The basis, its rank check and factor come from the sample's design for
     (basis, fs), which every order and good fitted on ``ds`` shares; the
-    start and every step are solved through that factor.
+    start and every step are solved through that factor.  On a sample that
+    repeats rows, the start, every step and the rss weigh each distinct row
+    by its count.
     """
     basis = basis or BasisSpec()
     k = ds.good_index(good)
@@ -323,23 +400,25 @@ def fit_moment_surface(ds, good, order, basis=None, fs=None):
     # matrix of pred * q has cond <= (max pred / min pred)^2, so the basis'
     # own conditioning is never squared.
     x, active, n_columns, q, r, domain = _design(ds, basis, fs)
+    rows = ds._rows
+    w = rows.pick(w)
     target = w ** order
 
     # x[pos] = qp r with qp = q[pos], so the start is r^-1 (qp'qp)^-1 qp'b
     pos = w > 0.0
     qp = q[pos]
     theta_active = np.linalg.solve(
-        r, np.linalg.solve(qp.T @ qp, qp.T @ np.log(target[pos] + 1e-6)))
+        r, np.linalg.solve(qp.T @ qp, qp.T @ rows.weigh(np.log(target[pos] + 1e-6), pos)))
 
     def predict(th):
         return np.exp(np.clip(x @ th, -700.0, 700.0))
 
     pred = predict(theta_active)
-    rss = float(np.sum((target - pred) ** 2))
+    rss = float(np.sum(rows.weigh(target - pred) ** 2))
     iters = 0
     for iters in range(1, GN_MAX_STEPS + 1):
         jac_q = pred[:, None] * q
-        resid = target - pred
+        resid = rows.weigh(target - pred)
         grad_q = jac_q.T @ resid
         try:
             chol = np.linalg.cholesky(jac_q.T @ jac_q)
@@ -353,7 +432,7 @@ def fit_moment_surface(ds, good, order, basis=None, fs=None):
         for _ in range(40):
             cand = theta_active + scale * step
             cand_pred = predict(cand)
-            cand_rss = float(np.sum((target - cand_pred) ** 2))
+            cand_rss = float(np.sum(rows.weigh(target - cand_pred) ** 2))
             if np.isfinite(cand_rss) and cand_rss <= rss:
                 improved = True
                 break
@@ -475,7 +554,10 @@ def bootstrap(ds, statistic, cfg):
     """Percentile bootstrap over row resamples; deterministic given the seed.
 
     Replicate r resamples rows with the stream seeded by (seed, r), so its
-    draw does not depend on the replicates before it.
+    draw does not depend on the replicates before it.  Fits on a resample
+    (``ds.take``) run on its distinct rows, about 63% of n, weighted by
+    their counts: the multinomial-weight view of the bootstrap (Efron &
+    Tibshirani 1993).
     """
     point = float(statistic(ds))
     values, failures = [], 0

@@ -13,6 +13,7 @@ import pytest
 
 from welfare_moments import (
     Budget,
+    Dataset,
     L0,
     MomentSurface,
     PriceChange,
@@ -869,6 +870,17 @@ def write_dataset_rows(path, ds):
     write_csv(path, header, rows)
 
 
+def write_dataset_per_row(path, ds):
+    """Reference writer: one % per row of the table, the rows joined."""
+    header = (["w_%s" % g for g in ds.goods]
+              + ["log_p_%s" % g for g in ds.goods] + ["log_y", "log_z"])
+    table = np.column_stack([ds.shares, ds.log_prices, ds.log_y, ds.log_z])
+    line = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.write("".join([line % tuple(row) for row in table.tolist()]))
+
+
 @pytest.mark.parametrize("population", ["L0", "CD2(0.3)"])
 def test_dataset_csv_matches_row_writer(tmp_path, population):
     pop = parse_population(population)
@@ -878,6 +890,23 @@ def test_dataset_csv_matches_row_writer(tmp_path, population):
         ds = cobb_douglas_cross_section(pop, 2000, 11, goods=("food", "fuel"))
     _write_dataset_csv(tmp_path / "new.csv", ds)
     write_dataset_rows(tmp_path / "old.csv", ds)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("population", ["L0", "CD2(0.3)"])
+def test_dataset_csv_matches_per_row_format(tmp_path, population):
+    # _write_dataset_csv formats the whole table with one %; the values
+    # include -0.0, subnormals and the largest float
+    pop = parse_population(population)
+    if population == "L0":
+        ds = population_cross_section(pop, 2000, 13, good="q")
+    else:
+        ds = cobb_douglas_cross_section(pop, 2000, 13, goods=("food", "fuel"))
+    log_y = ds.log_y.copy()
+    log_y[:5] = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 1e-17]
+    ds = Dataset(ds.goods, ds.shares, ds.log_prices, log_y, ds.log_z)
+    _write_dataset_csv(tmp_path / "new.csv", ds)
+    write_dataset_per_row(tmp_path / "old.csv", ds)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 

@@ -20,6 +20,7 @@ from welfare_moments import (
 from welfare_moments.estimation import (
     BootstrapInstabilityError,
     DegenerateDataError,
+    FirstStageFit,
     FitError,
     SingularDesignError,
     _basis_matrix,
@@ -325,6 +326,20 @@ def test_bootstrap_replicate_factors_twice_and_calls_no_lstsq(monkeypatch):
     for order in (1, 2, 3):
         fit_moment_surface(sample, "q", order, BasisSpec(), fs)
     assert (len(qr_calls), len(lstsq_calls)) == (2, 0)
+    # each factor is of the distinct rows: (const, log_z, log_p_q), then the basis
+    distinct = len(np.unique(sample.log_z))
+    assert distinct < 0.7 * ds.n
+    assert qr_calls == [(distinct, 3), (distinct, 8)]
+
+
+@pytest.mark.parametrize("indices", [np.arange(5000), np.arange(0, 5000, 3),
+                                     np.arange(5000) % 4 > 0, np.arange(4999, -1, -2),
+                                     np.array([], dtype=int)],
+                         ids=["all", "every third", "mask", "reversed", "none"])
+def test_take_without_repeats_is_a_plain_sample(indices):
+    ds = _l0_sample(5000)
+    sample = ds.take(indices)
+    assert sample._rows.index is None and sample._rows.count is None
 
 
 def test_shared_design_fits_equal_fresh_fits():
@@ -338,6 +353,114 @@ def test_shared_design_fits_equal_fresh_fits():
             assert (fit.rss, fit.iters) == (fresh.rss, fresh.iters)
             for got, want in zip(fit.domain, fresh.domain):
                 assert np.array_equal(got, want)
+
+
+def _duplicated(sample):
+    """The same rows as a plain sample: no record of which rows repeat."""
+    return Dataset(sample.goods, sample.shares, sample.log_prices, sample.log_y, sample.log_z)
+
+
+def _outcome(ds, goods, basis=BasisSpec()):
+    """The first stage and every fit of orders 1-3 on ``ds``, or the type,
+    message and columns of the first exception they raise."""
+    try:
+        fs = first_stage(ds)
+        return fs, [fit_moment_surface(ds, good, order, basis,
+                                       fs if basis.include_control else None)
+                    for good in goods for order in (1, 2, 3)]
+    except Exception as err:
+        return type(err), str(err), getattr(err, "columns", None)
+
+
+def _assert_fits_match(sample, goods, basis=BasisSpec()):
+    got, want = _outcome(sample, goods, basis), _outcome(_duplicated(sample), goods, basis)
+    if not isinstance(want[0], FirstStageFit):
+        assert got == want
+        return
+    (fs, fits), (fs_ref, fits_ref) = got, want
+    assert list(fs.coefficients) == list(fs_ref.coefficients) and fs.dropped == fs_ref.dropped
+    coef, coef_ref = (np.array(list(f.coefficients.values())) for f in (fs, fs_ref))
+    assert np.max(np.abs(coef - coef_ref)) <= 1e-12
+    assert fs.residuals.shape == (sample.n,)
+    assert np.max(np.abs(fs.residuals - fs_ref.residuals)) <= 1e-12
+    for fit, ref in zip(fits, fits_ref):
+        assert np.linalg.norm(fit.theta - ref.theta) <= 1e-9 * np.linalg.norm(ref.theta)
+        assert np.array_equal(fit.theta == 0.0, ref.theta == 0.0)
+        assert fit.rss == pytest.approx(ref.rss, rel=1e-12, abs=0.0)
+        assert fit.iters == ref.iters
+        for got_bound, want_bound in zip(fit.domain, ref.domain):
+            assert np.array_equal(got_bound, want_bound)
+
+
+@pytest.mark.parametrize("case", [(_l0_sample, 5000, ("q",)),
+                                  (_cd2_sample, 4000, ("food", "fuel"))],
+                         ids=["L0", "CD2(0.3)"])
+def test_resample_fits_equal_fits_on_the_duplicated_rows(case):
+    # the resamples are bootstrap's own: each distinct row is fitted once,
+    # weighted by its count, and the fit is the one on the repeated rows
+    sample_of, n, goods = case
+    ds, samples = sample_of(n), []
+    bootstrap(ds, lambda sample: samples.append(sample) or 0.0,
+              BootstrapConfig(8, 0.90, seed=9))
+    assert samples[0] is ds and len(samples) == 9
+    for sample in samples[1:]:
+        assert sample._rows.count.sum() == sample.n > len(sample._rows.index)
+        _assert_fits_match(sample, goods)
+
+
+def _nine():
+    return population_cross_section(L0, 9, 0)
+
+
+def _constant_on_the_taken_rows():
+    # log_p_q is 0.01 on rows 0-99 and varies on the others
+    ds = _l0_sample(200)
+    log_p = np.where(np.arange(200)[:, None] < 100, 0.01, ds.log_prices)
+    return Dataset(ds.goods, ds.shares, log_p, ds.log_y, ds.log_z), np.r_[0:100, 0:50]
+
+
+def _below_the_screen_by_count():
+    # log_p_q is 4e-12 on rows 0-49 and 0 on rows 50-99: its spread is 2e-12
+    # over these 100 distinct rows but 4e-13 over the 5050 taken ones, which
+    # hold each zero row 100 times: below the 1e-12 screen
+    ds = _l0_sample(200)
+    log_p = np.where(np.arange(200)[:, None] < 50, 4e-12, 0.0)
+    return (Dataset(ds.goods, ds.shares, log_p, ds.log_y, ds.log_z),
+            np.r_[0:50, np.repeat(np.arange(50, 100), 100)])
+
+
+def _take_of_a_take():
+    rng = np.random.default_rng(2)
+    ds = _l0_sample(300).take(rng.integers(0, 300, 300))
+    return ds, rng.integers(0, 300, 300)
+
+
+@pytest.mark.parametrize("case", [
+    lambda: (_nine(), [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]),
+    lambda: (_nine(), [0, 0, 1, 1, 2, 2, 3, 3]),
+    lambda: (_nine(), [5, 5, 5, 1, 1, 1, 2, 2, 2]),
+    lambda: (_nine(), [0, 0, 1, 1]),
+    _constant_on_the_taken_rows,
+    _below_the_screen_by_count,
+    lambda: (_l0_sample(300), -1 - np.random.default_rng(3).integers(0, 300, 300)),
+    lambda: (_l0_sample(300), np.random.default_rng(4).integers(0, 300, 300) % 2 == 0),
+    _take_of_a_take,
+], ids=["4 rows x3", "4 rows x2", "3 rows x3", "2 rows x2", "constant column",
+        "screened by count", "negative", "boolean", "take of a take"])
+@pytest.mark.parametrize("basis", [BasisSpec(), NO_CONTROL], ids=["control", "no control"])
+def test_resample_edge_cases_match_the_duplicated_rows(case, basis):
+    ds, indices = case()
+    _assert_fits_match(ds.take(indices), ("q",), basis)
+
+
+def test_resample_of_few_distinct_rows_names_the_collinear_columns():
+    # 12 rows of 4 distinct ones fit 8 basis columns by row count; the
+    # factor of the 4 distinct rows is padded to 8 x 8, as the rank of the
+    # 12 rows would have it
+    sample = _nine().take([0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3])
+    with pytest.raises(SingularDesignError) as err:
+        fit_moment_surface(sample, "q", 1, BasisSpec(), first_stage(sample))
+    assert err.value.columns == ["log_y^1", "log_y^2", "log_y^3", "control"]
 
 
 def test_design_is_kept_per_first_stage_and_basis(monkeypatch):
