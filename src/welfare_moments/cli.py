@@ -47,7 +47,7 @@ from .oracle import (
 )
 from .rationality import SupportBox, lp_violation_search
 from .synthetic import cobb_douglas_cross_section, population_cross_section
-from .welfare import DEFAULT_QUAD, InternalConsistencyError, build_report, income_effect_bounds
+from .welfare import InternalConsistencyError, build_report, income_effect_bounds
 
 
 class UsageError(ValueError):
@@ -340,14 +340,15 @@ def _fit(cfg, ds, goods):
 
 
 def _surface_for_config(cfg, max_order):
-    """(surface, population, dataset) of the run's one source: a population's
-    surface carries orders up to ``max_order``, one fitted on --data orders 1-3."""
-    if cfg.population:
-        pop = parse_population(cfg.population)
-        return surface_from_population(pop, max_order), pop, None
+    """(surface, source, k): a population (L0 if none is named), orders up to
+    ``max_order``, its k goods; or --data, orders 1-3, one good per --goods
+    column.  The run's budgets hold k prices."""
+    if not cfg.data:
+        pop = parse_population(cfg.population or "L0")
+        return surface_from_population(pop, max_order), pop, pop.k
     ds, _ = ingest_csv(cfg.data, cfg.goods)
     _, fits = _fit(cfg, ds, (cfg.good or cfg.goods[0],))
-    return fitted_surface(fits).moment_surface, None, ds
+    return fitted_surface(fits).moment_surface, ds, len(ds.goods)
 
 
 def _price_change(cfg, dp, k, good):
@@ -422,11 +423,11 @@ def _cmd_estimate(cfg):
 
 
 def _cmd_welfare(cfg):
-    surface, _, ds = _surface_for_config(cfg, 4)
+    surface, _, k = _surface_for_config(cfg, 4)
     thresholds = None if cfg.z is None else (cfg.z, cfg.k)
-    k = 1 if ds is None else len(ds.goods)  # one price per --goods column on --data
-    reports = [build_report(surface, _price_change(cfg, dp, k, surface.good), DEFAULT_QUAD,
-                            cfg.b_lo, cfg.b_hi, thresholds).to_dict() for dp in cfg.dp]
+    reports = [build_report(surface, _price_change(cfg, dp, k, surface.good), b_lo=cfg.b_lo,
+                            b_hi=cfg.b_hi, chebyshev_thresholds=thresholds).to_dict()
+               for dp in cfg.dp]
     header = ["dp", "first_order", "ra", "robust", "path", "bound_lower", "bound_upper",
               "var_robust", "var_additive", "var_first_order", "A1", "A2", "A3", "A4"]
     rows = [[r[c] for c in header[:5]] + [r["bounds"][c] for c in ("lower", "upper")]
@@ -437,9 +438,8 @@ def _cmd_welfare(cfg):
 
 
 def _cmd_oracle_check(cfg):
-    pop = parse_population(cfg.population or "L0")
-    surface = surface_from_population(pop, 4)
-    pcs = [_price_change(cfg, dp, pop.k, 0) for dp in cfg.dp]
+    surface, pop, k = _surface_for_config(cfg, 4)
+    pcs = [_price_change(cfg, dp, k, surface.good) for dp in cfg.dp]
     table = []
     for dp, pc, res in zip(cfg.dp, pcs, population_cv_sweep(pop, pcs)):
         rep = build_report(surface, pc)
@@ -454,24 +454,23 @@ def _cmd_oracle_check(cfg):
 
 
 def _cmd_rationality(cfg):
-    surface, pop, ds = _surface_for_config(cfg, cfg.degree + 2)
+    surface, source, k = _surface_for_config(cfg, cfg.degree + 2)
     j = surface.good
 
     def box_at(b):
-        if pop is not None:
-            return SupportBox(*pop.support(b))
+        if not isinstance(source, Dataset):  # a population knows its support
+            return SupportBox(*source.support(b))
         # empirical support: the good's quantities observed within 5% of the budget
         lp0, ly0 = np.log(b.price(j)), np.log(b.income)
-        near = ((np.abs(ds.log_prices[:, j] - lp0) <= np.log(1.05))
-                & (np.abs(ds.log_y - ly0) <= np.log(1.05)))
+        near = ((np.abs(source.log_prices[:, j] - lp0) <= np.log(1.05))
+                & (np.abs(source.log_y - ly0) <= np.log(1.05)))
         if not np.any(near):
             raise ValueError("no observations within 5%% of budget (%g, %g)"
                              % (b.price(j), b.income))
-        q = ds.shares[near, j] * np.exp(ds.log_y[near] - ds.log_prices[near, j])
+        q = source.shares[near, j] * np.exp(source.log_y[near] - source.log_prices[near, j])
         return SupportBox(float(np.min(q)), float(np.max(q)))
 
     verdicts = []
-    k = 1 if ds is None else len(ds.goods)  # one price per --goods column on --data
     for p in cfg.p_grid:
         for y in cfg.y_grid:
             b = Budget((p,) * k, y)

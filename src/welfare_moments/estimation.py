@@ -289,9 +289,10 @@ def _screened_qr(x, labels, what, rows=_Rows()):
     rows to its full size, so the columns past the rank are named as on the
     repeated rows.
     """
-    kept = [0] + [i + 1 for i, s in enumerate(rows.spread(x[:, 1:])) if s >= 1e-12]
-    x = x[:, kept]
     n = x.shape[0] if rows.count is None else int(rows.count.sum())
+    spread = rows.spread(x[:, 1:]) if n else ()  # no rows: no spread to take
+    kept = [0] + [i + 1 for i, s in enumerate(spread) if s >= 1e-12]
+    x = x[:, kept]
     if n <= x.shape[1]:
         raise DegenerateDataError("%d rows cannot fit %d %s" % (n, x.shape[1], what))
     scaled = rows.weigh(x)

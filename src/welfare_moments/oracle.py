@@ -330,8 +330,10 @@ class _TypeTable:
         z' = lam z + beta0 + a1 u (u = t - t0), with rate r0 = q dp at its
         start, lam = dq/dy dp and a1 = dq/dp dp^2.  A piece ends where the
         income first crosses the type's kink, located to full precision,
-        and the next starts there with the income exactly on the kink.
-        Raises DomainError for the element whose income reaches zero first.
+        and the next starts there with the income exactly on the kink.  The
+        same search finds where the income crosses zero; an income that only
+        touches zero, at the piece's turning point or end, exits there, as
+        under RK4.  DomainError names the element that reaches zero first.
         """
         p0, dp = _own_price_paths(pcs, owner)
         kinks = self._kinks(nodes)  # a kink at +inf is never crossed
@@ -357,16 +359,13 @@ class _TypeTable:
             turn = _turning_point(r0, lam, a1)
             end = np.minimum(span, _first_crossing(r0, lam, a1, k - y, turn, span))
             gain = _piece_gain(r0, lam, a1, end)[0]
-            # the income's least value on the piece: at an end or the turning point
+            # an income that only touches zero, at the turning point or the end, exits there
             low = np.minimum(turn, end)
-            gain_low = _piece_gain(r0, lam, a1, low)[0]
-            out = np.minimum(gain_low, gain) <= -y
-            if np.any(out):
-                before = gain_low[out] <= -y[out]
-                lo = np.where(before, 0.0, low[out])
-                hi = np.where(before, low[out], end[out])
-                exit_t[live[out]] = t0[live[out]] + _solve_gain(
-                    r0[out], lam[out], a1[out], -y[out], lo, hi)
+            touch = np.where(_piece_gain(r0, lam, a1, low)[0] <= -y, low,
+                             np.where(gain <= -y, end, np.inf))
+            exit_u = np.minimum(_first_crossing(r0, lam, a1, -y, turn, end), touch)
+            out = np.isfinite(exit_u)
+            exit_t[live[out]] = t0[live[out]] + exit_u[out]
             s[live] += gain
             t0[live] += end
             crossed = (end < span) & ~out

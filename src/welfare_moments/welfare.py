@@ -426,7 +426,8 @@ def build_report(surface, pc, quad=None, b_lo=None, b_hi=None,
     """Assemble a full welfare report for one price change.
 
     Income-effect bounds are :func:`income_effect_bounds`; passing
-    ``chebyshev_thresholds=(z, k)`` switches the bound kind.
+    ``chebyshev_thresholds=(z, k)`` switches the bounds from the worst-case
+    pair to the probability-tightened one; either pair is ordered once.
     """
     quad = quad or DEFAULT_QUAD
     dp = _own_delta(surface, pc)
@@ -439,15 +440,12 @@ def build_report(surface, pc, quad=None, b_lo=None, b_hi=None,
     # one batch on the price path serves the path value and the worst-case bounds
     path_m, _, path_dy = _on_path(surface, pc, 2, t)
     if chebyshev_thresholds is not None and dp > 0:
-        z, k = chebyshev_thresholds
-        cheb = chebyshev_bounds(surface, pc, b_lo, b_hi, z, k, quad)
-        bounds = {"lower": cheb.lower, "upper": cheb.upper, "kind": "chebyshev"}
+        cheb = chebyshev_bounds(surface, pc, b_lo, b_hi, *chebyshev_thresholds, quad)
+        pair, kind = (cheb.lower, cheb.upper), "chebyshev"
     else:
-        lo = _path_bound(dp, t, w, path_m[0], b_lo)
-        hi = _path_bound(dp, t, w, path_m[0], b_hi)
-        bounds = {"lower": min(lo, hi), "upper": max(lo, hi), "kind": "worst-case"}
-    if bounds["lower"] > bounds["upper"]:
-        bounds["lower"], bounds["upper"] = bounds["upper"], bounds["lower"]
+        pair, kind = [_path_bound(dp, t, w, path_m[0], b) for b in (b_lo, b_hi)], "worst-case"
+    lower, upper = sorted(pair)
+    bounds = {"lower": lower, "upper": upper, "kind": kind}
 
     dec = cv_decompose(surface, pc)
     variance = {

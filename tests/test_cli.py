@@ -151,6 +151,29 @@ def test_cli_rationality_verdicts(tmp_path):
                                 "witness_coeffs"}
 
 
+def test_population_budgets_carry_one_price_per_good(tmp_path):
+    # every command prices both goods of CD2(0.3); the surface reads good 0
+    # alone, so each number is the one at a one-price budget
+    pop, dps = parse_population("CD2(0.3)"), [0.05, -0.1]
+    verdicts, _ = run("rationality", RunConfig(population="CD2(0.3)", p_grid=[0.9, 1.1],
+                                               out=str(tmp_path / "r")))
+    assert [v["budget"]["prices"] for v in verdicts["verdicts"]] == [[0.9, 0.9], [1.1, 1.1]]
+    for v, p in zip(verdicts["verdicts"], (0.9, 1.1)):
+        b = Budget((p,), 2.0)
+        want = lp_violation_search(surface_from_population(pop, 3), b, 1,
+                                   SupportBox(*pop.support(b))).to_dict()
+        assert {key: v[key] for key in want} == want
+    welfare, _ = run("welfare", RunConfig(population="CD2(0.3)", dp=dps, out=str(tmp_path / "w")))
+    check, _ = run("oracle-check", RunConfig(population="CD2(0.3)", dp=dps,
+                                             out=str(tmp_path / "o")))
+    for dp, report, row in zip(dps, welfare["reports"], check["oracle_check"]):
+        want = build_report(surface_from_population(pop, 4),
+                            PriceChange.scalar(1.0, 1.0 + dp, 2.0)).to_dict()
+        assert report == want
+        assert {key: row[key] for key in ("first_order", "ra", "robust", "path")} == {
+            key: want[key] for key in ("first_order", "ra", "robust", "path")}
+
+
 def test_cli_degree_one_verdict_is_the_hankel_verdict(tmp_path):
     assert main(["rationality", "--population", "L0", "--p-grid", "1", "--y-grid", "2,4",
                  "--out", str(tmp_path)]) == 0

@@ -12,6 +12,8 @@ from welfare_moments import (
     PriceChange,
     ShapeError,
     ShareMomentSurface,
+    exact_moment,
+    income_effect_moment,
     numeric_partial,
     quantity_surface_from_shares,
     share_surface_from_population,
@@ -181,3 +183,7 @@ def test_surface_order_error(l0_surface):
         l0_surface.moment(7, B_STAR)
     with pytest.raises(OrderError):
         l0_surface.moment(0, B_STAR)
+    with pytest.raises(OrderError, match="moment order must be >= 1"):
+        exact_moment(L0, 0, B_STAR)
+    with pytest.raises(OrderError, match="moment order must be >= 1"):
+        income_effect_moment(L0, 0, B_STAR)

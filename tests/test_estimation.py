@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -451,6 +453,14 @@ def _take_of_a_take():
 def test_resample_edge_cases_match_the_duplicated_rows(case, basis):
     ds, indices = case()
     _assert_fits_match(ds.take(indices), ("q",), basis)
+
+
+def test_first_stage_of_an_empty_sample_raises_without_a_warning():
+    empty = _nine().take(np.array([], dtype=int))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateDataError, match="^0 rows cannot fit 1 columns$"):
+            first_stage(empty)
 
 
 def test_resample_of_few_distinct_rows_names_the_collinear_columns():

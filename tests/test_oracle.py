@@ -445,6 +445,20 @@ def test_population_cv_income_dipping_below_zero_inside_the_path():
         population_cv(giffen, PriceChange.scalar(1.0, 2.0, 2.0))
 
 
+@pytest.mark.parametrize("types, p0, p1, y, t", [
+    ((1.0, 1.0, 0.0, 0.0), 3.0, 1.0, 2.0, "1.000000"),   # 2 - 2t: zero at the end
+    ((1.0, -3.0, 2.0, 0.0), 2.0, 1.0, 0.25, "0.500000"),  # (t - 1/2)^2: at the turning point
+])
+def test_population_cv_income_touching_zero_exits(types, p0, p1, y, t):
+    # an income that reaches zero without crossing it leaves the positive
+    # domain, in closed form as under RK4
+    pop, pc = LinearTypeMixture([types]), PriceChange.scalar(p0, p1, y)
+    with pytest.raises(DomainError, match=r"t=%s " % t.replace(".", r"\.")):
+        population_cv(pop, pc)
+    with pytest.raises(DomainError):
+        population_cv(pop, pc, OdeConfig(64))
+
+
 def test_turning_point_zeroes_the_rate():
     r0 = np.array([0.3, -0.2, 0.5, 0.1, 0.2])
     lam = np.array([0.1, -0.4, 0.0, 2.0, 0.1])

@@ -573,6 +573,16 @@ def test_build_report_chebyshev_kind(l0_surface):
     assert rep.path == cv_path(l0_surface, PC_STAR)
 
 
+def test_build_report_orders_an_inverted_chebyshev_pair():
+    # at z = 0.45 above k = 0.2 the tightened lower bound passes the upper
+    # one (0.0240239 against 0.0240192); the report writes them in order
+    surface, pc = surface_from_population(L0, 4), PriceChange.scalar(1.0, 1.05, 2.0)
+    cheb = chebyshev_bounds(surface, pc, 0.0, 1.0, 0.45, 0.2)
+    assert cheb.lower > cheb.upper
+    rep = build_report(surface, pc, chebyshev_thresholds=(0.45, 0.2))
+    assert rep.bounds == {"lower": cheb.upper, "upper": cheb.lower, "kind": "chebyshev"}
+
+
 def test_mean_demand_respects_budget_feasibility(cd2_surface):
     # nonnegative demand systems spend at most total income on the good
     rng = np.random.default_rng(12)
