@@ -197,21 +197,25 @@ def _distinct(goods):
     return tuple(goods)
 
 
+def _columns(goods):
+    """The household CSV's columns, in file order."""
+    return ["w_%s" % g for g in goods] + ["log_p_%s" % g for g in goods] + ["log_y", "log_z"]
+
+
 def ingest_csv(path, goods):
     """Parse and validate the household CSV; returns (Dataset, warnings).
 
-    Required columns: w_<good> and log_p_<good> per modeled good, plus
-    log_y and log_z; extra columns are ignored with a warning, and of a
-    duplicated column name the last one is read.  The data rows are parsed
-    in one ``np.loadtxt`` call and checked as arrays.  Unparseable or
-    out-of-range rows fail the whole file with a :class:`RowDataError`
-    that lists the first 100 by physical line number.
+    Required columns: the :func:`_columns` of the modeled goods; extra
+    columns are ignored with a warning, and of a duplicated column name the
+    last one is read.  A leading UTF-8 byte-order mark is skipped.  The data
+    rows are parsed in one ``np.loadtxt`` call and checked as arrays.
+    Unparseable or out-of-range rows fail the whole file with a
+    :class:`RowDataError` that lists the first 100 by physical line number.
     """
     goods = _distinct(goods)
-    required = ["w_%s" % g for g in goods] + ["log_p_%s" % g for g in goods]
-    required += ["log_y", "log_z"]
+    required = _columns(goods)
     k = len(goods)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         header = next(csv.reader(fh), [])
         for col in required:
             if col not in header:
@@ -301,8 +305,7 @@ def _write_csv(path, header, rows):
 
 
 def _write_dataset_csv(path, ds):
-    header = (["w_%s" % g for g in ds.goods]
-              + ["log_p_%s" % g for g in ds.goods] + ["log_y", "log_z"])
+    header = _columns(ds.goods)
     table = np.column_stack([ds.shares, ds.log_prices, ds.log_y, ds.log_z])
     # rows end in csv.writer's "\r\n", as the header and the other CSV outputs do;
     # one % formats the whole table, row after row
@@ -484,7 +487,7 @@ def _cmd_rationality(cfg):
 COMMANDS = {"simulate": _cmd_simulate, "estimate": _cmd_estimate, "welfare": _cmd_welfare,
             "rationality": _cmd_rationality, "oracle-check": _cmd_oracle_check}
 
-VALIDATION_ERRORS = (ValueError, FileNotFoundError, NotADirectoryError, KeyError)
+VALIDATION_ERRORS = (ValueError, OSError, KeyError)
 NUMERIC_ERRORS = (DomainError, OrderError, NumericError, FitError, InternalConsistencyError,
                   FloatingPointError, OverflowError, MemoryError)
 

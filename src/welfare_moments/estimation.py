@@ -163,6 +163,15 @@ class BasisSpec:
             raise ValueError("polynomial degrees must be >= 1")
 
 
+def _blocks(spec, n_goods):
+    """The layout of theta on basis ``spec``: the slice of log price powers
+    1..d of each good, then the slice of log income powers.  Entry 0 is the
+    constant, and the control, when the basis has it, is the last entry."""
+    p, end = spec.price_degree, 1 + n_goods * spec.price_degree
+    return ([slice(1 + j * p, 1 + (j + 1) * p) for j in range(n_goods)]
+            + [slice(end, end + spec.income_degree)])
+
+
 @dataclass(frozen=True, eq=False)
 class FirstStageFit:
     """First-stage OLS; compared and hashed by identity, so a sample keeps
@@ -215,17 +224,11 @@ class MomentFit:
 
     @property
     def beta(self):
-        p = self.basis.price_degree
-        out = []
-        for j in range(self.n_goods):
-            start = 1 + j * p
-            out.append([float(v) for v in self.theta[start:start + p]])
-        return out
+        return [self.theta[block].tolist() for block in _blocks(self.basis, self.n_goods)[:-1]]
 
     @property
     def gamma(self):
-        start = 1 + self.n_goods * self.basis.price_degree
-        return [float(v) for v in self.theta[start:start + self.basis.income_degree]]
+        return self.theta[_blocks(self.basis, self.n_goods)[-1]].tolist()
 
     @property
     def control(self):
@@ -248,26 +251,23 @@ class MomentFit:
 
 def _basis_labels(goods, spec):
     labels = ["const"]
-    for g in goods:
-        labels += ["log_p_%s^%d" % (g, s) for s in range(1, spec.price_degree + 1)]
-    labels += ["log_y^%d" % s for s in range(1, spec.income_degree + 1)]
-    if spec.include_control:
-        labels.append("control")
-    return labels
+    for name, block in zip(["log_p_%s" % g for g in goods] + ["log_y"], _blocks(spec, len(goods))):
+        labels += ["%s^%d" % (name, s) for s in range(1, block.stop - block.start + 1)]
+    return labels + ["control"] * spec.include_control
 
 
 def _basis_matrix(log_prices, log_y, control, spec):
-    n = len(log_y)
-    cols = [np.ones(n)]
-    # powers by running products: np.power of a negative base (a log price
-    # below 0) takes pow's scalar path, about 50 times slower
-    for x, degree in [*((lp, spec.price_degree) for lp in log_prices.T),
-                      (log_y, spec.income_degree)]:
-        cols.append(x)
-        for _ in range(1, degree):
-            cols.append(cols[-1] * x)
+    blocks = _blocks(spec, log_prices.shape[1])
+    # the constant; then every other column is set: the powers by running
+    # products (np.power of a negative base, a log price below 0, takes pow's
+    # scalar path, about 50 times slower) and the control
+    cols = [np.ones(len(log_y))] * (blocks[-1].stop + spec.include_control)
+    for block, x in zip(blocks, [*log_prices.T, log_y]):
+        cols[block.start] = x
+        for i in range(block.start + 1, block.stop):
+            cols[i] = cols[i - 1] * x
     if spec.include_control:
-        cols.append(control if control is not None else np.zeros(n))
+        cols[-1] = np.zeros(len(log_y)) if control is None else control
     return np.column_stack(cols)
 
 
@@ -471,14 +471,14 @@ def exp_poly_share_surface(thetas, basis, n_goods, good=0, domain=None):
     in the own price and in income, one basis matrix per batch of budgets.
 
     ``thetas`` maps each moment order 1..max to a coefficient vector laid
-    out like the columns of :func:`_basis_matrix`.  Counterfactual budgets
-    evaluate the control column at zero, its conditional mean.  ``domain``
+    out as :func:`_blocks` gives it.  Counterfactual budgets evaluate the
+    control column at zero, its conditional mean.  ``domain``
     is the (lo, hi) box of (log p_1, ..., log p_k, log y) that fitted
     coefficients were estimated on; a budget outside it raises DomainError,
     and a batch names its first such budget.
     """
-    p_deg, y_deg = basis.price_degree, basis.income_degree
-    max_order = len(thetas)
+    blocks = _blocks(basis, n_goods)
+    own, income = blocks[good], blocks[-1]
 
     def log_budgets(prices, incomes):
         """Log prices and incomes of m budgets, checked against the domain."""
@@ -501,15 +501,12 @@ def exp_poly_share_surface(thetas, basis, n_goods, good=0, domain=None):
     def batch(prices, incomes, orders):
         lp, ly = log_budgets(prices, incomes)
         x = _basis_matrix(lp, ly, None, basis)
-        p_start, y_start = 1 + good * p_deg, 1 + n_goods * p_deg
         w = np.array([np.exp(x @ thetas[n]) for n in range(1, orders + 1)])
         return (w,
-                w * np.array([slope(thetas[n][p_start:p_start + p_deg], lp[:, good])
-                              for n in range(1, orders + 1)]),
-                w * np.array([slope(thetas[n][y_start:y_start + y_deg], ly)
-                              for n in range(1, orders + 1)]))
+                w * np.array([slope(thetas[n][own], lp[:, good]) for n in range(1, orders + 1)]),
+                w * np.array([slope(thetas[n][income], ly) for n in range(1, orders + 1)]))
 
-    return ShareMomentSurface(max_order, batch, good=good)
+    return ShareMomentSurface(len(thetas), batch, good=good)
 
 
 def _outside_message(prices, income, domain):

@@ -74,8 +74,8 @@ def cobb_douglas_cross_section(pop, n, seed, goods=None):
 class PlantedShareModel:
     """Exponential-polynomial share model with known coefficients.
 
-    theta holds (alpha, beta[j][s], gamma[s]) for the first moment; the
-    n-th moment coefficients follow from the noise law.
+    The n-th moment's theta is n (alpha, beta[0], ..., gamma), in the order
+    of a fit's ``to_dict``, plus the log of the noise law's factor in alpha.
     """
 
     alpha: float
@@ -95,11 +95,9 @@ class PlantedShareModel:
         return {1: 1.0, 2: 1.0 + d2 / 3.0, 3: 1.0 + d2}[n]
 
     def order_theta(self, n):
-        head = [n * self.alpha + np.log(self._noise_factor(n))]
-        for bj in self.beta:
-            head += [n * v for v in bj]
-        head += [n * v for v in self.gamma]
-        return np.asarray(head)
+        theta = n * np.concatenate([[self.alpha], *self.beta, self.gamma])
+        theta[0] += np.log(self._noise_factor(n))
+        return theta
 
     def mean_share(self, log_p, log_y):
         row = _basis_matrix(np.atleast_2d(log_p), np.atleast_1d(log_y), None, self.basis)

@@ -443,12 +443,15 @@ FINITE = "must be a finite number"
 INVERTED = "lower income-effect bound exceeds upper bound"
 
 
-def _refused(argv, message, error="ValueError", config=None):
-    return pytest.param(argv, config, error, message,
+def _refused(argv, message, error="ValueError", config=None, work=False):
+    return pytest.param(argv, config, error, message, work,
                         id=" ".join(argv + ([json.dumps(config)] if config else [])))
 
 
-# "DATA" stands for a --data path; no file is there, and none may be read
+# "DATA" stands for a --data path; no file is there, and none may be read.
+# "DIR" stands for an empty directory and "FILE" for a file; a message names
+# either by its repr, as an OSError does.  A row with work=True is refused at
+# the read or write that fails, so the run may work up to there.
 REFUSED = [
     _refused(["welfare", "--data", "DATA", "--basis-degree", "0"],
              "--basis-degree must be >= 1, got 0"),
@@ -514,26 +517,43 @@ REFUSED = [
              config={"quad_nodes": 32}),
     _refused(["welfare", "--population", "L0"], "config key 'b_lo': NaN is not a valid "
              "--b-lo value", "UsageError", config={"b_lo": math.nan}),
+    # a file the run cannot open or make
+    _refused(["welfare", "--config", "DIR"], "[Errno 21] Is a directory: 'DIR'",
+             "IsADirectoryError"),
+    _refused(["estimate", "--data", "DIR"], "[Errno 21] Is a directory: 'DIR'",
+             "IsADirectoryError", work=True),
+    _refused(["welfare", "--population", "L0", "--out", "FILE"], "[Errno 17] File exists: 'FILE'",
+             "FileExistsError", work=True),
 ]
 
 
-@pytest.mark.parametrize("argv, config, error, message", REFUSED)
+@pytest.mark.parametrize("argv, config, error, message, work", REFUSED)
 def test_bad_settings_are_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, config,
-                                                  error, message):
+                                                  error, message, work):
     def no_work(*args, **kwargs):
         raise AssertionError("a file was read, a surface built or households drawn")
 
     for name in ("ingest_csv", "surface_from_population", "fit_moment_surface",
                  "population_cv_sweep", "cobb_douglas_cross_section", "population_cross_section"):
-        monkeypatch.setattr(cli, name, no_work)
-    argv = [str(tmp_path / "draws.csv") if arg == "DATA" else arg for arg in argv]
+        if not work:
+            monkeypatch.setattr(cli, name, no_work)
+    (tmp_path / "DIR").mkdir()
+    (tmp_path / "FILE").write_text("kept")
+    paths = {"DATA": tmp_path / "draws.csv", "DIR": tmp_path / "DIR", "FILE": tmp_path / "FILE"}
+    argv = [str(paths.get(arg, arg)) for arg in argv]
+    for name, path in paths.items():
+        message = message.replace(repr(name), repr(str(path)))
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv += ["--config", str(tmp_path / "cfg.json")]
-    out = tmp_path / "run"
-    assert main(argv + ["--out", str(out)]) == 1
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "run")]
+    assert main(argv) == 1
     assert json.loads(capsys.readouterr().err) == {"error": error, "message": message}
-    assert not out.exists()
+    # no output directory, and the test's own files as they were
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["DIR", "FILE"] + ["cfg.json"] * (config is not None))
+    assert not any((tmp_path / "DIR").iterdir()) and (tmp_path / "FILE").read_text() == "kept"
 
 
 class _ArrayMemoryError(MemoryError):

@@ -77,6 +77,12 @@ def test_numeric_partial_order_error(l0_surface):
         numeric_partial(l0_surface, 7, B_STAR, "income")
 
 
+@pytest.mark.parametrize("var", ["price", "income"])
+def test_numeric_partial_order_zero_error(l0_surface, var):
+    with pytest.raises(OrderError, match="order 0 outside 1..6"):
+        numeric_partial(l0_surface, 0, B_STAR, var)
+
+
 def test_numeric_partial_domain_error():
     const = MomentSurface(1, constant_batch([1.0]))
     with pytest.raises(DomainError):

@@ -24,13 +24,16 @@ from welfare_moments.estimation import (
     DegenerateDataError,
     FirstStageFit,
     FitError,
+    MomentFit,
     SingularDesignError,
     _basis_matrix,
     _basis_labels,
     _screened_qr,
+    exp_poly_share_surface,
 )
 from welfare_moments.oracle import CobbDouglasPopulation
 from welfare_moments.synthetic import (
+    PlantedShareModel,
     cobb_douglas_cross_section,
     default_planted_model,
     population_cross_section,
@@ -560,6 +563,54 @@ def test_fit_to_dict_fields():
                                "iters", "order", "rss"]
     assert payload["control"] is None
     assert payload["good"] == "q"
+
+
+@pytest.mark.parametrize("control", [True, False], ids=["control", "no control"])
+@pytest.mark.parametrize("degrees", [(1, 1), (3, 3), (4, 2)], ids=["1,1", "3,3", "4,2"])
+@pytest.mark.parametrize("goods", [("q",), ("food", "fuel")], ids=["one good", "two goods"])
+def test_theta_layout_is_read_alike_everywhere(goods, degrees, control):
+    spec, (p, y), k = BasisSpec(*degrees, include_control=control), degrees, len(goods)
+    labels = _basis_labels(goods, spec)
+    assert labels == (["const"] + ["log_p_%s^%d" % (g, s) for g in goods for s in range(1, p + 1)]
+                      + ["log_y^%d" % s for s in range(1, y + 1)] + ["control"] * control)
+    # each basis column is the power its label names
+    rng = np.random.default_rng(4)
+    log_p, log_y = rng.uniform(0.5, 1.5, (6, k)), rng.uniform(0.5, 1.5, 6)
+    resid = rng.normal(size=6)
+    column = {"const": np.ones(6), "control": resid}
+    column.update(("log_p_%s^%d" % (g, s), log_p[:, j] ** s)
+                  for j, g in enumerate(goods) for s in range(1, p + 1))
+    column.update(("log_y^%d" % s, log_y ** s) for s in range(1, y + 1))
+    x = _basis_matrix(log_p, log_y, resid, spec)
+    assert x.shape == (6, len(labels))
+    for i, label in enumerate(labels):
+        assert np.allclose(x[:, i], column[label], rtol=1e-14, atol=0.0), label
+    # theta entry i is i: to_dict holds each entry once, in label order
+    theta = np.arange(len(labels), dtype=float)
+    fit = MomentFit(goods[0], 0, 1, spec, k, theta, 0.0, 0, None).to_dict()
+    coefficients = [fit["alpha"], *(v for row in fit["beta"] for v in row), *fit["gamma"]]
+    assert coefficients + [fit["control"]] * control == theta.tolist()
+    assert (fit["control"] is None) == (not control)
+    assert labels[int(fit["alpha"])] == "const"
+    assert [[labels[int(v)] for v in row] for row in fit["beta"]] \
+        == [["log_p_%s^%d" % (g, s) for s in range(1, p + 1)] for g in goods]
+    assert [labels[int(v)] for v in fit["gamma"]] == ["log_y^%d" % s for s in range(1, y + 1)]
+    # a planted model of those fields lays its theta out alike (its noise
+    # factor at order 1 is 1)
+    planted = PlantedShareModel(fit["alpha"], fit["beta"], fit["gamma"], goods=goods)
+    assert planted.order_theta(1).tolist() == coefficients
+    # the surface's own-price and income slopes read the same entries
+    theta = rng.uniform(-0.3, 0.3, len(labels))
+    b = Budget(tuple(np.exp(log_p[0])), float(np.exp(log_y[0])))
+    d_log_y = sum(s * theta[labels.index("log_y^%d" % s)] * log_y[0] ** (s - 1)
+                  for s in range(1, y + 1))
+    for j, g in enumerate(goods):
+        d_log_p = sum(s * theta[labels.index("log_p_%s^%d" % (g, s))] * log_p[0, j] ** (s - 1)
+                      for s in range(1, p + 1))
+        surface = exp_poly_share_surface({1: theta}, spec, k, good=j)
+        w = surface.moment(1, b)
+        assert surface.d_logp(1, b) == pytest.approx(w * d_log_p, rel=1e-12)
+        assert surface.d_logy(1, b) == pytest.approx(w * d_log_y, rel=1e-12)
 
 
 def test_fitted_surface_constant_derivatives():

@@ -145,6 +145,32 @@ def test_row_errors_name_physical_lines(tmp_path):
     assert err.value.errors == [(5, "share outside [0, 1]")]
 
 
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark of Excel's "CSV UTF-8" export
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    assert main(["simulate", "--population", "CD2(0.3)", "--goods", "food,fuel", "--n", "200",
+                 "--seed", "3", "--out", str(tmp_path)]) == 0
+    plain, marked = tmp_path / "draws.csv", tmp_path / "marked.csv"
+    marked.write_bytes(BOM + plain.read_bytes())
+    want, want_notes = ingest_csv(plain, ["food", "fuel"])
+    got, notes = ingest_csv(marked, ["food", "fuel"])
+    assert notes == want_notes == []
+    for field in ("shares", "log_prices", "log_y", "log_z"):
+        assert getattr(got, field).shape == getattr(want, field).shape
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+
+def test_bad_rows_after_a_byte_order_mark_name_physical_lines(tmp_path):
+    # the diagnostic rescan rereads the file from its start, mark included
+    path = tmp_path / "data.csv"
+    text = _text([HEADER, GOOD[0], "", GOOD[1], "1.5,0.1,1.2,1.1", "0.3,abc,1.2,1.1"])
+    path.write_bytes(BOM + text.encode())
+    with pytest.raises(RowDataError) as err:
+        ingest_csv(path, ["q"])
+    assert err.value.errors == [(5, "share outside [0, 1]"), (6, "unparseable numeric cell")]
+
+
 def test_row_error_count_is_the_total(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text(_text([HEADER] + ["0.3,0.1,x,1"] * 500), newline="")
