@@ -27,27 +27,18 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .core import Budget, DomainError, OrderError, PriceChange
-from .estimation import (
-    BasisSpec,
-    Dataset,
-    DegenerateDataError,
+from .core import (
+    Budget,
+    DomainError,
     FitError,
-    first_stage,
-    fit_moment_surface,
-    fitted_surface,
-)
-from .oracle import (
-    CobbDouglasPopulation,
-    L0,
+    InternalConsistencyError,
     NumericError,
-    Q0,
-    population_cv_sweep,
-    surface_from_population,
+    OrderError,
+    PriceChange,
 )
-from .rationality import SupportBox, lp_violation_search
-from .synthetic import cobb_douglas_cross_section, population_cross_section
-from .welfare import InternalConsistencyError, build_report, income_effect_bounds
+
+# Each command imports the modules it runs inside its own function, so a
+# process loads only what its subcommand needs (see the README).
 
 
 class UsageError(ValueError):
@@ -176,6 +167,8 @@ _DEFAULTS = RunConfig()
 
 
 def parse_population(name):
+    from .oracle import L0, Q0, CobbDouglasPopulation
+
     name = name.strip()
     if name == "L0":
         return L0
@@ -212,11 +205,13 @@ def ingest_csv(path, goods):
     Unparseable or out-of-range rows fail the whole file with a
     :class:`RowDataError` that lists the first 100 by physical line number.
     """
+    from .estimation import Dataset, DegenerateDataError
+
     goods = _distinct(goods)
     required = _columns(goods)
     k = len(goods)
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        header = next(csv.reader(fh), [])
+        _, header = next(_csv_rows(fh, path), (None, []))
         for col in required:
             if col not in header:
                 raise SchemaError(col)
@@ -234,7 +229,7 @@ def ingest_csv(path, goods):
             parse_error = exc
         if parse_error is not None or np.any(_row_problems(table, k)):
             fh.seek(0)
-            errors = _row_errors(fh, cols, k)
+            errors = _row_errors(fh, path, cols, k)
             if not errors:
                 # loadtxt refused a row that the scan reads; its message names the cell
                 raise ValueError("%s: %s" % (path, parse_error))
@@ -274,24 +269,36 @@ def _number(cell):
     return float(text)
 
 
-def _row_errors(fh, cols, k):
+def _csv_rows(fh, path):
+    """(physical line, cells) of each CSV row of ``fh``.  A row that csv
+    cannot split, as one with a cell longer than ``csv.field_size_limit()``,
+    is a ValueError that names the file and the line."""
+    reader = csv.reader(fh)
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:  # not a ValueError
+        raise ValueError("%s: line %d: %s" % (path, reader.line_num, exc)) from None
+
+
+def _row_errors(fh, path, cols, k):
     """(physical line, problem) of every bad data row, in file order.
 
     The diagnostic scan behind RowDataError: csv.reader over the whole
     file, run only when loadtxt or the row checks reject it.
     """
-    reader = csv.reader(fh)
-    next(reader, None)
+    rows = _csv_rows(fh, path)
+    next(rows, None)
     errors, lines, values = [], [], []
-    for row in reader:
+    for line, row in rows:
         if not row:
             continue  # blank line
         try:
             values.append([_number(row[i]) for i in cols])
         except (IndexError, ValueError):
-            errors.append((reader.line_num, "unparseable numeric cell"))
+            errors.append((line, "unparseable numeric cell"))
         else:
-            lines.append(reader.line_num)
+            lines.append(line)
     problems = _row_problems(np.array(values).reshape(-1, len(cols)), k)
     errors += [(line, ROW_PROBLEMS[p]) for line, p in zip(lines, problems) if p]
     return sorted(errors)
@@ -337,6 +344,8 @@ def _first_non_finite(obj, path=""):
 def _fit(cfg, ds, goods):
     """The first stage (None without the control) and the share fits of
     orders 1-3 of each of ``goods`` on ``ds``, good by good."""
+    from .estimation import BasisSpec, first_stage, fit_moment_surface
+
     basis = BasisSpec(cfg.price_degree, cfg.income_degree, cfg.include_control)
     fs = first_stage(ds) if cfg.include_control else None
     return fs, [fit_moment_surface(ds, good, n, basis, fs) for good in goods for n in (1, 2, 3)]
@@ -347,8 +356,12 @@ def _surface_for_config(cfg, max_order):
     ``max_order``, its k goods; or --data, orders 1-3, one good per --goods
     column.  The run's budgets hold k prices."""
     if not cfg.data:
+        from .oracle import surface_from_population
+
         pop = parse_population(cfg.population or "L0")
         return surface_from_population(pop, max_order), pop, pop.k
+    from .estimation import fitted_surface
+
     ds, _ = ingest_csv(cfg.data, cfg.goods)
     _, fits = _fit(cfg, ds, (cfg.good or cfg.goods[0],))
     return fitted_surface(fits).moment_surface, ds, len(ds.goods)
@@ -386,19 +399,23 @@ def _check_settings(command, cfg):
     if cfg.good is not None and cfg.good not in cfg.goods:
         raise ValueError("--good %r is not one of --goods %r" % (cfg.good, list(cfg.goods)))
     _distinct(cfg.goods)
-    k = parse_population(cfg.population or "L0").k  # an unknown population stops here
-    if command == "simulate" and cfg.goods != _DEFAULTS.goods and len(cfg.goods) != k:
-        raise ValueError("--goods %r names %d goods, but the population has %d"
-                         % (cfg.goods, len(cfg.goods), k))
+    if "population" in reads and not cfg.data:
+        k = parse_population(cfg.population or "L0").k  # an unknown population stops here
+        if command == "simulate" and cfg.goods != _DEFAULTS.goods and len(cfg.goods) != k:
+            raise ValueError("--goods %r names %d goods, but the population has %d"
+                             % (cfg.goods, len(cfg.goods), k))
     if cfg.data and cfg.degree > 1:
         raise ValueError("fitted surfaces carry orders up to 3; degree must be 1")
     if (cfg.z is None) != (cfg.k is None):
         raise ValueError("--z and --k must be given together, got only %s"
                          % ("--z" if cfg.k is None else "--k"))
-    b_lo, b_hi = income_effect_bounds(cfg.b_lo, cfg.b_hi, cfg.p0)
-    if cfg.z is not None and not (b_lo <= cfg.z <= b_hi and b_lo <= cfg.k <= b_hi):
-        raise ValueError("--z %s, --k %s: thresholds must lie inside the income-effect "
-                         "bounds [%s, %s]" % (cfg.z, cfg.k, b_lo, b_hi))
+    if command == "welfare":  # the one command that reads the bounds and thresholds
+        from .welfare import income_effect_bounds
+
+        b_lo, b_hi = income_effect_bounds(cfg.b_lo, cfg.b_hi, cfg.p0)
+        if cfg.z is not None and not (b_lo <= cfg.z <= b_hi and b_lo <= cfg.k <= b_hi):
+            raise ValueError("--z %s, --k %s: thresholds must lie inside the income-effect "
+                             "bounds [%s, %s]" % (cfg.z, cfg.k, b_lo, b_hi))
 
 
 def _bundle(cfg, **payload):
@@ -406,6 +423,9 @@ def _bundle(cfg, **payload):
 
 
 def _cmd_simulate(cfg):
+    from .oracle import CobbDouglasPopulation
+    from .synthetic import cobb_douglas_cross_section, population_cross_section
+
     pop = parse_population(cfg.population or "L0")
     named = cfg.goods != _DEFAULTS.goods  # else a k-good population names g0..g(k-1)
     if isinstance(pop, CobbDouglasPopulation):
@@ -426,6 +446,8 @@ def _cmd_estimate(cfg):
 
 
 def _cmd_welfare(cfg):
+    from .welfare import build_report
+
     surface, _, k = _surface_for_config(cfg, 4)
     thresholds = None if cfg.z is None else (cfg.z, cfg.k)
     reports = [build_report(surface, _price_change(cfg, dp, k, surface.good), b_lo=cfg.b_lo,
@@ -441,6 +463,9 @@ def _cmd_welfare(cfg):
 
 
 def _cmd_oracle_check(cfg):
+    from .oracle import population_cv_sweep
+    from .welfare import build_report
+
     surface, pop, k = _surface_for_config(cfg, 4)
     pcs = [_price_change(cfg, dp, k, surface.good) for dp in cfg.dp]
     table = []
@@ -457,11 +482,13 @@ def _cmd_oracle_check(cfg):
 
 
 def _cmd_rationality(cfg):
+    from .rationality import SupportBox, lp_violation_search
+
     surface, source, k = _surface_for_config(cfg, cfg.degree + 2)
     j = surface.good
 
     def box_at(b):
-        if not isinstance(source, Dataset):  # a population knows its support
+        if not cfg.data:  # a population knows its support
             return SupportBox(*source.support(b))
         # empirical support: the good's quantities observed within 5% of the budget
         lp0, ly0 = np.log(b.price(j)), np.log(b.income)

@@ -34,6 +34,25 @@ class ShapeError(ValueError):
     """Vector dimensions do not line up, as a budget without one price per good."""
 
 
+# The numeric failures of the other modules live here too, so that the CLI
+# can map every exit-2 error without importing the module that raises it.
+class NumericError(RuntimeError):
+    """A quadrature or ODE routine failed to reach its tolerance."""
+
+
+class FitError(RuntimeError):
+    """Gauss-Newton failed to converge; carries the last iterate."""
+
+    def __init__(self, message, theta=None, gradient_norm=None):
+        super().__init__(message)
+        self.theta = theta
+        self.gradient_norm = gradient_norm
+
+
+class InternalConsistencyError(RuntimeError):
+    """A decomposition failed its algebraic identity; the surface is broken."""
+
+
 @dataclass(frozen=True)
 class Budget:
     """A price vector and an income level; the conditioning point for all moments."""

@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import (
     DomainError,
+    FitError,
     MomentSurface,
     OrderError,
     ShareMomentSurface,
@@ -36,15 +37,6 @@ class SingularDesignError(ValueError):
 
 class DegenerateDataError(ValueError):
     """Share data cannot support the requested fit."""
-
-
-class FitError(RuntimeError):
-    """Gauss-Newton failed to converge; carries the last iterate."""
-
-    def __init__(self, message, theta=None, gradient_norm=None):
-        super().__init__(message)
-        self.theta = theta
-        self.gradient_norm = gradient_norm
 
 
 class BootstrapInstabilityError(RuntimeError):

@@ -33,15 +33,12 @@ from .core import (
     Budget,
     DomainError,
     MomentSurface,
+    NumericError,
     OrderError,
     ShapeError,
     ShareMomentSurface,
     gauss_legendre01,
 )
-
-
-class NumericError(RuntimeError):
-    """A quadrature or ODE routine failed to reach its tolerance."""
 
 
 GL_NODES = 64  # Gauss-Legendre nodes of a type table and of cv_constant_income_effect

@@ -16,11 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FD_STEP, ShapeError, gauss_legendre01, monomial_translation
-
-
-class InternalConsistencyError(RuntimeError):
-    """A decomposition failed its algebraic identity; the surface is broken."""
+from .core import (
+    FD_STEP,
+    InternalConsistencyError,
+    ShapeError,
+    gauss_legendre01,
+    monomial_translation,
+)
 
 
 @dataclass(frozen=True)

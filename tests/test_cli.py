@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import math
 import re
@@ -284,8 +285,9 @@ def test_bad_budget_value_exits_1_before_any_surface(tmp_path, capsys, monkeypat
     def no_surface(*args):
         raise AssertionError("a surface was built or a file read")
 
-    for name in ("surface_from_population", "ingest_csv", "population_cv_sweep"):
-        monkeypatch.setattr(cli, name, no_surface)
+    for name in ("oracle.surface_from_population", "cli.ingest_csv",
+                 "oracle.population_cv_sweep"):
+        monkeypatch.setattr("welfare_moments." + name, no_surface)
     out = tmp_path / "run"
     assert main(argv + ["--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)
@@ -422,7 +424,7 @@ def test_population_run_refuses_settings_of_a_fit(tmp_path, capsys, monkeypatch,
     def no_surface(*args):
         raise AssertionError("a surface was built")
 
-    monkeypatch.setattr(cli, "surface_from_population", no_surface)
+    monkeypatch.setattr("welfare_moments.oracle.surface_from_population", no_surface)
     out = tmp_path / "run"
     assert main([command, "--population", "CD(0.3)"] + extra + ["--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)
@@ -533,10 +535,11 @@ def test_bad_settings_are_refused_before_any_work(tmp_path, capsys, monkeypatch,
     def no_work(*args, **kwargs):
         raise AssertionError("a file was read, a surface built or households drawn")
 
-    for name in ("ingest_csv", "surface_from_population", "fit_moment_surface",
-                 "population_cv_sweep", "cobb_douglas_cross_section", "population_cross_section"):
+    for name in ("cli.ingest_csv", "oracle.surface_from_population",
+                 "estimation.fit_moment_surface", "oracle.population_cv_sweep",
+                 "synthetic.cobb_douglas_cross_section", "synthetic.population_cross_section"):
         if not work:
-            monkeypatch.setattr(cli, name, no_work)
+            monkeypatch.setattr("welfare_moments." + name, no_work)
     (tmp_path / "DIR").mkdir()
     (tmp_path / "FILE").write_text("kept")
     paths = {"DATA": tmp_path / "draws.csv", "DIR": tmp_path / "DIR", "FILE": tmp_path / "FILE"}
@@ -565,10 +568,26 @@ def test_out_of_memory_exits_2_with_json(tmp_path, capsys, monkeypatch, exc):
     def no_memory(*args):
         raise exc
 
-    monkeypatch.setattr(cli, "surface_from_population", no_memory)
+    monkeypatch.setattr("welfare_moments.oracle.surface_from_population", no_memory)
     out = tmp_path / "run"
     assert main(["welfare", "--population", "L0", "--out", str(out)]) == 2
     assert json.loads(capsys.readouterr().err) == {"error": "MemoryError", "message": str(exc)}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("module, name", [("estimation", "FitError"), ("oracle", "NumericError"),
+                                          ("welfare", "InternalConsistencyError")])
+def test_numeric_failure_of_each_module_exits_2(tmp_path, capsys, monkeypatch, module, name):
+    # the class each module offers by name is the one main maps to exit 2
+    error = getattr(importlib.import_module("welfare_moments." + module), name)
+
+    def failing(*args):
+        raise error("did not converge")
+
+    monkeypatch.setattr("welfare_moments.oracle.surface_from_population", failing)
+    out = tmp_path / "run"
+    assert main(["welfare", "--population", "L0", "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": name, "message": "did not converge"}
     assert not out.exists()
 
 
@@ -610,7 +629,7 @@ def test_simulate_refuses_a_repeated_good_before_drawing(tmp_path, capsys, monke
     def no_draws(*args, **kwargs):
         raise AssertionError("households were drawn")
 
-    monkeypatch.setattr(cli, "cobb_douglas_cross_section", no_draws)
+    monkeypatch.setattr("welfare_moments.synthetic.cobb_douglas_cross_section", no_draws)
     out = tmp_path / "run"
     assert main(["simulate", "--population", "CD2(0.3)", "--goods", "a,a", "--n", "10",
                  "--seed", "1", "--out", str(out)]) == 1
@@ -757,7 +776,8 @@ def test_oracle_check_cobb_douglas_exact(tmp_path, population):
 
 def test_non_finite_result_exits_2_without_output(tmp_path, capsys, monkeypatch):
     infinite = MomentSurface(4, constant_batch([math.inf] * 4))
-    monkeypatch.setattr(cli, "surface_from_population", lambda pop, max_order: infinite)
+    monkeypatch.setattr("welfare_moments.oracle.surface_from_population",
+                        lambda pop, max_order: infinite)
     out = tmp_path / "welfare"
     assert main(["welfare", "--population", "L0", "--p0", "1", "--y", "2",
                  "--dp", "0.05", "--out", str(out)]) == 2
@@ -881,9 +901,9 @@ def test_multigood_data_runs_price_every_good(tmp_path, monkeypatch, cd2_draws):
     assert robust == pytest.approx(exact, rel=0.01)
 
     boxes = []
-    verdict = cli.lp_violation_search
-    monkeypatch.setattr(cli, "lp_violation_search", lambda surface, b, degree, box:
-                        boxes.append(box) or verdict(surface, b, degree, box))
+    monkeypatch.setattr("welfare_moments.rationality.lp_violation_search",
+                        lambda surface, b, degree, box:
+                        boxes.append(box) or lp_violation_search(surface, b, degree, box))
     assert main(["rationality"] + source + ["--p-grid", "1", "--y-grid", "2",
                                             "--out", str(tmp_path / "rat")]) == 0
     verdicts = json.load(open(tmp_path / "rat" / "verdicts.json"))

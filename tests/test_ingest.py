@@ -204,3 +204,21 @@ def test_header_only_csv_is_degenerate(tmp_path, capsys, text):
                      "--out", str(tmp_path / "out")]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "DegenerateDataError", "message": "no data rows in %s" % path}
+
+
+LONG = "1" * 200000  # a cell over csv.field_size_limit() (131072 characters)
+
+
+@pytest.mark.parametrize("lines, line", [
+    ([HEADER + ",x" + LONG, GOOD[0] + ",0"], 1),
+    ([HEADER, GOOD[0], "0.3,0.1,%s,1" % LONG, GOOD[1]], 3),
+])
+def test_over_limit_cell_exits_1_naming_the_line(tmp_path, capsys, lines, line):
+    path = tmp_path / "data.csv"
+    path.write_text(_text(lines), newline="")
+    out = tmp_path / "out"
+    assert main(["estimate", "--data", str(path), "--goods", "q", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": "%s: line %d: field larger than field "
+                   "limit (131072)" % (path, line)}
+    assert not out.exists()
