@@ -311,15 +311,22 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+# rows that _write_dataset_csv formats and writes at a time
+WRITE_BLOCK_ROWS = 8192
+
+
 def _write_dataset_csv(path, ds):
     header = _columns(ds.goods)
-    table = np.column_stack([ds.shares, ds.log_prices, ds.log_y, ds.log_z])
+    columns = [ds.shares, ds.log_prices, ds.log_y[:, None], ds.log_z[:, None]]
     # rows end in csv.writer's "\r\n", as the header and the other CSV outputs do;
-    # one % formats the whole table, row after row
-    line = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+    # one % formats a block of WRITE_BLOCK_ROWS rows, row after row, so the
+    # working set is one block's values and text, not the table's
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.write((line * len(table)) % tuple(table.ravel().tolist()))
+        for start in range(0, ds.n, WRITE_BLOCK_ROWS):
+            block = np.hstack([c[start:start + WRITE_BLOCK_ROWS] for c in columns])
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path, obj):

@@ -248,19 +248,31 @@ def _basis_labels(goods, spec):
     return labels + ["control"] * spec.include_control
 
 
-def _basis_matrix(log_prices, log_y, control, spec):
+def _basis_matrix(log_prices, log_y, control, spec, order="C"):
+    """The basis columns of ``spec`` at each row, filled into one array of
+    memory layout ``order``.
+
+    Each caller keeps one layout, because BLAS sums a product with the
+    basis in a different order on the other one: a fit's design is
+    Fortran-ordered (the layout ``x[:, kept]`` of a C-ordered basis gives),
+    and a surface evaluates on a C-ordered basis.  Swapping either moves
+    outputs in their last digits: a C-ordered design took an L0 fit's
+    alpha from -4.159907587401146 to -4.159907587401112 (n = 100k, seed
+    5), and a Fortran-ordered evaluation basis moved ``sweep.csv`` alike.
+    """
     blocks = _blocks(spec, log_prices.shape[1])
-    # the constant; then every other column is set: the powers by running
-    # products (np.power of a negative base, a log price below 0, takes pow's
-    # scalar path, about 50 times slower) and the control
-    cols = [np.ones(len(log_y))] * (blocks[-1].stop + spec.include_control)
-    for block, x in zip(blocks, [*log_prices.T, log_y]):
-        cols[block.start] = x
+    x = np.empty((len(log_y), blocks[-1].stop + spec.include_control), order=order)
+    # the constant; the powers by running products (np.power of a negative
+    # base, a log price below 0, takes pow's scalar path, about 50 times
+    # slower); and the control
+    x[:, 0] = 1.0
+    for block, column in zip(blocks, [*log_prices.T, log_y]):
+        x[:, block.start] = column
         for i in range(block.start + 1, block.stop):
-            cols[i] = cols[i - 1] * x
+            np.multiply(x[:, i - 1], column, out=x[:, i])
     if spec.include_control:
-        cols[-1] = np.zeros(len(log_y)) if control is None else control
-    return np.column_stack(cols)
+        x[:, -1] = 0.0 if control is None else control
+    return x
 
 
 def _screened_qr(x, labels, what, rows=_Rows()):
@@ -284,7 +296,9 @@ def _screened_qr(x, labels, what, rows=_Rows()):
     n = x.shape[0] if rows.count is None else int(rows.count.sum())
     spread = rows.spread(x[:, 1:]) if n else ()  # no rows: no spread to take
     kept = [0] + [i + 1 for i, s in enumerate(spread) if s >= 1e-12]
-    x = x[:, kept]
+    # the kept columns in Fortran order (see _basis_matrix); x itself when
+    # it already is that
+    x = x[:, kept] if len(kept) < x.shape[1] else np.asfortranarray(x)
     if n <= x.shape[1]:
         raise DegenerateDataError("%d rows cannot fit %d %s" % (n, x.shape[1], what))
     scaled = rows.weigh(x)
@@ -351,7 +365,7 @@ def _design(ds, basis, fs):
     rows = ds._rows
     log_prices, log_y = rows.pick(ds.log_prices), rows.pick(ds.log_y)
     control = None if fs is None else rows.pick(fs.residuals)
-    x_full = _basis_matrix(log_prices, log_y, control, basis)
+    x_full = _basis_matrix(log_prices, log_y, control, basis, order="F")
     active, x, q, r = _screened_qr(x_full, _basis_labels(ds.goods, basis), "basis columns",
                                    rows)
     columns = [*log_prices.T, log_y]
@@ -397,11 +411,15 @@ def fit_moment_surface(ds, good, order, basis=None, fs=None):
     w = rows.pick(w)
     target = w ** order
 
-    # x[pos] = qp r with qp = q[pos], so the start is r^-1 (qp'qp)^-1 qp'b
+    # x[pos] = qp r with qp = q[pos], so the start is r^-1 (qp'qp)^-1 qp'b;
+    # when every share is positive, qp is q itself, not a copy
     pos = w > 0.0
+    if pos.all():
+        pos = slice(None)
     qp = q[pos]
     theta_active = np.linalg.solve(
         r, np.linalg.solve(qp.T @ qp, qp.T @ rows.weigh(np.log(target[pos] + 1e-6), pos)))
+    del qp  # a copy when a share is zero; the steps read only q
 
     def predict(th):
         return np.exp(np.clip(x @ th, -700.0, 700.0))
@@ -409,10 +427,10 @@ def fit_moment_surface(ds, good, order, basis=None, fs=None):
     pred = predict(theta_active)
     rss = float(np.sum(rows.weigh(target - pred) ** 2))
     iters = 0
+    jac_q = np.empty_like(q)  # pred * q, refilled at every step
     for iters in range(1, GN_MAX_STEPS + 1):
-        jac_q = pred[:, None] * q
-        resid = rows.weigh(target - pred)
-        grad_q = jac_q.T @ resid
+        np.multiply(pred[:, None], q, out=jac_q)
+        grad_q = jac_q.T @ rows.weigh(target - pred)
         try:
             chol = np.linalg.cholesky(jac_q.T @ jac_q)
         except np.linalg.LinAlgError:
@@ -492,7 +510,7 @@ def exp_poly_share_surface(thetas, basis, n_goods, good=0, domain=None):
 
     def batch(prices, incomes, orders):
         lp, ly = log_budgets(prices, incomes)
-        x = _basis_matrix(lp, ly, None, basis)
+        x = _basis_matrix(lp, ly, None, basis)  # C-ordered: see _basis_matrix
         w = np.array([np.exp(x @ thetas[n]) for n in range(1, orders + 1)])
         return (w,
                 w * np.array([slope(thetas[n][own], lp[:, good]) for n in range(1, orders + 1)]),

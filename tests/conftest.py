@@ -2,6 +2,7 @@
 and scalar reference formulas."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,3 +105,16 @@ def cobb_douglas_cv_mean(pop, pc):
     logs = np.log1p(pc.delta / np.asarray(pc.start.prices))
     return sum(prob * pc.income * math.expm1(float(np.dot(alpha, logs)))
                for alpha, prob in pop.types)
+
+
+def traced(call):
+    """(bytes that ``call`` leaves allocated, its peak above that), as
+    tracemalloc sees them: numpy's arrays, not LAPACK's own buffers."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return after - before, peak - after

@@ -36,7 +36,7 @@ from welfare_moments.cli import (
 from welfare_moments.rationality import SupportBox, lp_violation_search, translate_polynomial
 from welfare_moments.synthetic import cobb_douglas_cross_section, population_cross_section
 
-from conftest import cobb_douglas_cv_mean, constant_batch, loglog_slope
+from conftest import cobb_douglas_cv_mean, constant_batch, loglog_slope, traced
 
 
 def write_csv(path, header, rows):
@@ -958,7 +958,7 @@ def test_dataset_csv_matches_row_writer(tmp_path, population):
 
 @pytest.mark.parametrize("population", ["L0", "CD2(0.3)"])
 def test_dataset_csv_matches_per_row_format(tmp_path, population):
-    # _write_dataset_csv formats the whole table with one %; the values
+    # _write_dataset_csv formats each block of rows with one %; the values
     # include -0.0, subnormals and the largest float
     pop = parse_population(population)
     if population == "L0":
@@ -971,6 +971,45 @@ def test_dataset_csv_matches_per_row_format(tmp_path, population):
     _write_dataset_csv(tmp_path / "new.csv", ds)
     write_dataset_per_row(tmp_path / "old.csv", ds)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+BLOCK = cli.WRITE_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, 2 * BLOCK + 7])
+def test_dataset_csv_blocks_match_the_reference_writers(tmp_path, n):
+    # the special values sit on both sides of each block boundary the
+    # sample reaches, and at its first and last rows
+    rng = np.random.default_rng(n)
+    shares = rng.uniform(0.0, 0.5, (n, 2))
+    log_prices = rng.normal(0.0, 0.3, (n, 2))
+    log_y = rng.normal(1.0, 0.5, n)
+    log_z = rng.normal(2.0, 1.0, n)
+    special = [-0.0, 5e-324, 2.5e-320, -2.2250738585072014e-308, 1.7976931348623157e308]
+    for start in {0, n - 1, *(b + d for b in range(BLOCK, n, BLOCK) for d in (-1, 0))}:
+        shares[start] = [-0.0, 5e-324]
+        log_prices[start] = [2.5e-320, -1.7976931348623157e308]
+        log_y[start] = special[start % len(special)]
+        log_z[start] = special[(start + 1) % len(special)]
+    ds = Dataset(("food", "fuel"), shares, log_prices, log_y, log_z)
+    _write_dataset_csv(tmp_path / "new.csv", ds)
+    written = (tmp_path / "new.csv").read_bytes()
+    write_dataset_rows(tmp_path / "rows.csv", ds)
+    write_dataset_per_row(tmp_path / "per_row.csv", ds)
+    assert written == (tmp_path / "rows.csv").read_bytes()
+    assert written == (tmp_path / "per_row.csv").read_bytes()
+    assert written.count(b"\r\n") == n + 1
+
+
+def test_dataset_csv_write_holds_one_block(tmp_path):
+    # the table's values and text are formatted a block at a time: at
+    # n = 100k, one whole-table % traced about 28 MB
+    rng = np.random.default_rng(3)
+    n = 100000
+    ds = Dataset(("q",), rng.uniform(0.0, 1.0, (n, 1)), rng.normal(0.0, 0.3, (n, 1)),
+                 rng.normal(1.0, 0.5, n), rng.normal(2.0, 1.0, n))
+    kept, above = traced(lambda: _write_dataset_csv(tmp_path / "draws.csv", ds))
+    assert kept + above < 8e6
 
 
 def readme_cli_lines():

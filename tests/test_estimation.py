@@ -19,6 +19,7 @@ from welfare_moments import (
     population_cv,
     shares_to_quantities,
 )
+from welfare_moments import estimation
 from welfare_moments.estimation import (
     BootstrapInstabilityError,
     DegenerateDataError,
@@ -28,6 +29,7 @@ from welfare_moments.estimation import (
     SingularDesignError,
     _basis_matrix,
     _basis_labels,
+    _design,
     _screened_qr,
     exp_poly_share_surface,
 )
@@ -38,6 +40,8 @@ from welfare_moments.synthetic import (
     default_planted_model,
     population_cross_section,
 )
+
+from conftest import traced
 
 NO_CONTROL = BasisSpec(include_control=False)
 
@@ -763,3 +767,52 @@ def test_basis_and_bootstrap_validation():
         BootstrapConfig(replications=1)
     with pytest.raises(ValueError):
         BootstrapConfig(level=1.5)
+
+
+def test_design_holds_one_basis():
+    # the basis is filled in place and becomes the design when no column is
+    # fixed: the build's peak is what the design keeps (its basis and q)
+    ds = _l0_sample(50000)
+    fs = first_stage(ds)
+    design = {}
+    kept, above = traced(lambda: design.update(d=_design(ds, BasisSpec(), fs)))
+    x, q = design["d"].x, design["d"].q
+    assert kept >= x.nbytes + q.nbytes
+    assert above <= 4 * 8 * ds.n
+
+
+def test_fits_hold_one_jacobian():
+    # on a built design, the three fits add one n x k array (the Jacobian
+    # buffer) and a few n-vectors: no copy of q and no Jacobian per step
+    ds = _l0_sample(50000)
+    fs = first_stage(ds)
+    q = _design(ds, BasisSpec(), fs).q
+    assert np.all(ds.shares > 0.0)
+    kept, above = traced(lambda: [fit_moment_surface(ds, "q", n, BasisSpec(), fs)
+                                  for n in (1, 2, 3)])
+    assert kept + above <= q.nbytes + 8 * 8 * ds.n
+
+
+def test_design_and_evaluation_layouts(monkeypatch):
+    # BLAS sums a product in a different order on the other layout (see
+    # _basis_matrix): a fit's design is Fortran-ordered and, with no column
+    # fixed, is the very array _basis_matrix filled; a surface evaluates
+    # on a C-ordered basis
+    built = []
+    basis_matrix = estimation._basis_matrix
+
+    def record(*args, **kw):
+        built.append(basis_matrix(*args, **kw))
+        return built[-1]
+
+    monkeypatch.setattr(estimation, "_basis_matrix", record)
+    ds = _l0_sample(2000)
+    fs = first_stage(ds)
+    design = _design(ds, BasisSpec(), fs)
+    assert len(design.active) == design.n_columns
+    assert design.x.flags.f_contiguous
+    assert np.shares_memory(design.x, built[-1])
+    fits = [fit_moment_surface(ds, "q", n, BasisSpec(), fs) for n in (1, 2, 3)]
+    surface = fitted_surface(fits).share_surface
+    surface.on_budgets(np.array([[1.0], [1.02]]), np.array([4.0, 4.1]))
+    assert len(built) == 2 and built[-1].flags.c_contiguous
