@@ -12,13 +12,12 @@ __version__ = "0.1.0"
 # the exported names of each module
 _EXPORTS = {
     "core": ("Budget", "DomainError", "MomentSurface", "OrderError", "PriceChange", "ShapeError",
-             "ShareMomentSurface", "numeric_partial", "quantity_surface_from_shares",
-             "shares_to_quantities"),
+             "ShareMomentSurface", "numeric_partial", "quantity_surface_from_shares"),
     "oracle": ("B_STAR", "CobbDouglasPopulation", "L0", "LinearHeteroPopulation",
                "LinearTypeMixture", "OdeConfig", "Q0", "QuantileCounterexamplePopulation",
                "aggregate_expenditure", "counterexample_discrepancy", "cv_constant_income_effect",
-               "exact_cv_type", "exact_moment", "income_effect_moment", "population_cv",
-               "population_cv_sweep", "share_surface_from_population", "surface_from_population"),
+               "exact_cv_type", "population_cv", "population_cv_sweep",
+               "share_surface_from_population", "surface_from_population"),
     "welfare": ("ChebyshevBounds", "QuadratureRule", "WelfareReport", "build_report",
                 "chebyshev_bounds", "compensated_jacobian_multigood", "compensated_moment_fo",
                 "compensated_share_moment", "cv_decompose", "cv_first_order", "cv_mean_multigood",

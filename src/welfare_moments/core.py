@@ -253,8 +253,9 @@ def _central(f, x):
     return float((4.0 * d2 - d1) / 3.0)
 
 
-def numeric_partial(surface, n, b, var, j=0):
-    """Central-difference partial of a moment surface in one price or in income.
+def numeric_partial(surface, n, b, var):
+    """Central-difference partial of a moment surface in the own price of
+    its good (``var="price"``) or in income (``var="income"``).
 
     The library's surfaces carry exact partials; this is the independent
     reference for checking them.  The surface refuses an order it lacks.
@@ -262,21 +263,9 @@ def numeric_partial(surface, n, b, var, j=0):
     if var == "income":
         return _central(lambda y: surface.moment(n, b.with_income(y)), b.income)
     if var == "price":
+        j = surface.good
         return _central(lambda p: surface.moment(n, b.with_price(j, p)), b.price(j))
     raise ValueError("var must be 'price' or 'income', got %r" % (var,))
-
-
-def shares_to_quantities(share_surface, b):
-    """Quantity moments and partials of a share surface at one budget.
-
-    Reads :func:`quantity_surface_from_shares`, so the chain rule lives in
-    one place.  Requires share orders up to 3.
-    """
-    q = quantity_surface_from_shares(share_surface)
-    out = {"M%d" % n: q.moment(n, b) for n in (1, 2, 3)}
-    out.update({"D_p_M%d" % n: q.d_price(n, b) for n in (1, 2)})
-    out.update({"D_y_M%d" % n: q.d_income(n, b) for n in (1, 2, 3)})
-    return out
 
 
 def quantity_surface_from_shares(share_surface):

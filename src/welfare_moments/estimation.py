@@ -381,7 +381,7 @@ GN_MIN_DECREASE = 1e-10
 GN_MAX_STEPS = 200
 
 
-def fit_moment_surface(ds, good, order, basis=None, fs=None):
+def fit_moment_surface(ds, good, order, basis=BasisSpec(), fs=None):
     """Fit E[w^n | b] = exp(basis . theta) by Gauss-Newton with line search.
 
     Initialization comes from OLS of log(w^n + 1e-6) on the basis over
@@ -392,7 +392,6 @@ def fit_moment_surface(ds, good, order, basis=None, fs=None):
     repeats rows, the start, every step and the rss weigh each distinct row
     by its count.
     """
-    basis = basis or BasisSpec()
     k = ds.good_index(good)
     w = ds.shares[:, k]
     if np.all(w == 0.0):

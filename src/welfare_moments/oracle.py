@@ -228,12 +228,9 @@ class _TypeTable:
             raise ShapeError("good %d is not one of the population's %d goods"
                              % (good, self.k))
 
-    def _own_price(self, b, good):
-        self._check_good(good)
-        return b.price(good)
-
     def _mean(self, b, good, f):
-        p = self._own_price(b, good)
+        self._check_good(good)
+        p = b.price(good)
         nodes, w = self._types(b.income, good, *gauss_legendre01(GL_NODES))
         total = 0.0
         for w_row, v_row in zip(w, f(*self._demand(nodes, p, b.income))):
@@ -241,6 +238,8 @@ class _TypeTable:
         return total
 
     def moment(self, n, b, good=0):
+        if n < 1:
+            raise OrderError("moment order must be >= 1")
         return self._mean(b, good, lambda q, dp, dy: q ** n)
 
     def d_price_moment(self, n, b, j=0, good=0):
@@ -250,7 +249,9 @@ class _TypeTable:
         return n * self._mean(b, good, lambda q, dp, dy: q ** (n - 1) * dp)
 
     def income_effect_moment(self, n, b, good=0):
-        # E[q^(n-1) dq/dy]
+        # E[q^(n-1) dq/dy]; equals (1/n) d/dy of the n-th moment
+        if n < 1:
+            raise OrderError("moment order must be >= 1")
         return self._mean(b, good, lambda q, dp, dy: q ** (n - 1) * dy)
 
     def income_effect_power(self, n, b, good=0):
@@ -290,7 +291,8 @@ class _TypeTable:
 
     def support(self, b, good=0):
         # demand is monotone along each row, so its extremes sit at the row ends
-        p = self._own_price(b, good)
+        self._check_good(good)
+        p = b.price(good)
         nodes, _ = self._types(b.income, good, *_ROW_ENDS)
         q = self._demand(nodes, p, b.income)[0]
         return float(np.min(q)), float(np.max(q))
@@ -578,20 +580,6 @@ Q0 = QuantileCounterexamplePopulation()
 B_STAR = Budget((1.0,), 2.0)
 
 
-def exact_moment(pop, n, b, good=0):
-    """n-th conditional moment of demand under a synthetic population."""
-    if n < 1:
-        raise OrderError("moment order must be >= 1")
-    return float(pop.moment(n, b, good))
-
-
-def income_effect_moment(pop, n, b, good=0):
-    """E[q^(n-1) dq/dy]; equals (1/n) d/dy of the n-th moment."""
-    if n < 1:
-        raise OrderError("moment order must be >= 1")
-    return float(pop.income_effect_moment(n, b, good))
-
-
 def counterexample_discrepancy(n, b=B_STAR):
     """E[q (dq/dy)^n] under the linear and the quantile population.
 
@@ -603,14 +591,13 @@ def counterexample_discrepancy(n, b=B_STAR):
     return float(L0.income_effect_power(n, b)), float(Q0.income_effect_power(n, b))
 
 
-def exact_cv_type(demand, pc, cfg=None):
+def exact_cv_type(demand, pc, cfg=DEFAULT_ODE):
     """Compensating variation of one consumer type by RK4 on the compensation ODE.
 
     ``demand`` is a callable (prices array, income) -> quantity vector;
     the price path is linear.  Raises DomainError with
     the exit time if compensated income turns nonpositive.
     """
-    cfg = cfg or DEFAULT_ODE
     p0 = np.asarray(pc.start.prices)
     dp = pc.delta
 

@@ -48,10 +48,6 @@ class QuadratureRule:
 DEFAULT_QUAD = QuadratureRule.gauss_legendre(32)
 
 
-def _own_delta(surface, pc):
-    return pc.scalar_delta(surface.good)
-
-
 def _on_path(surface, pc, orders, t, s=0.0):
     """One batch of ``surface``'s orders 1..orders on the price path at
     times ``t``, with income raised by ``s``: moments, price and income
@@ -99,18 +95,18 @@ def cv_moment_local(surface, n, pc):
 
     Uses only the n-th and (n+1)-st demand moments at the initial budget.
     """
-    dp = _own_delta(surface, pc)
+    dp = pc.scalar_delta(surface.good)
     return dp ** n * compensated_moment_fo(surface, n, pc.start, dp / 2.0)
 
 
 def cv_first_order(surface, pc):
     """First-order welfare effect: price change times mean demand."""
-    return _own_delta(surface, pc) * surface.moment(1, pc.start)
+    return pc.scalar_delta(surface.good) * surface.moment(1, pc.start)
 
 
 def _local_bound(surface, pc, effect):
     """Local CV of one consumer with mean demand and income effect ``effect``."""
-    dp = _own_delta(surface, pc)
+    dp = pc.scalar_delta(surface.good)
     b0 = pc.start
     m1 = surface.moment(1, b0)
     return dp * m1 + (dp ** 2 / 2.0) * (surface.d_price(1, b0) + m1 * effect)
@@ -121,15 +117,14 @@ def cv_ra(surface, pc):
     return _local_bound(surface, pc, surface.d_income(1, pc.start))
 
 
-def cv_path(surface, pc, quad=None):
+def cv_path(surface, pc, quad=DEFAULT_QUAD):
     """Average CV approximated along the linear price path.
 
     First term integrates mean demand along the path; the second-order
     correction integrates the income derivative of the second moment
     with weight (1 - t).
     """
-    quad = quad or DEFAULT_QUAD
-    dp = _own_delta(surface, pc)
+    dp = pc.scalar_delta(surface.good)
     t, w = np.asarray(quad.nodes), np.asarray(quad.weights)
     moments, _, d_income = _on_path(surface, pc, 2, t)
     return _path_value(dp, t, w, moments, d_income)
@@ -147,10 +142,9 @@ def hn_bounds_local(surface, pc, b_lo, b_hi):
     return (lo, hi) if lo <= hi else (hi, lo)
 
 
-def hn_bounds_path(surface, pc, effect, quad=None):
+def hn_bounds_path(surface, pc, effect, quad=DEFAULT_QUAD):
     """Path-based CV bound for a uniform income effect level."""
-    quad = quad or DEFAULT_QUAD
-    dp = _own_delta(surface, pc)
+    dp = pc.scalar_delta(surface.good)
     t, w = np.asarray(quad.nodes), np.asarray(quad.weights)
     return _path_bound(dp, t, w, _on_path(surface, pc, 1, t)[0][0], effect)
 
@@ -165,7 +159,7 @@ class ChebyshevBounds:
 COMPENSATION_LEVELS = 8  # levels s on which chebyshev_bounds averages the income effect
 
 
-def chebyshev_bounds(surface, pc, b_lo, b_hi, z, k, quad=None):
+def chebyshev_bounds(surface, pc, b_lo, b_hi, z, k, quad=DEFAULT_QUAD):
     """Probability-tightened CV bounds from the observed average income effect.
 
     The average income effect along the price path (over compensation
@@ -176,10 +170,9 @@ def chebyshev_bounds(surface, pc, b_lo, b_hi, z, k, quad=None):
     the worst-case bounds exactly; the interior tightenings carry a
     coverage probability rather than an almost-sure guarantee.
     """
-    quad = quad or DEFAULT_QUAD
     if not (b_lo <= z <= b_hi and b_lo <= k <= b_hi):
         raise ValueError("thresholds must lie inside the income-effect support")
-    dp = _own_delta(surface, pc)
+    dp = pc.scalar_delta(surface.good)
     if dp <= 0.0:
         raise ValueError("probability-tightened bounds require a price increase")
 
@@ -227,7 +220,7 @@ def cv_variance(surface, pc, kind="robust"):
         raise ValueError("kind must be one of %s" % (VARIANCE_KINDS,))
     if kind == "robust":
         return cv_moment_local(surface, 2, pc) - cv_moment_local(surface, 1, pc) ** 2
-    dp = _own_delta(surface, pc)
+    dp = pc.scalar_delta(surface.good)
     b0 = pc.start
     m1 = surface.moment(1, b0)
     m2 = surface.moment(2, b0)
@@ -261,7 +254,7 @@ class CvDecomposition:
 
 def cv_decompose(surface, pc):
     """Decompose the second-order CV contribution; enforces its sum identity."""
-    dp = _own_delta(surface, pc)
+    dp = pc.scalar_delta(surface.good)
     b0 = pc.start
     y = b0.income
     m1 = surface.moment(1, b0)
@@ -423,7 +416,7 @@ def income_effect_bounds(b_lo, b_hi, price=None):
     return b_lo, b_hi
 
 
-def build_report(surface, pc, quad=None, b_lo=None, b_hi=None,
+def build_report(surface, pc, quad=DEFAULT_QUAD, b_lo=None, b_hi=None,
                  chebyshev_thresholds=None):
     """Assemble a full welfare report for one price change.
 
@@ -431,8 +424,7 @@ def build_report(surface, pc, quad=None, b_lo=None, b_hi=None,
     ``chebyshev_thresholds=(z, k)`` switches the bounds from the worst-case
     pair to the probability-tightened one; either pair is ordered once.
     """
-    quad = quad or DEFAULT_QUAD
-    dp = _own_delta(surface, pc)
+    dp = pc.scalar_delta(surface.good)
     b_lo, b_hi = income_effect_bounds(b_lo, b_hi, pc.start.price(surface.good))
 
     robust = cv_moment_local(surface, 1, pc)

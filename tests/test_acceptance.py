@@ -29,7 +29,6 @@ from welfare_moments import (
     fit_moment_surface,
     fitted_surface,
     hn_bounds_path,
-    income_effect_moment,
     lp_violation_search,
     price_index,
     price_index_decompose,
@@ -87,7 +86,7 @@ def test_criterion_02_income_moment_identity(l0_surface, q0_surface, cd2_surface
     for pop, surface, budgets in cases:
         for b in budgets:
             for n in (1, 2, 3, 4):
-                gap = abs(income_effect_moment(pop, n, b) - surface.d_income(n, b) / n)
+                gap = abs(pop.income_effect_moment(n, b) - surface.d_income(n, b) / n)
                 worst = max(worst, gap)
     report(2, worst <= 1e-8,
            "E[q^(n-1) dq/dy] vs moment derivative, worst gap %.2e" % worst)
@@ -103,7 +102,7 @@ def test_criterion_03_local_error_slopes(l0_surface, l0_exact_sweep):
     slope_robust = loglog_slope(SWEEP_DPS, errs_robust)
     slope_ra = loglog_slope(SWEEP_DPS, errs_ra)
     pc = PriceChange.scalar(1.0, 1.01, 2.0)
-    cov = income_effect_moment(L0, 2, B_STAR) - 0.5 * 0.5
+    cov = L0.income_effect_moment(2, B_STAR) - 0.5 * 0.5
     ratio = errs_ra[0] / ((0.01 ** 2 / 2) * cov)
     ok = slope_robust >= 2.7 and 1.8 <= slope_ra <= 2.2 and 0.9 <= ratio <= 1.1
     report(3, ok, "robust slope %.2f (>=2.7), RA slope %.2f (in [1.8,2.2]), "

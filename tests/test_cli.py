@@ -230,6 +230,14 @@ def test_usage_error_exits_1_with_json(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_flag_value_that_is_no_number_stays_a_token(tmp_path, capsys):
+    # "-abc" after --dp does not parse as a number, so it is not joined to
+    # its flag, and argparse reads it as a flag
+    assert main(["welfare", "--population", "L0", "--dp", "-abc", "--out", str(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "UsageError", "message": "argument --dp: expected one argument"}
+
+
 @pytest.mark.parametrize("argv, flag, value", [
     (["rationality", "--population", "L0", "--degree", "0"], "--degree", "0"),
     (["rationality", "--population", "L0", "--degree", "-2"], "--degree", "-2"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,9 @@ from welfare_moments import (
     PriceChange,
     ShapeError,
     ShareMomentSurface,
-    exact_moment,
-    income_effect_moment,
     numeric_partial,
     quantity_surface_from_shares,
     share_surface_from_population,
-    shares_to_quantities,
     surface_from_population,
 )
 from welfare_moments.oracle import B_STAR
@@ -89,6 +88,30 @@ def test_numeric_partial_domain_error():
         numeric_partial(const, 1, Budget((1e-7,), 1.0), "price")
 
 
+def test_numeric_partial_moves_the_own_price_of_the_surface_good():
+    # good 1's demand does not move with price 0, so a difference in
+    # price 0 would read 0.0 where d_price is -0.868
+    surface = surface_from_population(CobbDouglasPopulation.two_type(0.3), 3, good=1)
+    b = Budget((0.9, 1.2), 2.5)
+    for n in (1, 2):
+        analytic = surface.d_price(n, b)
+        assert numeric_partial(surface, n, b, "price") == pytest.approx(analytic, rel=1e-6)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Budget((), 2.0), ShapeError, "at least one price"),
+    (lambda: PriceChange(Budget((1.0,), 2.0), Budget((1.0, 1.1), 2.0)), ShapeError,
+     "endpoints differ in dimension"),
+    (lambda: MomentSurface(0, constant_batch([])), OrderError, "max_order must be >= 1"),
+    (lambda: numeric_partial(MomentSurface(1, constant_batch([1.0])), 1, B_STAR, "wage"),
+     ValueError, "var must be 'price' or 'income', got 'wage'"),
+], ids=["budget without prices", "price change dimensions", "surface order 0",
+        "numeric partial variable"])
+def test_core_input_guards(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
 def test_numeric_matches_analytic_everywhere(l0_surface, q0_surface, cd2_surface):
     # numeric partials track analytic ones within 1e-6 relative everywhere;
     # Q0 incomes keep away from its kinks at y = 3 and y = 6
@@ -115,28 +138,26 @@ def constant_share_surface(w):
 
 
 def test_shares_to_quantities_constant():
-    vals = shares_to_quantities(constant_share_surface(0.25), Budget((1.0,), 2.0))
+    q, b = quantity_surface_from_shares(constant_share_surface(0.25)), Budget((1.0,), 2.0)
     w = 0.25
-    assert vals["M1"] == pytest.approx(2 * w)
-    assert vals["D_y_M1"] == pytest.approx(w)
-    assert vals["D_p_M1"] == pytest.approx(-2 * w)
+    assert q.moment(1, b) == pytest.approx(2 * w)
+    assert q.d_income(1, b) == pytest.approx(w)
+    assert q.d_price(1, b) == pytest.approx(-2 * w)
     # D_y M2 at constant second moment w^2 with zero log-derivative
-    assert vals["D_y_M2"] == pytest.approx(2 * 2.0 * w ** 2 / 1.0)
+    assert q.d_income(2, b) == pytest.approx(2 * 2.0 * w ** 2 / 1.0)
 
 
 def test_shares_to_quantities_l0_roundtrip(l0_surface):
-    ws = share_surface_from_population(L0, 4)
-    vals = shares_to_quantities(ws, B_STAR)
-    assert vals["M1"] == pytest.approx(0.5, abs=1e-10)
-    assert vals["M2"] == pytest.approx(4.0 / 9.0, abs=1e-10)
-    assert vals["D_p_M1"] == pytest.approx(-1.0, abs=1e-10)
-    assert vals["D_y_M2"] == pytest.approx(11.0 / 18.0, abs=1e-10)
+    q = quantity_surface_from_shares(share_surface_from_population(L0, 4))
+    assert q.moment(1, B_STAR) == pytest.approx(0.5, abs=1e-10)
+    assert q.moment(2, B_STAR) == pytest.approx(4.0 / 9.0, abs=1e-10)
+    assert q.d_price(1, B_STAR) == pytest.approx(-1.0, abs=1e-10)
+    assert q.d_income(2, B_STAR) == pytest.approx(11.0 / 18.0, abs=1e-10)
     rng = np.random.default_rng(3)
     for b in random_budgets(rng, 5, EQUIV_P, EQUIV_Y):
-        got = shares_to_quantities(ws, b)
-        assert got["M1"] == pytest.approx(l0_surface.moment(1, b), abs=1e-10)
-        assert got["M3"] == pytest.approx(l0_surface.moment(3, b), abs=1e-10)
-        assert got["D_y_M3"] == pytest.approx(l0_surface.d_income(3, b), abs=1e-10)
+        assert q.moment(1, b) == pytest.approx(l0_surface.moment(1, b), abs=1e-10)
+        assert q.moment(3, b) == pytest.approx(l0_surface.moment(3, b), abs=1e-10)
+        assert q.d_income(3, b) == pytest.approx(l0_surface.d_income(3, b), abs=1e-10)
 
 
 def test_share_transform_monte_carlo():
@@ -190,6 +211,6 @@ def test_surface_order_error(l0_surface):
     with pytest.raises(OrderError):
         l0_surface.moment(0, B_STAR)
     with pytest.raises(OrderError, match="moment order must be >= 1"):
-        exact_moment(L0, 0, B_STAR)
+        L0.moment(0, B_STAR)
     with pytest.raises(OrderError, match="moment order must be >= 1"):
-        income_effect_moment(L0, 0, B_STAR)
+        L0.income_effect_moment(0, B_STAR)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from welfare_moments import (
     Budget,
     Dataset,
     L0,
+    OrderError,
     PriceChange,
     bootstrap,
     cv_moment_local,
@@ -17,7 +19,7 @@ from welfare_moments import (
     fit_moment_surface,
     fitted_surface,
     population_cv,
-    shares_to_quantities,
+    quantity_surface_from_shares,
 )
 from welfare_moments import estimation
 from welfare_moments.estimation import (
@@ -529,6 +531,52 @@ def test_fit_failed_cholesky_is_fit_error(monkeypatch):
     assert err.value.theta is not None
 
 
+@pytest.mark.parametrize("arrays, message", [
+    ((np.zeros((3, 2)), np.zeros((3, 1)), np.zeros(3), np.zeros(3)), "share matrix"),
+    ((np.zeros((3, 1)), np.zeros((2, 1)), np.zeros(3), np.zeros(3)), "log price matrix"),
+    ((np.zeros((3, 1)), np.zeros((3, 1)), np.zeros(3), np.zeros(2)), "instrument length"),
+], ids=["shares", "log prices", "instrument"])
+def test_dataset_refuses_mismatched_shapes(arrays, message):
+    with pytest.raises(ValueError, match=message + " .*mismatch"):
+        Dataset(("q",), *arrays)
+
+
+def test_control_basis_without_a_first_stage_is_refused():
+    with pytest.raises(ValueError, match="control-function basis needs a first-stage fit"):
+        fit_moment_surface(constant_dataset(), "q", 1)
+
+
+def test_fit_out_of_steps_is_fit_error_with_its_iterate(monkeypatch):
+    monkeypatch.setattr(estimation, "GN_MAX_STEPS", 1)
+    ds = _l0_sample(5000)
+    with pytest.raises(FitError, match="did not converge in 1 iterations") as err:
+        fit_moment_surface(ds, "q", 2, BasisSpec(), first_stage(ds))
+    assert np.all(np.isfinite(err.value.theta))
+    assert math.isfinite(err.value.gradient_norm)
+
+
+def test_fitted_surface_refuses_a_budget_of_other_goods():
+    ds = constant_dataset()
+    surface = fitted_surface([fit_moment_surface(ds, "q", 1, NO_CONTROL)]).share_surface
+    with pytest.raises(ValueError, match="budget has 2 prices, basis expects 1"):
+        surface.moment(1, Budget((1.0, 1.0), 3.0))
+
+
+def test_fitted_surface_needs_fits_of_one_good():
+    with pytest.raises(OrderError, match="no fits supplied"):
+        fitted_surface([])
+    ds = _cd2_sample(2000)
+    fits = [fit_moment_surface(ds, "food", 1, NO_CONTROL),
+            fit_moment_surface(ds, "fuel", 2, NO_CONTROL)]
+    with pytest.raises(ValueError, match="fits mix different goods"):
+        fitted_surface(fits)
+
+
+def test_cobb_douglas_draws_need_a_cobb_douglas_population():
+    with pytest.raises(TypeError, match="expected a Cobb-Douglas population"):
+        cobb_douglas_cross_section(L0, 10, 1)
+
+
 def test_fitted_surface_refuses_budgets_outside_sample():
     ds = constant_dataset()  # log prices all 0, log income in [1, 1.5]
     fits = [fit_moment_surface(ds, "q", n, NO_CONTROL) for n in (1, 2, 3)]
@@ -652,10 +700,13 @@ def test_fitted_surface_partials_within_one_percent():
     fs = fitted_surface(fits)
     b_med = Budget((float(np.exp(np.median(ds.log_prices))),),
                    float(np.exp(np.median(ds.log_y))))
-    got = shares_to_quantities(fs.share_surface, b_med)
-    want = shares_to_quantities(model.share_surface(), b_med)
-    for key, value in want.items():
-        assert got[key] == pytest.approx(value, rel=0.01)
+    got = quantity_surface_from_shares(fs.share_surface)
+    want = quantity_surface_from_shares(model.share_surface())
+    for n in (1, 2, 3):
+        assert got.moment(n, b_med) == pytest.approx(want.moment(n, b_med), rel=0.01)
+        assert got.d_income(n, b_med) == pytest.approx(want.d_income(n, b_med), rel=0.01)
+    for n in (1, 2):
+        assert got.d_price(n, b_med) == pytest.approx(want.d_price(n, b_med), rel=0.01)
 
 
 def test_fitted_surface_positivity():

@@ -20,12 +20,12 @@ from welfare_moments.cli import main
 EXPORTS = {
     "core": ("Budget", "DomainError", "MomentSurface", "OrderError", "PriceChange",
              "ShapeError", "ShareMomentSurface", "numeric_partial",
-             "quantity_surface_from_shares", "shares_to_quantities"),
+             "quantity_surface_from_shares"),
     "oracle": ("B_STAR", "CobbDouglasPopulation", "L0", "LinearHeteroPopulation",
                "LinearTypeMixture", "OdeConfig", "Q0", "QuantileCounterexamplePopulation",
                "aggregate_expenditure", "counterexample_discrepancy",
-               "cv_constant_income_effect", "exact_cv_type", "exact_moment",
-               "income_effect_moment", "population_cv", "population_cv_sweep",
+               "cv_constant_income_effect", "exact_cv_type", "population_cv",
+               "population_cv_sweep",
                "share_surface_from_population", "surface_from_population"),
     "welfare": ("ChebyshevBounds", "QuadratureRule", "WelfareReport", "build_report",
                 "chebyshev_bounds", "compensated_jacobian_multigood", "compensated_moment_fo",

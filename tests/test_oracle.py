@@ -21,8 +21,6 @@ from welfare_moments import (
     counterexample_discrepancy,
     cv_constant_income_effect,
     exact_cv_type,
-    exact_moment,
-    income_effect_moment,
     population_cv,
     population_cv_sweep,
     surface_from_population,
@@ -34,19 +32,19 @@ from conftest import EQUIV_P, EQUIV_Y, cobb_douglas_cv_mean, random_budgets
 
 
 def test_exact_moment_l0():
-    assert exact_moment(L0, 1, B_STAR) == pytest.approx(0.5, abs=1e-12)
-    assert exact_moment(L0, 2, B_STAR) == pytest.approx(4.0 / 9.0, abs=1e-12)
+    assert L0.moment(1, B_STAR) == pytest.approx(0.5, abs=1e-12)
+    assert L0.moment(2, B_STAR) == pytest.approx(4.0 / 9.0, abs=1e-12)
 
 
 def test_exact_moment_zero_demand():
     silent = LinearTypeMixture([(1.0, 0.0, 0.0, 0.0)])
-    assert exact_moment(silent, 1, B_STAR) == 0.0
+    assert silent.moment(1, B_STAR) == 0.0
 
 
 def test_income_effect_moment_examples():
-    assert income_effect_moment(L0, 1, B_STAR) == pytest.approx(0.5, abs=1e-12)
-    assert income_effect_moment(L0, 2, B_STAR) == pytest.approx(11.0 / 36.0, abs=1e-12)
-    assert income_effect_moment(Q0, 2, B_STAR) == pytest.approx(11.0 / 36.0, abs=1e-9)
+    assert L0.income_effect_moment(1, B_STAR) == pytest.approx(0.5, abs=1e-12)
+    assert L0.income_effect_moment(2, B_STAR) == pytest.approx(11.0 / 36.0, abs=1e-12)
+    assert Q0.income_effect_moment(2, B_STAR) == pytest.approx(11.0 / 36.0, abs=1e-9)
 
 
 def test_income_effect_lemma_identity(l0_surface, q0_surface, cd2_surface):
@@ -61,7 +59,7 @@ def test_income_effect_lemma_identity(l0_surface, q0_surface, cd2_surface):
     for pop, surface, budgets in cases:
         for b in budgets:
             for n in (1, 2, 3, 4):
-                lhs = income_effect_moment(pop, n, b)
+                lhs = pop.income_effect_moment(n, b)
                 rhs = surface.d_income(n, b) / n
                 assert abs(lhs - rhs) <= 1e-8
 
@@ -298,6 +296,13 @@ def test_population_coefficients_validated():
             maker(nan)
     with pytest.raises(ValueError, match="coefficients must be finite"):
         LinearTypeMixture([(1.0, 0.6, nan, 0.3)])
+
+
+def test_population_bounds_and_share_lengths_validated():
+    with pytest.raises(ValueError, match="intercept bounds must satisfy lo < hi"):
+        LinearHeteroPopulation(1.0, 0.5)
+    with pytest.raises(ValueError, match="all share vectors must have equal length"):
+        CobbDouglasPopulation([((0.3, 0.7), 0.5), ((1.0,), 0.5)])
 
 
 def test_exact_cv_accepts_demand_callable():

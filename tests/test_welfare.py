@@ -36,7 +36,6 @@ from welfare_moments import (
     fitted_surface,
     hn_bounds_local,
     hn_bounds_path,
-    income_effect_moment,
     population_cv,
     price_index,
     price_index_decompose,
@@ -212,7 +211,7 @@ def test_ra_gap_identity_random_budgets(l0_surface):
     for b in random_budgets(rng, 20, EQUIV_P, EQUIV_Y):
         pc = PriceChange(b, b.with_price(0, b.price(0) + 0.1))
         gap = cv_moment_local(l0_surface, 1, pc) - cv_ra(l0_surface, pc)
-        cov = (income_effect_moment(L0, 2, b)
+        cov = (L0.income_effect_moment(2, b)
                - l0_surface.moment(1, b) * l0_surface.d_income(1, b))
         assert gap == pytest.approx(0.005 * cov, abs=1e-10)
 
@@ -302,6 +301,12 @@ def test_chebyshev_interior_strictly_inside(l0_surface):
     assert lo < cheb.lower <= cheb.upper < hi
     with pytest.raises(ValueError):
         chebyshev_bounds(l0_surface, PC_STAR, 0.0, 1.0, z=1.5, k=0.5)
+
+
+def test_chebyshev_bounds_need_a_price_increase(l0_surface):
+    for p1 in (1.0, 0.9):
+        with pytest.raises(ValueError, match="require a price increase"):
+            chebyshev_bounds(l0_surface, PriceChange.scalar(1.0, p1, 2.0), 0.0, 1.0, 0.5, 0.5)
 
 
 def test_cv_variance_zero_change(l0_surface):
@@ -498,6 +503,16 @@ def test_compensated_jacobian_eigenvalue_matches_jacobi_oracle():
             comp = compensated_jacobian_multigood(moments, Budget((1.0,) * k, 2.0))
             np.testing.assert_array_equal(comp.matrix, sym)
             assert comp.max_eigenvalue == pytest.approx(jacobi_max_eigenvalue(sym), abs=1e-10)
+
+
+def test_multigood_moments_must_conform():
+    b = Budget((1.0, 1.3), 2.0)
+    unequal = SimpleNamespace(jacobian=lambda b: np.eye(2), d_income_second=lambda b: np.eye(3))
+    with pytest.raises(ShapeError, match="square and conformable"):
+        compensated_jacobian_multigood(unequal, b)
+    three_goods = SimpleNamespace(mean_vector=lambda b: np.ones(3))
+    with pytest.raises(ShapeError, match="dimension does not match the population"):
+        cv_mean_multigood(three_goods, PriceChange(b, b.with_price(0, 1.1)))
 
 
 def test_cv_mean_multigood_reduces_to_scalar():
