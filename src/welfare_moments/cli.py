@@ -348,19 +348,22 @@ def _first_non_finite(obj, path=""):
     return next((f for f in found if f is not None), None)
 
 
+FIT_ORDERS = (1, 2, 3)  # the share-moment orders fitted for each good of a --data run
+
+
 def _fit(cfg, ds, goods):
     """The first stage (None without the control) and the share fits of
-    orders 1-3 of each of ``goods`` on ``ds``, good by good."""
+    FIT_ORDERS of each of ``goods`` on ``ds``, good by good."""
     from .estimation import BasisSpec, first_stage, fit_moment_surface
 
     basis = BasisSpec(cfg.price_degree, cfg.income_degree, cfg.include_control)
     fs = first_stage(ds) if cfg.include_control else None
-    return fs, [fit_moment_surface(ds, good, n, basis, fs) for good in goods for n in (1, 2, 3)]
+    return fs, [fit_moment_surface(ds, good, n, basis, fs) for good in goods for n in FIT_ORDERS]
 
 
 def _surface_for_config(cfg, max_order):
     """(surface, source, k): a population (L0 if none is named), orders up to
-    ``max_order``, its k goods; or --data, orders 1-3, one good per --goods
+    ``max_order``, its k goods; or --data, FIT_ORDERS, one good per --goods
     column.  The run's budgets hold k prices."""
     if not cfg.data:
         from .oracle import surface_from_population
@@ -411,8 +414,9 @@ def _check_settings(command, cfg):
         if command == "simulate" and cfg.goods != _DEFAULTS.goods and len(cfg.goods) != k:
             raise ValueError("--goods %r names %d goods, but the population has %d"
                              % (cfg.goods, len(cfg.goods), k))
-    if cfg.data and cfg.degree > 1:
-        raise ValueError("fitted surfaces carry orders up to 3; degree must be 1")
+    if cfg.data and cfg.degree + 2 > FIT_ORDERS[-1]:  # a degree-d verdict reads orders to d + 2
+        raise ValueError("fitted surfaces carry orders up to %d; degree must be %d"
+                         % (FIT_ORDERS[-1], FIT_ORDERS[-1] - 2))
     if (cfg.z is None) != (cfg.k is None):
         raise ValueError("--z and --k must be given together, got only %s"
                          % ("--z" if cfg.k is None else "--k"))

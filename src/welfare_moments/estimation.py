@@ -116,11 +116,6 @@ class Dataset:
     def n(self):
         return len(self.log_y)
 
-    def good_index(self, good):
-        if isinstance(good, str):
-            return self.goods.index(good)
-        return int(good)
-
     def take(self, indices):
         """The sample of the rows ``indices`` (integer or boolean) select.
 
@@ -381,7 +376,7 @@ GN_MIN_DECREASE = 1e-10
 GN_MAX_STEPS = 200
 
 
-def fit_moment_surface(ds, good, order, basis=BasisSpec(), fs=None):
+def fit_moment_surface(ds, good, order, basis, fs=None):
     """Fit E[w^n | b] = exp(basis . theta) by Gauss-Newton with line search.
 
     Initialization comes from OLS of log(w^n + 1e-6) on the basis over
@@ -392,7 +387,9 @@ def fit_moment_surface(ds, good, order, basis=BasisSpec(), fs=None):
     repeats rows, the start, every step and the rss weigh each distinct row
     by its count.
     """
-    k = ds.good_index(good)
+    if good not in ds.goods:
+        raise ValueError("good %r is not one of the sample's goods %r" % (good, list(ds.goods)))
+    k = ds.goods.index(good)
     w = ds.shares[:, k]
     if np.all(w == 0.0):
         raise DegenerateDataError("all shares are zero for good %r" % (good,))
@@ -460,8 +457,7 @@ def fit_moment_surface(ds, good, order, basis=BasisSpec(), fs=None):
 
     theta = np.zeros(n_columns)
     theta[active] = theta_active
-    name = good if isinstance(good, str) else ds.goods[k]
-    return MomentFit(good=name, good_index=k, order=order, basis=basis,
+    return MomentFit(good=good, good_index=k, order=order, basis=basis,
                      n_goods=len(ds.goods), theta=theta, rss=rss, iters=iters,
                      domain=domain)
 

@@ -55,9 +55,6 @@ class OdeConfig:
             raise ValueError("need at least 16 integration steps")
 
 
-DEFAULT_ODE = OdeConfig()
-
-
 @dataclass(frozen=True)
 class PopulationCv:
     """Moments of the distribution of compensating variation across types."""
@@ -242,10 +239,8 @@ class _TypeTable:
             raise OrderError("moment order must be >= 1")
         return self._mean(b, good, lambda q, dp, dy: q ** n)
 
-    def d_price_moment(self, n, b, j=0, good=0):
-        # a type's demand for a good moves only with that good's own price
-        if j != good:
-            return 0.0
+    def d_price_moment(self, n, b, good=0):
+        # n E[q^(n-1) dq/dp] in the good's own price
         return n * self._mean(b, good, lambda q, dp, dy: q ** (n - 1) * dp)
 
     def income_effect_moment(self, n, b, good=0):
@@ -580,19 +575,20 @@ Q0 = QuantileCounterexamplePopulation()
 B_STAR = Budget((1.0,), 2.0)
 
 
-def counterexample_discrepancy(n, b=B_STAR):
-    """E[q (dq/dy)^n] under the linear and the quantile population.
+def counterexample_discrepancy(n):
+    """E[q (dq/dy)^n] under the linear and the quantile population at ``B_STAR``.
 
     The two populations generate identical conditional demand
     distributions for incomes below 3, and the two values coincide at
     n = 1; for n >= 2 they differ, so this functional is not identified
     from cross-sectional data.
     """
-    return float(L0.income_effect_power(n, b)), float(Q0.income_effect_power(n, b))
+    return float(L0.income_effect_power(n, B_STAR)), float(Q0.income_effect_power(n, B_STAR))
 
 
-def exact_cv_type(demand, pc, cfg=DEFAULT_ODE):
-    """Compensating variation of one consumer type by RK4 on the compensation ODE.
+def exact_cv_type(demand, pc):
+    """Compensating variation of one consumer type by RK4 on the compensation ODE
+    in ``OdeConfig``'s default 1024 steps.
 
     ``demand`` is a callable (prices array, income) -> quantity vector;
     the price path is linear.  Raises DomainError with
@@ -606,7 +602,7 @@ def exact_cv_type(demand, pc, cfg=DEFAULT_ODE):
         q = np.atleast_1d(np.asarray(demand(p0 + t * dp, float(y_arr[0])), dtype=float))
         return np.array([float(np.dot(q, dp))])
 
-    s = _rk4_scalar_family(drift, np.array([pc.income]), cfg.steps)
+    s = _rk4_scalar_family(drift, np.array([pc.income]), OdeConfig().steps)
     return float(s[0])
 
 

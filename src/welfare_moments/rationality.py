@@ -73,7 +73,11 @@ def degree1_cone_test(surface, b, box):
     return RationalityVerdict(max(margins) <= TOLERANCE, float(max(margins)))
 
 
-def simplex_max(c, a_ub, b_ub, max_iter=20000, tol=1e-11):
+SIMPLEX_MAX_PIVOTS = 20000
+SIMPLEX_TOL = 1e-11  # pivot, entering-cost and ratio-tie tolerance of simplex_max
+
+
+def simplex_max(c, a_ub, b_ub):
     """Maximize c.x subject to a_ub x <= b_ub, x >= 0, with b_ub >= 0.
 
     Dense tableau simplex starting from the slack basis, with Bland's
@@ -85,7 +89,7 @@ def simplex_max(c, a_ub, b_ub, max_iter=20000, tol=1e-11):
     b_ub = np.asarray(b_ub, dtype=float)
     c = np.asarray(c, dtype=float)
     m, n = a_ub.shape
-    if np.any(b_ub < -tol):
+    if np.any(b_ub < -SIMPLEX_TOL):
         raise SimplexError("slack basis start requires nonnegative right-hand sides")
 
     # tableau: [A | I | b], objective row holds reduced costs for max
@@ -96,9 +100,9 @@ def simplex_max(c, a_ub, b_ub, max_iter=20000, tol=1e-11):
     tab[m, :n] = -c
     basis = list(range(n, n + m))
 
-    for _ in range(max_iter):
+    for _ in range(SIMPLEX_MAX_PIVOTS):
         reduced = tab[m, :-1]
-        candidates = np.nonzero(reduced < -tol)[0]
+        candidates = np.nonzero(reduced < -SIMPLEX_TOL)[0]
         if candidates.size == 0:
             x = np.zeros(n + m)
             for row, col in enumerate(basis):
@@ -106,19 +110,19 @@ def simplex_max(c, a_ub, b_ub, max_iter=20000, tol=1e-11):
             return float(tab[m, -1]), x[:n]
         enter = int(candidates[0])  # Bland: smallest index
         col = tab[:m, enter]
-        rows = np.nonzero(col > tol)[0]
+        rows = np.nonzero(col > SIMPLEX_TOL)[0]
         if rows.size == 0:
             raise SimplexError("LP unbounded; normalization constraint missing")
         ratios = tab[rows, -1] / col[rows]
         best = np.min(ratios)
-        tied = rows[ratios <= best + tol]
+        tied = rows[ratios <= best + SIMPLEX_TOL]
         leave = int(min(tied, key=lambda r: basis[r]))  # Bland on ties
         tab[leave, :] /= tab[leave, enter]
         factors = tab[:, enter].copy()
         factors[leave] = 0.0
         tab -= np.outer(factors, tab[leave, :])
         basis[leave] = enter
-    raise SimplexError("simplex failed to converge in %d pivots" % max_iter)
+    raise SimplexError("simplex failed to converge in %d pivots" % SIMPLEX_MAX_PIVOTS)
 
 
 def hankel_verdict(gammas, box):

@@ -27,14 +27,16 @@ from .core import (
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights on [0, 1]; weights are positive and sum to one."""
+    """Nodes in [0, 1], one positive weight each; the weights sum to one."""
 
     nodes: tuple
     weights: tuple
 
     def __post_init__(self):
-        w = np.asarray(self.weights)
-        if np.any(w <= 0.0) or abs(float(w.sum()) - 1.0) > 1e-12:
+        x, w = np.asarray(self.nodes, dtype=float), np.asarray(self.weights, dtype=float)
+        if x.shape != w.shape or x.size == 0 or not np.all((x >= 0.0) & (x <= 1.0)):
+            raise ValueError("a rule needs at least one node, each in [0, 1] with one weight")
+        if not (np.all(w > 0.0) and abs(float(w.sum()) - 1.0) <= 1e-12):
             raise ValueError("weights must be positive and sum to one")
 
     @classmethod
@@ -104,17 +106,12 @@ def cv_first_order(surface, pc):
     return pc.scalar_delta(surface.good) * surface.moment(1, pc.start)
 
 
-def _local_bound(surface, pc, effect):
-    """Local CV of one consumer with mean demand and income effect ``effect``."""
+def cv_ra(surface, pc):
+    """Representative-agent welfare effect; treats mean demand as one consumer."""
     dp = pc.scalar_delta(surface.good)
     b0 = pc.start
     m1 = surface.moment(1, b0)
-    return dp * m1 + (dp ** 2 / 2.0) * (surface.d_price(1, b0) + m1 * effect)
-
-
-def cv_ra(surface, pc):
-    """Representative-agent welfare effect; treats mean demand as one consumer."""
-    return _local_bound(surface, pc, surface.d_income(1, pc.start))
+    return dp * m1 + (dp ** 2 / 2.0) * (surface.d_price(1, b0) + m1 * surface.d_income(1, b0))
 
 
 def cv_path(surface, pc, quad=DEFAULT_QUAD):
@@ -130,18 +127,6 @@ def cv_path(surface, pc, quad=DEFAULT_QUAD):
     return _path_value(dp, t, w, moments, d_income)
 
 
-def hn_bounds_local(surface, pc, b_lo, b_hi):
-    """Worst-case local CV bounds from uniform income-effect bounds [b_lo, b_hi].
-
-    The bound value is increasing in the income-effect level whenever mean
-    demand is nonnegative, for either sign of the price change, so the
-    pair comes back ordered as (lower, upper).
-    """
-    income_effect_bounds(b_lo, b_hi)  # refuses b_lo > b_hi
-    lo, hi = _local_bound(surface, pc, b_lo), _local_bound(surface, pc, b_hi)
-    return (lo, hi) if lo <= hi else (hi, lo)
-
-
 def hn_bounds_path(surface, pc, effect, quad=DEFAULT_QUAD):
     """Path-based CV bound for a uniform income effect level."""
     dp = pc.scalar_delta(surface.good)
@@ -153,7 +138,6 @@ def hn_bounds_path(surface, pc, effect, quad=DEFAULT_QUAD):
 class ChebyshevBounds:
     lower: float
     upper: float
-    coverage_note: str
 
 
 COMPENSATION_LEVELS = 8  # levels s on which chebyshev_bounds averages the income effect
@@ -200,9 +184,7 @@ def chebyshev_bounds(surface, pc, b_lo, b_hi, z, k, quad=DEFAULT_QUAD):
 
     lower = pi_l * _path_bound(dp, t, w, m1, z) + (1.0 - pi_l) * worst_lo
     upper = pi_u * worst_hi + (1.0 - pi_u) * _path_bound(dp, t, w, m1, k)
-    note = ("Pr[inf effect >= %.4g] <= %.4f; Pr[sup effect >= %.4g] >= %.4f"
-            % (z, pi_l, k, pi_u))
-    return ChebyshevBounds(lower=float(lower), upper=float(upper), coverage_note=note)
+    return ChebyshevBounds(lower=float(lower), upper=float(upper))
 
 
 VARIANCE_KINDS = ("robust", "additive_separable", "first_order")
@@ -406,7 +388,7 @@ def _unsigned_zeros(obj):
     return obj + 0.0 if isinstance(obj, float) else obj
 
 
-def income_effect_bounds(b_lo, b_hi, price=None):
+def income_effect_bounds(b_lo, b_hi, price):
     """The bounds [b_lo, b_hi] of a report at the modeled good's initial
     ``price``; an unset one takes the normal-good worst case [0, 1/price]."""
     b_lo = 0.0 if b_lo is None else b_lo

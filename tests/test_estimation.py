@@ -191,7 +191,7 @@ def fit_lstsq_reference(ds, good, order, basis, fs=None, max_iter=200, rel_tol=1
     The fit loop that fit_moment_surface used before its QR/Cholesky step,
     kept as the independent oracle; returns (theta, rss).
     """
-    k = ds.good_index(good)
+    k = ds.goods.index(good)
     w = ds.shares[:, k]
     control = fs.residuals if basis.include_control else None
     x_full = _basis_matrix(ds.log_prices, ds.log_y, control, basis)
@@ -543,7 +543,15 @@ def test_dataset_refuses_mismatched_shapes(arrays, message):
 
 def test_control_basis_without_a_first_stage_is_refused():
     with pytest.raises(ValueError, match="control-function basis needs a first-stage fit"):
-        fit_moment_surface(constant_dataset(), "q", 1)
+        fit_moment_surface(constant_dataset(), "q", 1, BasisSpec())
+
+
+@pytest.mark.parametrize("good", ["x", 0])
+def test_fit_refuses_a_good_the_sample_does_not_name(good):
+    # goods are given by name, so an index is refused like an unknown name
+    with pytest.raises(ValueError, match=r"good %r is not one of the sample's goods \['q'\]"
+                       % (good,)):
+        fit_moment_surface(constant_dataset(), good, 1, NO_CONTROL)
 
 
 def test_fit_out_of_steps_is_fit_error_with_its_iterate(monkeypatch):

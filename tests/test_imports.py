@@ -31,8 +31,7 @@ EXPORTS = {
                 "chebyshev_bounds", "compensated_jacobian_multigood", "compensated_moment_fo",
                 "compensated_share_moment", "cv_decompose", "cv_first_order",
                 "cv_mean_multigood", "cv_moment_local", "cv_path", "cv_ra", "cv_variance",
-                "hn_bounds_local", "hn_bounds_path", "price_index", "price_index_decompose",
-                "tax_deadweight"),
+                "hn_bounds_path", "price_index", "price_index_decompose", "tax_deadweight"),
     "rationality": ("RationalityVerdict", "SupportBox", "degree1_cone_test",
                     "lp_violation_search", "monomial_translation", "translate_polynomial"),
     "estimation": ("BasisSpec", "BootstrapConfig", "Dataset", "FirstStageFit", "MomentFit",
