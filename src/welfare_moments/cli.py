@@ -517,7 +517,7 @@ def _cmd_rationality(cfg):
             b = Budget((p,) * k, y)
             v = lp_violation_search(surface, b, cfg.degree, box_at(b))
             verdicts.append({"budget": {"prices": list(b.prices), "income": y},
-                             "degree": cfg.degree, **v.to_dict()})
+                             "degree": cfg.degree, **v})
     write = functools.partial(_write_json, os.path.join(cfg.out, "verdicts.json"), verdicts)
     return _bundle(cfg, verdicts=verdicts), [write]
 
@@ -587,7 +587,10 @@ def config_from_args(args):
     given = {}
     if args.config:
         with open(args.config) as fh:
-            entries = json.load(fh)
+            try:
+                entries = json.load(fh)
+            except ValueError as exc:  # a JSONDecodeError, or bytes that are not text
+                raise UsageError("--config %s is not JSON: %s" % (args.config, exc)) from None
         if not isinstance(entries, dict):
             raise UsageError("--config %s holds no JSON object of settings" % args.config)
         for key, value in entries.items():

@@ -22,6 +22,13 @@ from .core import monomial_translation
 TOLERANCE = 1e-8  # a verdict passes when its worst margin is at most this
 
 
+def _verdict(worst, witness=()):
+    """A verdict as ``verdicts.json`` writes it; a passing one has no witness."""
+    passed = bool(worst <= TOLERANCE)
+    return {"pass": passed, "worst_margin": float(worst),
+            "witness_coeffs": [] if passed else list(map(float, witness))}
+
+
 class SimplexError(RuntimeError):
     """The LP solver hit a state that the problem structure rules out."""
 
@@ -38,20 +45,6 @@ class SupportBox:
             raise ValueError("q_min exceeds q_max")
 
 
-@dataclass(frozen=True)
-class RationalityVerdict:
-    passed: bool
-    worst_margin: float
-    witness: tuple = None
-
-    def to_dict(self):
-        return {
-            "pass": bool(self.passed),
-            "worst_margin": float(self.worst_margin),
-            "witness_coeffs": list(self.witness) if self.witness is not None else [],
-        }
-
-
 def translate_polynomial(coeffs, surface, b):
     """Translation of a polynomial sum a_i x^i, by linearity over monomials."""
     return float(sum(a * monomial_translation(surface, i, b) for i, a in enumerate(coeffs)))
@@ -62,7 +55,7 @@ def degree1_cone_test(surface, b, box):
 
     Generators: 1, (x - q_min), (q_max - x), and x itself when the
     support is nonnegative.  All translations must be nonpositive; the
-    margin is the largest, in x units, and no witness is returned.  It is
+    margin is the largest, in x units, and the witness is empty.  It is
     the independent check of :func:`lp_violation_search` at degree 1.
     """
     g0 = monomial_translation(surface, 0, b)
@@ -70,7 +63,7 @@ def degree1_cone_test(surface, b, box):
     margins = [g0, g1 - box.q_min * g0, box.q_max * g0 - g1]
     if box.q_min >= 0.0:
         margins.append(g1)
-    return RationalityVerdict(max(margins) <= TOLERANCE, float(max(margins)))
+    return _verdict(max(margins))
 
 
 SIMPLEX_MAX_PIVOTS = 20000
@@ -160,8 +153,7 @@ def hankel_verdict(gammas, box):
         g, matrix = failing
         v = np.linalg.eigh(matrix)[1][:, 0]
         witness_t = np.convolve(g, np.convolve(v, v))
-    witness = tuple(map(float, witness_t @ shift)) if worst > TOLERANCE else None
-    return RationalityVerdict(worst <= TOLERANCE, float(worst), witness)
+    return _verdict(worst, witness_t @ shift)
 
 
 def lp_violation_search(surface, b, degree, box):

@@ -12,7 +12,7 @@ the compensating variation is positive for price increases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,12 +134,6 @@ def hn_bounds_path(surface, pc, effect, quad=DEFAULT_QUAD):
     return _path_bound(dp, t, w, _on_path(surface, pc, 1, t)[0][0], effect)
 
 
-@dataclass(frozen=True)
-class ChebyshevBounds:
-    lower: float
-    upper: float
-
-
 COMPENSATION_LEVELS = 8  # levels s on which chebyshev_bounds averages the income effect
 
 
@@ -152,7 +146,8 @@ def chebyshev_bounds(surface, pc, b_lo, b_hi, z, k, quad=DEFAULT_QUAD):
     and k (for the upper bound); the result mixes the worst-case path
     bounds accordingly.  Thresholds at the support endpoints reproduce
     the worst-case bounds exactly; the interior tightenings carry a
-    coverage probability rather than an almost-sure guarantee.
+    coverage probability rather than an almost-sure guarantee.  Returns
+    the pair (lower, upper).
     """
     if not (b_lo <= z <= b_hi and b_lo <= k <= b_hi):
         raise ValueError("thresholds must lie inside the income-effect support")
@@ -184,58 +179,40 @@ def chebyshev_bounds(surface, pc, b_lo, b_hi, z, k, quad=DEFAULT_QUAD):
 
     lower = pi_l * _path_bound(dp, t, w, m1, z) + (1.0 - pi_l) * worst_lo
     upper = pi_u * worst_hi + (1.0 - pi_u) * _path_bound(dp, t, w, m1, k)
-    return ChebyshevBounds(lower=float(lower), upper=float(upper))
+    return float(lower), float(upper)
 
 
-VARIANCE_KINDS = ("robust", "additive_separable", "first_order")
-
-
-def cv_variance(surface, pc, kind="robust"):
-    """Approximate variance of the CV across the population.
+def cv_variance(surface, pc):
+    """Three approximations of the variance of the CV across the population.
 
     ``robust`` uses the second-order approximations of the first two CV
-    moments; ``additive_separable`` is exact only when heterogeneity is
-    an additive demand shifter; ``first_order`` scales the demand
-    variance by the squared price change.
+    moments, and is None on a surface without order 3; ``additive`` is
+    exact only when heterogeneity is an additive demand shifter;
+    ``first_order`` scales the demand variance by the squared price change.
     """
-    if kind not in VARIANCE_KINDS:
-        raise ValueError("kind must be one of %s" % (VARIANCE_KINDS,))
-    if kind == "robust":
-        return cv_moment_local(surface, 2, pc) - cv_moment_local(surface, 1, pc) ** 2
     dp = pc.scalar_delta(surface.good)
     b0 = pc.start
     m1 = surface.moment(1, b0)
     m2 = surface.moment(2, b0)
-    if kind == "first_order":
-        return dp ** 2 * (m2 - m1 ** 2)
     dpm1 = surface.d_price(1, b0)
     dym1 = surface.d_income(1, b0)
     first = m2 + dp * (m1 * dpm1 + m2 * dym1)
     second = m1 + (dp / 2.0) * (dpm1 + m1 * dym1)
-    return dp ** 2 * (first - second ** 2)
-
-
-@dataclass(frozen=True)
-class CvDecomposition:
-    """Second-order CV contribution split into four channels.
-
-    a1: homothetic representative agent; a2: non-homothetic adjustment
-    of that agent; a3: heterogeneity with homothetic types; a4: joint
-    heterogeneity/non-homotheticity remainder.
-    """
-
-    a1: float
-    a2: float
-    a3: float
-    a4: float
-
-    @property
-    def total(self):
-        return self.a1 + self.a2 + self.a3 + self.a4
+    robust = None
+    if surface.max_order >= 3:
+        robust = cv_moment_local(surface, 2, pc) - cv_moment_local(surface, 1, pc) ** 2
+    return {"robust": robust, "additive": dp ** 2 * (first - second ** 2),
+            "first_order": dp ** 2 * (m2 - m1 ** 2)}
 
 
 def cv_decompose(surface, pc):
-    """Decompose the second-order CV contribution; enforces its sum identity."""
+    """The second-order CV contribution split into four channels, with its
+    sum identity enforced.
+
+    A1: homothetic representative agent; A2: non-homothetic adjustment
+    of that agent; A3: heterogeneity with homothetic types; A4: joint
+    heterogeneity/non-homotheticity remainder.
+    """
     dp = pc.scalar_delta(surface.good)
     b0 = pc.start
     y = b0.income
@@ -249,12 +226,12 @@ def cv_decompose(surface, pc):
     a2 = half * (m1 * dym1 - m1 ** 2 / y)
     a3 = half * (m2 - m1 ** 2) / y
     a4 = half * (0.5 * dym2 - m1 * dym1 - (m2 - m1 ** 2) / y)
-    dec = CvDecomposition(a1, a2, a3, a4)
+    total = a1 + a2 + a3 + a4
     target = half * monomial_translation(surface, 0, b0)
-    if abs(dec.total - target) > 1e-10 * max(1.0, abs(target)):
+    if abs(total - target) > 1e-10 * max(1.0, abs(target)):
         raise InternalConsistencyError(
-            "CV decomposition sums to %.3e, expected %.3e" % (dec.total, target))
-    return dec
+            "CV decomposition sums to %.3e, expected %.3e" % (total, target))
+    return {"A1": a1, "A2": a2, "A3": a3, "A4": a4}
 
 
 def price_index(share_surface, dlogp, b):
@@ -267,25 +244,14 @@ def price_index(share_surface, dlogp, b):
             + (dlogp ** 2 / 2.0) * _share_slope(share_surface, 1, b))
 
 
-@dataclass(frozen=True)
-class PriceIndexDecomposition:
-    a1: float
-    a2: float
-    a3: float
-    a4: float
-    homotheticity_correction: dict = field(default_factory=dict)
-
-    @property
-    def total(self):
-        return self.a1 + self.a2 + self.a3 + self.a4
-
-
 def price_index_decompose(share_surface, dlogp, b):
-    """Split the index's second-order term into homotheticity/heterogeneity channels.
+    """Split the index's second-order term into homotheticity/heterogeneity
+    channels A1..A4, as :func:`cv_decompose` does.
 
-    Also reports the log-income derivative of the representative-agent
-    part (first order plus a1 + a2) and of the heterogeneity part
-    (a3 + a4), by central differences in log income.
+    Also reports, as ``homotheticity_correction``, the log-income
+    derivative of the representative-agent part (first order plus A1 + A2)
+    and of the heterogeneity part (A3 + A4), by central differences in log
+    income.
     """
     def parts(budget):
         w1 = share_surface.moment(1, budget)
@@ -317,7 +283,7 @@ def price_index_decompose(share_surface, dlogp, b):
         "ra": (ra_up - ra_dn) / (2.0 * h),
         "heterogeneity": (het_up - het_dn) / (2.0 * h),
     }
-    return PriceIndexDecomposition(a1, a2, a3, a4, correction)
+    return {"A1": a1, "A2": a2, "A3": a3, "A4": a4, "homotheticity_correction": correction}
 
 
 def tax_deadweight(surface, b, tau, dtau_dtheta):
@@ -416,19 +382,12 @@ def build_report(surface, pc, quad=DEFAULT_QUAD, b_lo=None, b_hi=None,
     # one batch on the price path serves the path value and the worst-case bounds
     path_m, _, path_dy = _on_path(surface, pc, 2, t)
     if chebyshev_thresholds is not None and dp > 0:
-        cheb = chebyshev_bounds(surface, pc, b_lo, b_hi, *chebyshev_thresholds, quad)
-        pair, kind = (cheb.lower, cheb.upper), "chebyshev"
+        pair = chebyshev_bounds(surface, pc, b_lo, b_hi, *chebyshev_thresholds, quad)
+        kind = "chebyshev"
     else:
         pair, kind = [_path_bound(dp, t, w, path_m[0], b) for b in (b_lo, b_hi)], "worst-case"
     lower, upper = sorted(pair)
     bounds = {"lower": lower, "upper": upper, "kind": kind}
-
-    dec = cv_decompose(surface, pc)
-    variance = {
-        "robust": cv_variance(surface, pc, "robust") if surface.max_order >= 3 else None,
-        "additive": cv_variance(surface, pc, "additive_separable"),
-        "first_order": cv_variance(surface, pc, "first_order"),
-    }
     return WelfareReport(
         dp=dp,
         first_order=cv_first_order(surface, pc),
@@ -436,7 +395,7 @@ def build_report(surface, pc, quad=DEFAULT_QUAD, b_lo=None, b_hi=None,
         robust=robust,
         path=_path_value(dp, t, w, path_m, path_dy),
         bounds=bounds,
-        variance=variance,
-        decomposition={"A1": dec.a1, "A2": dec.a2, "A3": dec.a3, "A4": dec.a4},
+        variance=cv_variance(surface, pc),
+        decomposition=cv_decompose(surface, pc),
         moments=moments,
     )

@@ -162,7 +162,7 @@ def test_population_budgets_carry_one_price_per_good(tmp_path):
     for v, p in zip(verdicts["verdicts"], (0.9, 1.1)):
         b = Budget((p,), 2.0)
         want = lp_violation_search(surface_from_population(pop, 3), b, 1,
-                                   SupportBox(*pop.support(b))).to_dict()
+                                   SupportBox(*pop.support(b)))
         assert {key: v[key] for key in want} == want
     welfare, _ = run("welfare", RunConfig(population="CD2(0.3)", dp=dps, out=str(tmp_path / "w")))
     check, _ = run("oracle-check", RunConfig(population="CD2(0.3)", dp=dps,
@@ -180,10 +180,11 @@ def test_cli_degree_one_verdict_is_the_hankel_verdict(tmp_path):
                  "--out", str(tmp_path)]) == 0
     passing, failing = json.load(open(tmp_path / "verdicts.json"))
     surface = surface_from_population(L0, 3)
-    b = Budget((1.0,), 2.0)
-    hankel = lp_violation_search(surface, b, 1, SupportBox(*L0.support(b)))
+    for verdict, y in ((passing, 2.0), (failing, 4.0)):
+        b = Budget((1.0,), y)
+        hankel = lp_violation_search(surface, b, 1, SupportBox(*L0.support(b)))
+        assert verdict == {"budget": {"prices": [1.0], "income": y}, "degree": 1, **hankel}
     assert passing["pass"] is True and passing["witness_coeffs"] == []
-    assert passing["worst_margin"] == hankel.worst_margin
     # a failing verdict carries its witness, whose translation is the margin
     assert failing["pass"] is False
     assert translate_polynomial(failing["witness_coeffs"], surface, Budget((1.0,), 4.0)) \
@@ -715,6 +716,21 @@ def test_config_file_that_is_no_object_exits_1(tmp_path, capsys, content):
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "UsageError",
                    "message": "--config %s holds no JSON object of settings" % cfg_path}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [b"", b'{"dp": [0.1],}', b"\xff\xfe"],
+                         ids=["empty", "trailing-comma", "not-utf8"])
+def test_config_file_that_is_not_json_names_the_file(tmp_path, capsys, content):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(content)
+    out = tmp_path / "run"
+    assert main(["welfare", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    err = json.loads(err)
+    assert err["error"] == "UsageError"
+    assert err["message"].startswith("--config %s is not JSON: " % cfg_path)
     assert not out.exists()
 
 

@@ -27,12 +27,12 @@ EXPORTS = {
                "cv_constant_income_effect", "exact_cv_type", "population_cv",
                "population_cv_sweep",
                "share_surface_from_population", "surface_from_population"),
-    "welfare": ("ChebyshevBounds", "QuadratureRule", "WelfareReport", "build_report",
+    "welfare": ("QuadratureRule", "WelfareReport", "build_report",
                 "chebyshev_bounds", "compensated_jacobian_multigood", "compensated_moment_fo",
                 "compensated_share_moment", "cv_decompose", "cv_first_order",
                 "cv_mean_multigood", "cv_moment_local", "cv_path", "cv_ra", "cv_variance",
                 "hn_bounds_path", "price_index", "price_index_decompose", "tax_deadweight"),
-    "rationality": ("RationalityVerdict", "SupportBox", "degree1_cone_test",
+    "rationality": ("SupportBox", "degree1_cone_test",
                     "lp_violation_search", "monomial_translation", "translate_polynomial"),
     "estimation": ("BasisSpec", "BootstrapConfig", "Dataset", "FirstStageFit", "MomentFit",
                    "bootstrap", "first_stage", "fit_moment_surface", "fitted_surface"),

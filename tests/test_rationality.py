@@ -7,7 +7,6 @@ from welfare_moments import (
     L0,
     LinearTypeMixture,
     OrderError,
-    RationalityVerdict,
     SupportBox,
     degree1_cone_test,
     lp_violation_search,
@@ -61,8 +60,8 @@ def lp_violation_search_reference(surface, b, degree, box, grid_size=None):
         raise ValueError("grid must have at least 10 * (degree + 1) points")
     value, x = simplex_max(*_grid_lp(surface, b, degree, box, grid_size))
     coeffs = tuple(x[:degree + 1] - x[degree + 1:])
-    return RationalityVerdict(passed=value <= TOLERANCE, worst_margin=float(value),
-                              witness=coeffs if value > TOLERANCE else None)
+    return {"pass": value <= TOLERANCE, "worst_margin": float(value),
+            "witness_coeffs": list(coeffs) if value > TOLERANCE else []}
 
 
 def random_mixture(seed):
@@ -125,8 +124,8 @@ def test_translate_polynomial(l0_surface):
 def test_degree1_cone_l0_passes(l0_surface):
     box = SupportBox(*L0.support(B_STAR))
     verdict = degree1_cone_test(l0_surface, B_STAR, box)
-    assert verdict.passed
-    assert verdict.worst_margin < 0.0
+    assert verdict["pass"]
+    assert verdict["worst_margin"] < 0.0
 
 
 def test_degree1_cone_constructed_failure():
@@ -136,8 +135,8 @@ def test_degree1_cone_constructed_failure():
     assert monomial_translation(surface, 0, B_STAR) == pytest.approx(-1.0)
     assert monomial_translation(surface, 1, B_STAR) == pytest.approx(0.5)
     verdict = degree1_cone_test(surface, B_STAR, SupportBox(0.0, 1.0))
-    assert not verdict.passed
-    assert verdict.worst_margin == pytest.approx(0.5)
+    assert not verdict["pass"]
+    assert verdict["worst_margin"] == pytest.approx(0.5)
 
 
 def test_degree1_cone_degenerate_box(l0_surface):
@@ -146,13 +145,13 @@ def test_degree1_cone_degenerate_box(l0_surface):
     g0 = monomial_translation(l0_surface, 0, B_STAR)
     g1 = monomial_translation(l0_surface, 1, B_STAR)
     expected = max(g0, g1 - q_bar * g0, q_bar * g0 - g1, g1)
-    assert verdict.worst_margin == pytest.approx(expected, abs=1e-14)
+    assert verdict["worst_margin"] == pytest.approx(expected, abs=1e-14)
 
 
-def test_verdict_invariant():
-    v = RationalityVerdict(passed=True, worst_margin=-0.2)
-    assert v.passed == (v.worst_margin <= TOLERANCE)
-    assert v.to_dict()["witness_coeffs"] == []
+def test_verdict_invariant(l0_surface):
+    v = degree1_cone_test(l0_surface, B_STAR, SupportBox(*L0.support(B_STAR)))
+    assert v["pass"] == (v["worst_margin"] <= TOLERANCE)
+    assert v["witness_coeffs"] == []
 
 
 def test_box_validation():
@@ -174,7 +173,7 @@ def test_lp_agrees_with_cone_on_random_surfaces(l0_surface):
         box = SupportBox(lo - 0.05, hi + 0.05)
         cone = degree1_cone_test(surface, b0, box)
         lp = lp_violation_search(surface, b0, 1, box)
-        agreements += cone.passed == lp.passed
+        agreements += cone["pass"] == lp["pass"]
     assert agreements == 50
 
 
@@ -185,43 +184,43 @@ def test_lp_rational_oracles_pass(l0_surface, cd2_surface):
         box = SupportBox(*L0.support(b))
         for d in (1, 2, 3):
             verdict = lp_violation_search(l0_surface, b, d, box)
-            assert verdict.passed and verdict.worst_margin <= 1e-8
+            assert verdict["pass"] and verdict["worst_margin"] <= 1e-8
     for b in random_budgets(rng, 20, (0.5, 2.0), (1.0, 5.0), k=2):
         box = SupportBox(*cd2.support(b))
         for d in (1, 2, 3):
             verdict = lp_violation_search(cd2_surface, b, d, box)
-            assert verdict.passed and verdict.worst_margin <= 1e-8
+            assert verdict["pass"] and verdict["worst_margin"] <= 1e-8
 
 
 def test_lp_planted_violator(violator_surface):
     b0 = Budget((1.0,), 2.0)
     box = SupportBox(0.0, 1.0)
     d1 = lp_violation_search(violator_surface, b0, 1, box)
-    assert d1.passed
+    assert d1["pass"]
     d2 = lp_violation_search(violator_surface, b0, 2, box)
-    assert not d2.passed
-    assert d2.worst_margin > 0.01
+    assert not d2["pass"]
+    assert d2["worst_margin"] > 0.01
     # witness polynomial peaks near the top of the support
     xs = np.linspace(0.0, 1.0, 501)
-    vals = sum(a * xs ** i for i, a in enumerate(d2.witness))
+    vals = sum(a * xs ** i for i, a in enumerate(d2["witness_coeffs"]))
     assert xs[np.argmax(vals)] > 0.8
     # cross-check the witness translation by direct integration over types
     direct = 0.0
     for mass, c, gp, gy in planted_violator().types:
         q = c + gp * 1.0 + gy * 2.0
         slutsky = gp + q * gy
-        direct += mass * slutsky * sum(a * q ** i for i, a in enumerate(d2.witness))
-    assert d2.worst_margin == pytest.approx(direct, abs=1e-9)
+        direct += mass * slutsky * sum(a * q ** i for i, a in enumerate(d2["witness_coeffs"]))
+    assert d2["worst_margin"] == pytest.approx(direct, abs=1e-9)
 
 
 def test_lp_failures_monotone_in_degree(violator_surface):
     b0 = Budget((1.0,), 2.0)
     box = SupportBox(0.0, 1.0)
-    assert all(not lp_violation_search(violator_surface, b0, d, box).passed
+    assert all(not lp_violation_search(violator_surface, b0, d, box)["pass"]
                for d in (2, 3, 4))
     # the l1-normalized LP optimum grows with the degree; the Hankel margin
     # is normalized per degree and need not
-    opts = [lp_violation_search_reference(violator_surface, b0, d, box).worst_margin
+    opts = [lp_violation_search_reference(violator_surface, b0, d, box)["worst_margin"]
             for d in (2, 3, 4)]
     assert all(opt > 1e-8 for opt in opts)
     assert opts[1] >= opts[0] - 1e-9
@@ -232,11 +231,11 @@ def test_lp_grid_doubling_stability(violator_surface, l0_surface):
     b0 = Budget((1.0,), 2.0)
     v1 = lp_violation_search_reference(violator_surface, b0, 2, SupportBox(0.0, 1.0), 512)
     v2 = lp_violation_search_reference(violator_surface, b0, 2, SupportBox(0.0, 1.0), 1024)
-    assert abs(v1.worst_margin - v2.worst_margin) < 1e-6
+    assert abs(v1["worst_margin"] - v2["worst_margin"]) < 1e-6
     box = SupportBox(*L0.support(B_STAR))
     r1 = lp_violation_search_reference(l0_surface, B_STAR, 2, box, 512)
     r2 = lp_violation_search_reference(l0_surface, B_STAR, 2, box, 1024)
-    assert abs(r1.worst_margin - r2.worst_margin) < 1e-6
+    assert abs(r1["worst_margin"] - r2["worst_margin"]) < 1e-6
 
 
 def test_lp_grid_floor(l0_surface):
@@ -274,8 +273,8 @@ def test_hankel_flags_match_lp_reference_on_rational_grids():
         for d in (1, 2, 3):
             exact = lp_violation_search(surface, b, d, box)
             reference = lp_violation_search_reference(surface, b, d, box)
-            assert exact.passed == reference.passed
-            assert exact.passed
+            assert exact["pass"] == reference["pass"]
+            assert exact["pass"]
 
 
 def test_hankel_flags_match_lp_reference_on_random_mixtures():
@@ -288,8 +287,8 @@ def test_hankel_flags_match_lp_reference_on_random_mixtures():
         box = SupportBox(lo - 0.05, hi + 0.05)
         for d in (1, 2, 3):
             exact = lp_violation_search(surface, b0, d, box)
-            assert exact.passed == lp_violation_search_reference(surface, b0, d, box).passed
-            failures += not exact.passed
+            assert exact["pass"] == lp_violation_search_reference(surface, b0, d, box)["pass"]
+            failures += not exact["pass"]
     assert 0 < failures < 150  # both outcomes are exercised
 
 
@@ -303,14 +302,14 @@ def test_hankel_witness_translation_equals_margin():
         box = SupportBox(lo - 0.05, hi + 0.05)
         for d in (1, 2, 3, 4):
             verdict = lp_violation_search(surface, b0, d, box)
-            if verdict.passed:
-                assert verdict.witness is None
+            if verdict["pass"]:
+                assert verdict["witness_coeffs"] == []
                 continue
-            assert len(verdict.witness) == d + 1
-            assert direct_translation(mix, verdict.witness, b0) == pytest.approx(
-                verdict.worst_margin, abs=1e-9)
+            assert len(verdict["witness_coeffs"]) == d + 1
+            assert direct_translation(mix, verdict["witness_coeffs"], b0) == pytest.approx(
+                verdict["worst_margin"], abs=1e-9)
             xs = np.linspace(box.q_min, box.q_max, 401)
-            vals = sum(a * xs ** k for k, a in enumerate(verdict.witness))
+            vals = sum(a * xs ** k for k, a in enumerate(verdict["witness_coeffs"]))
             assert vals.min() >= -1e-12 * np.abs(vals).max()
             checked += 1
     assert checked >= 20
@@ -323,7 +322,7 @@ def test_hankel_failure_persists_at_higher_degree():
         surface = surface_from_population(mix, 6)
         lo, hi = mix.support(b0)
         box = SupportBox(lo - 0.05, hi + 0.05)
-        flags = [lp_violation_search(surface, b0, d, box).passed for d in (1, 2, 3, 4)]
+        flags = [lp_violation_search(surface, b0, d, box)["pass"] for d in (1, 2, 3, 4)]
         for lower, higher in zip(flags, flags[1:]):
             assert lower or not higher
 
@@ -335,19 +334,19 @@ def test_hankel_degenerate_box():
         surface = surface_from_population(mix, 5)
         q_bar = mix.types[0][1] + mix.types[0][2] + 2.0 * mix.types[0][3]
         box = SupportBox(q_bar, q_bar)
-        assert lp_violation_search(surface, b0, 1, box).passed == \
-            degree1_cone_test(surface, b0, box).passed
+        assert lp_violation_search(surface, b0, 1, box)["pass"] == \
+            degree1_cone_test(surface, b0, box)["pass"]
         for d in (1, 2, 3):
             verdict = lp_violation_search(surface, b0, d, box)
-            assert np.isfinite(verdict.worst_margin)
-            assert verdict.passed == lp_violation_search_reference(surface, b0, d, box).passed
-            if not verdict.passed:
-                assert direct_translation(mix, verdict.witness, b0) == pytest.approx(
-                    verdict.worst_margin, abs=1e-9)
+            assert np.isfinite(verdict["worst_margin"])
+            assert verdict["pass"] == lp_violation_search_reference(surface, b0, d, box)["pass"]
+            if not verdict["pass"]:
+                assert direct_translation(mix, verdict["witness_coeffs"], b0) == pytest.approx(
+                    verdict["worst_margin"], abs=1e-9)
     # -L proportional to evaluation at the point passes
     gammas = [-2.0 * 0.5 ** k for k in range(4)]
-    assert hankel_verdict(gammas, SupportBox(0.5, 0.5)).passed
-    assert not hankel_verdict([-1.0, 0.0, 0.0, 1e-6], SupportBox(0.5, 0.5)).passed
+    assert hankel_verdict(gammas, SupportBox(0.5, 0.5))["pass"]
+    assert not hankel_verdict([-1.0, 0.0, 0.0, 1e-6], SupportBox(0.5, 0.5))["pass"]
 
 
 def test_hankel_margin_stable_under_last_bit_changes():
@@ -362,8 +361,8 @@ def test_hankel_margin_stable_under_last_bit_changes():
             base = hankel_verdict(gammas, box)
             nudged = np.nextafter(gammas, np.where(rng.random(d + 1) < 0.5, -np.inf, np.inf))
             moved = hankel_verdict(nudged, box)
-            assert base.passed and moved.passed
-            assert abs(moved.worst_margin - base.worst_margin) <= 1e-13
+            assert base["pass"] and moved["pass"]
+            assert abs(moved["worst_margin"] - base["worst_margin"]) <= 1e-13
 
 
 def test_lp_reference_matches_scipy_linprog(violator_surface, l0_surface):
@@ -382,4 +381,4 @@ def test_lp_reference_matches_scipy_linprog(violator_surface, l0_surface):
         res = linprog(-c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
         assert res.status == 0
         reference = lp_violation_search_reference(surface, b, d, box)
-        assert reference.worst_margin == pytest.approx(-res.fun, abs=1e-9)
+        assert reference["worst_margin"] == pytest.approx(-res.fun, abs=1e-9)

@@ -255,28 +255,28 @@ def test_hn_bounds_path_contain_exact(l0_containment_grid, l0_surface):
 
 
 def test_chebyshev_extreme_thresholds_reproduce_worst_case(l0_surface):
-    cheb = chebyshev_bounds(l0_surface, PC_STAR, 1.0 / 3.0, 2.0 / 3.0,
-                            z=2.0 / 3.0, k=1.0 / 3.0)
+    lower, upper = chebyshev_bounds(l0_surface, PC_STAR, 1.0 / 3.0, 2.0 / 3.0,
+                                    z=2.0 / 3.0, k=1.0 / 3.0)
     lo = hn_bounds_path(l0_surface, PC_STAR, 1.0 / 3.0)
     hi = hn_bounds_path(l0_surface, PC_STAR, 2.0 / 3.0)
-    assert cheb.lower == pytest.approx(lo, abs=1e-9)
-    assert cheb.upper == pytest.approx(hi, abs=1e-9)
+    assert lower == pytest.approx(lo, abs=1e-9)
+    assert upper == pytest.approx(hi, abs=1e-9)
 
 
 def test_chebyshev_degenerate_effects_collapse():
     deg = LinearTypeMixture([(0.5, 0.2, -0.4, 0.5), (0.5, 0.8, -0.6, 0.5)])
     surface = surface_from_population(deg, 3)
-    cheb = chebyshev_bounds(surface, PC_STAR, 1.0 / 3.0, 2.0 / 3.0, z=0.5, k=0.5)
+    lower, upper = chebyshev_bounds(surface, PC_STAR, 1.0 / 3.0, 2.0 / 3.0, z=0.5, k=0.5)
     exact = hn_bounds_path(surface, PC_STAR, 0.5)
-    assert cheb.lower == pytest.approx(exact, abs=1e-12)
-    assert cheb.upper == pytest.approx(exact, abs=1e-12)
+    assert lower == pytest.approx(exact, abs=1e-12)
+    assert upper == pytest.approx(exact, abs=1e-12)
 
 
 def test_chebyshev_interior_strictly_inside(l0_surface):
-    cheb = chebyshev_bounds(l0_surface, PC_STAR, 0.0, 1.0, z=0.5, k=0.5)
+    lower, upper = chebyshev_bounds(l0_surface, PC_STAR, 0.0, 1.0, z=0.5, k=0.5)
     lo = hn_bounds_path(l0_surface, PC_STAR, 0.0)
     hi = hn_bounds_path(l0_surface, PC_STAR, 1.0)
-    assert lo < cheb.lower <= cheb.upper < hi
+    assert lo < lower <= upper < hi
     with pytest.raises(ValueError):
         chebyshev_bounds(l0_surface, PC_STAR, 0.0, 1.0, z=1.5, k=0.5)
 
@@ -289,25 +289,24 @@ def test_chebyshev_bounds_need_a_price_increase(l0_surface):
 
 def test_cv_variance_zero_change(l0_surface):
     zero = PriceChange.scalar(1.0, 1.0, 2.0)
-    for kind in ("robust", "additive_separable", "first_order"):
-        assert cv_variance(l0_surface, zero, kind) == 0.0
+    assert cv_variance(l0_surface, zero) == {"robust": 0.0, "additive": 0.0, "first_order": 0.0}
 
 
 def test_cv_variance_small_change_limit(l0_surface):
     dp = 1e-4
     pc = PriceChange.scalar(1.0, 1.0 + dp, 2.0)
-    scaled = cv_variance(l0_surface, pc, "robust") / dp ** 2
+    variance = cv_variance(l0_surface, pc)
+    scaled = variance["robust"] / dp ** 2
     assert scaled == pytest.approx(7.0 / 36.0, rel=1e-3)
-    assert cv_variance(l0_surface, pc, "first_order") / dp ** 2 == pytest.approx(
-        7.0 / 36.0, abs=1e-12)
+    assert variance["first_order"] / dp ** 2 == pytest.approx(7.0 / 36.0, abs=1e-12)
 
 
 def test_cv_variance_degenerate_population():
     single = LinearTypeMixture([(1.0, 0.6, -0.5, 0.3)])
     surface = surface_from_population(single, 3)
     pc = PriceChange.scalar(1.0, 1.01, 2.0)
-    for kind in ("robust", "additive_separable", "first_order"):
-        assert cv_variance(surface, pc, kind) == pytest.approx(0.0, abs=1e-8)
+    for value in cv_variance(surface, pc).values():
+        assert value == pytest.approx(0.0, abs=1e-8)
 
 
 def test_cv_variance_additive_model_matches_robust():
@@ -318,8 +317,8 @@ def test_cv_variance_additive_model_matches_robust():
     surface = surface_from_population(additive, 3)
     for dp in SWEEP_DPS:
         pc = PriceChange.scalar(1.0, 1.0 + dp, 2.0)
-        gap = abs(cv_variance(surface, pc, "robust")
-                  - cv_variance(surface, pc, "additive_separable"))
+        variance = cv_variance(surface, pc)
+        gap = abs(variance["robust"] - variance["additive"])
         assert gap <= 1e-14
 
 
@@ -329,40 +328,46 @@ def test_cv_variance_additive_gap_third_order_on_heterogeneous(l0_surface):
     gaps = []
     for dp in SWEEP_DPS:
         pc = PriceChange.scalar(1.0, 1.0 + dp, 2.0)
-        gaps.append(abs(cv_variance(l0_surface, pc, "robust")
-                        - cv_variance(l0_surface, pc, "additive_separable")))
+        variance = cv_variance(l0_surface, pc)
+        gaps.append(abs(variance["robust"] - variance["additive"]))
     assert loglog_slope(SWEEP_DPS, gaps) >= 2.7
 
 
 def test_cv_variance_order_error():
+    # without order 3 there is no robust variance; the other two read
+    # orders 1 and 2 only
     shallow = surface_from_population(L0, 2)
-    with pytest.raises(OrderError):
-        cv_variance(shallow, PC_STAR, "robust")
-    with pytest.raises(ValueError):
-        cv_variance(shallow, PC_STAR, "median")
+    dp, b = PC_STAR.scalar_delta(), PC_STAR.start
+    m1, m2 = shallow.moment(1, b), shallow.moment(2, b)
+    dpm1, dym1 = shallow.d_price(1, b), shallow.d_income(1, b)
+    first = m2 + dp * (m1 * dpm1 + m2 * dym1)
+    second = m1 + (dp / 2.0) * (dpm1 + m1 * dym1)
+    assert cv_variance(shallow, PC_STAR) == {"robust": None,
+                                             "additive": dp ** 2 * (first - second ** 2),
+                                             "first_order": dp ** 2 * (m2 - m1 ** 2)}
 
 
 def test_cv_decompose_l0(l0_surface):
     dec = cv_decompose(l0_surface, PC_STAR)
-    assert dec.a3 == pytest.approx(0.005 * (7.0 / 36.0) / 2.0, abs=1e-12)
+    assert dec["A3"] == pytest.approx(0.005 * (7.0 / 36.0) / 2.0, abs=1e-12)
     target = 0.005 * (-1.0 + 0.5 * 11.0 / 18.0)
-    assert dec.total == pytest.approx(target, abs=1e-12)
+    assert sum(dec.values()) == pytest.approx(target, abs=1e-12)
 
 
 def test_cv_decompose_homothetic_single_type():
     surface = surface_from_population(homothetic_type(), 3)
     dec = cv_decompose(surface, PC_STAR)
-    assert dec.a2 == pytest.approx(0.0, abs=1e-15)
-    assert dec.a3 == pytest.approx(0.0, abs=1e-15)
-    assert dec.a4 == pytest.approx(0.0, abs=1e-15)
+    assert dec["A2"] == pytest.approx(0.0, abs=1e-15)
+    assert dec["A3"] == pytest.approx(0.0, abs=1e-15)
+    assert dec["A4"] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_cv_decompose_degenerate_non_homothetic():
     single = LinearTypeMixture([(1.0, 0.6, -0.5, 0.1)])
     dec = cv_decompose(surface_from_population(single, 3), PC_STAR)
-    assert dec.a3 == pytest.approx(0.0, abs=1e-15)
-    assert dec.a4 == pytest.approx(0.0, abs=1e-15)
-    assert abs(dec.a2) > 1e-6
+    assert dec["A3"] == pytest.approx(0.0, abs=1e-15)
+    assert dec["A4"] == pytest.approx(0.0, abs=1e-15)
+    assert abs(dec["A2"]) > 1e-6
 
 
 def test_price_index_cobb_douglas():
@@ -385,19 +390,19 @@ def test_price_index_decompose_homothetic_heterogeneous():
     b = Budget((1.0, 1.0), 2.0)
     dec = price_index_decompose(ws, 0.1, b)
     var_w = 0.5 * (0.3 ** 2 + 0.7 ** 2) - 0.25
-    assert dec.a2 == 0.0
-    assert dec.a4 == 0.0
-    assert dec.a3 == pytest.approx(0.005 * var_w, abs=1e-14)
-    assert dec.a3 > 0.0
-    assert dec.homotheticity_correction["ra"] == pytest.approx(0.0, abs=1e-10)
-    assert dec.homotheticity_correction["heterogeneity"] == pytest.approx(0.0, abs=1e-10)
+    assert dec["A2"] == 0.0
+    assert dec["A4"] == 0.0
+    assert dec["A3"] == pytest.approx(0.005 * var_w, abs=1e-14)
+    assert dec["A3"] > 0.0
+    assert dec["homotheticity_correction"]["ra"] == pytest.approx(0.0, abs=1e-10)
+    assert dec["homotheticity_correction"]["heterogeneity"] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_price_index_decompose_single_type():
     ws = share_surface_from_population(CobbDouglasPopulation.single(0.4), 2)
     dec = price_index_decompose(ws, 0.1, Budget((1.0, 1.0), 2.0))
-    assert dec.a3 == pytest.approx(0.0, abs=1e-15)
-    assert dec.a4 == pytest.approx(0.0, abs=1e-15)
+    assert dec["A3"] == pytest.approx(0.0, abs=1e-15)
+    assert dec["A4"] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_price_index_decompose_sum_identity(l0_surface):
@@ -405,7 +410,8 @@ def test_price_index_decompose_sum_identity(l0_surface):
     b = Budget((1.05,), 2.1)
     dec = price_index_decompose(ws, 0.07, b)
     target = price_index(ws, 0.07, b) - ws.moment(1, b) * 0.07
-    assert dec.total == pytest.approx(target, abs=1e-14)
+    total = dec["A1"] + dec["A2"] + dec["A3"] + dec["A4"]
+    assert total == pytest.approx(target, abs=1e-14)
 
 
 def test_tax_deadweight():
@@ -562,7 +568,7 @@ def test_build_report_chebyshev_kind(l0_surface):
     assert rep.bounds["kind"] == "chebyshev"
     assert rep.bounds["lower"] <= rep.bounds["upper"]
     cheb = chebyshev_bounds(l0_surface, PC_STAR, 0.0, 1.0, 0.5, 0.5)
-    assert (rep.bounds["lower"], rep.bounds["upper"]) == (cheb.lower, cheb.upper)
+    assert (rep.bounds["lower"], rep.bounds["upper"]) == cheb
     assert rep.path == cv_path(l0_surface, PC_STAR)
 
 
@@ -570,10 +576,10 @@ def test_build_report_orders_an_inverted_chebyshev_pair():
     # at z = 0.45 above k = 0.2 the tightened lower bound passes the upper
     # one (0.0240239 against 0.0240192); the report writes them in order
     surface, pc = surface_from_population(L0, 4), PriceChange.scalar(1.0, 1.05, 2.0)
-    cheb = chebyshev_bounds(surface, pc, 0.0, 1.0, 0.45, 0.2)
-    assert cheb.lower > cheb.upper
+    lower, upper = chebyshev_bounds(surface, pc, 0.0, 1.0, 0.45, 0.2)
+    assert lower > upper
     rep = build_report(surface, pc, chebyshev_thresholds=(0.45, 0.2))
-    assert rep.bounds == {"lower": cheb.upper, "upper": cheb.lower, "kind": "chebyshev"}
+    assert rep.bounds == {"lower": upper, "upper": lower, "kind": "chebyshev"}
 
 
 def test_mean_demand_respects_budget_feasibility(cd2_surface):
@@ -728,9 +734,9 @@ def test_batched_path_integrals_match_node_loops(name, make, pcs):
                          hn_bounds_path_reference(surface, pc, effect))
         if pc.scalar_delta() > 0:
             p0 = pc.start.price(0)
-            cheb = chebyshev_bounds(surface, pc, 0.0, 1.0 / p0, 0.3, 0.5)
+            lower, upper = chebyshev_bounds(surface, pc, 0.0, 1.0 / p0, 0.3, 0.5)
             ref = chebyshev_bounds_reference(surface, pc, 0.0, 1.0 / p0, 0.3, 0.5)
-            assert close(cheb.lower, ref[0]) and close(cheb.upper, ref[1])
+            assert close(lower, ref[0]) and close(upper, ref[1])
 
 
 def test_batched_path_integrals_match_node_loops_fitted(l0_fitted_surface):
@@ -741,9 +747,9 @@ def test_batched_path_integrals_match_node_loops_fitted(l0_fitted_surface):
         assert close(hn_bounds_path(surface, pc, 0.25),
                      hn_bounds_path_reference(surface, pc, 0.25))
     pc = PriceChange.scalar(1.0, 1.05, 3.9)
-    cheb = chebyshev_bounds(surface, pc, 0.0, 1.0, 0.3, 0.5)
+    lower, upper = chebyshev_bounds(surface, pc, 0.0, 1.0, 0.3, 0.5)
     ref = chebyshev_bounds_reference(surface, pc, 0.0, 1.0, 0.3, 0.5)
-    assert close(cheb.lower, ref[0]) and close(cheb.upper, ref[1])
+    assert close(lower, ref[0]) and close(upper, ref[1])
 
 
 def test_q0_chebyshev_grid_across_the_kink():
@@ -755,9 +761,9 @@ def test_q0_chebyshev_grid_across_the_kink():
     assert 2.9 < 3.0 < 2.9 + worst_hi
     assert len(Q0._segments(2.9)) != len(Q0._segments(2.9 + worst_hi))
     for z, k in ((0.3, 0.5), (0.1, 0.9), (0.5, 0.5)):
-        cheb = chebyshev_bounds(surface, pc, 0.0, 1.0, z, k)
+        lower, upper = chebyshev_bounds(surface, pc, 0.0, 1.0, z, k)
         ref = chebyshev_bounds_reference(surface, pc, 0.0, 1.0, z, k)
-        assert close(cheb.lower, ref[0]) and close(cheb.upper, ref[1])
+        assert close(lower, ref[0]) and close(upper, ref[1])
 
 
 @pytest.mark.parametrize("name", [c[0] for c in BATCH_CASES] + ["fitted"])
@@ -774,7 +780,7 @@ def test_cv_moments_match_the_hand_written_formulas(name, request):
                 cv_moment_local_reference(surface, n, pc), rel=1e-14, abs=0.0)
         # a difference of two terms of the second CV moment's size, so its
         # rounding error scales with that size
-        assert cv_variance(surface, pc, "robust") == pytest.approx(
+        assert cv_variance(surface, pc)["robust"] == pytest.approx(
             cv_variance_robust_reference(surface, pc),
             rel=0.0, abs=1e-14 * cv_moment_local_reference(surface, 2, pc))
 
@@ -789,12 +795,8 @@ def test_build_report_start_budget_fields_are_the_scalar_formulas(name, make, pc
         assert rep.robust == cv_moment_local(surface, 1, pc)
         assert rep.moments == tuple(cv_moment_local(surface, n, pc)
                                     for n in range(1, surface.max_order))
-        dec = cv_decompose(surface, pc)
-        assert rep.decomposition == {"A1": dec.a1, "A2": dec.a2, "A3": dec.a3, "A4": dec.a4}
-        assert rep.variance == {
-            "robust": cv_variance(surface, pc, "robust") if surface.max_order >= 3 else None,
-            "additive": cv_variance(surface, pc, "additive_separable"),
-            "first_order": cv_variance(surface, pc, "first_order")}
+        assert rep.decomposition == cv_decompose(surface, pc)
+        assert rep.variance == cv_variance(surface, pc)
         assert close(rep.path, cv_path_reference(surface, pc))
         lo = hn_bounds_path_reference(surface, pc, 0.0)
         hi = hn_bounds_path_reference(surface, pc, 1.0 / pc.start.price(0))
@@ -804,6 +806,10 @@ def test_build_report_start_budget_fields_are_the_scalar_formulas(name, make, pc
         assert rep.path == cv_path(surface, pc)
         bounds = sorted(hn_bounds_path(surface, pc, e) for e in (0.0, 1.0 / pc.start.price(0)))
         assert [rep.bounds["lower"], rep.bounds["upper"]] == bounds
+        if pc.scalar_delta() > 0:  # --z and --k switch the pair to the tightened one
+            rep = build_report(surface, pc, chebyshev_thresholds=(0.3, 0.5))
+            cheb = chebyshev_bounds(surface, pc, 0.0, 1.0 / pc.start.price(0), 0.3, 0.5)
+            assert [rep.bounds["lower"], rep.bounds["upper"]] == sorted(cheb)
 
 
 # Scalar reference formulas, one budget at a time.  Each maps (n, b) to an
