@@ -5,11 +5,11 @@ A moment surface is the central abstraction: an evaluatable map
 modeled good's own price and in income.  Each surface is one batch
 function: ``on_budgets(prices, incomes)`` returns every order's moment
 and both partials at an array of budgets, and the path integrals of
-:mod:`welfare_moments.welfare` read their quadrature nodes that way.  The
-scalar ``moment``/``d_price``/``d_income`` are reads of that batch at one
-budget.  Surfaces are built either analytically from synthetic
-populations (see :mod:`welfare_moments.oracle`) or from fitted series
-regressions (see :mod:`welfare_moments.estimation`); every welfare
+:mod:`welfare_moments.welfare` read their quadrature nodes that way;
+``at(b, *orders)`` reads every order at one budget, and ``moment``,
+``d_price`` and ``d_income`` are entries of that read.  Surfaces come
+from synthetic populations (:mod:`welfare_moments.oracle`) or from fitted
+series regressions (:mod:`welfare_moments.estimation`); every welfare
 formula consumes only this interface.
 """
 
@@ -128,14 +128,12 @@ class PriceChange:
 
 
 class _Surface:
-    """One batch evaluator and the scalar reads of it, shared by the
+    """One batch evaluator and its one-budget read, shared by the
     quantity and the share surface.
 
     ``batch_fn(prices, incomes, orders)`` returns the moments of orders
     1..orders at m budgets, their partials in the modeled good's own price
-    and their partials in income, as three (orders, m) arrays.  A scalar
-    read evaluates every order at its one budget and the surface keeps
-    that budget's values, so the reads at one budget share one batch.
+    and their partials in income, as three (orders, m) arrays.
     """
 
     def __init__(self, max_order, batch_fn, good=0):
@@ -169,17 +167,21 @@ class _Surface:
         if not 1 <= n <= self.max_order:
             raise OrderError("order %d outside 1..%d" % (n, self.max_order))
 
-    def _read(self, part, n, b):
-        """Order n of batch array ``part`` (0 moments, 1 price, 2 income) at b."""
-        self._check_order(n)
-        last, values = self._last
+    def at(self, b, *orders):
+        """The jet at b, after checking each of ``orders`` (the ones the caller
+        reads): moments, price and income partials of every order as three
+        lists of floats, entry n - 1 holding order n.  The last budget's jet is
+        kept, so reads at one budget share one batch; a refused one is not."""
+        for n in orders:
+            self._check_order(n)
+        last, jet = self._last
         if b != last:
-            values = self.on_budgets(np.array([b.prices]), np.array([b.income]))
-            self._last = (b, values)
-        return float(values[part][n - 1, 0])
+            jet = tuple(a[:, 0].tolist() for a in self.on_budgets([b.prices], [b.income]))
+            self._last = (b, jet)
+        return jet
 
     def moment(self, n, b):
-        return self._read(0, n, b)
+        return self.at(b, n)[0][n - 1]
 
 
 class MomentSurface(_Surface):
@@ -191,10 +193,10 @@ class MomentSurface(_Surface):
     """
 
     def d_price(self, n, b):
-        return self._read(1, n, b)
+        return self.at(b, n)[1][n - 1]
 
     def d_income(self, n, b):
-        return self._read(2, n, b)
+        return self.at(b, n)[2][n - 1]
 
 
 class ShareMomentSurface(_Surface):
@@ -206,10 +208,10 @@ class ShareMomentSurface(_Surface):
     """
 
     def d_logp(self, n, b):
-        return self._read(1, n, b)
+        return self.at(b, n)[1][n - 1]
 
     def d_logy(self, n, b):
-        return self._read(2, n, b)
+        return self.at(b, n)[2][n - 1]
 
 
 @lru_cache(maxsize=4)
@@ -231,7 +233,8 @@ def monomial_translation(surface, degree, b):
     degree + 2, so a surface without it raises :class:`OrderError`.
     """
     n = degree + 1
-    return surface.d_price(n, b) / n + surface.d_income(n + 1, b) / (n + 1)
+    _, d_price, d_income = surface.at(b, n, n + 1)
+    return d_price[n - 1] / n + d_income[n] / (n + 1)
 
 
 # Relative step of every central difference: the reference partials below

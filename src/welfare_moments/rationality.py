@@ -12,6 +12,7 @@ a passing verdict certifies the tested degree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,13 @@ class SupportBox:
             raise ValueError("q_min exceeds q_max")
 
 
+def _finite(gammas, where=""):
+    """``gammas``, refused before any arithmetic: inf or NaN has no margin."""
+    if not all(map(math.isfinite, gammas)):
+        raise FloatingPointError("non-finite translations %s%s" % (gammas, where))
+    return gammas
+
+
 def translate_polynomial(coeffs, surface, b):
     """Translation of a polynomial sum a_i x^i, by linearity over monomials."""
     return float(sum(a * monomial_translation(surface, i, b) for i, a in enumerate(coeffs)))
@@ -58,8 +66,7 @@ def degree1_cone_test(surface, b, box):
     margin is the largest, in x units, and the witness is empty.  It is
     the independent check of :func:`lp_violation_search` at degree 1.
     """
-    g0 = monomial_translation(surface, 0, b)
-    g1 = monomial_translation(surface, 1, b)
+    g0, g1 = _finite([monomial_translation(surface, i, b) for i in (0, 1)], " at %r" % (b,))
     margins = [g0, g1 - box.q_min * g0, box.q_max * g0 - g1]
     if box.q_min >= 0.0:
         margins.append(g1)
@@ -129,7 +136,7 @@ def hankel_verdict(gammas, box):
     (x-coefficients), whose translation is the margin.  On a one-point box
     (t = x - q_min) -L must be a nonnegative multiple of evaluation there.
     """
-    degree = len(gammas) - 1
+    degree = len(_finite(gammas)) - 1
     center, half = (box.q_max + box.q_min) / 2.0, (box.q_max - box.q_min) / 2.0
     step = np.array([-center, 1.0]) / (half or 1.0)  # t as a polynomial in x
     shift = np.eye(degree + 1)  # row k: x-coefficients of t^k
@@ -160,4 +167,4 @@ def lp_violation_search(surface, b, degree, box):
     """Exact rationalizability verdict at the given polynomial degree, 1
     included (:func:`hankel_verdict` on the surface's translations at b)."""
     gammas = [monomial_translation(surface, i, b) for i in range(degree + 1)]
-    return hankel_verdict(gammas, box)
+    return hankel_verdict(_finite(gammas, " at %r" % (b,)), box)

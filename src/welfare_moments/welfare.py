@@ -73,22 +73,21 @@ def _path_bound(dp, t, w, m1, effect):
 def compensated_moment_fo(surface, n, b, dp):
     """First-order approximation of the n-th compensated demand moment,
     M_n + n S_n dp with S_n the n-th Slutsky moment."""
-    return surface.moment(n, b) + n * monomial_translation(surface, n - 1, b) * dp
+    return surface.at(b, n)[0][n - 1] + n * monomial_translation(surface, n - 1, b) * dp
 
 
 def _share_slope(share_surface, n, b):
     """The share surface's Slutsky moment: the mean of
     w^(n-1) (dw/dlogp + w dw/dlogy + w^2), from the log-derivatives of
     W_n and W_(n+1)."""
-    return (share_surface.d_logp(n, b) / n
-            + share_surface.d_logy(n + 1, b) / (n + 1)
-            + share_surface.moment(n + 1, b))
+    w, d_logp, d_logy = share_surface.at(b, n, n + 1)
+    return d_logp[n - 1] / n + d_logy[n] / (n + 1) + w[n]
 
 
 def compensated_share_moment(share_surface, n, b, dp):
     """First-order approximation of the n-th compensated budget-share moment."""
     p0 = b.price(share_surface.good)
-    return share_surface.moment(n, b) + n * _share_slope(share_surface, n, b) * (dp / p0)
+    return share_surface.at(b, n)[0][n - 1] + n * _share_slope(share_surface, n, b) * (dp / p0)
 
 
 def cv_moment_local(surface, n, pc):
@@ -103,15 +102,14 @@ def cv_moment_local(surface, n, pc):
 
 def cv_first_order(surface, pc):
     """First-order welfare effect: price change times mean demand."""
-    return pc.scalar_delta(surface.good) * surface.moment(1, pc.start)
+    return pc.scalar_delta(surface.good) * surface.at(pc.start, 1)[0][0]
 
 
 def cv_ra(surface, pc):
     """Representative-agent welfare effect; treats mean demand as one consumer."""
     dp = pc.scalar_delta(surface.good)
-    b0 = pc.start
-    m1 = surface.moment(1, b0)
-    return dp * m1 + (dp ** 2 / 2.0) * (surface.d_price(1, b0) + m1 * surface.d_income(1, b0))
+    (m1, *_), (dpm1, *_), (dym1, *_) = surface.at(pc.start, 1)
+    return dp * m1 + (dp ** 2 / 2.0) * (dpm1 + m1 * dym1)
 
 
 def cv_path(surface, pc, quad=DEFAULT_QUAD):
@@ -191,16 +189,11 @@ def cv_variance(surface, pc):
     ``first_order`` scales the demand variance by the squared price change.
     """
     dp = pc.scalar_delta(surface.good)
-    b0 = pc.start
-    m1 = surface.moment(1, b0)
-    m2 = surface.moment(2, b0)
-    dpm1 = surface.d_price(1, b0)
-    dym1 = surface.d_income(1, b0)
+    (m1, m2, *_), (dpm1, *_), (dym1, *_) = surface.at(pc.start, 1, 2)
     first = m2 + dp * (m1 * dpm1 + m2 * dym1)
     second = m1 + (dp / 2.0) * (dpm1 + m1 * dym1)
-    robust = None
-    if surface.max_order >= 3:
-        robust = cv_moment_local(surface, 2, pc) - cv_moment_local(surface, 1, pc) ** 2
+    robust = (cv_moment_local(surface, 2, pc) - cv_moment_local(surface, 1, pc) ** 2
+              if surface.max_order >= 3 else None)
     return {"robust": robust, "additive": dp ** 2 * (first - second ** 2),
             "first_order": dp ** 2 * (m2 - m1 ** 2)}
 
@@ -214,20 +207,15 @@ def cv_decompose(surface, pc):
     heterogeneity/non-homotheticity remainder.
     """
     dp = pc.scalar_delta(surface.good)
-    b0 = pc.start
-    y = b0.income
-    m1 = surface.moment(1, b0)
-    m2 = surface.moment(2, b0)
-    dpm1 = surface.d_price(1, b0)
-    dym1 = surface.d_income(1, b0)
-    dym2 = surface.d_income(2, b0)
+    y = pc.income
+    (m1, m2, *_), (dpm1, *_), (dym1, dym2, *_) = surface.at(pc.start, 1, 2)
     half = dp ** 2 / 2.0
     a1 = half * (dpm1 + m1 ** 2 / y)
     a2 = half * (m1 * dym1 - m1 ** 2 / y)
     a3 = half * (m2 - m1 ** 2) / y
     a4 = half * (0.5 * dym2 - m1 * dym1 - (m2 - m1 ** 2) / y)
     total = a1 + a2 + a3 + a4
-    target = half * monomial_translation(surface, 0, b0)
+    target = half * monomial_translation(surface, 0, pc.start)
     if abs(total - target) > 1e-10 * max(1.0, abs(target)):
         raise InternalConsistencyError(
             "CV decomposition sums to %.3e, expected %.3e" % (total, target))
@@ -240,7 +228,7 @@ def price_index(share_surface, dlogp, b):
     Interpreted as the proportional compensated expenditure change
     (e(p1, v0) - y) / y for a log price change of the modeled good.
     """
-    return (share_surface.moment(1, b) * dlogp
+    return (share_surface.at(b, 1)[0][0] * dlogp
             + (dlogp ** 2 / 2.0) * _share_slope(share_surface, 1, b))
 
 
@@ -254,17 +242,14 @@ def price_index_decompose(share_surface, dlogp, b):
     income.
     """
     def parts(budget):
-        w1 = share_surface.moment(1, budget)
-        w2 = share_surface.moment(2, budget)
+        (w1, w2, *_), (dpw1, *_), (dyw1, dyw2, *_) = share_surface.at(budget, 1, 2)
         half = dlogp ** 2 / 2.0
-        a1 = half * (share_surface.d_logp(1, budget) + w1 ** 2)
-        a2 = half * (w1 * share_surface.d_logy(1, budget))
+        a1 = half * (dpw1 + w1 ** 2)
+        a2 = half * (w1 * dyw1)
         a3 = half * (w2 - w1 ** 2)
-        a4 = half * (0.5 * (share_surface.d_logy(2, budget)
-                            - 2.0 * w1 * share_surface.d_logy(1, budget)))
-        ra = w1 * dlogp + a1 + a2
-        het = a3 + a4
-        return a1, a2, a3, a4, ra, het
+        a4 = half * (0.5 * (dyw2 - 2.0 * w1 * dyw1))
+        # the channels, then the RA part (first order + A1 + A2) and A3 + A4
+        return a1, a2, a3, a4, w1 * dlogp + a1 + a2, a3 + a4
 
     a1, a2, a3, a4, _, _ = parts(b)
     target = (dlogp ** 2 / 2.0) * _share_slope(share_surface, 1, b)
@@ -276,19 +261,16 @@ def price_index_decompose(share_surface, dlogp, b):
     # log-income derivative of the assembled RA and heterogeneity parts
     y = b.income
     h = FD_STEP * max(1.0, abs(np.log(y)))
-    up, dn = b.with_income(y * np.exp(h)), b.with_income(y * np.exp(-h))
-    *_, ra_up, het_up = parts(up)
-    *_, ra_dn, het_dn = parts(dn)
-    correction = {
-        "ra": (ra_up - ra_dn) / (2.0 * h),
-        "heterogeneity": (het_up - het_dn) / (2.0 * h),
-    }
+    *_, ra_up, het_up = parts(b.with_income(y * np.exp(h)))
+    *_, ra_dn, het_dn = parts(b.with_income(y * np.exp(-h)))
+    correction = {"ra": (ra_up - ra_dn) / (2.0 * h),
+                  "heterogeneity": (het_up - het_dn) / (2.0 * h)}
     return {"A1": a1, "A2": a2, "A3": a3, "A4": a4, "homotheticity_correction": correction}
 
 
 def tax_deadweight(surface, b, tau, dtau_dtheta):
     """Efficiency effect of a marginal perturbation of a linear tax rate."""
-    slope = monomial_translation(surface, 0, b) - surface.d_income(1, b)
+    slope = monomial_translation(surface, 0, b) - surface.at(b, 1)[2][0]
     return slope * tau * dtau_dtheta
 
 

@@ -811,6 +811,20 @@ def test_non_finite_result_exits_2_without_output(tmp_path, capsys, monkeypatch)
     assert not out.exists()
 
 
+def test_non_finite_translations_exit_2_without_output(tmp_path, capsys):
+    # the settings pass their checks, but at income 1e308 the translations
+    # overflow: the verdict refuses them instead of reading a margin
+    out = tmp_path / "verdicts"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["rationality", "--population", "L0", "--degree", "1", "--p-grid=1",
+                     "--y-grid=1e308", "--out", str(out)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "FloatingPointError"
+    assert "income=1e+308" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("population", ["CD2(nan)", "CD(nan)"])
 def test_non_finite_population_exits_1_without_output(tmp_path, capsys, population):
     out = tmp_path / "welfare"

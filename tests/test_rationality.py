@@ -349,6 +349,13 @@ def test_hankel_degenerate_box():
     assert not hankel_verdict([-1.0, 0.0, 0.0, 1e-6], SupportBox(0.5, 0.5))["pass"]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_hankel_verdict_refuses_non_finite_translations(bad):
+    # no comparison with NaN holds, so no margin or witness can be read
+    with pytest.raises(FloatingPointError, match="non-finite translations"):
+        hankel_verdict([bad, 0.0], SupportBox(0.0, 1.0))
+
+
 def test_hankel_margin_stable_under_last_bit_changes():
     rng = np.random.default_rng(17)
     pop = CobbDouglasPopulation.two_type(0.3)

@@ -46,7 +46,7 @@ from welfare_moments import (
 from welfare_moments import estimation
 from welfare_moments.core import gauss_legendre01, monomial_translation
 from welfare_moments.oracle import B_STAR
-from welfare_moments.rationality import SupportBox, degree1_cone_test
+from welfare_moments.rationality import SupportBox, degree1_cone_test, lp_violation_search
 from welfare_moments.synthetic import population_cross_section
 from welfare_moments.welfare import DEFAULT_QUAD, QuadratureRule
 
@@ -607,20 +607,57 @@ def test_price_index_order_error():
         price_index_decompose(shallow, 0.1, Budget((1.0, 1.0), 2.0))
 
 
-@pytest.mark.parametrize("call", [
-    pytest.param(lambda: cv_path(surface_from_population(L0, 1), PC_STAR), id="cv_path"),
+PC_SHORT = PriceChange.scalar(1.0, 1.05, 2.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: cv_path(surface_from_population(L0, 1), PC_STAR),
+                 "order 2 outside 1..1", id="cv_path"),
     pytest.param(lambda: degree1_cone_test(surface_from_population(L0, 2), B_STAR,
-                                           SupportBox(0.0, 1.0)), id="degree1_cone_test"),
+                                           SupportBox(0.0, 1.0)),
+                 "order 3 outside 1..2", id="degree1_cone_test"),
     pytest.param(lambda: monomial_translation(surface_from_population(L0, 2), 1, B_STAR),
-                 id="monomial_translation"),
+                 "order 3 outside 1..2", id="monomial_translation"),
     pytest.param(lambda: compensated_share_moment(
         share_surface_from_population(CobbDouglasPopulation.single(0.5), 2), 2,
-        Budget((1.0, 1.0), 2.0), 0.1), id="compensated_share_moment"),
+        Budget((1.0, 1.0), 2.0), 0.1), "order 3 outside 1..2", id="compensated_share_moment"),
+    pytest.param(lambda: cv_moment_local(surface_from_population(L0, 4), 0, PC_SHORT),
+                 "order 0 outside 1..4", id="cv_moment_local-0"),
+    pytest.param(lambda: compensated_moment_fo(surface_from_population(L0, 4), 0, B_STAR, 0.1),
+                 "order 0 outside 1..4", id="compensated_moment_fo-0"),
+    pytest.param(lambda: monomial_translation(surface_from_population(L0, 4), -1, B_STAR),
+                 "order 0 outside 1..4", id="monomial_translation-minus-1"),
+    pytest.param(lambda: cv_moment_local(surface_from_population(L0, 4), 4, PC_SHORT),
+                 "order 5 outside 1..4", id="cv_moment_local-4"),
+    pytest.param(lambda: lp_violation_search(surface_from_population(L0, 4), B_STAR, 3,
+                                             SupportBox(0.0, 1.0)),
+                 "order 5 outside 1..4", id="lp_violation_search-3"),
+    pytest.param(lambda: compensated_share_moment(share_surface_from_population(L0, 3), 0,
+                                                  B_STAR, 0.1),
+                 "order 0 outside 1..3", id="compensated_share_moment-0"),
+    pytest.param(lambda: cv_variance(surface_from_population(L0, 1), PC_SHORT),
+                 "order 2 outside 1..1", id="cv_variance"),
+    pytest.param(lambda: cv_decompose(surface_from_population(L0, 1), PC_SHORT),
+                 "order 2 outside 1..1", id="cv_decompose"),
+    pytest.param(lambda: build_report(surface_from_population(L0, 1), PC_SHORT),
+                 "order 2 outside 1..1", id="build_report"),
+    pytest.param(lambda: tax_deadweight(surface_from_population(L0, 1), B_STAR, 0.1, 1.0),
+                 "order 2 outside 1..1", id="tax_deadweight"),
+    pytest.param(lambda: price_index(share_surface_from_population(L0, 1), 0.1, B_STAR),
+                 "order 2 outside 1..1", id="price_index"),
 ])
-def test_short_surface_refuses_from_its_read(call):
-    # the formula checks no order: the surface's own read refuses the missing one
-    with pytest.raises(OrderError, match=r"^order \d outside 1\.\.\d$"):
+def test_short_surface_refuses_from_its_read(call, message):
+    # each formula lists the orders it reads in its one read of the surface,
+    # and that read refuses the missing one
+    with pytest.raises(OrderError, match="^%s$" % re.escape(message)):
         call()
+
+
+def test_short_surface_gives_what_it_carries():
+    # a formula that reads only the orders a short surface has still runs
+    assert cv_ra(surface_from_population(L0, 1), PC_SHORT) == 0.02406250000000002
+    assert cv_first_order(surface_from_population(L0, 1), PC_SHORT) == 0.025000000000000022
+    assert cv_variance(surface_from_population(L0, 2), PC_SHORT)["robust"] is None
 
 
 # The node-by-node path integrals that the batched ones replaced, kept as
@@ -949,6 +986,25 @@ def test_build_report_on_a_fitted_surface_builds_two_basis_matrices(
     surface = fitted_surface(l0_fitted_surface.fits).moment_surface
     build_report(surface, PriceChange.scalar(1.0, 1.05, 4.0))
     assert rows == [1, len(DEFAULT_QUAD.nodes)]
+
+
+def test_one_batch_per_budget_on_l0(monkeypatch):
+    # fresh surfaces: a report reads its start budget and its price path, a
+    # verdict its one budget, and the index decomposition its budget and the
+    # two incomes of its log-income difference
+    from welfare_moments.oracle import _TypeTable
+    calls = []
+    batch = _TypeTable.moments_on_budgets
+    monkeypatch.setattr(_TypeTable, "moments_on_budgets",
+                        lambda *args: calls.append(1) or batch(*args))
+    box = SupportBox(0.0, 1.0)
+    for run, count in (
+            (lambda: build_report(surface_from_population(L0, 4), PC_SHORT), 2),
+            (lambda: lp_violation_search(surface_from_population(L0, 5), B_STAR, 3, box), 1),
+            (lambda: price_index_decompose(share_surface_from_population(L0, 2), 0.1, B_STAR), 3)):
+        calls.clear()
+        run()
+        assert len(calls) == count
 
 
 def test_on_budgets_refuses_bad_batches(l0_surface):
