@@ -76,8 +76,7 @@ class _Rows(NamedTuple):
         if self.count is None:
             return [np.std(column) for column in x.T]
         total = self.count.sum()
-        mean = self.count @ x / total
-        return np.sqrt(self.count @ (x - mean) ** 2 / total)
+        return [np.sqrt(self.count @ (c - self.count @ c / total) ** 2 / total) for c in x.T]
 
 
 @dataclass(frozen=True)
@@ -249,11 +248,9 @@ def _basis_matrix(log_prices, log_y, control, spec, order="C"):
 
     Each caller keeps one layout, because BLAS sums a product with the
     basis in a different order on the other one: a fit's design is
-    Fortran-ordered (the layout ``x[:, kept]`` of a C-ordered basis gives),
-    and a surface evaluates on a C-ordered basis.  Swapping either moves
-    outputs in their last digits: a C-ordered design took an L0 fit's
-    alpha from -4.159907587401146 to -4.159907587401112 (n = 100k, seed
-    5), and a Fortran-ordered evaluation basis moved ``sweep.csv`` alike.
+    Fortran-ordered (its kept columns, which q overwrites, stay contiguous),
+    and a surface evaluates on a C-ordered basis; a Fortran-ordered one
+    would move ``sweep.csv`` in its last digits.
     """
     blocks = _blocks(spec, log_prices.shape[1])
     x = np.empty((len(log_y), blocks[-1].stop + spec.include_control), order=order)
@@ -270,16 +267,25 @@ def _basis_matrix(log_prices, log_y, control, spec, order="C"):
     return x
 
 
-def _screened_qr(x, labels, what, rows=_Rows()):
-    """The intercept and every varying column of ``x``: (their indices, the
-    columns, q, r) of the reduced QR ``x[:, kept] = q r``.
+BLOCK_ROWS = 8192  # rows per block of the factor, of q and of each Gauss-Newton sum
 
-    Only R is factored; q is ``x R^-1`` (Bjorck 1996's Q-less QR, orthogonal
-    to about eps cond(x)), a third of the cost of Q from the reflectors.  A
-    sample with no more rows than kept columns raises DegenerateDataError
-    ("<rows> rows cannot fit <kept> <what>").  A kept column adds no rank to
-    the columns before it exactly when its R diagonal vanishes, so
-    SingularDesignError names exactly those columns' labels.
+
+def _row_blocks(n):
+    return [slice(i, min(i + BLOCK_ROWS, n)) for i in range(0, n, BLOCK_ROWS)]
+
+
+def _screened_qr(x, labels, what, rows=_Rows()):
+    """The intercept and every varying column of ``x``: (their indices, q,
+    r) of the reduced QR ``x[:, kept] = q r``, with q written over ``x``.
+
+    R is the R of the row blocks' stacked R's (tall-skinny QR, Demmel et
+    al. 2012), the whole-array R up to row signs; q is ``x R^-1`` (Bjorck
+    1996's Q-less QR), written block by block over the kept columns, moved
+    to the front of ``x``.  A sample with no more rows than kept columns
+    raises DegenerateDataError ("<rows> rows cannot fit <kept> <what>").  A
+    kept column adds no rank to the columns before it exactly when its R
+    diagonal vanishes, so SingularDesignError names exactly those columns'
+    labels.
 
     On a sample with repeated rows, ``x`` holds its distinct ``rows``: the
     screen weighs each by its count, q and r factor the scaled rows,
@@ -291,20 +297,24 @@ def _screened_qr(x, labels, what, rows=_Rows()):
     n = x.shape[0] if rows.count is None else int(rows.count.sum())
     spread = rows.spread(x[:, 1:]) if n else ()  # no rows: no spread to take
     kept = [0] + [i + 1 for i, s in enumerate(spread) if s >= 1e-12]
-    # the kept columns in Fortran order (see _basis_matrix); x itself when
-    # it already is that
-    x = x[:, kept] if len(kept) < x.shape[1] else np.asfortranarray(x)
-    if n <= x.shape[1]:
-        raise DegenerateDataError("%d rows cannot fit %d %s" % (n, x.shape[1], what))
-    scaled = rows.weigh(x)
-    r = np.linalg.qr(scaled, mode="r")
-    if r.shape[0] < x.shape[1]:
-        r = np.vstack([r, np.zeros((x.shape[1] - r.shape[0], x.shape[1]))])
+    m = len(kept)
+    if n <= m:
+        raise DegenerateDataError("%d rows cannot fit %d %s" % (n, m, what))
+    for i, column in enumerate(kept):
+        x[:, i] = x[:, column]
+    blocks = _row_blocks(x.shape[0])
+    r = [np.linalg.qr(rows.weigh(x[b, :m], b), mode="r") for b in blocks]
+    r = r[0] if len(r) == 1 else np.linalg.qr(np.vstack(r), mode="r")
+    if r.shape[0] < m:
+        r = np.vstack([r, np.zeros((m - r.shape[0], m))])
     r_diag = np.abs(np.diag(r))
-    collinear = np.flatnonzero(r_diag <= r_diag.max() * max(n, x.shape[1]) * np.finfo(float).eps)
+    collinear = np.flatnonzero(r_diag <= r_diag.max() * max(n, m) * np.finfo(float).eps)
     if collinear.size:
         raise SingularDesignError([labels[kept[i]] for i in collinear])
-    return kept, x, scaled @ np.linalg.inv(r), r
+    r_inv = np.linalg.inv(r)
+    for b in blocks:
+        x[b, :m] = rows.weigh(x[b, :m], b) @ r_inv
+    return kept, x[:, :m], r
 
 
 def first_stage(ds):
@@ -313,33 +323,35 @@ def first_stage(ds):
     Zero-variance price columns are dropped with coefficient zero; the rest
     are screened, factored and solved through :func:`_screened_qr`, on the
     distinct rows weighted by their counts when the sample repeats rows.
-    The residuals hold one value per sample row.
+    The residuals, one per sample row, are taken from the data columns.
     """
     labels = ["const", "log_z"] + ["log_p_%s" % g for g in ds.goods]
-    x = np.column_stack([np.ones(ds.n), ds.log_z, ds.log_prices])
     rows = ds._rows
-    kept, design, q, r = _screened_qr(rows.pick(x), labels, "columns", rows)
-    log_y = rows.pick(ds.log_y)
-    # one corrected semi-normal step (Bjorck 1996): q's loss of orthogonality
-    # left the coefficients up to 1e-12 off lstsq's on L0; the step, 1e-15
-    coef = np.linalg.solve(r, q.T @ rows.weigh(log_y))
-    coef += np.linalg.solve(r, q.T @ rows.weigh(log_y - design @ coef))
+    x = np.empty((len(rows.pick(ds.log_y)), len(labels)), order="F")
+    x[:, 0], x[:, 1], x[:, 2:] = 1.0, rows.pick(ds.log_z), rows.pick(ds.log_prices)
+    kept, q, r = _screened_qr(x, labels, "columns", rows)
+
+    def residuals(pick):
+        columns = [1.0, pick(ds.log_z), *pick(ds.log_prices).T]
+        return pick(ds.log_y) - sum(c * columns[i] for i, c in zip(kept, coef))
+
+    # a solve, then one corrected semi-normal step (Bjorck 1996): on L0, the
+    # coefficients are 1e-12 off lstsq's without it, 1e-15 with it
+    coef = np.linalg.solve(r, q.T @ rows.weigh(rows.pick(ds.log_y)))
+    coef += np.linalg.solve(r, q.T @ rows.weigh(residuals(rows.pick)))
     full = dict.fromkeys(labels, 0.0)
     full.update((labels[i], float(c)) for i, c in zip(kept, coef))
-    if rows.index is not None:
-        design = x[:, kept]  # every sample row gets its residual
-    return FirstStageFit(coefficients=full, residuals=ds.log_y - design @ coef,
-                         dropped=tuple(labels[i] for i in range(x.shape[1]) if i not in kept))
+    return FirstStageFit(coefficients=full, residuals=residuals(lambda a: a),
+                         dropped=tuple(labels[i] for i in range(len(labels)) if i not in kept))
 
 
 class _Design(NamedTuple):
     """The order-independent part of a share-moment fit on one sample: the
-    basis and the one factor that every start and Gauss-Newton step reads."""
+    one factor of its basis that every start and Gauss-Newton step reads."""
 
-    x: np.ndarray  # basis columns that vary over the sample, on its fitted rows
-    active: list  # their indices among all basis columns
+    active: list  # indices of the basis columns that vary over the sample
     n_columns: int
-    q: np.ndarray  # sqrt(count) x = q r, with q = sqrt(count) x r^-1 (see _screened_qr)
+    q: np.ndarray  # sqrt(count) x = q r on the fitted rows (see _screened_qr)
     r: np.ndarray
     domain: tuple  # MomentFit.domain
 
@@ -350,7 +362,7 @@ def _design(ds, basis, fs):
     Fixed (zero-variance) basis columns are pinned at coefficient zero, and
     the rest go through :func:`_screened_qr`; a design it refuses is not
     stored, so every call raises again.  The basis is built on the sample's
-    fitted rows (its distinct rows when it repeats rows).
+    fitted rows (its distinct rows when it repeats rows), which q overwrites.
     """
     if not basis.include_control:
         fs = None  # then the first stage plays no part in the design
@@ -360,12 +372,11 @@ def _design(ds, basis, fs):
     rows = ds._rows
     log_prices, log_y = rows.pick(ds.log_prices), rows.pick(ds.log_y)
     control = None if fs is None else rows.pick(fs.residuals)
-    x_full = _basis_matrix(log_prices, log_y, control, basis, order="F")
-    active, x, q, r = _screened_qr(x_full, _basis_labels(ds.goods, basis), "basis columns",
-                                   rows)
+    x = _basis_matrix(log_prices, log_y, control, basis, order="F")
+    active, q, r = _screened_qr(x, _basis_labels(ds.goods, basis), "basis columns", rows)
     columns = [*log_prices.T, log_y]
     domain = (np.array([c.min() for c in columns]), np.array([c.max() for c in columns]))
-    design = _Design(x, active, x_full.shape[1], q, r, domain)
+    design = _Design(active, x.shape[1], q, r, domain)
     ds._designs[basis, fs] = design
     return design
 
@@ -383,9 +394,9 @@ def fit_moment_surface(ds, good, order, basis, fs=None):
     rows with positive shares; zero-share rows stay in the nonlinear fit.
     The basis, its rank check and factor come from the sample's design for
     (basis, fs), which every order and good fitted on ``ds`` shares; the
-    start and every step are solved through that factor.  On a sample that
-    repeats rows, the start, every step and the rss weigh each distinct row
-    by its count.
+    start and every step (its sums taken over row blocks) are solved
+    through that factor.  On a sample that repeats rows, the start, every
+    step and the rss weigh each distinct row by its count.
     """
     if good not in ds.goods:
         raise ValueError("good %r is not one of the sample's goods %r" % (good, list(ds.goods)))
@@ -402,33 +413,35 @@ def fit_moment_surface(ds, good, order, basis, fs=None):
     # Each step solves min |pred * (x s) - resid| through x = q r: the normal
     # matrix of pred * q has cond <= (max pred / min pred)^2, so the basis'
     # own conditioning is never squared.
-    x, active, n_columns, q, r, domain = _design(ds, basis, fs)
+    active, n_columns, q, r, domain = _design(ds, basis, fs)
     rows = ds._rows
     w = rows.pick(w)
     target = w ** order
 
-    # x[pos] = qp r with qp = q[pos], so the start is r^-1 (qp'qp)^-1 qp'b;
-    # when every share is positive, qp is q itself, not a copy
+    # the start r^-1 (qp'qp)^-1 qp'b on q's positive-share rows qp takes
+    # qp'qp as q'q less the Gram of the zero-share rows (at most 5% of them)
     pos = w > 0.0
-    if pos.all():
-        pos = slice(None)
-    qp = q[pos]
-    theta_active = np.linalg.solve(
-        r, np.linalg.solve(qp.T @ qp, qp.T @ rows.weigh(np.log(target[pos] + 1e-6), pos)))
-    del qp  # a copy when a share is zero; the steps read only q
+    zero = q[~pos]
+    theta_active = np.linalg.solve(r, np.linalg.solve(
+        q.T @ q - zero.T @ zero, q.T @ rows.weigh(np.where(pos, np.log(target + 1e-6), 0.0))))
 
     def predict(th):
-        return np.exp(np.clip(x @ th, -700.0, 700.0))
+        eta = q @ (r @ th)  # x th, times sqrt(count) on a repeated-row sample
+        eta /= 1.0 if rows.root is None else rows.root
+        return np.exp(np.clip(eta, -700.0, 700.0, out=eta), out=eta)
 
     pred = predict(theta_active)
     rss = float(np.sum(rows.weigh(target - pred) ** 2))
     iters = 0
-    jac_q = np.empty_like(q)  # pred * q, refilled at every step
+    jac = np.empty((min(len(q), BLOCK_ROWS), q.shape[1]), order="F")  # pred * q, by blocks
     for iters in range(1, GN_MAX_STEPS + 1):
-        np.multiply(pred[:, None], q, out=jac_q)
-        grad_q = jac_q.T @ rows.weigh(target - pred)
+        gram, grad_q = 0.0, 0.0
+        for b in _row_blocks(len(q)):
+            block = np.multiply(pred[b, None], q[b], out=jac[:b.stop - b.start])
+            gram = gram + block.T @ block
+            grad_q = grad_q + block.T @ rows.weigh(target[b] - pred[b], b)
         try:
-            chol = np.linalg.cholesky(jac_q.T @ jac_q)
+            chol = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
             raise FitError("Gauss-Newton normal matrix is not positive definite",
                            theta=theta_active,

@@ -135,6 +135,7 @@ def hankel_verdict(gammas, box):
     failing eigenvector v of localizer g gives the witness g(t) v(t)^2
     (x-coefficients), whose translation is the margin.  On a one-point box
     (t = x - q_min) -L must be a nonnegative multiple of evaluation there.
+    Non-finite translations, before or after the map, raise FloatingPointError.
     """
     degree = len(_finite(gammas)) - 1
     center, half = (box.q_max + box.q_min) / 2.0, (box.q_max - box.q_min) / 2.0
@@ -143,6 +144,7 @@ def hankel_verdict(gammas, box):
     for k in range(1, degree + 1):
         shift[k, :k + 1] = np.convolve(shift[k - 1, :k], step)
     mapped = shift @ np.asarray(gammas, dtype=float)  # L(t^k)
+    _finite(mapped.tolist(), " of the box [%r, %r] mapped to [-1, 1]" % (box.q_min, box.q_max))
     if half == 0.0:
         margins = np.concatenate([mapped[:1], np.abs(mapped[1:])])
         k = int(np.argmax(margins))

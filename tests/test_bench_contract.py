@@ -70,3 +70,21 @@ def test_bootstrap_op_writes_an_ordered_interval(bench, tmp_path):
     result = bench.checks.load_strict(tmp_path / "result.json")
     assert result["lower"] <= result["point"] <= result["upper"]
     assert result["replicates"] == 5 and result["failed"] == 0
+
+
+@pytest.mark.parametrize("n,reps,want", [
+    (5000, 20, (0.04565618313027868, 0.044550770266518325, 0.04640748789534735)),
+    (20000, 10, (0.045623767512021, 0.044943451870895, 0.04587934358918672)),
+], ids=["one row block", "several row blocks"])
+def test_bootstrap_op_keeps_its_statistic_and_interval(bench, tmp_path, n, reps, want):
+    # the values of the whole-array factor that the row-block one replaced; a
+    # fit on a resample that predicted sqrt(count) x theta, not x theta, still
+    # wrote finite numbers but moved the survey's lower bound from 0.0449 to
+    # 0.0573
+    argv = ["--n", str(n), "--seed", "7", "--reps", str(reps), "--p0", "0.98",
+            "--p1", "1.01", "--y", "4.0", "--out", str(tmp_path)]
+    assert bench.bootstrap_op.main(argv) == 0
+    result = bench.checks.load_strict(tmp_path / "result.json")
+    got = (result["point"], result["lower"], result["upper"])
+    assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+    assert result["failed"] == 0

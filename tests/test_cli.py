@@ -825,6 +825,22 @@ def test_non_finite_translations_exit_2_without_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_non_finite_mapped_translations_exit_2_without_output(tmp_path, capsys):
+    # the translations are finite, but the support box at income 1e-10 is so
+    # narrow that mapping it to [-1, 1] overflows: refused, not a traceback
+    out = tmp_path / "verdicts"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["rationality", "--population", "CD2(0.3)", "--p-grid=1e300",
+                     "--y-grid=1e-10", "--out", str(out)])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "FloatingPointError"
+    assert "mapped to [-1, 1]" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("population", ["CD2(nan)", "CD(nan)"])
 def test_non_finite_population_exits_1_without_output(tmp_path, capsys, population):
     out = tmp_path / "welfare"

@@ -135,9 +135,41 @@ def test_screened_qr_factors_the_design(sample):
     # q = x R^-1 is orthogonal to about eps cond(x); cond is about 7.5e4 on L0
     ds = sample(20000)
     x = _basis_matrix(ds.log_prices, ds.log_y, first_stage(ds).residuals, BasisSpec())
-    kept, x, q, r = _screened_qr(x, _basis_labels(ds.goods, BasisSpec()), "basis columns")
+    kept, q, r = _screened_qr(x.copy(), _basis_labels(ds.goods, BasisSpec()), "basis columns")
     assert np.linalg.norm(q.T @ q - np.eye(len(kept))) <= 1e-10
-    assert np.linalg.norm(q @ r - x) <= 1e-12 * np.linalg.norm(x)
+    assert np.linalg.norm(q @ r - x[:, kept]) <= 1e-12 * np.linalg.norm(x)
+
+
+def _whole_array_r(x, kept, rows=estimation._Rows()):
+    """The R that one qr of every fitted row gives: the factor before row blocks."""
+    scaled = x[:, kept] if rows.root is None else rows.root[:, None] * x[:, kept]
+    return np.linalg.qr(scaled, mode="r")
+
+
+def _assert_same_r(r, oracle):
+    # R is unique up to the sign of each row
+    signed = [np.sign(np.diag(a))[:, None] * a for a in (r, oracle)]
+    assert np.linalg.norm(signed[0] - signed[1]) <= 1e-12 * np.linalg.norm(oracle)
+
+
+def _design_basis(ds):
+    rows = ds._rows
+    x = _basis_matrix(rows.pick(ds.log_prices), rows.pick(ds.log_y),
+                      rows.pick(first_stage(ds).residuals), BasisSpec(), order="F")
+    return x, rows
+
+
+@pytest.mark.parametrize("sample", [
+    lambda: _l0_sample(20000), lambda: _cd2_sample(20000),
+    lambda: _l0_sample(8191), lambda: _l0_sample(8192), lambda: _l0_sample(8193),
+    lambda: _l0_sample(20000).take(np.random.default_rng([3, 0]).integers(0, 20000, 20000)),
+], ids=["L0", "CD2(0.3)", "8191 rows", "8192 rows", "8193 rows", "resample"])
+def test_row_block_r_matches_whole_array_qr(sample):
+    ds = sample()
+    x, rows = _design_basis(ds)
+    kept, q, r = _screened_qr(x.copy(order="F"), _basis_labels(ds.goods, BasisSpec()),
+                              "basis columns", rows)
+    _assert_same_r(r, _whole_array_r(x, kept, rows))
 
 
 def test_basis_powers_match_np_power():
@@ -480,6 +512,9 @@ def test_resample_of_few_distinct_rows_names_the_collinear_columns():
     with pytest.raises(SingularDesignError) as err:
         fit_moment_surface(sample, "q", 1, BasisSpec(), first_stage(sample))
     assert err.value.columns == ["log_y^1", "log_y^2", "log_y^3", "control"]
+    # the columns past the rank of the whole-array R
+    x, rows = _design_basis(sample)
+    assert _whole_array_r(x, list(range(8)), rows).shape == (4, 8)
 
 
 def test_design_is_kept_per_first_stage_and_basis(monkeypatch):
@@ -828,35 +863,46 @@ def test_basis_and_bootstrap_validation():
         BootstrapConfig(level=1.5)
 
 
+def _block_bytes(q):
+    return 8 * estimation.BLOCK_ROWS * q.shape[1]
+
+
 def test_design_holds_one_basis():
-    # the basis is filled in place and becomes the design when no column is
-    # fixed: the build's peak is what the design keeps (its basis and q)
+    # the basis is filled in place and q is written over it: the design keeps
+    # one n x k array, and its build peaks one row block above that
     ds = _l0_sample(50000)
     fs = first_stage(ds)
     design = {}
     kept, above = traced(lambda: design.update(d=_design(ds, BasisSpec(), fs)))
-    x, q = design["d"].x, design["d"].q
-    assert kept >= x.nbytes + q.nbytes
-    assert above <= 4 * 8 * ds.n
+    q = design["d"].q
+    assert q.nbytes <= kept < q.nbytes + 8 * ds.n
+    assert above <= _block_bytes(q) + 64 * 1024
+
+
+def test_first_stage_holds_one_design():
+    # its three columns are filled once into the array q is written over:
+    # one n x 3 array and two n-vectors while it takes its residuals
+    ds = _l0_sample(50000)
+    kept, above = traced(lambda: first_stage(ds))
+    assert kept + above <= 5 * 8 * ds.n + 64 * 1024
 
 
 def test_fits_hold_one_jacobian():
-    # on a built design, the three fits add one n x k array (the Jacobian
-    # buffer) and a few n-vectors: no copy of q and no Jacobian per step
+    # on a built design, the three fits add a few n-vectors and one
+    # block-sized Jacobian buffer: no n x k array, no copy of q
     ds = _l0_sample(50000)
     fs = first_stage(ds)
     q = _design(ds, BasisSpec(), fs).q
     assert np.all(ds.shares > 0.0)
     kept, above = traced(lambda: [fit_moment_surface(ds, "q", n, BasisSpec(), fs)
                                   for n in (1, 2, 3)])
-    assert kept + above <= q.nbytes + 8 * 8 * ds.n
+    assert kept + above <= 5 * 8 * ds.n + _block_bytes(q) < q.nbytes
 
 
 def test_design_and_evaluation_layouts(monkeypatch):
     # BLAS sums a product in a different order on the other layout (see
-    # _basis_matrix): a fit's design is Fortran-ordered and, with no column
-    # fixed, is the very array _basis_matrix filled; a surface evaluates
-    # on a C-ordered basis
+    # _basis_matrix): a fit's q is Fortran-ordered and written over the very
+    # array _basis_matrix filled; a surface evaluates on a C-ordered basis
     built = []
     basis_matrix = estimation._basis_matrix
 
@@ -869,8 +915,8 @@ def test_design_and_evaluation_layouts(monkeypatch):
     fs = first_stage(ds)
     design = _design(ds, BasisSpec(), fs)
     assert len(design.active) == design.n_columns
-    assert design.x.flags.f_contiguous
-    assert np.shares_memory(design.x, built[-1])
+    assert design.q.flags.f_contiguous
+    assert np.shares_memory(design.q, built[-1])
     fits = [fit_moment_surface(ds, "q", n, BasisSpec(), fs) for n in (1, 2, 3)]
     surface = fitted_surface(fits).share_surface
     surface.on_budgets(np.array([[1.0], [1.02]]), np.array([4.0, 4.1]))
