@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import json
 import math
 import os
@@ -153,7 +152,14 @@ class RunConfig:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
     def hash(self):
-        return hashlib.sha256(self.canonical().encode()).hexdigest()
+        try:  # the interpreter's own SHA-256, as hashlib loads OpenSSL
+            from _sha2 import sha256  # Python 3.12+
+        except ImportError:
+            try:
+                from _sha256 import sha256
+            except ImportError:  # a build with OpenSSL's hashes only
+                from hashlib import sha256
+        return sha256(self.canonical().encode()).hexdigest()
 
 
 SETTINGS = {f.name: f for f in fields(RunConfig)}
@@ -201,9 +207,10 @@ def ingest_csv(path, goods):
     Required columns: the :func:`_columns` of the modeled goods; extra
     columns are ignored with a warning, and of a duplicated column name the
     last one is read.  A leading UTF-8 byte-order mark is skipped.  The data
-    rows are parsed in one ``np.loadtxt`` call and checked as arrays.
-    Unparseable or out-of-range rows fail the whole file with a
-    :class:`RowDataError` that lists the first 100 by physical line number.
+    rows are parsed into one ``np.loadtxt`` table, which the dataset views,
+    not copies, and checked as arrays.  Unparseable or out-of-range rows
+    fail the whole file with a :class:`RowDataError` that lists the first
+    100 by physical line number.
     """
     from .estimation import Dataset, DegenerateDataError
 
@@ -236,11 +243,8 @@ def ingest_csv(path, goods):
             raise RowDataError(errors[:100], len(errors))
     if not len(table):
         raise DegenerateDataError("no data rows in %s" % path)
-    ds = Dataset(goods=goods, shares=np.ascontiguousarray(table[:, :k]),
-                 log_prices=np.ascontiguousarray(table[:, k:2 * k]),
-                 log_y=np.ascontiguousarray(table[:, 2 * k]),
-                 log_z=np.ascontiguousarray(table[:, 2 * k + 1]))
-    return ds, notes
+    return Dataset(goods=goods, shares=table[:, :k], log_prices=table[:, k:2 * k],
+                   log_y=table[:, 2 * k], log_z=table[:, 2 * k + 1]), notes
 
 
 ROW_PROBLEMS = (None, "non-finite value", "share outside [0, 1]",

@@ -417,21 +417,28 @@ def fit_moment_surface(ds, good, order, basis, fs=None):
     rows = ds._rows
     w = rows.pick(w)
     target = w ** order
+    # pred holds each prediction, resid the start's right-hand side, then each rss's terms
+    pred, resid = np.empty_like(target), np.empty_like(target)
 
     # the start r^-1 (qp'qp)^-1 qp'b on q's positive-share rows qp takes
     # qp'qp as q'q less the Gram of the zero-share rows (at most 5% of them)
-    pos = w > 0.0
-    zero = q[~pos]
+    zero = ~(w > 0.0)
+    np.log(np.add(target, 1e-6, out=resid), out=resid)
+    resid[zero] = 0.0
+    zero_q = q[zero]
     theta_active = np.linalg.solve(r, np.linalg.solve(
-        q.T @ q - zero.T @ zero, q.T @ rows.weigh(np.where(pos, np.log(target + 1e-6), 0.0))))
+        q.T @ q - zero_q.T @ zero_q, q.T @ rows.weigh(resid)))
 
-    def predict(th):
-        eta = q @ (r @ th)  # x th, times sqrt(count) on a repeated-row sample
+    def rss_at(th):  # writes its prediction over pred, which a step reads only for its sums
+        eta = np.matmul(q, r @ th, out=pred)  # x th, times sqrt(count) on a repeated-row sample
         eta /= 1.0 if rows.root is None else rows.root
-        return np.exp(np.clip(eta, -700.0, 700.0, out=eta), out=eta)
+        np.exp(np.clip(eta, -700.0, 700.0, out=eta), out=eta)
+        np.subtract(target, pred, out=resid)
+        if rows.root is not None:
+            np.multiply(resid, rows.root, out=resid)
+        return float(np.sum(np.square(resid, out=resid)))
 
-    pred = predict(theta_active)
-    rss = float(np.sum(rows.weigh(target - pred) ** 2))
+    rss = rss_at(theta_active)
     iters = 0
     jac = np.empty((min(len(q), BLOCK_ROWS), q.shape[1]), order="F")  # pred * q, by blocks
     for iters in range(1, GN_MAX_STEPS + 1):
@@ -451,8 +458,7 @@ def fit_moment_surface(ds, good, order, basis, fs=None):
         improved = False
         for _ in range(40):
             cand = theta_active + scale * step
-            cand_pred = predict(cand)
-            cand_rss = float(np.sum(rows.weigh(target - cand_pred) ** 2))
+            cand_rss = rss_at(cand)
             if np.isfinite(cand_rss) and cand_rss <= rss:
                 improved = True
                 break
@@ -460,7 +466,7 @@ def fit_moment_surface(ds, good, order, basis, fs=None):
         if not improved:
             break
         rel_change = (rss - cand_rss) / max(rss, 1e-300)
-        theta_active, pred, rss = cand, cand_pred, cand_rss
+        theta_active, rss = cand, cand_rss
         if rel_change < GN_MIN_DECREASE:
             break
     else:

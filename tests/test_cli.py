@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib
 import json
 import math
@@ -751,6 +752,18 @@ def test_config_hash_stable_under_key_order():
     assert a.hash() == b.hash()
     c = RunConfig(population="L0", dp=[0.1], y=2.0, out="elsewhere")
     assert a.hash() == c.hash()
+
+
+@pytest.mark.parametrize("cfg", [
+    RunConfig(),
+    RunConfig(population="L0", dp=[0.1, -0.03], y=2.0),
+    RunConfig(data="draws.csv", goods=("food", "fuel"), good="fuel", include_control=False),
+    RunConfig(population="CD2(0.3)", degree=3, p_grid=[0.9, 1.1], y_grid=[1e-10, 1e300]),
+    RunConfig(population="Q0", n=7, seed=2**40, b_lo=-0.5, b_hi=0.5, z=0.1, k=0.2),
+])
+def test_config_hash_is_the_sha256_of_the_canonical_settings(cfg):
+    # the package hashes without hashlib (see test_imports); hashlib is the reference
+    assert cfg.hash() == hashlib.sha256(cfg.canonical().encode()).hexdigest()
 
 
 def test_entry_point_script():

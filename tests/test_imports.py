@@ -118,3 +118,17 @@ def test_each_command_loads_only_its_modules(tmp_path, draws, argv, modules):
     assert code == 0
     assert loaded == sorted(["welfare_moments", "welfare_moments.cli"]
                             + ["welfare_moments." + m for m in modules.split()])
+
+
+def test_commands_load_no_openssl(tmp_path, draws):
+    # config_hash is taken by the interpreter's own SHA-256: hashlib would
+    # load OpenSSL's _hashlib.  numpy 1.x loads it through numpy.random at
+    # import, so the package is held to what numpy loaded before it.
+    codes, before, after = _python(
+        "import json, sys; import numpy; before = '_hashlib' in sys.modules; "
+        "from welfare_moments.cli import main; data, out = sys.argv[1:]; "
+        "codes = [main(['oracle-check', '--population', 'L0', '--out', out + '/o']), "
+        "main(['estimate', '--data', data, '--out', out + '/e'])]; "
+        "print(json.dumps([codes, before, '_hashlib' in sys.modules]))", draws, str(tmp_path))
+    assert codes == [0, 0]
+    assert after == before

@@ -137,6 +137,20 @@ def test_ingest_matches_row_reference(tmp_path, name):
         assert got.tobytes() == want.tobytes()
 
 
+def test_ingest_keeps_one_table(tmp_path):
+    # the dataset's four arrays are read-only views of loadtxt's one table
+    goods, text = FIXTURES["two_goods_extra_and_duplicate_columns"]
+    path = tmp_path / "data.csv"
+    path.write_text(text, newline="")
+    ds, _ = ingest_csv(path, goods)
+    arrays = [ds.shares, ds.log_prices, ds.log_y, ds.log_z]
+    table = ds.shares.base
+    assert all(np.shares_memory(a, table) for a in arrays)
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+
+
 def test_row_errors_name_physical_lines(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text(_text([HEADER, GOOD[0], "", GOOD[1], "1.5,0.1,1.2,1.1"]), newline="")
