@@ -438,15 +438,11 @@ def _bundle(cfg, **payload):
 
 
 def _cmd_simulate(cfg):
-    from .oracle import CobbDouglasPopulation
-    from .synthetic import cobb_douglas_cross_section, population_cross_section
+    from .synthetic import population_cross_section
 
-    pop = parse_population(cfg.population or "L0")
-    named = cfg.goods != _DEFAULTS.goods  # else a k-good population names g0..g(k-1)
-    if isinstance(pop, CobbDouglasPopulation):
-        ds = cobb_douglas_cross_section(pop, cfg.n, cfg.seed, goods=cfg.goods if named else None)
-    else:
-        ds = population_cross_section(pop, cfg.n, cfg.seed, good=cfg.goods[0])
+    named = cfg.goods != _DEFAULTS.goods  # else the population names its goods
+    ds = population_cross_section(parse_population(cfg.population or "L0"), cfg.n, cfg.seed,
+                                  goods=cfg.goods if named else None)
     write = functools.partial(_write_dataset_csv, os.path.join(cfg.out, "draws.csv"), ds)
     return _bundle(cfg, rows=ds.n, columns=list(ds.goods)), [write]
 
@@ -530,8 +526,9 @@ COMMANDS = {"simulate": _cmd_simulate, "estimate": _cmd_estimate, "welfare": _cm
             "rationality": _cmd_rationality, "oracle-check": _cmd_oracle_check}
 
 VALIDATION_ERRORS = (ValueError, OSError, KeyError)
+# a RuntimeWarning is raised where warnings are errors: numpy's overflow, say
 NUMERIC_ERRORS = (DomainError, OrderError, NumericError, FitError, InternalConsistencyError,
-                  FloatingPointError, OverflowError, MemoryError)
+                  FloatingPointError, OverflowError, MemoryError, RuntimeWarning)
 
 
 def run(command, cfg):

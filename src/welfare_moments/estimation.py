@@ -97,6 +97,8 @@ class Dataset:
     log_z: np.ndarray
     _designs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _rows: _Rows = field(default=_Rows(), init=False, repr=False, compare=False)
+    # per row of a sample that take drew, its row in the sample the takes started from
+    _source: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("shares", "log_prices", "log_y", "log_z"):
@@ -122,15 +124,17 @@ class Dataset:
         that reads them sees the resample.  When an index repeats, as in a
         bootstrap resample, the sample also records each distinct row with
         its count, and fits on it run on those rows with the counts as
-        frequency weights: the same estimator on fewer rows.
+        frequency weights: the same estimator on fewer rows.  Rows repeat by
+        their source row, so a take of a take fits each source row once.
         """
         idx = np.asarray(indices)
         sample = Dataset(self.goods, self.shares[idx], self.log_prices[idx],
                          self.log_y[idx], self.log_z[idx])
-        source = np.arange(self.n)[idx]
-        count = np.bincount(source, minlength=self.n)
+        source = (np.arange(self.n) if self._source is None else self._source)[idx]
+        object.__setattr__(sample, "_source", source)
+        count = np.bincount(source)
         if count.max(initial=0) > 1:
-            position = np.empty(self.n, dtype=np.intp)
+            position = np.empty(len(count), dtype=np.intp)
             position[source] = np.arange(len(source))
             held = np.flatnonzero(count)
             count = count[held].astype(float)

@@ -409,9 +409,9 @@ class LinearHeteroPopulation(_TypeTable):
 
     def draw_quantities(self, rng, p_arr, y_arr):
         n = len(p_arr)
-        om = rng.uniform(self.a0, self.a1, size=n)
-        ef = rng.choice(self._effect, size=n, p=self._w)
-        return om - self.beta * np.asarray(p_arr) + ef * np.asarray(y_arr)
+        intercept = rng.uniform(self.a0, self.a1, size=n)
+        effect = rng.choice(self._effect, size=n, p=self._w)
+        return self._demand((intercept, effect), np.asarray(p_arr), np.asarray(y_arr))[0]
 
 
 class QuantileCounterexamplePopulation(_TypeTable):

@@ -39,34 +39,28 @@ def _log_uniform(rng, bounds, size):
     return rng.uniform(np.log(bounds[0]), np.log(bounds[1]), size=size)
 
 
-def population_cross_section(pop, n, seed, good="q"):
-    """Households drawn from a scalar-good oracle population."""
+def population_cross_section(pop, n, seed, goods=None):
+    """Households drawn from an oracle population, one share column per good
+    of ``goods``: by default ("q",), or g0..g(k-1) for a Cobb-Douglas mixture."""
     rng = np.random.default_rng(seed)
-    log_p = _log_uniform(rng, SCALAR_PRICES, n)
-    log_z = _log_uniform(rng, SCALAR_INSTRUMENT, n)
-    log_y = log_z + _truncated_normal(rng, INCOME_NOISE, n)
-    p, y = np.exp(log_p), np.exp(log_y)
-    q = pop.draw_quantities(rng, p, y)
-    if np.any(q <= 0.0):
-        raise ValueError("sampled region produced nonpositive demand; shrink it")
-    w = p * q / y
-    return Dataset(goods=(good,), shares=w.reshape(-1, 1),
-                   log_prices=log_p.reshape(-1, 1), log_y=log_y, log_z=log_z)
-
-
-def cobb_douglas_cross_section(pop, n, seed, goods=None):
-    """Households drawn from a Cobb-Douglas mixture, one share column per good."""
-    if not isinstance(pop, CobbDouglasPopulation):
-        raise TypeError("expected a Cobb-Douglas population")
-    goods = tuple(goods or ("g%d" % i for i in range(pop.k)))
-    rng = np.random.default_rng(seed)
-    log_z = _log_uniform(rng, COBB_DOUGLAS_INSTRUMENT, n)
-    log_y = log_z + _truncated_normal(rng, INCOME_NOISE, n)
-    log_p = _log_uniform(rng, COBB_DOUGLAS_PRICES, (n, pop.k))
-    probs = np.array([prob for _, prob in pop.types])
-    idx = rng.choice(len(pop.types), size=n, p=probs)
-    alphas = np.array([alpha for alpha, _ in pop.types])[idx]
-    return Dataset(goods=goods, shares=alphas, log_prices=log_p,
+    if isinstance(pop, CobbDouglasPopulation):
+        log_z = _log_uniform(rng, COBB_DOUGLAS_INSTRUMENT, n)
+        log_y = log_z + _truncated_normal(rng, INCOME_NOISE, n)
+        log_p = _log_uniform(rng, COBB_DOUGLAS_PRICES, (n, pop.k))
+        idx = rng.choice(len(pop.types), size=n, p=[prob for _, prob in pop.types])
+        shares = np.array([alpha for alpha, _ in pop.types])[idx]
+        default = ["g%d" % i for i in range(pop.k)]
+    else:
+        log_p = _log_uniform(rng, SCALAR_PRICES, n)
+        log_z = _log_uniform(rng, SCALAR_INSTRUMENT, n)
+        log_y = log_z + _truncated_normal(rng, INCOME_NOISE, n)
+        p, y = np.exp(log_p), np.exp(log_y)
+        q = pop.draw_quantities(rng, p, y)
+        if np.any(q <= 0.0):
+            raise ValueError("sampled region produced nonpositive demand; shrink it")
+        shares, log_p = (p * q / y)[:, None], log_p[:, None]
+        default = ["q"]
+    return Dataset(goods=tuple(goods or default), shares=shares, log_prices=log_p,
                    log_y=log_y, log_z=log_z)
 
 

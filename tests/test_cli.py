@@ -35,7 +35,7 @@ from welfare_moments.cli import (
     run,
 )
 from welfare_moments.rationality import SupportBox, lp_violation_search, translate_polynomial
-from welfare_moments.synthetic import cobb_douglas_cross_section, population_cross_section
+from welfare_moments.synthetic import population_cross_section
 
 from conftest import cobb_douglas_cv_mean, constant_batch, loglog_slope, traced
 
@@ -547,7 +547,7 @@ def test_bad_settings_are_refused_before_any_work(tmp_path, capsys, monkeypatch,
 
     for name in ("cli.ingest_csv", "oracle.surface_from_population",
                  "estimation.fit_moment_surface", "oracle.population_cv_sweep",
-                 "synthetic.cobb_douglas_cross_section", "synthetic.population_cross_section"):
+                 "synthetic.population_cross_section"):
         if not work:
             monkeypatch.setattr("welfare_moments." + name, no_work)
     (tmp_path / "DIR").mkdir()
@@ -639,7 +639,7 @@ def test_simulate_refuses_a_repeated_good_before_drawing(tmp_path, capsys, monke
     def no_draws(*args, **kwargs):
         raise AssertionError("households were drawn")
 
-    monkeypatch.setattr("welfare_moments.synthetic.cobb_douglas_cross_section", no_draws)
+    monkeypatch.setattr("welfare_moments.synthetic.population_cross_section", no_draws)
     out = tmp_path / "run"
     assert main(["simulate", "--population", "CD2(0.3)", "--goods", "a,a", "--n", "10",
                  "--seed", "1", "--out", str(out)]) == 1
@@ -854,6 +854,27 @@ def test_non_finite_mapped_translations_exit_2_without_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["welfare", "--population", "L0", "--y", "1e308"],
+    ["rationality", "--population", "L0", "--degree", "1", "--p-grid=1", "--y-grid=1e308"],
+    ["rationality", "--population", "CD2(0.3)", "--p-grid=1e300", "--y-grid=1e-10"],
+], ids=["welfare", "rationality", "rationality mapped"])
+def test_numeric_refusals_exit_2_where_warnings_are_errors(tmp_path, capsys, argv):
+    # the filter that pyproject.toml sets for the suite and the benchmark's
+    # self-test sets for every run: numpy's overflow warning is the refusal
+    out = tmp_path / "refused"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv + ["--out", str(out)])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "RuntimeWarning"
+    assert err["message"].startswith("overflow encountered in ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("population", ["CD2(nan)", "CD(nan)"])
 def test_non_finite_population_exits_1_without_output(tmp_path, capsys, population):
     out = tmp_path / "welfare"
@@ -1013,11 +1034,7 @@ def write_dataset_per_row(path, ds):
 
 @pytest.mark.parametrize("population", ["L0", "CD2(0.3)"])
 def test_dataset_csv_matches_row_writer(tmp_path, population):
-    pop = parse_population(population)
-    if population == "L0":
-        ds = population_cross_section(pop, 2000, 11, good="q")
-    else:
-        ds = cobb_douglas_cross_section(pop, 2000, 11, goods=("food", "fuel"))
+    ds = population_cross_section(parse_population(population), 2000, 11)
     _write_dataset_csv(tmp_path / "new.csv", ds)
     write_dataset_rows(tmp_path / "old.csv", ds)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -1027,11 +1044,7 @@ def test_dataset_csv_matches_row_writer(tmp_path, population):
 def test_dataset_csv_matches_per_row_format(tmp_path, population):
     # _write_dataset_csv formats each block of rows with one %; the values
     # include -0.0, subnormals and the largest float
-    pop = parse_population(population)
-    if population == "L0":
-        ds = population_cross_section(pop, 2000, 13, good="q")
-    else:
-        ds = cobb_douglas_cross_section(pop, 2000, 13, goods=("food", "fuel"))
+    ds = population_cross_section(parse_population(population), 2000, 13)
     log_y = ds.log_y.copy()
     log_y[:5] = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 1e-17]
     ds = Dataset(ds.goods, ds.shares, ds.log_prices, log_y, ds.log_z)

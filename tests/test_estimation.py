@@ -38,7 +38,6 @@ from welfare_moments.estimation import (
 from welfare_moments.oracle import CobbDouglasPopulation
 from welfare_moments.synthetic import (
     PlantedShareModel,
-    cobb_douglas_cross_section,
     default_planted_model,
     population_cross_section,
 )
@@ -115,7 +114,7 @@ def _l0_sample(n, seed=3):
 
 def _cd2_sample(n, seed=5):
     pop = CobbDouglasPopulation.two_type(0.3)
-    return cobb_douglas_cross_section(pop, n, seed, goods=("food", "fuel"))
+    return population_cross_section(pop, n, seed, goods=("food", "fuel"))
 
 
 @pytest.mark.parametrize("n", [5000, 100000])
@@ -272,7 +271,7 @@ def _planted_case():
 
 def _cd2_case():
     pop = CobbDouglasPopulation.two_type(0.3)
-    ds = cobb_douglas_cross_section(pop, 20000, 5, goods=("food", "fuel"))
+    ds = population_cross_section(pop, 20000, 5, goods=("food", "fuel"))
     return ds, ["food", "fuel"], BasisSpec(), first_stage(ds)
 
 
@@ -337,7 +336,7 @@ def _count_qr(monkeypatch):
 
 def _small_cd2():
     pop = CobbDouglasPopulation.two_type(0.3)
-    ds = cobb_douglas_cross_section(pop, 4000, 5, goods=("food", "fuel"))
+    ds = population_cross_section(pop, 4000, 5, goods=("food", "fuel"))
     return ds, first_stage(ds)
 
 
@@ -383,6 +382,20 @@ def test_take_without_repeats_is_a_plain_sample(indices):
     ds = _l0_sample(5000)
     sample = ds.take(indices)
     assert sample._rows.index is None and sample._rows.count is None
+
+
+def test_a_take_of_a_take_fits_each_source_row_once():
+    # the second resample repeats rows of the first, and rows of the first
+    # that are one source row: each source row is one fitted row
+    ds = _l0_sample(5000)
+    rng = np.random.default_rng(1)
+    first, second = (rng.integers(0, ds.n, ds.n) for _ in range(2))
+    sample = ds.take(first).take(second)
+    distinct, count = np.unique(first[second], return_counts=True)
+    rows = sample._rows
+    assert len(rows.index) == len(distinct) and rows.count.sum() == sample.n
+    assert np.array_equal(rows.count, count)
+    assert np.array_equal(rows.pick(sample.log_y), ds.log_y[distinct])
 
 
 def test_shared_design_fits_equal_fresh_fits():
@@ -613,11 +626,6 @@ def test_fitted_surface_needs_fits_of_one_good():
             fit_moment_surface(ds, "fuel", 2, NO_CONTROL)]
     with pytest.raises(ValueError, match="fits mix different goods"):
         fitted_surface(fits)
-
-
-def test_cobb_douglas_draws_need_a_cobb_douglas_population():
-    with pytest.raises(TypeError, match="expected a Cobb-Douglas population"):
-        cobb_douglas_cross_section(L0, 10, 1)
 
 
 def test_fitted_surface_refuses_budgets_outside_sample():

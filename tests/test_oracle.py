@@ -1,5 +1,6 @@
 import warnings
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -658,6 +659,45 @@ def test_linear_table_matches_closed_forms():
             b = Budget((p,), y)
             for n in range(1, 8):
                 _assert_table_matches(pop, _linear_closed_forms(pop, n, b), n, b)
+
+
+def _l0_jet_exact(p, y, n):
+    """M_n, dM_n/dp and dM_n/dy of L0 at (p, y), in rationals exact for the
+    binary values of L0's floats and of p and y."""
+    a0, a1, beta = (Fraction(v) for v in (L0.a0, L0.a1, L0.beta))
+
+    def power_mean(c, k):  # E[(u + c)^k] for u ~ U(a0, a1)
+        return ((a1 + c) ** (k + 1) - (a0 + c) ** (k + 1)) / ((k + 1) * (a1 - a0))
+
+    jet = [Fraction(0)] * 3
+    for effect, weight in L0.effects:
+        a, w = Fraction(effect), Fraction(weight)
+        c = a * Fraction(y) - beta * Fraction(p)
+        jet[0] += w * power_mean(c, n)
+        jet[1] -= w * n * beta * power_mean(c, n - 1)
+        jet[2] += w * n * a * power_mean(c, n - 1)
+    return jet
+
+
+def test_l0_jet_matches_exact_rationals():
+    # The 64-node rule integrates each type's polynomial exactly, so only
+    # rounding separates the jet from the rationals.  Every type's q is
+    # positive on this region, so each quantity sums 2 x 64 terms of one
+    # sign: 127 roundings at most.  A term carries its weight's 2 (leggauss,
+    # halved), n + 2 products (power, weight, partial's factors), and n times
+    # q's own error: 3 roundings of (u - beta p) + a y and 2 ulps of its
+    # node, each scaled by kappa, the largest ratio of |parts| to q.
+    eps = np.finfo(float).eps
+    budgets = [(p, y) for p in (0.88, 0.96, 1.0, 1.08) for y in (3.7, 3.9, 4.1, 4.3)]
+    prices, incomes = np.array(budgets).T
+    jet = surface_from_population(L0, 4).on_budgets(prices[:, None], incomes)
+    for i, (p, y) in enumerate(budgets):
+        kappa = max((L0.a1 + L0.beta * p + a * y) / (L0.a0 + a * y - L0.beta * p)
+                    for a, _ in L0.effects)
+        for n in range(1, 5):
+            bound = Fraction(eps * (2 * oracle.GL_NODES - 1 + n + 4 + 5 * n * kappa))
+            for got, want in zip((a[n - 1, i] for a in jet), _l0_jet_exact(p, y, n)):
+                assert abs(Fraction(got) - want) <= bound * abs(want), (p, y, n, got)
 
 
 def test_cobb_douglas_table_matches_closed_forms():
