@@ -34,6 +34,7 @@ from .core import (
     NumericError,
     OrderError,
     PriceChange,
+    income_effect_bounds,
 )
 
 # Each command imports the modules it runs inside its own function, so a
@@ -425,8 +426,6 @@ def _check_settings(command, cfg):
         raise ValueError("--z and --k must be given together, got only %s"
                          % ("--z" if cfg.k is None else "--k"))
     if command == "welfare":  # the one command that reads the bounds and thresholds
-        from .welfare import income_effect_bounds
-
         b_lo, b_hi = income_effect_bounds(cfg.b_lo, cfg.b_hi, cfg.p0)
         if cfg.z is not None and not (b_lo <= cfg.z <= b_hi and b_lo <= cfg.k <= b_hi):
             raise ValueError("--z %s, --k %s: thresholds must lie inside the income-effect "
@@ -457,9 +456,9 @@ def _cmd_estimate(cfg):
 
 
 def _cmd_welfare(cfg):
-    from .welfare import build_report
-
     surface, _, k = _surface_for_config(cfg, 4)
+    from .welfare import build_report  # after the fit: not resident at its peak
+
     thresholds = None if cfg.z is None else (cfg.z, cfg.k)
     reports = [build_report(surface, _price_change(cfg, dp, k, surface.good), b_lo=cfg.b_lo,
                             b_hi=cfg.b_hi, chebyshev_thresholds=thresholds).to_dict()

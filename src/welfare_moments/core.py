@@ -214,6 +214,16 @@ class ShareMomentSurface(_Surface):
         return self.at(b, n)[2][n - 1]
 
 
+def income_effect_bounds(b_lo, b_hi, price):
+    """The bounds [b_lo, b_hi] of a report at the modeled good's initial
+    ``price``; an unset one takes the normal-good worst case [0, 1/price]."""
+    b_lo = 0.0 if b_lo is None else b_lo
+    b_hi = 1.0 / price if b_hi is None else b_hi
+    if b_lo > b_hi:
+        raise ValueError("lower income-effect bound exceeds upper bound")
+    return b_lo, b_hi
+
+
 @lru_cache(maxsize=4)
 def gauss_legendre01(n):
     """The n-node Gauss-Legendre rule on [0, 1] as read-only (nodes, weights)

@@ -59,9 +59,9 @@ class _Rows(NamedTuple):
     count: np.ndarray = None
     root: np.ndarray = None
 
-    def pick(self, a):
-        """The fitted rows of ``a``, a per-sample-row array."""
-        return a if self.index is None else a[self.index]
+    def pick(self, a, subset=slice(None)):
+        """The fitted rows (of ``subset``) of ``a``, a per-sample-row array."""
+        return a[subset] if self.index is None else a[self.index[subset]]
 
     def weigh(self, v, subset=slice(None)):
         """The fitted rows ``v`` (of ``subset``), each scaled by its root count."""
@@ -165,11 +165,25 @@ def _blocks(spec, n_goods):
 @dataclass(frozen=True, eq=False)
 class FirstStageFit:
     """First-stage OLS; compared and hashed by identity, so a sample keeps
-    one design per first-stage object."""
+    one design per first-stage object.  It stores no residual vector: ``data``
+    views the sample's (log_y, log_z, log_prices), ``terms`` is (kept columns, coefficients)."""
 
     coefficients: dict
-    residuals: np.ndarray
     dropped: tuple = ()
+    data: tuple = field(default=(), repr=False)
+    terms: tuple = field(default=(), repr=False)
+
+    def control(self, rows, out):
+        """``out``, with the residuals of the fitted ``rows`` written in by row blocks."""
+        for b in _row_blocks(len(out)):
+            log_y, log_z, log_prices = (rows.pick(a, b) for a in self.data)
+            columns = [1.0, log_z, *log_prices.T]
+            out[b] = log_y - sum(c * columns[i] for i, c in zip(*self.terms))
+        return out
+
+    @property
+    def residuals(self):  # one per sample row
+        return self.control(_Rows(), np.empty(len(self.data[0])))
 
 
 @dataclass(frozen=True)
@@ -307,7 +321,9 @@ def _screened_qr(x, labels, what, rows=_Rows()):
     for i, column in enumerate(kept):
         x[:, i] = x[:, column]
     blocks = _row_blocks(x.shape[0])
-    r = [np.linalg.qr(rows.weigh(x[b, :m], b), mode="r") for b in blocks]
+    for b in blocks if rows.root is not None else ():  # weighed once, for r and for q
+        x[b, :m] = rows.weigh(x[b, :m], b)
+    r = [np.linalg.qr(x[b, :m], mode="r") for b in blocks]
     r = r[0] if len(r) == 1 else np.linalg.qr(np.vstack(r), mode="r")
     if r.shape[0] < m:
         r = np.vstack([r, np.zeros((m - r.shape[0], m))])
@@ -317,7 +333,7 @@ def _screened_qr(x, labels, what, rows=_Rows()):
         raise SingularDesignError([labels[kept[i]] for i in collinear])
     r_inv = np.linalg.inv(r)
     for b in blocks:
-        x[b, :m] = rows.weigh(x[b, :m], b) @ r_inv
+        x[b, :m] = x[b, :m] @ r_inv
     return kept, x[:, :m], r
 
 
@@ -327,26 +343,22 @@ def first_stage(ds):
     Zero-variance price columns are dropped with coefficient zero; the rest
     are screened, factored and solved through :func:`_screened_qr`, on the
     distinct rows weighted by their counts when the sample repeats rows.
-    The residuals, one per sample row, are taken from the data columns.
+    The fit keeps no residual vector (see :class:`FirstStageFit`).
     """
     labels = ["const", "log_z"] + ["log_p_%s" % g for g in ds.goods]
     rows = ds._rows
     x = np.empty((len(rows.pick(ds.log_y)), len(labels)), order="F")
     x[:, 0], x[:, 1], x[:, 2:] = 1.0, rows.pick(ds.log_z), rows.pick(ds.log_prices)
     kept, q, r = _screened_qr(x, labels, "columns", rows)
-
-    def residuals(pick):
-        columns = [1.0, pick(ds.log_z), *pick(ds.log_prices).T]
-        return pick(ds.log_y) - sum(c * columns[i] for i, c in zip(kept, coef))
-
     # a solve, then one corrected semi-normal step (Bjorck 1996): on L0, the
     # coefficients are 1e-12 off lstsq's without it, 1e-15 with it
     coef = np.linalg.solve(r, q.T @ rows.weigh(rows.pick(ds.log_y)))
-    coef += np.linalg.solve(r, q.T @ rows.weigh(residuals(rows.pick)))
+    start = FirstStageFit({}, (), (ds.log_y, ds.log_z, ds.log_prices), (kept, coef))
+    coef = coef + np.linalg.solve(r, q.T @ rows.weigh(start.control(rows, np.empty(len(q)))))
     full = dict.fromkeys(labels, 0.0)
     full.update((labels[i], float(c)) for i, c in zip(kept, coef))
-    return FirstStageFit(coefficients=full, residuals=residuals(lambda a: a),
-                         dropped=tuple(labels[i] for i in range(len(labels)) if i not in kept))
+    return FirstStageFit(full, tuple(labels[i] for i in range(len(labels)) if i not in kept),
+                         start.data, (kept, coef))
 
 
 class _Design(NamedTuple):
@@ -357,6 +369,7 @@ class _Design(NamedTuple):
     n_columns: int
     q: np.ndarray  # sqrt(count) x = q r on the fitted rows (see _screened_qr)
     r: np.ndarray
+    qtq: np.ndarray  # q'q, which every start reads
     domain: tuple  # MomentFit.domain
 
 
@@ -375,12 +388,13 @@ def _design(ds, basis, fs):
         return design
     rows = ds._rows
     log_prices, log_y = rows.pick(ds.log_prices), rows.pick(ds.log_y)
-    control = None if fs is None else rows.pick(fs.residuals)
-    x = _basis_matrix(log_prices, log_y, control, basis, order="F")
+    x = _basis_matrix(log_prices, log_y, None, basis, order="F")
+    if fs is not None:  # written by blocks: no residual vector outlives a block
+        fs.control(rows, x[:, -1])
     active, q, r = _screened_qr(x, _basis_labels(ds.goods, basis), "basis columns", rows)
     columns = [*log_prices.T, log_y]
     domain = (np.array([c.min() for c in columns]), np.array([c.max() for c in columns]))
-    design = _Design(active, x.shape[1], q, r, domain)
+    design = _Design(active, x.shape[1], q, r, q.T @ q, domain)
     ds._designs[basis, fs] = design
     return design
 
@@ -417,7 +431,7 @@ def fit_moment_surface(ds, good, order, basis, fs=None):
     # Each step solves min |pred * (x s) - resid| through x = q r: the normal
     # matrix of pred * q has cond <= (max pred / min pred)^2, so the basis'
     # own conditioning is never squared.
-    active, n_columns, q, r, domain = _design(ds, basis, fs)
+    active, n_columns, q, r, qtq, domain = _design(ds, basis, fs)
     rows = ds._rows
     w = rows.pick(w)
     target = w ** order
@@ -431,12 +445,12 @@ def fit_moment_surface(ds, good, order, basis, fs=None):
     resid[zero] = 0.0
     zero_q = q[zero]
     theta_active = np.linalg.solve(r, np.linalg.solve(
-        q.T @ q - zero_q.T @ zero_q, q.T @ rows.weigh(resid)))
+        qtq - zero_q.T @ zero_q, q.T @ rows.weigh(resid)))
 
     def rss_at(th):  # writes its prediction over pred, which a step reads only for its sums
         eta = np.matmul(q, r @ th, out=pred)  # x th, times sqrt(count) on a repeated-row sample
         eta /= 1.0 if rows.root is None else rows.root
-        np.exp(np.clip(eta, -700.0, 700.0, out=eta), out=eta)
+        np.exp(np.minimum(np.maximum(eta, -700.0, out=eta), 700.0, out=eta), out=eta)
         np.subtract(target, pred, out=resid)
         if rows.root is not None:
             np.multiply(resid, rows.root, out=resid)

@@ -21,6 +21,7 @@ from .core import (
     InternalConsistencyError,
     ShapeError,
     gauss_legendre01,
+    income_effect_bounds,
     monomial_translation,
 )
 
@@ -334,16 +335,6 @@ def _unsigned_zeros(obj):
     if isinstance(obj, (list, tuple)):
         return [_unsigned_zeros(v) for v in obj]
     return obj + 0.0 if isinstance(obj, float) else obj
-
-
-def income_effect_bounds(b_lo, b_hi, price):
-    """The bounds [b_lo, b_hi] of a report at the modeled good's initial
-    ``price``; an unset one takes the normal-good worst case [0, 1/price]."""
-    b_lo = 0.0 if b_lo is None else b_lo
-    b_hi = 1.0 / price if b_hi is None else b_hi
-    if b_lo > b_hi:
-        raise ValueError("lower income-effect bound exceeds upper bound")
-    return b_lo, b_hi
 
 
 def build_report(surface, pc, quad=DEFAULT_QUAD, b_lo=None, b_hi=None,

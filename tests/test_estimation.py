@@ -611,6 +611,20 @@ def test_fit_out_of_steps_is_fit_error_with_its_iterate(monkeypatch):
     assert math.isfinite(err.value.gradient_norm)
 
 
+def test_fit_stops_where_no_step_lowers_the_rss():
+    # a NaN share makes the rss of every candidate of the line search NaN:
+    # Gauss-Newton gives up in its first step and keeps its finite start, with
+    # the NaN rss that the CLI's finiteness check refuses (its ingest refuses
+    # the row before that)
+    ds = _l0_sample(500)
+    shares = np.array(ds.shares)
+    shares[7, 0] = np.nan
+    ds = Dataset(ds.goods, shares, ds.log_prices, ds.log_y, ds.log_z)
+    fit = fit_moment_surface(ds, "q", 1, NO_CONTROL)
+    assert fit.iters == 1 and math.isnan(fit.rss)
+    assert np.all(np.isfinite(fit.theta))
+
+
 def test_fitted_surface_refuses_a_budget_of_other_goods():
     ds = constant_dataset()
     surface = fitted_surface([fit_moment_surface(ds, "q", 1, NO_CONTROL)]).share_surface
@@ -889,10 +903,11 @@ def test_design_holds_one_basis():
 
 def test_first_stage_holds_one_design():
     # its three columns are filled once into the array q is written over:
-    # one n x 3 array and two n-vectors while it takes its residuals
+    # one n x 3 array, and the n-vector of the corrected step's residuals,
+    # each row block of which takes three block-length temporaries
     ds = _l0_sample(50000)
     kept, above = traced(lambda: first_stage(ds))
-    assert kept + above <= 5 * 8 * ds.n + 64 * 1024
+    assert kept + above <= 4 * 8 * ds.n + 3 * 8 * estimation.BLOCK_ROWS + 64 * 1024
 
 
 def test_fits_hold_one_jacobian():

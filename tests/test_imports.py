@@ -120,6 +120,15 @@ def test_each_command_loads_only_its_modules(tmp_path, draws, argv, modules):
                             + ["welfare_moments." + m for m in modules.split()])
 
 
+def test_welfare_settings_check_loads_no_welfare_module():
+    # the check reads the income-effect bounds from core, and welfare loads
+    # its formulas after the fit, so they are not resident at its peak
+    loaded = _python("import json, sys; from welfare_moments.cli import RunConfig, "
+                     "_check_settings; _check_settings('welfare', RunConfig("
+                     "population='L0', b_hi=0.5, z=0.1, k=0.2)); print(json.dumps(%s))" % LOADED)
+    assert "welfare_moments.cli" in loaded and "welfare_moments.welfare" not in loaded
+
+
 def test_commands_load_no_openssl(tmp_path, draws):
     # config_hash is taken by the interpreter's own SHA-256: hashlib would
     # load OpenSSL's _hashlib.  numpy 1.x loads it through numpy.random at

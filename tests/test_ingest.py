@@ -206,6 +206,22 @@ def test_cells_loadtxt_refuses_are_row_errors(tmp_path, cell):
     assert err.value.errors == [(3, "unparseable numeric cell")]
 
 
+def test_a_loadtxt_refusal_the_scan_cannot_place_exits_1(tmp_path, capsys, monkeypatch):
+    # no row is known that loadtxt refuses and the diagnostic scan reads; if
+    # one turns up, the run exits 1 with loadtxt's own message, not a traceback
+    def refuse(*args, **kw):
+        raise ValueError("could not convert string 'x' to float64 at row 0, column 3.")
+
+    path = tmp_path / "data.csv"
+    path.write_text(_text([HEADER] + GOOD), newline="")
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    out = tmp_path / "out"
+    assert main(["estimate", "--data", str(path), "--goods", "q", "--out", str(out)]) == 1
+    message = "%s: could not convert string 'x' to float64 at row 0, column 3." % path
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", [HEADER + "\r\n", HEADER, HEADER + "\r\n\r\n\r\n"])
 def test_header_only_csv_is_degenerate(tmp_path, capsys, text):
     path = tmp_path / "data.csv"
