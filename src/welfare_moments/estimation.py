@@ -105,6 +105,8 @@ class Dataset:
             view = np.asarray(getattr(self, name)).view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
+            if not np.isfinite(view).all():
+                raise ValueError("%s holds a non-finite value" % name)
         n = len(self.log_y)
         if self.shares.shape != (n, len(self.goods)):
             raise ValueError("share matrix shape mismatch")
@@ -164,26 +166,12 @@ def _blocks(spec, n_goods):
 
 @dataclass(frozen=True, eq=False)
 class FirstStageFit:
-    """First-stage OLS; compared and hashed by identity, so a sample keeps
-    one design per first-stage object.  It stores no residual vector: ``data``
-    views the sample's (log_y, log_z, log_prices), ``terms`` is (kept columns, coefficients)."""
+    """First-stage OLS: a coefficient per column (const, log_z, then each
+    good's log price) and the columns dropped at zero.  Compared and hashed
+    by identity, so a sample keeps one design per first-stage object."""
 
     coefficients: dict
     dropped: tuple = ()
-    data: tuple = field(default=(), repr=False)
-    terms: tuple = field(default=(), repr=False)
-
-    def control(self, rows, out):
-        """``out``, with the residuals of the fitted ``rows`` written in by row blocks."""
-        for b in _row_blocks(len(out)):
-            log_y, log_z, log_prices = (rows.pick(a, b) for a in self.data)
-            columns = [1.0, log_z, *log_prices.T]
-            out[b] = log_y - sum(c * columns[i] for i, c in zip(*self.terms))
-        return out
-
-    @property
-    def residuals(self):  # one per sample row
-        return self.control(_Rows(), np.empty(len(self.data[0])))
 
 
 @dataclass(frozen=True)
@@ -260,28 +248,21 @@ def _basis_labels(goods, spec):
     return labels + ["control"] * spec.include_control
 
 
-def _basis_matrix(log_prices, log_y, control, spec, order="C"):
-    """The basis columns of ``spec`` at each row, filled into one array of
-    memory layout ``order``.
-
-    Each caller keeps one layout, because BLAS sums a product with the
-    basis in a different order on the other one: a fit's design is
-    Fortran-ordered (its kept columns, which q overwrites, stay contiguous),
-    and a surface evaluates on a C-ordered basis; a Fortran-ordered one
-    would move ``sweep.csv`` in its last digits.
-    """
+def _basis_matrix(log_prices, log_y, spec):
+    """The basis columns of ``spec`` at each row, filled into one
+    Fortran-ordered array (a design's kept columns, which q overwrites, stay
+    contiguous).  The control column, when the basis has one, holds 0, its
+    conditional mean; a design writes the sample's residuals over it."""
     blocks = _blocks(spec, log_prices.shape[1])
-    x = np.empty((len(log_y), blocks[-1].stop + spec.include_control), order=order)
-    # the constant; the powers by running products (np.power of a negative
-    # base, a log price below 0, takes pow's scalar path, about 50 times
-    # slower); and the control
+    x = np.zeros((len(log_y), blocks[-1].stop + spec.include_control), order="F")
+    # the constant, and the powers by running products (np.power of a
+    # negative base, a log price below 0, takes pow's scalar path, about 50
+    # times slower)
     x[:, 0] = 1.0
     for block, column in zip(blocks, [*log_prices.T, log_y]):
         x[:, block.start] = column
         for i in range(block.start + 1, block.stop):
             np.multiply(x[:, i - 1], column, out=x[:, i])
-    if spec.include_control:
-        x[:, -1] = 0.0 if control is None else control
     return x
 
 
@@ -337,28 +318,42 @@ def _screened_qr(x, labels, what, rows=_Rows()):
     return kept, x[:, :m], r
 
 
+def _first_stage_labels(goods):
+    return ["const", "log_z"] + ["log_p_%s" % g for g in goods]
+
+
+def _first_stage_residuals(ds, coefficients, out):
+    """``out``, with the first-stage residuals at ``coefficients`` (label ->
+    coefficient) of the sample's own fitted rows written in by row blocks:
+    no residual vector outlives a block."""
+    rows, coef = ds._rows, [coefficients[label] for label in _first_stage_labels(ds.goods)]
+    for b in _row_blocks(len(out)):
+        columns = [1.0, rows.pick(ds.log_z, b), *rows.pick(ds.log_prices, b).T]
+        out[b] = rows.pick(ds.log_y, b) - sum(c * column for c, column in zip(coef, columns))
+    return out
+
+
 def first_stage(ds):
     """OLS of log expenditure on intercept, log instrument, and log prices.
 
     Zero-variance price columns are dropped with coefficient zero; the rest
     are screened, factored and solved through :func:`_screened_qr`, on the
     distinct rows weighted by their counts when the sample repeats rows.
-    The fit keeps no residual vector (see :class:`FirstStageFit`).
     """
-    labels = ["const", "log_z"] + ["log_p_%s" % g for g in ds.goods]
+    labels = _first_stage_labels(ds.goods)
     rows = ds._rows
     x = np.empty((len(rows.pick(ds.log_y)), len(labels)), order="F")
     x[:, 0], x[:, 1], x[:, 2:] = 1.0, rows.pick(ds.log_z), rows.pick(ds.log_prices)
     kept, q, r = _screened_qr(x, labels, "columns", rows)
+    kept = [labels[i] for i in kept]
+    fit = dict.fromkeys(labels, 0.0)  # each dropped column at zero
     # a solve, then one corrected semi-normal step (Bjorck 1996): on L0, the
     # coefficients are 1e-12 off lstsq's without it, 1e-15 with it
     coef = np.linalg.solve(r, q.T @ rows.weigh(rows.pick(ds.log_y)))
-    start = FirstStageFit({}, (), (ds.log_y, ds.log_z, ds.log_prices), (kept, coef))
-    coef = coef + np.linalg.solve(r, q.T @ rows.weigh(start.control(rows, np.empty(len(q)))))
-    full = dict.fromkeys(labels, 0.0)
-    full.update((labels[i], float(c)) for i, c in zip(kept, coef))
-    return FirstStageFit(full, tuple(labels[i] for i in range(len(labels)) if i not in kept),
-                         start.data, (kept, coef))
+    fit.update(zip(kept, coef.tolist()))
+    coef += np.linalg.solve(r, q.T @ rows.weigh(_first_stage_residuals(ds, fit, np.empty(len(q)))))
+    fit.update(zip(kept, coef.tolist()))
+    return FirstStageFit(fit, tuple(label for label in labels if label not in kept))
 
 
 class _Design(NamedTuple):
@@ -379,7 +374,8 @@ def _design(ds, basis, fs):
     Fixed (zero-variance) basis columns are pinned at coefficient zero, and
     the rest go through :func:`_screened_qr`; a design it refuses is not
     stored, so every call raises again.  The basis is built on the sample's
-    fitted rows (its distinct rows when it repeats rows), which q overwrites.
+    fitted rows (its distinct rows when it repeats rows), which q overwrites;
+    its control column holds those rows' first-stage residuals at ``fs``.
     """
     if not basis.include_control:
         fs = None  # then the first stage plays no part in the design
@@ -388,9 +384,9 @@ def _design(ds, basis, fs):
         return design
     rows = ds._rows
     log_prices, log_y = rows.pick(ds.log_prices), rows.pick(ds.log_y)
-    x = _basis_matrix(log_prices, log_y, None, basis, order="F")
-    if fs is not None:  # written by blocks: no residual vector outlives a block
-        fs.control(rows, x[:, -1])
+    x = _basis_matrix(log_prices, log_y, basis)
+    if fs is not None:
+        _first_stage_residuals(ds, fs.coefficients, x[:, -1])
     active, q, r = _screened_qr(x, _basis_labels(ds.goods, basis), "basis columns", rows)
     columns = [*log_prices.T, log_y]
     domain = (np.array([c.min() for c in columns]), np.array([c.max() for c in columns]))
@@ -542,7 +538,7 @@ def exp_poly_share_surface(thetas, basis, n_goods, good=0, domain=None):
 
     def batch(prices, incomes, orders):
         lp, ly = log_budgets(prices, incomes)
-        x = _basis_matrix(lp, ly, None, basis)  # C-ordered: see _basis_matrix
+        x = _basis_matrix(lp, ly, basis)
         w = np.array([np.exp(x @ thetas[n]) for n in range(1, orders + 1)])
         return (w,
                 w * np.array([slope(thetas[n][own], lp[:, good]) for n in range(1, orders + 1)]),

@@ -94,7 +94,7 @@ class PlantedShareModel:
         return theta
 
     def mean_share(self, log_p, log_y):
-        row = _basis_matrix(np.atleast_2d(log_p), np.atleast_1d(log_y), None, self.basis)
+        row = _basis_matrix(np.atleast_2d(log_p), np.atleast_1d(log_y), self.basis)
         return np.exp(row @ self.order_theta(1))
 
     def share_surface(self, max_order=3):

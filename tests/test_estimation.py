@@ -47,6 +47,19 @@ from conftest import traced
 NO_CONTROL = BasisSpec(include_control=False)
 
 
+def first_stage_residuals(ds, fs):
+    """Each sample row's first-stage residual at ``fs``, from the sample's own columns."""
+    columns = [np.ones(ds.n), ds.log_z, *ds.log_prices.T]
+    return ds.log_y - sum(c * column for c, column in zip(fs.coefficients.values(), columns))
+
+
+def control_basis(log_prices, log_y, spec, control):
+    """The basis of ``spec`` with ``control`` in its control column, as a design holds it."""
+    x = _basis_matrix(log_prices, log_y, spec)
+    x[:, -1] = control
+    return x
+
+
 def constant_dataset(n=400, w=0.4, seed=0):
     rng = np.random.default_rng(seed)
     lz = rng.uniform(0.0, 1.0, n)
@@ -60,7 +73,7 @@ def test_first_stage_exact_relation():
     assert fs.coefficients["log_z"] == pytest.approx(0.5, abs=1e-10)
     assert fs.coefficients["log_p_q"] == 0.0
     assert "log_p_q" in fs.dropped
-    assert np.max(np.abs(fs.residuals)) < 1e-10
+    assert np.max(np.abs(first_stage_residuals(ds, fs))) < 1e-10
 
 
 def test_first_stage_noise_consistency():
@@ -77,7 +90,7 @@ def test_first_stage_noise_consistency():
     x = np.column_stack([np.ones(n), lz, lp[:, 0]])
     direct = np.linalg.solve(x.T @ x, x.T @ ly)
     assert fs.coefficients["log_z"] == pytest.approx(direct[1], abs=1e-10)
-    assert abs(np.mean(fs.residuals)) < 1e-10
+    assert abs(np.mean(first_stage_residuals(ds, fs))) < 1e-10
 
 
 def test_first_stage_singular_design():
@@ -126,14 +139,16 @@ def test_first_stage_matches_lstsq_oracle(sample, n):
     oracle, *_ = np.linalg.lstsq(x, ds.log_y, rcond=None)
     coef = np.array(list(fs.coefficients.values()))
     assert np.linalg.norm(coef - oracle) <= 1e-12 * np.linalg.norm(oracle)
-    assert np.allclose(fs.residuals, ds.log_y - x @ oracle, rtol=0.0, atol=1e-12)
+    assert np.allclose(first_stage_residuals(ds, fs), ds.log_y - x @ oracle,
+                       rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("sample", [_l0_sample, _cd2_sample], ids=["L0", "CD2(0.3)"])
 def test_screened_qr_factors_the_design(sample):
     # q = x R^-1 is orthogonal to about eps cond(x); cond is about 7.5e4 on L0
     ds = sample(20000)
-    x = _basis_matrix(ds.log_prices, ds.log_y, first_stage(ds).residuals, BasisSpec())
+    x = control_basis(ds.log_prices, ds.log_y, BasisSpec(),
+                      first_stage_residuals(ds, first_stage(ds)))
     kept, q, r = _screened_qr(x.copy(), _basis_labels(ds.goods, BasisSpec()), "basis columns")
     assert np.linalg.norm(q.T @ q - np.eye(len(kept))) <= 1e-10
     assert np.linalg.norm(q @ r - x[:, kept]) <= 1e-12 * np.linalg.norm(x)
@@ -153,8 +168,8 @@ def _assert_same_r(r, oracle):
 
 def _design_basis(ds):
     rows = ds._rows
-    x = _basis_matrix(rows.pick(ds.log_prices), rows.pick(ds.log_y),
-                      rows.pick(first_stage(ds).residuals), BasisSpec(), order="F")
+    x = control_basis(rows.pick(ds.log_prices), rows.pick(ds.log_y), BasisSpec(),
+                      rows.pick(first_stage_residuals(ds, first_stage(ds))))
     return x, rows
 
 
@@ -176,7 +191,7 @@ def test_basis_powers_match_np_power():
     log_p = rng.uniform(-0.4, 0.4, (5000, 2))
     log_y = rng.uniform(-1.0, 2.0, 5000)
     spec = BasisSpec(price_degree=4, income_degree=3, include_control=False)
-    x = _basis_matrix(log_p, log_y, None, spec)
+    x = _basis_matrix(log_p, log_y, spec)
     ref = np.column_stack([np.ones(5000)] + [log_p[:, j] ** s for j in range(2)
                                              for s in range(1, 5)]
                           + [log_y ** s for s in range(1, 4)])
@@ -224,8 +239,9 @@ def fit_lstsq_reference(ds, good, order, basis, fs=None, max_iter=200, rel_tol=1
     """
     k = ds.goods.index(good)
     w = ds.shares[:, k]
-    control = fs.residuals if basis.include_control else None
-    x_full = _basis_matrix(ds.log_prices, ds.log_y, control, basis)
+    x_full = _basis_matrix(ds.log_prices, ds.log_y, basis)
+    if basis.include_control:
+        x_full[:, -1] = first_stage_residuals(ds, fs)
     active = [0] + [i for i in range(1, x_full.shape[1]) if np.std(x_full[:, i]) >= 1e-12]
     x = x_full[:, active]
     target = w ** order
@@ -437,8 +453,8 @@ def _assert_fits_match(sample, goods, basis=BasisSpec()):
     assert list(fs.coefficients) == list(fs_ref.coefficients) and fs.dropped == fs_ref.dropped
     coef, coef_ref = (np.array(list(f.coefficients.values())) for f in (fs, fs_ref))
     assert np.max(np.abs(coef - coef_ref)) <= 1e-12
-    assert fs.residuals.shape == (sample.n,)
-    assert np.max(np.abs(fs.residuals - fs_ref.residuals)) <= 1e-12
+    residuals = first_stage_residuals(sample, fs) - first_stage_residuals(sample, fs_ref)
+    assert np.max(np.abs(residuals)) <= 1e-12
     for fit, ref in zip(fits, fits_ref):
         assert np.linalg.norm(fit.theta - ref.theta) <= 1e-9 * np.linalg.norm(ref.theta)
         assert np.array_equal(fit.theta == 0.0, ref.theta == 0.0)
@@ -611,18 +627,48 @@ def test_fit_out_of_steps_is_fit_error_with_its_iterate(monkeypatch):
     assert math.isfinite(err.value.gradient_norm)
 
 
-def test_fit_stops_where_no_step_lowers_the_rss():
-    # a NaN share makes the rss of every candidate of the line search NaN:
-    # Gauss-Newton gives up in its first step and keeps its finite start, with
-    # the NaN rss that the CLI's finiteness check refuses (its ingest refuses
-    # the row before that)
-    ds = _l0_sample(500)
-    shares = np.array(ds.shares)
-    shares[7, 0] = np.nan
-    ds = Dataset(ds.goods, shares, ds.log_prices, ds.log_y, ds.log_z)
-    fit = fit_moment_surface(ds, "q", 1, NO_CONTROL)
-    assert fit.iters == 1 and math.isnan(fit.rss)
-    assert np.all(np.isfinite(fit.theta))
+def test_fit_stops_where_no_step_lowers_the_rss(monkeypatch):
+    # a degree-8 income polynomial on 40 rows is so ill-conditioned that
+    # rounding leaves Gauss-Newton a step that no halving of the line search
+    # turns into a lower rss; with no minimum decrease, that line search is
+    # the one stop left, and it stops where the default stops, at a finite fit
+    ds, spec = _l0_sample(40), BasisSpec(1, 8, include_control=False)
+    fit = fit_moment_surface(ds, "q", 3, spec)
+    monkeypatch.setattr(estimation, "GN_MIN_DECREASE", 0.0)
+    stopped = fit_moment_surface(ds, "q", 3, spec)
+    assert np.array_equal(stopped.theta, fit.theta) and stopped.rss == fit.rss
+    assert stopped.iters == fit.iters < estimation.GN_MAX_STEPS
+    assert math.isfinite(fit.rss) and np.all(np.isfinite(fit.theta))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["NaN", "infinity"])
+@pytest.mark.parametrize("name", ["shares", "log_prices", "log_y", "log_z"])
+def test_dataset_refuses_a_non_finite_value(name, bad):
+    ds = _l0_sample(50)
+    names = ("shares", "log_prices", "log_y", "log_z")
+    arrays = {key: np.array(getattr(ds, key)) for key in names}
+    arrays[name][7] = bad
+    with pytest.raises(ValueError, match="^%s holds a non-finite value$" % name):
+        Dataset(ds.goods, **arrays)
+
+
+def test_a_take_fits_on_its_own_first_stage_residuals(monkeypatch):
+    # the control column of a fit holds the fitted rows' own residuals at the
+    # given first stage's coefficients, so rows taken from a sample fit alike
+    # in either order
+    a = population_cross_section(L0, 2000, 5)
+    fs, controls = first_stage(a), []
+    screened_qr = estimation._screened_qr
+    monkeypatch.setattr(estimation, "_screened_qr",
+                        lambda x, *args: controls.append(x[:, -1].copy()) or screened_qr(x, *args))
+    fits = []
+    for index in (np.arange(1000, 2000), np.arange(1999, 999, -1)):
+        sample = a.take(index)
+        fits.append([fit_moment_surface(sample, "q", n, BasisSpec(), fs) for n in (1, 2, 3)])
+        assert np.allclose(controls[-1], first_stage_residuals(sample, fs), rtol=0.0, atol=1e-12)
+    for fit, reverse in zip(*fits):
+        assert np.linalg.norm(fit.theta - reverse.theta) <= 1e-10 * np.linalg.norm(fit.theta)
+    assert fits[0][0].control == pytest.approx(-0.59524801935219, rel=1e-10)
 
 
 def test_fitted_surface_refuses_a_budget_of_other_goods():
@@ -690,15 +736,15 @@ def test_theta_layout_is_read_alike_everywhere(goods, degrees, control):
     labels = _basis_labels(goods, spec)
     assert labels == (["const"] + ["log_p_%s^%d" % (g, s) for g in goods for s in range(1, p + 1)]
                       + ["log_y^%d" % s for s in range(1, y + 1)] + ["control"] * control)
-    # each basis column is the power its label names
+    # each basis column is the power its label names; the control holds 0,
+    # its conditional mean, until a design writes a sample's residuals there
     rng = np.random.default_rng(4)
     log_p, log_y = rng.uniform(0.5, 1.5, (6, k)), rng.uniform(0.5, 1.5, 6)
-    resid = rng.normal(size=6)
-    column = {"const": np.ones(6), "control": resid}
+    column = {"const": np.ones(6), "control": np.zeros(6)}
     column.update(("log_p_%s^%d" % (g, s), log_p[:, j] ** s)
                   for j, g in enumerate(goods) for s in range(1, p + 1))
     column.update(("log_y^%d" % s, log_y ** s) for s in range(1, y + 1))
-    x = _basis_matrix(log_p, log_y, resid, spec)
+    x = _basis_matrix(log_p, log_y, spec)
     assert x.shape == (6, len(labels))
     for i, label in enumerate(labels):
         assert np.allclose(x[:, i], column[label], rtol=1e-14, atol=0.0), label
@@ -927,9 +973,8 @@ def test_fits_hold_one_jacobian():
 
 
 def test_design_and_evaluation_layouts(monkeypatch):
-    # BLAS sums a product in a different order on the other layout (see
-    # _basis_matrix): a fit's q is Fortran-ordered and written over the very
-    # array _basis_matrix filled; a surface evaluates on a C-ordered basis
+    # a fit's q is Fortran-ordered and written over the very array
+    # _basis_matrix filled, and a surface evaluates on a basis of that layout
     built = []
     basis_matrix = estimation._basis_matrix
 
@@ -947,4 +992,5 @@ def test_design_and_evaluation_layouts(monkeypatch):
     fits = [fit_moment_surface(ds, "q", n, BasisSpec(), fs) for n in (1, 2, 3)]
     surface = fitted_surface(fits).share_surface
     surface.on_budgets(np.array([[1.0], [1.02]]), np.array([4.0, 4.1]))
-    assert len(built) == 2 and built[-1].flags.c_contiguous
+    assert len(built) == 2
+    assert built[-1].flags.f_contiguous and not built[-1].flags.c_contiguous

@@ -9,11 +9,18 @@ file: JSON as JSON and CSV cell by cell, each number at the one relative
 bound of ``runs.json`` (draws and fits may move in their last bits across
 numpy versions and BLAS builds), everything else exactly.
 
-After a change that moves outputs on purpose, rewrite the ledger with
+Before a change that moves outputs on purpose is recorded, list every
+field that differs from the ledger, with its relative change, with
 
-    PYTHONPATH=src python tests/test_ledger.py
+    PYTHONPATH=src python tests/test_ledger.py --diff
 
-and review its diff.
+which writes nothing.  Rewrite the directories of the named runs (of every
+run when none is named) with
+
+    PYTHONPATH=src python tests/test_ledger.py [NAME ...]
+
+and review the diff.  Every run runs, in order, so a named run reads the
+outputs of the runs before it; only the named runs' directories change.
 """
 
 import csv
@@ -21,6 +28,7 @@ import importlib.util
 import json
 import os
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -71,33 +79,77 @@ def _moved(got, want, rel, where):
     return [] if type(got) is type(want) and got == want else [(where, got, want)]
 
 
+def _compare(rel):
+    """Run every entry in the working directory: the names of the runs whose
+    file set differs from the ledger's, and (where, got, want) of each field
+    of a file they share that differs by more than ``rel`` times its ledger
+    value."""
+    sets, moved = [], []
+    for run in RUNS["runs"]:
+        if _run(run) != 0:
+            raise AssertionError("ledger run %s failed" % run["name"])
+        out, kept = Path(run["name"]), LEDGER / run["name"]
+        names = sorted(os.listdir(kept)) if kept.is_dir() else []
+        if sorted(os.listdir(out)) != names:
+            sets.append(run["name"])
+        for name in names:
+            if (out / name).is_file():
+                moved += _moved(_read(out / name), _read(kept / name), rel,
+                                "%s/%s" % (run["name"], name))
+    return sets, moved
+
+
 def test_outputs_match_the_ledger(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    moved = []
-    for run in RUNS["runs"]:
-        assert _run(run) == 0, run["name"]
-        out, kept = tmp_path / run["name"], LEDGER / run["name"]
-        assert sorted(os.listdir(out)) == sorted(os.listdir(kept)), run["name"]
-        for name in sorted(os.listdir(kept)):
-            moved += _moved(_read(out / name), _read(kept / name), RUNS["rel"],
-                            "%s/%s" % (run["name"], name))
+    sets, moved = _compare(RUNS["rel"])
+    assert not sets, "runs whose files differ from the ledger's: %s" % ", ".join(sets)
     assert not moved, "\n".join("%s: %r, ledger %r" % m for m in moved)
 
 
-def record():
-    """Rewrite the directory of every run with what the run writes now."""
+def _in_temporary_directory(work):
+    """``work()`` in a fresh temporary working directory."""
     home = os.getcwd()
-    with tempfile.TemporaryDirectory() as work:
-        os.chdir(work)
+    with tempfile.TemporaryDirectory() as work_dir:
+        os.chdir(work_dir)
         try:
-            for run in RUNS["runs"]:
-                if _run(run) != 0:
-                    raise SystemExit("ledger run %s failed" % run["name"])
-                shutil.rmtree(LEDGER / run["name"], ignore_errors=True)
-                shutil.copytree(run["name"], LEDGER / run["name"])
+            return work()
         finally:
             os.chdir(home)
 
 
+def diff():
+    """Print every field that differs from the ledger at all, with its
+    relative change, and each run whose file set differs; write nothing."""
+    sets, moved = _in_temporary_directory(lambda: _compare(0.0))
+    for name in sets:
+        print("%s: files differ from the ledger's" % name)
+    for where, got, want in moved:
+        change = ("%.3g" % ((got - want) / want) if type(got) is type(want) is float and want
+                  else "n/a")
+        print("%s: %r, ledger %r, relative change %s" % (where, got, want, change))
+    print("%d runs with other files, %d fields differ" % (len(sets), len(moved)))
+
+
+def record(names=()):
+    """Run every entry and rewrite the directory of each named run (of every
+    run when ``names`` is empty) with what it writes now."""
+    unknown = set(names) - {run["name"] for run in RUNS["runs"]}
+    if unknown:
+        raise SystemExit("no ledger run named %s" % ", ".join(sorted(unknown)))
+
+    def work():
+        for run in RUNS["runs"]:
+            if _run(run) != 0:
+                raise SystemExit("ledger run %s failed" % run["name"])
+            if not names or run["name"] in names:
+                shutil.rmtree(LEDGER / run["name"], ignore_errors=True)
+                shutil.copytree(run["name"], LEDGER / run["name"])
+
+    _in_temporary_directory(work)
+
+
 if __name__ == "__main__":
-    record()
+    if sys.argv[1:] == ["--diff"]:
+        diff()
+    else:
+        record(sys.argv[1:])

@@ -18,6 +18,7 @@ from welfare_moments import (
     QuantileCounterexamplePopulation,
     ShapeError,
     aggregate_expenditure,
+    build_report,
     compensated_jacobian_multigood,
     counterexample_discrepancy,
     cv_constant_income_effect,
@@ -698,6 +699,129 @@ def test_l0_jet_matches_exact_rationals():
             bound = Fraction(eps * (2 * oracle.GL_NODES - 1 + n + 4 + 5 * n * kappa))
             for got, want in zip((a[n - 1, i] for a in jet), _l0_jet_exact(p, y, n)):
                 assert abs(Fraction(got) - want) <= bound * abs(want), (p, y, n, got)
+
+
+def _l0_jet_bound(p, y, n):
+    """A bound on the error of each of L0's jet floats at order n (M_n and
+    both partials), counted as in test_l0_jet_matches_exact_rationals but
+    absolute, since at low incomes q takes both signs: each type's terms are
+    at most Q^k in size, Q the largest |q| on its row and k the power of q
+    (n for M_n, n - 1 for a partial, times its factor n beta or n a), and
+    q's own error is 5 roundings of R, the sum of |parts| of q."""
+    eps, bound = Fraction(np.finfo(float).eps), [Fraction(0)] * 3
+    a0, a1, beta = (Fraction(v) for v in (L0.a0, L0.a1, L0.beta))
+    for effect, weight in L0.effects:
+        a, w = Fraction(effect), Fraction(weight)
+        top = max(abs(a0 - beta * p + a * y), abs(a1 - beta * p + a * y))
+        parts = a1 + beta * p + a * y
+        for i, (k, factor) in enumerate([(n, 1), (n - 1, n * beta), (n - 1, n * a)]):
+            bound[i] += w * factor * eps * ((2 * oracle.GL_NODES - 1 + n + 4) * top ** k
+                                            + 5 * k * top ** max(k - 1, 0) * parts)
+    return bound
+
+
+class _Bounded:
+    """An exact value ``v``, and a bound ``e`` on how far from it lies the
+    float that the same operations give on floats within their own bounds:
+    each + - * / adds one rounding, half an ulp of its result, and a power
+    one ulp."""
+
+    def __init__(self, v, e=0):
+        self.v, self.e = Fraction(v), Fraction(e)
+
+    @staticmethod
+    def rounded(v, e, halves=1):
+        return _Bounded(v, e + halves * Fraction(np.finfo(float).eps) / 2 * (abs(v) + e))
+
+    def __add__(self, o):
+        o = _bounded(o)
+        return _Bounded.rounded(self.v + o.v, self.e + o.e)
+
+    def __sub__(self, o):
+        o = _bounded(o)
+        return _Bounded.rounded(self.v - o.v, self.e + o.e)
+
+    def __mul__(self, o):
+        o = _bounded(o)
+        return _Bounded.rounded(self.v * o.v, abs(self.v) * o.e + abs(o.v) * self.e + self.e * o.e)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __truediv__(self, o):
+        o = _bounded(o)
+        assert o.e < abs(o.v)
+        q = self.v / o.v
+        return _Bounded.rounded(q, (self.e + abs(q) * o.e) / (abs(o.v) - o.e))
+
+    def __pow__(self, k):
+        return _Bounded.rounded(self.v ** k, (abs(self.v) + self.e) ** k - abs(self.v) ** k, 2)
+
+
+def _bounded(x):
+    return x if isinstance(x, _Bounded) else _Bounded(x)
+
+
+def _report_fields(m, dm_dp, dm_dy, dp, y):
+    """build_report's closed-form fields from a jet (three lists, entry
+    n - 1 of order n), in its own order of operations."""
+    def local(n):  # cv_moment_local, through monomial_translation
+        translation = dm_dp[n - 1] / n + dm_dy[n] / (n + 1)
+        return dp ** n * (m[n - 1] + n * translation * (dp / 2.0))
+
+    (m1, m2, *_), dpm1, (dym1, dym2, *_) = m, dm_dp[0], dm_dy
+    half = dp ** 2 / 2.0
+    first = m2 + dp * (m1 * dpm1 + m2 * dym1)
+    second = m1 + (dp / 2.0) * (dpm1 + m1 * dym1)
+    return {
+        "first_order": dp * m1,
+        "ra": dp * m1 + (dp ** 2 / 2.0) * (dpm1 + m1 * dym1),
+        "robust": local(1),
+        "moments[0]": local(1),
+        "moments[1]": local(2),
+        "moments[2]": local(3),
+        "variance.robust": local(2) - local(1) ** 2,
+        "variance.additive": dp ** 2 * (first - second ** 2),
+        "variance.first_order": dp ** 2 * (m2 - m1 ** 2),
+        "A1": half * (dpm1 + m1 ** 2 / y),
+        "A2": half * (m1 * dym1 - m1 ** 2 / y),
+        "A3": half * (m2 - m1 ** 2) / y,
+        "A4": half * (0.5 * dym2 - m1 * dym1 - (m2 - m1 ** 2) / y),
+    }
+
+
+def _report_values(report):
+    flat = {key: report[key] for key in ("first_order", "ra", "robust")}
+    flat.update(("moments[%d]" % i, v) for i, v in enumerate(report["moments"]))
+    flat.update(("variance." + key, v) for key, v in report["variance"].items())
+    flat.update(report["decomposition"])
+    return flat
+
+
+def test_l0_report_matches_exact_rationals():
+    # Each closed-form field of build_report on an order-4 L0 surface, at 45
+    # price changes, against fractions from the floats' own binary values.
+    # The jet's floats are checked alone first: the fields computed on them
+    # in rationals lie within the fields' own roundings, counted operation
+    # by operation.  Then against L0's exact jet, within those roundings and
+    # the jet's bound carried through every operation.
+    for p0 in (0.9, 1.0, 1.1):
+        for y in (1.5, 2.0, 2.5):
+            surface = surface_from_population(L0, 4)
+            exact_jet = list(zip(*(_l0_jet_exact(p0, y, n) for n in range(1, 5))))
+            jet_bound = list(zip(*(_l0_jet_bound(Fraction(p0), Fraction(y), n)
+                                   for n in range(1, 5))))
+            for change in (-0.3, -0.05, 0.01, 0.1, 0.3):
+                pc = PriceChange.scalar(p0, p0 + change, y)
+                got = _report_values(build_report(surface, pc).to_dict())
+                dp, income = _Bounded(pc.scalar_delta()), _Bounded(y)
+                floats = [[_Bounded(v) for v in a] for a in surface.at(pc.start)]
+                exact = [[_Bounded(v, e) for v, e in zip(*pair)]
+                         for pair in zip(exact_jet, jet_bound)]
+                for jet in (floats, exact):
+                    want = _report_fields(*jet, dp, income)
+                    assert set(want) == set(got)
+                    for key, value in want.items():
+                        assert abs(Fraction(got[key]) - value.v) <= value.e, (p0, y, change, key)
 
 
 def test_cobb_douglas_table_matches_closed_forms():
