@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import json
 import math
 import os
@@ -23,22 +24,11 @@ import sys
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 
-import numpy as np
-
 from . import __version__
-from .core import (
-    Budget,
-    DomainError,
-    FitError,
-    InternalConsistencyError,
-    NumericError,
-    OrderError,
-    PriceChange,
-    income_effect_bounds,
-)
 
-# Each command imports the modules it runs inside its own function, so a
-# process loads only what its subcommand needs (see the README).
+# Each command imports the modules it runs, numpy and core too, inside its
+# own function, so a process loads only what its subcommand needs, and
+# --help or a command line the parser refuses loads no numpy (see the README).
 
 
 class UsageError(ValueError):
@@ -106,7 +96,8 @@ def _setting(flag, default, commands, domain=None, source=None, required="", **a
 DOMAINS = {
     "count": (lambda v: v >= 1, "%s must be >= 1, got %r"),
     "seed": (lambda v: v >= 0, "%s must be >= 0, got %r"),
-    "budget": (lambda v: v != [] and all(0.0 < x < math.inf for x in np.atleast_1d(v)),
+    "budget": (lambda v: v != [] and all(0.0 < x < math.inf
+                                         for x in (v if isinstance(v, list) else [v])),
                "%s %s: budgets need finite prices and incomes above zero"),
     "finite": (math.isfinite, "%s %s: must be a finite number"),
 }
@@ -213,6 +204,8 @@ def ingest_csv(path, goods):
     fail the whole file with a :class:`RowDataError` that lists the first
     100 by physical line number.
     """
+    import numpy as np
+
     from .estimation import Dataset, DegenerateDataError
 
     goods = _distinct(goods)
@@ -257,6 +250,8 @@ def _row_problems(table, k):
 
     Columns are the k shares, then the other required values.
     """
+    import numpy as np
+
     shares = table[:, :k]
     with np.errstate(invalid="ignore", over="ignore"):  # rows with inf fail anyway
         total = functools.reduce(np.add, shares.T, 0.0)  # summed left to right
@@ -292,6 +287,8 @@ def _row_errors(fh, path, cols, k):
     The diagnostic scan behind RowDataError: csv.reader over the whole
     file, run only when loadtxt or the row checks reject it.
     """
+    import numpy as np
+
     rows = _csv_rows(fh, path)
     next(rows, None)
     errors, lines, values = [], [], []
@@ -321,6 +318,8 @@ WRITE_BLOCK_ROWS = 8192
 
 
 def _write_dataset_csv(path, ds):
+    import numpy as np
+
     header = _columns(ds.goods)
     columns = [ds.shares, ds.log_prices, ds.log_y[:, None], ds.log_z[:, None]]
     # rows end in csv.writer's "\r\n", as the header and the other CSV outputs do;
@@ -385,6 +384,8 @@ def _surface_for_config(cfg, max_order):
 def _price_change(cfg, dp, k, good):
     """A change of ``good``'s price by dp at income --y, in budgets of k
     prices that all start at --p0."""
+    from .core import Budget, PriceChange
+
     start = (cfg.p0,) * k
     end = start[:good] + (cfg.p0 + dp,) + start[good + 1:]
     return PriceChange(Budget(start, cfg.y), Budget(end, cfg.y))
@@ -426,6 +427,8 @@ def _check_settings(command, cfg):
         raise ValueError("--z and --k must be given together, got only %s"
                          % ("--z" if cfg.k is None else "--k"))
     if command == "welfare":  # the one command that reads the bounds and thresholds
+        from .core import income_effect_bounds
+
         b_lo, b_hi = income_effect_bounds(cfg.b_lo, cfg.b_hi, cfg.p0)
         if cfg.z is not None and not (b_lo <= cfg.z <= b_hi and b_lo <= cfg.k <= b_hi):
             raise ValueError("--z %s, --k %s: thresholds must lie inside the income-effect "
@@ -492,6 +495,9 @@ def _cmd_oracle_check(cfg):
 
 
 def _cmd_rationality(cfg):
+    import numpy as np
+
+    from .core import Budget
     from .rationality import SupportBox, lp_violation_search
 
     surface, source, k = _surface_for_config(cfg, cfg.degree + 2)
@@ -525,9 +531,21 @@ COMMANDS = {"simulate": _cmd_simulate, "estimate": _cmd_estimate, "welfare": _cm
             "rationality": _cmd_rationality, "oracle-check": _cmd_oracle_check}
 
 VALIDATION_ERRORS = (ValueError, OSError, KeyError)
-# a RuntimeWarning is raised where warnings are errors: numpy's overflow, say
-NUMERIC_ERRORS = (DomainError, OrderError, NumericError, FitError, InternalConsistencyError,
-                  FloatingPointError, OverflowError, MemoryError, RuntimeWarning)
+# These and core.NUMERIC_ERRORS are together what exits 2 (see there); a new
+# exit-2 error defined in core goes in that list, any other in this one.  A
+# RuntimeWarning is raised where warnings are errors: numpy's overflow, say
+NUMERIC_ERRORS = (FloatingPointError, OverflowError, MemoryError, RuntimeWarning)
+
+
+def _exit_code(exc):
+    """2 for a numeric failure, 1 for a validation error, None for any other
+    exception.  core is read only once a command has loaded it (an error
+    raised before then is none of its classes), so a refused command line
+    loads no numpy."""
+    core = sys.modules.get(__package__ + ".core")
+    if isinstance(exc, NUMERIC_ERRORS + (core.NUMERIC_ERRORS if core else ())):
+        return 2
+    return 1 if isinstance(exc, VALIDATION_ERRORS) else None
 
 
 def run(command, cfg):
@@ -608,14 +626,34 @@ def config_from_args(args):
 
 
 def main(argv=None):
+    """Run one command line (``sys.argv[1:]`` by default); returns its exit
+    code.  It leaves the environment and the garbage collector as they are."""
     try:
         args = build_parser().parse_args(argv)
         cfg = config_from_args(args)
         _, code = run(args.command, cfg)
         return code
-    except NUMERIC_ERRORS + VALIDATION_ERRORS as exc:
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
         _emit_error(exc)
-        return 2 if isinstance(exc, NUMERIC_ERRORS) else 1
+        return code
+
+
+def entry():
+    """The program, as ``welfare-moments`` and ``python -m welfare_moments.cli``.
+
+    A process that runs one command sets two things that :func:`main` does
+    not.  Before numpy loads, OpenBLAS gets one thread unless the user's
+    OPENBLAS_NUM_THREADS says otherwise.  Once the command's outputs are
+    written, the heap is frozen, so the collection at interpreter exit has
+    nothing to scan.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    code = main()
+    gc.freeze()
+    return code
 
 
 def _emit_error(exc):
@@ -631,4 +669,4 @@ def _emit_error(exc):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

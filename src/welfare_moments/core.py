@@ -53,6 +53,12 @@ class InternalConsistencyError(RuntimeError):
     """A decomposition failed its algebraic identity; the surface is broken."""
 
 
+# The CLI exits 2 on these and on cli.NUMERIC_ERRORS, the interpreter's and
+# numpy's numeric failures; the two lists together are the whole set.  They
+# are kept apart so that cli need not import core (and numpy) to load.
+NUMERIC_ERRORS = (DomainError, OrderError, NumericError, FitError, InternalConsistencyError)
+
+
 @dataclass(frozen=True)
 class Budget:
     """A price vector and an income level; the conditioning point for all moments."""

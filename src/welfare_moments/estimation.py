@@ -375,13 +375,20 @@ def _design(ds, basis, fs):
     the rest go through :func:`_screened_qr`; a design it refuses is not
     stored, so every call raises again.  The basis is built on the sample's
     fitted rows (its distinct rows when it repeats rows), which q overwrites;
-    its control column holds those rows' first-stage residuals at ``fs``.
+    its control column holds those rows' first-stage residuals at ``fs``,
+    whose coefficients must be finite: a NaN column would be pinned at zero
+    as if it were fixed, and the fit would run without the control.
     """
     if not basis.include_control:
         fs = None  # then the first stage plays no part in the design
     design = ds._designs.get((basis, fs))
     if design is not None:
         return design
+    if fs is not None:
+        for label in _first_stage_labels(ds.goods):
+            if not np.isfinite(fs.coefficients[label]):
+                raise ValueError("first-stage coefficient %r is %r; the control column needs "
+                                 "finite ones" % (label, fs.coefficients[label]))
     rows = ds._rows
     log_prices, log_y = rows.pick(ds.log_prices), rows.pick(ds.log_y)
     x = _basis_matrix(log_prices, log_y, basis)

@@ -22,6 +22,7 @@ from welfare_moments import (
     QuadratureRule,
     build_report,
     cli,
+    core,
     surface_from_population,
 )
 from welfare_moments.cli import (
@@ -598,6 +599,20 @@ def test_numeric_failure_of_each_module_exits_2(tmp_path, capsys, monkeypatch, m
     out = tmp_path / "run"
     assert main(["welfare", "--population", "L0", "--out", str(out)]) == 2
     assert json.loads(capsys.readouterr().err) == {"error": name, "message": "did not converge"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error", cli.NUMERIC_ERRORS + core.NUMERIC_ERRORS,
+                         ids=lambda error: error.__name__)
+def test_every_class_of_both_numeric_lists_exits_2(tmp_path, capsys, monkeypatch, error):
+    # cli's list and core's are together the exit-2 set
+    def failing(*args):
+        raise error("failed")
+
+    monkeypatch.setattr("welfare_moments.oracle.surface_from_population", failing)
+    out = tmp_path / "run"
+    assert main(["welfare", "--population", "L0", "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": error.__name__, "message": "failed"}
     assert not out.exists()
 
 

@@ -610,6 +610,19 @@ def test_control_basis_without_a_first_stage_is_refused():
         fit_moment_surface(constant_dataset(), "q", 1, BasisSpec())
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_control_from_a_non_finite_first_stage_is_refused(bad):
+    # a NaN control column would be pinned at zero like a fixed column, and
+    # the fit would run without the control and say nothing
+    ds = _l0_sample(2000, seed=5)
+    fs = FirstStageFit(dict(first_stage(ds).coefficients, log_z=bad))
+    with pytest.raises(ValueError, match="first-stage coefficient 'log_z' is %s" % bad):
+        fit_moment_surface(ds, "q", 1, BasisSpec(), fs)
+    assert not ds._designs  # nothing is stored, so a later call raises again
+    with pytest.raises(ValueError, match="'log_z'"):
+        _design(ds, BasisSpec(), fs)
+
+
 @pytest.mark.parametrize("good", ["x", 0])
 def test_fit_refuses_a_good_the_sample_does_not_name(good):
     # goods are given by name, so an index is refused like an unknown name

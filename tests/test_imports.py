@@ -1,8 +1,11 @@
-"""What importing the package and running each subcommand loads.
+"""What importing the package and running each subcommand loads, and what
+a CLI process sets.
 
 ``import welfare_moments`` loads no submodule and no numpy; every exported
 name resolves on first use to the object of its home module, and a CLI
-process loads only the modules its subcommand runs.
+process loads only the modules its subcommand runs.  The program entry
+gives OpenBLAS one thread before numpy loads and freezes the heap at the
+end; importing the package or calling ``cli.main`` does neither.
 """
 
 import importlib
@@ -68,12 +71,16 @@ def test_submodules_import_through_the_package():
     assert wm.oracle is sys.modules["welfare_moments.oracle"]
 
 
-def _python(code, *args):
-    """Run ``code`` in a fresh interpreter that imports this checkout's package;
-    returns the JSON it prints."""
+def _python(code, *args, blas_threads=None):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package,
+    with OPENBLAS_NUM_THREADS set to ``blas_threads`` (None: unset); returns
+    the JSON it prints."""
     src = os.path.dirname(os.path.dirname(wm.__file__))
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -141,3 +148,78 @@ def test_commands_load_no_openssl(tmp_path, draws):
         "print(json.dumps([codes, before, '_hashlib' in sys.modules]))", draws, str(tmp_path))
     assert codes == [0, 0]
     assert after == before
+
+
+# The two ways a user starts the program: ``python -m welfare_moments.cli``
+# (which runpy.run_module does in-process) and the console script, which
+# calls cli.entry.  PROGRAM runs one of them on its arguments and prints the
+# exit code, OPENBLAS_NUM_THREADS as it was when numpy first loaded (None
+# if it was unset; [] if numpy never loaded), whether the heap was frozen,
+# and whether numpy is loaded; what the program prints on standard output
+# (a --help) is dropped.
+LAUNCHERS = {
+    "python -m": "runpy.run_module('welfare_moments.cli', run_name='__main__', alter_sys=True)",
+    "console script": "from welfare_moments.cli import entry; sys.exit(entry())",
+}
+PROGRAM = """
+import contextlib, gc, io, json, os, runpy, sys
+seen = []
+class FirstNumpyImport:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, FirstNumpyImport())
+sys.argv = ["welfare-moments", *sys.argv[1:]]
+try:
+    with contextlib.redirect_stdout(io.StringIO()):  # --help prints there
+        %s
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, seen, gc.get_freeze_count() > 0, "numpy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+@pytest.mark.parametrize("given, used", [(None, "1"), ("2", "2")], ids=["unset", "user's 2"])
+def test_the_program_sets_one_blas_thread_unless_the_user_did(tmp_path, launcher, given, used):
+    code, seen, frozen, _ = _python(PROGRAM % LAUNCHERS[launcher], "oracle-check", "--dp",
+                                    "0.05", "--out", str(tmp_path), blas_threads=given)
+    assert code == 0
+    assert seen == [used]  # already set when numpy first loaded
+    assert frozen  # the heap is frozen once the outputs are written
+    assert (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "welfare", "oracle-check",
+                                     "rationality"])
+def test_help_loads_no_numpy(command):
+    code, seen, _, numpy = _python(PROGRAM % LAUNCHERS["python -m"], command, "--help")
+    assert (code, seen, numpy) == (0, [], False)
+
+
+def test_a_refused_command_line_loads_no_numpy(tmp_path):
+    # the parser refuses an abbreviated flag before any command runs
+    code, seen, _, numpy = _python(PROGRAM % LAUNCHERS["console script"], "welfare",
+                                   "--population", "L0", "--b-l", "-inf",
+                                   "--out", str(tmp_path / "refused"))
+    assert (code, seen, numpy) == (1, [], False)
+    assert not (tmp_path / "refused").exists()
+
+
+def test_importing_or_calling_main_sets_nothing(tmp_path):
+    # the package, cli and an in-process main leave the environment and the
+    # garbage collector as they found them; only the program entry sets them
+    states = _python(
+        "import gc, json, os, sys\n"
+        "def state(): return [dict(os.environ), gc.isenabled(), gc.get_freeze_count()]\n"
+        "states = [state()]\n"
+        "import welfare_moments, welfare_moments.cli\n"
+        "states.append(state())\n"
+        "code = welfare_moments.cli.main(['oracle-check', '--out', sys.argv[1]])\n"
+        "print(json.dumps([code] + states + [state()]))", str(tmp_path))
+    code, *states = states
+    assert code == 0
+    assert states[0] == states[1] == states[2]
+    assert "OPENBLAS_NUM_THREADS" not in states[0][0]
+    assert states[0][1:] == [True, 0]
+
