@@ -206,7 +206,7 @@ def ingest_csv(path, goods):
     """
     import numpy as np
 
-    from .estimation import Dataset, DegenerateDataError
+    from .estimation import Dataset, DegenerateDataError, _sealed
 
     goods = _distinct(goods)
     required = _columns(goods)
@@ -237,8 +237,8 @@ def ingest_csv(path, goods):
             raise RowDataError(errors[:100], len(errors))
     if not len(table):
         raise DegenerateDataError("no data rows in %s" % path)
-    return Dataset(goods=goods, shares=table[:, :k], log_prices=table[:, k:2 * k],
-                   log_y=table[:, 2 * k], log_z=table[:, 2 * k + 1]), notes
+    return Dataset(goods, *_sealed(table[:, :k], table[:, k:2 * k], table[:, 2 * k],
+                                   table[:, 2 * k + 1])), notes
 
 
 ROW_PROBLEMS = (None, "non-finite value", "share outside [0, 1]",

@@ -45,46 +45,14 @@ class BootstrapInstabilityError(RuntimeError):
         super().__init__("statistic failed on %d of %d resamples" % (failures, total))
 
 
-class _Rows(NamedTuple):
-    """The rows that fits on a sample factor and iterate on.
-
-    A plain sample fits all of its rows (``index`` is None).  A sample that
-    ``take`` drew with a repeated index fits each distinct row once:
-    ``index`` holds a position of it in the sample, ``count`` how often the
-    sample holds it, and each row of a least-squares problem is scaled by
-    ``root``, the square root of its count (frequency weights).
-    """
-
-    index: np.ndarray = None
-    count: np.ndarray = None
-    root: np.ndarray = None
-
-    def pick(self, a, subset=slice(None)):
-        """The fitted rows (of ``subset``) of ``a``, a per-sample-row array."""
-        return a[subset] if self.index is None else a[self.index[subset]]
-
-    def weigh(self, v, subset=slice(None)):
-        """The fitted rows ``v`` (of ``subset``), each scaled by its root count."""
-        if self.root is None:
-            return v
-        root = self.root[subset]
-        return root[:, None] * v if v.ndim == 2 else root * v
-
-    def spread(self, x):
-        """The standard deviation over the sample of each column of ``x``,
-        an array of fitted rows."""
-        if self.count is None:
-            return [np.std(column) for column in x.T]
-        total = self.count.sum()
-        return [np.sqrt(self.count @ (c - self.count @ c / total) ** 2 / total) for c in x.T]
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Cross-section of budget shares, log prices, log expenditure, log instrument.
 
-    The arrays are stored as read-only views (the caller's own arrays keep
-    their flags), so an in-place write through a dataset raises ValueError.
+    A dataset holds no memory that its caller can still write: it copies
+    each array whose owner (see :func:`_owner`) is writeable, and views the
+    others.  Its arrays are read-only, so an in-place write through a
+    dataset raises ValueError; the caller's own arrays keep their flags.
     Each sample keeps the regression designs fitted on it, one per (basis,
     first stage), in ``_designs``: every moment order and good of the sample
     shares one basis, rank check and QR.  ``take`` starts with none.
@@ -96,16 +64,14 @@ class Dataset:
     log_y: np.ndarray
     log_z: np.ndarray
     _designs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _rows: _Rows = field(default=_Rows(), init=False, repr=False, compare=False)
-    # per row of a sample that take drew, its row in the sample the takes started from
-    _source: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("shares", "log_prices", "log_y", "log_z"):
-            view = np.asarray(getattr(self, name)).view()
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
-            if not np.isfinite(view).all():
+            array = np.asarray(getattr(self, name))
+            held = array.copy() if _owner(array).flags.writeable else array.view()
+            held.flags.writeable = False
+            object.__setattr__(self, name, held)
+            if not np.isfinite(held).all():
                 raise ValueError("%s holds a non-finite value" % name)
         n = len(self.log_y)
         if self.shares.shape != (n, len(self.goods)):
@@ -120,28 +86,63 @@ class Dataset:
         return len(self.log_y)
 
     def take(self, indices):
-        """The sample of the rows ``indices`` (integer or boolean) select.
-
-        Its arrays hold one row per index, repeats included, so a statistic
-        that reads them sees the resample.  When an index repeats, as in a
-        bootstrap resample, the sample also records each distinct row with
-        its count, and fits on it run on those rows with the counts as
-        frequency weights: the same estimator on fewer rows.  Rows repeat by
-        their source row, so a take of a take fits each source row once.
-        """
+        """The sample of the rows ``indices`` (integer or boolean) select,
+        one row per index, repeats included."""
         idx = np.asarray(indices)
-        sample = Dataset(self.goods, self.shares[idx], self.log_prices[idx],
-                         self.log_y[idx], self.log_z[idx])
-        source = (np.arange(self.n) if self._source is None else self._source)[idx]
-        object.__setattr__(sample, "_source", source)
-        count = np.bincount(source)
-        if count.max(initial=0) > 1:
-            position = np.empty(len(count), dtype=np.intp)
-            position[source] = np.arange(len(source))
-            held = np.flatnonzero(count)
-            count = count[held].astype(float)
-            object.__setattr__(sample, "_rows", _Rows(position[held], count, np.sqrt(count)))
-        return sample
+        return Dataset(self.goods, *_sealed(self.shares[idx], self.log_prices[idx],
+                                            self.log_y[idx], self.log_z[idx]))
+
+
+def _owner(array):
+    """The ndarray that owns the memory of ``array``: the end of its ``.base`` chain."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+def _sealed(*arrays):
+    """``arrays``, fresh ones, with their owners made read-only, so that a
+    Dataset holds them without a copy."""
+    for array in arrays:
+        _owner(array).flags.writeable = False
+    return arrays
+
+
+def _resample(ds, indices):
+    """``ds.take(indices)``, the resample that a bootstrap statistic reads,
+    carrying the rows that fits on it run on: each row of ``ds`` that
+    ``indices`` select, once and in the order of ``ds``, with its count.
+    A fit weighs each such row by its count (frequency weights): the same
+    estimator as on the repeated rows, on fewer rows."""
+    sample = ds.take(indices)
+    count = np.bincount(np.arange(ds.n)[np.asarray(indices)], minlength=ds.n)
+    held = np.flatnonzero(count)
+    count = count[held].astype(float)
+    object.__setattr__(sample, "_counted", (ds.take(held), count, np.sqrt(count)))
+    return sample
+
+
+def _rows(ds):
+    """(rows, count, root): the rows that fits on ``ds`` factor and iterate
+    on, each one's count in the sample and its square root, which scales
+    its row of a least-squares problem.  A resample's are its distinct rows
+    (see :func:`_resample`); a plain sample fits its own rows, with no
+    counts (None)."""
+    return getattr(ds, "_counted", (ds, None, None))
+
+
+def _weigh(root, v, subset=slice(None)):
+    """The fitted rows ``v`` (of ``subset``), each scaled by its root count."""
+    return v if root is None else root[subset] * v
+
+
+def _spread(x, count):
+    """The standard deviation over the sample of each column of ``x``, an
+    array of fitted rows, each fitted row counted ``count`` times."""
+    if count is None:
+        return [np.std(column) for column in x.T]
+    total = count.sum()
+    return [np.sqrt(count @ (c - count @ c / total) ** 2 / total) for c in x.T]
 
 
 @dataclass(frozen=True)
@@ -273,7 +274,7 @@ def _row_blocks(n):
     return [slice(i, min(i + BLOCK_ROWS, n)) for i in range(0, n, BLOCK_ROWS)]
 
 
-def _screened_qr(x, labels, what, rows=_Rows()):
+def _screened_qr(x, labels, what, count=None):
     """The intercept and every varying column of ``x``: (their indices, q,
     r) of the reduced QR ``x[:, kept] = q r``, with q written over ``x``.
 
@@ -286,15 +287,15 @@ def _screened_qr(x, labels, what, rows=_Rows()):
     diagonal vanishes, so SingularDesignError names exactly those columns'
     labels.
 
-    On a sample with repeated rows, ``x`` holds its distinct ``rows``: the
-    screen weighs each by its count, q and r factor the scaled rows,
-    sqrt(count) x = q r, and the row count and the rank threshold are the
-    sample's.  With fewer distinct rows than columns, R is padded with zero
-    rows to its full size, so the columns past the rank are named as on the
-    repeated rows.
+    On a resample, ``x`` holds its distinct rows, each held ``count``
+    times: the screen weighs each by its count, q and r factor the scaled
+    rows, sqrt(count) x = q r, and the row count and the rank threshold are
+    the resample's.  With fewer distinct rows than columns, R is padded with
+    zero rows to its full size, so the columns past the rank are named as
+    on the repeated rows.
     """
-    n = x.shape[0] if rows.count is None else int(rows.count.sum())
-    spread = rows.spread(x[:, 1:]) if n else ()  # no rows: no spread to take
+    n = x.shape[0] if count is None else int(count.sum())
+    spread = _spread(x[:, 1:], count) if n else ()  # no rows: no spread to take
     kept = [0] + [i + 1 for i, s in enumerate(spread) if s >= 1e-12]
     m = len(kept)
     if n <= m:
@@ -302,8 +303,8 @@ def _screened_qr(x, labels, what, rows=_Rows()):
     for i, column in enumerate(kept):
         x[:, i] = x[:, column]
     blocks = _row_blocks(x.shape[0])
-    for b in blocks if rows.root is not None else ():  # weighed once, for r and for q
-        x[b, :m] = rows.weigh(x[b, :m], b)
+    for b in blocks if count is not None else ():  # weighed once, for r and for q
+        x[b, :m] *= np.sqrt(count[b])[:, None]
     r = [np.linalg.qr(x[b, :m], mode="r") for b in blocks]
     r = r[0] if len(r) == 1 else np.linalg.qr(np.vstack(r), mode="r")
     if r.shape[0] < m:
@@ -324,12 +325,12 @@ def _first_stage_labels(goods):
 
 def _first_stage_residuals(ds, coefficients, out):
     """``out``, with the first-stage residuals at ``coefficients`` (label ->
-    coefficient) of the sample's own fitted rows written in by row blocks:
-    no residual vector outlives a block."""
-    rows, coef = ds._rows, [coefficients[label] for label in _first_stage_labels(ds.goods)]
+    coefficient) of the rows of ``ds`` written in by row blocks: no residual
+    vector outlives a block."""
+    coef = [coefficients[label] for label in _first_stage_labels(ds.goods)]
     for b in _row_blocks(len(out)):
-        columns = [1.0, rows.pick(ds.log_z, b), *rows.pick(ds.log_prices, b).T]
-        out[b] = rows.pick(ds.log_y, b) - sum(c * column for c, column in zip(coef, columns))
+        columns = [1.0, ds.log_z[b], *ds.log_prices[b].T]
+        out[b] = ds.log_y[b] - sum(c * column for c, column in zip(coef, columns))
     return out
 
 
@@ -341,17 +342,18 @@ def first_stage(ds):
     distinct rows weighted by their counts when the sample repeats rows.
     """
     labels = _first_stage_labels(ds.goods)
-    rows = ds._rows
-    x = np.empty((len(rows.pick(ds.log_y)), len(labels)), order="F")
-    x[:, 0], x[:, 1], x[:, 2:] = 1.0, rows.pick(ds.log_z), rows.pick(ds.log_prices)
-    kept, q, r = _screened_qr(x, labels, "columns", rows)
+    rows, count, root = _rows(ds)
+    x = np.empty((rows.n, len(labels)), order="F")
+    x[:, 0], x[:, 1], x[:, 2:] = 1.0, rows.log_z, rows.log_prices
+    kept, q, r = _screened_qr(x, labels, "columns", count)
     kept = [labels[i] for i in kept]
     fit = dict.fromkeys(labels, 0.0)  # each dropped column at zero
     # a solve, then one corrected semi-normal step (Bjorck 1996): on L0, the
     # coefficients are 1e-12 off lstsq's without it, 1e-15 with it
-    coef = np.linalg.solve(r, q.T @ rows.weigh(rows.pick(ds.log_y)))
+    coef = np.linalg.solve(r, q.T @ _weigh(root, rows.log_y))
     fit.update(zip(kept, coef.tolist()))
-    coef += np.linalg.solve(r, q.T @ rows.weigh(_first_stage_residuals(ds, fit, np.empty(len(q)))))
+    residuals = _first_stage_residuals(rows, fit, np.empty(len(q)))
+    coef += np.linalg.solve(r, q.T @ _weigh(root, residuals))
     fit.update(zip(kept, coef.tolist()))
     return FirstStageFit(fit, tuple(label for label in labels if label not in kept))
 
@@ -389,13 +391,12 @@ def _design(ds, basis, fs):
             if not np.isfinite(fs.coefficients[label]):
                 raise ValueError("first-stage coefficient %r is %r; the control column needs "
                                  "finite ones" % (label, fs.coefficients[label]))
-    rows = ds._rows
-    log_prices, log_y = rows.pick(ds.log_prices), rows.pick(ds.log_y)
-    x = _basis_matrix(log_prices, log_y, basis)
+    rows, count, _ = _rows(ds)
+    x = _basis_matrix(rows.log_prices, rows.log_y, basis)
     if fs is not None:
-        _first_stage_residuals(ds, fs.coefficients, x[:, -1])
-    active, q, r = _screened_qr(x, _basis_labels(ds.goods, basis), "basis columns", rows)
-    columns = [*log_prices.T, log_y]
+        _first_stage_residuals(rows, fs.coefficients, x[:, -1])
+    active, q, r = _screened_qr(x, _basis_labels(ds.goods, basis), "basis columns", count)
+    columns = [*rows.log_prices.T, rows.log_y]
     domain = (np.array([c.min() for c in columns]), np.array([c.max() for c in columns]))
     design = _Design(active, x.shape[1], q, r, q.T @ q, domain)
     ds._designs[basis, fs] = design
@@ -435,8 +436,8 @@ def fit_moment_surface(ds, good, order, basis, fs=None):
     # matrix of pred * q has cond <= (max pred / min pred)^2, so the basis'
     # own conditioning is never squared.
     active, n_columns, q, r, qtq, domain = _design(ds, basis, fs)
-    rows = ds._rows
-    w = rows.pick(w)
+    rows, _, root = _rows(ds)
+    w = rows.shares[:, k]
     target = w ** order
     # pred holds each prediction, resid the start's right-hand side, then each rss's terms
     pred, resid = np.empty_like(target), np.empty_like(target)
@@ -448,15 +449,15 @@ def fit_moment_surface(ds, good, order, basis, fs=None):
     resid[zero] = 0.0
     zero_q = q[zero]
     theta_active = np.linalg.solve(r, np.linalg.solve(
-        qtq - zero_q.T @ zero_q, q.T @ rows.weigh(resid)))
+        qtq - zero_q.T @ zero_q, q.T @ _weigh(root, resid)))
 
     def rss_at(th):  # writes its prediction over pred, which a step reads only for its sums
         eta = np.matmul(q, r @ th, out=pred)  # x th, times sqrt(count) on a repeated-row sample
-        eta /= 1.0 if rows.root is None else rows.root
+        eta /= 1.0 if root is None else root
         np.exp(np.minimum(np.maximum(eta, -700.0, out=eta), 700.0, out=eta), out=eta)
         np.subtract(target, pred, out=resid)
-        if rows.root is not None:
-            np.multiply(resid, rows.root, out=resid)
+        if root is not None:
+            np.multiply(resid, root, out=resid)
         return float(np.sum(np.square(resid, out=resid)))
 
     rss = rss_at(theta_active)
@@ -467,7 +468,7 @@ def fit_moment_surface(ds, good, order, basis, fs=None):
         for b in _row_blocks(len(q)):
             block = np.multiply(pred[b, None], q[b], out=jac[:b.stop - b.start])
             gram = gram + block.T @ block
-            grad_q = grad_q + block.T @ rows.weigh(target[b] - pred[b], b)
+            grad_q = grad_q + block.T @ _weigh(root, target[b] - pred[b], b)
         try:
             chol = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
@@ -597,10 +598,10 @@ def bootstrap(ds, statistic, cfg):
     """Percentile bootstrap over row resamples; deterministic given the seed.
 
     Replicate r resamples rows with the stream seeded by (seed, r), so its
-    draw does not depend on the replicates before it.  Fits on a resample
-    (``ds.take``) run on its distinct rows, about 63% of n, weighted by
-    their counts: the multinomial-weight view of the bootstrap (Efron &
-    Tibshirani 1993).
+    draw does not depend on the replicates before it.  The statistic reads
+    the resample's rows, repeats included; fits on it run on its distinct
+    rows, about 63% of n, weighted by their counts (:func:`_resample`): the
+    multinomial-weight view of the bootstrap (Efron & Tibshirani 1993).
     """
     point = float(statistic(ds))
     values, failures = [], 0
@@ -608,7 +609,7 @@ def bootstrap(ds, statistic, cfg):
         rng = np.random.default_rng([cfg.seed, rep])
         idx = rng.integers(0, ds.n, size=ds.n)
         try:
-            values.append(float(statistic(ds.take(idx))))
+            values.append(float(statistic(_resample(ds, idx))))
         except REPLICATE_ERRORS:
             failures += 1
     if failures > 0.10 * cfg.replications:

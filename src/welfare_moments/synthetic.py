@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import quantity_surface_from_shares
-from .estimation import BasisSpec, Dataset, _basis_matrix, exp_poly_share_surface
+from .estimation import BasisSpec, Dataset, _basis_matrix, _sealed, exp_poly_share_surface
 from .oracle import CobbDouglasPopulation
 
 
@@ -60,8 +60,7 @@ def population_cross_section(pop, n, seed, goods=None):
             raise ValueError("sampled region produced nonpositive demand; shrink it")
         shares, log_p = (p * q / y)[:, None], log_p[:, None]
         default = ["q"]
-    return Dataset(goods=tuple(goods or default), shares=shares, log_prices=log_p,
-                   log_y=log_y, log_z=log_z)
+    return Dataset(tuple(goods or default), *_sealed(shares, log_p, log_y, log_z))
 
 
 @dataclass(frozen=True)
@@ -121,8 +120,7 @@ class PlantedShareModel:
         w = mean * (1.0 + u)
         if np.any(w <= 0.0) or np.any(w >= 1.0):
             raise ValueError("planted coefficients pushed shares outside (0, 1)")
-        return Dataset(goods=self.goods, shares=w.reshape(-1, 1),
-                       log_prices=log_p, log_y=log_y, log_z=log_z)
+        return Dataset(self.goods, *_sealed(w.reshape(-1, 1), log_p, log_y, log_z))
 
 
 def default_planted_model():

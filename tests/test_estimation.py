@@ -22,6 +22,7 @@ from welfare_moments import (
     quantity_surface_from_shares,
 )
 from welfare_moments import estimation
+from welfare_moments.cli import _write_dataset_csv, ingest_csv
 from welfare_moments.estimation import (
     BootstrapInstabilityError,
     DegenerateDataError,
@@ -35,7 +36,7 @@ from welfare_moments.estimation import (
     _screened_qr,
     exp_poly_share_surface,
 )
-from welfare_moments.oracle import CobbDouglasPopulation
+from welfare_moments.oracle import CobbDouglasPopulation, LinearHeteroPopulation
 from welfare_moments.synthetic import (
     PlantedShareModel,
     default_planted_model,
@@ -45,6 +46,7 @@ from welfare_moments.synthetic import (
 from conftest import traced
 
 NO_CONTROL = BasisSpec(include_control=False)
+DATA_ARRAYS = ("shares", "log_prices", "log_y", "log_z")
 
 
 def first_stage_residuals(ds, fs):
@@ -154,9 +156,9 @@ def test_screened_qr_factors_the_design(sample):
     assert np.linalg.norm(q @ r - x[:, kept]) <= 1e-12 * np.linalg.norm(x)
 
 
-def _whole_array_r(x, kept, rows=estimation._Rows()):
+def _whole_array_r(x, kept, count=None):
     """The R that one qr of every fitted row gives: the factor before row blocks."""
-    scaled = x[:, kept] if rows.root is None else rows.root[:, None] * x[:, kept]
+    scaled = x[:, kept] if count is None else np.sqrt(count)[:, None] * x[:, kept]
     return np.linalg.qr(scaled, mode="r")
 
 
@@ -167,23 +169,25 @@ def _assert_same_r(r, oracle):
 
 
 def _design_basis(ds):
-    rows = ds._rows
-    x = control_basis(rows.pick(ds.log_prices), rows.pick(ds.log_y), BasisSpec(),
-                      rows.pick(first_stage_residuals(ds, first_stage(ds))))
-    return x, rows
+    """The basis of a design on ``ds``, and its fitted rows' counts."""
+    rows, count, _ = estimation._rows(ds)
+    x = control_basis(rows.log_prices, rows.log_y, BasisSpec(),
+                      first_stage_residuals(rows, first_stage(ds)))
+    return x, count
 
 
 @pytest.mark.parametrize("sample", [
     lambda: _l0_sample(20000), lambda: _cd2_sample(20000),
     lambda: _l0_sample(8191), lambda: _l0_sample(8192), lambda: _l0_sample(8193),
-    lambda: _l0_sample(20000).take(np.random.default_rng([3, 0]).integers(0, 20000, 20000)),
+    lambda: estimation._resample(_l0_sample(20000),
+                                 np.random.default_rng([3, 0]).integers(0, 20000, 20000)),
 ], ids=["L0", "CD2(0.3)", "8191 rows", "8192 rows", "8193 rows", "resample"])
 def test_row_block_r_matches_whole_array_qr(sample):
     ds = sample()
-    x, rows = _design_basis(ds)
+    x, count = _design_basis(ds)
     kept, q, r = _screened_qr(x.copy(order="F"), _basis_labels(ds.goods, BasisSpec()),
-                              "basis columns", rows)
-    _assert_same_r(r, _whole_array_r(x, kept, rows))
+                              "basis columns", count)
+    _assert_same_r(r, _whole_array_r(x, kept, count))
 
 
 def test_basis_powers_match_np_power():
@@ -375,7 +379,7 @@ def test_orders_and_goods_of_a_sample_share_one_qr(monkeypatch):
 
 def test_bootstrap_replicate_factors_twice_and_calls_no_lstsq(monkeypatch):
     ds = _l0_sample(5000)
-    sample = ds.take(np.random.default_rng([3, 0]).integers(0, ds.n, ds.n))
+    sample = estimation._resample(ds, np.random.default_rng([3, 0]).integers(0, ds.n, ds.n))
     qr_calls = _count_qr(monkeypatch)
     lstsq, lstsq_calls = np.linalg.lstsq, []
     monkeypatch.setattr(np.linalg, "lstsq",
@@ -392,26 +396,15 @@ def test_bootstrap_replicate_factors_twice_and_calls_no_lstsq(monkeypatch):
 
 @pytest.mark.parametrize("indices", [np.arange(5000), np.arange(0, 5000, 3),
                                      np.arange(5000) % 4 > 0, np.arange(4999, -1, -2),
-                                     np.array([], dtype=int)],
-                         ids=["all", "every third", "mask", "reversed", "none"])
-def test_take_without_repeats_is_a_plain_sample(indices):
+                                     np.array([], dtype=int), np.arange(5000) // 2],
+                         ids=["all", "every third", "mask", "reversed", "none", "repeats"])
+def test_take_is_a_plain_sample(indices):
     ds = _l0_sample(5000)
     sample = ds.take(indices)
-    assert sample._rows.index is None and sample._rows.count is None
-
-
-def test_a_take_of_a_take_fits_each_source_row_once():
-    # the second resample repeats rows of the first, and rows of the first
-    # that are one source row: each source row is one fitted row
-    ds = _l0_sample(5000)
-    rng = np.random.default_rng(1)
-    first, second = (rng.integers(0, ds.n, ds.n) for _ in range(2))
-    sample = ds.take(first).take(second)
-    distinct, count = np.unique(first[second], return_counts=True)
-    rows = sample._rows
-    assert len(rows.index) == len(distinct) and rows.count.sum() == sample.n
-    assert np.array_equal(rows.count, count)
-    assert np.array_equal(rows.pick(sample.log_y), ds.log_y[distinct])
+    rows, count, root = estimation._rows(sample)
+    assert rows is sample and count is None and root is None
+    for name in DATA_ARRAYS:
+        assert np.array_equal(getattr(sample, name), getattr(ds, name)[indices])
 
 
 def test_shared_design_fits_equal_fresh_fits():
@@ -476,7 +469,8 @@ def test_resample_fits_equal_fits_on_the_duplicated_rows(case):
               BootstrapConfig(8, 0.90, seed=9))
     assert samples[0] is ds and len(samples) == 9
     for sample in samples[1:]:
-        assert sample._rows.count.sum() == sample.n > len(sample._rows.index)
+        rows, count, _ = estimation._rows(sample)
+        assert count.sum() == sample.n > rows.n
         _assert_fits_match(sample, goods)
 
 
@@ -522,7 +516,7 @@ def _take_of_a_take():
 @pytest.mark.parametrize("basis", [BasisSpec(), NO_CONTROL], ids=["control", "no control"])
 def test_resample_edge_cases_match_the_duplicated_rows(case, basis):
     ds, indices = case()
-    _assert_fits_match(ds.take(indices), ("q",), basis)
+    _assert_fits_match(estimation._resample(ds, indices), ("q",), basis)
 
 
 def test_first_stage_of_an_empty_sample_raises_without_a_warning():
@@ -537,13 +531,13 @@ def test_resample_of_few_distinct_rows_names_the_collinear_columns():
     # 12 rows of 4 distinct ones fit 8 basis columns by row count; the
     # factor of the 4 distinct rows is padded to 8 x 8, as the rank of the
     # 12 rows would have it
-    sample = _nine().take([0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3])
+    sample = estimation._resample(_nine(), [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3])
     with pytest.raises(SingularDesignError) as err:
         fit_moment_surface(sample, "q", 1, BasisSpec(), first_stage(sample))
     assert err.value.columns == ["log_y^1", "log_y^2", "log_y^3", "control"]
     # the columns past the rank of the whole-array R
-    x, rows = _design_basis(sample)
-    assert _whole_array_r(x, list(range(8)), rows).shape == (4, 8)
+    x, count = _design_basis(sample)
+    assert _whole_array_r(x, list(range(8)), count).shape == (4, 8)
 
 
 def test_design_is_kept_per_first_stage_and_basis(monkeypatch):
@@ -583,6 +577,48 @@ def test_dataset_arrays_are_read_only():
     assert sub.n == n // 2 and not sub.log_y.flags.writeable
     fit = fit_moment_surface(sub, "q", 1, BasisSpec(), first_stage(sub))
     assert np.all(np.isfinite(fit.theta))
+
+
+def test_a_dataset_holds_no_memory_its_caller_can_write():
+    # the caller's arrays are copied, so neither a write into them nor a fit's
+    # cached design sees a value the dataset did not hold when it was built
+    draws = population_cross_section(L0, 2000, 5)
+    arrays = [np.array(getattr(draws, name)) for name in DATA_ARRAYS]
+    ds = Dataset(draws.goods, *arrays)
+    fs = first_stage(ds)
+    fit = fit_moment_surface(ds, "q", 1, BasisSpec(), fs)
+    arrays[0][3, 0] = np.nan
+    arrays[2][:] += 0.5
+    for name in DATA_ARRAYS:
+        assert np.array_equal(getattr(ds, name), getattr(draws, name))
+    refit = fit_moment_surface(ds, "q", 1, BasisSpec(), fs)
+    fresh = fit_moment_surface(draws, "q", 1, BasisSpec(), fs)
+    for got in (refit, fresh):
+        assert np.array_equal(got.theta, fit.theta) and got.rss == fit.rss
+        assert got.domain[1][-1] == draws.log_y.max()
+
+
+def test_fresh_arrays_are_held_without_a_copy(tmp_path):
+    # ingest, the draws and take make their arrays read-only at their owner,
+    # so a dataset views them; ingest's four arrays view its one table
+    draws = population_cross_section(L0, 200, 5)
+    _write_dataset_csv(tmp_path / "draws.csv", draws)
+    ingested, _ = ingest_csv(tmp_path / "draws.csv", ["q"])
+    cd2 = population_cross_section(CobbDouglasPopulation.two_type(0.3), 200, 5, ("food", "fuel"))
+    planted = default_planted_model().sample(200, 5)
+    for ds in (draws, cd2, planted, draws.take(np.arange(200) // 2), ingested):
+        for name in DATA_ARRAYS:
+            array = getattr(ds, name)
+            assert not array.flags.owndata and not estimation._owner(array).flags.writeable
+    table = estimation._owner(ingested.shares)
+    assert all(estimation._owner(getattr(ingested, name)) is table for name in DATA_ARRAYS)
+
+
+def test_draws_refuse_a_region_of_nonpositive_demand():
+    pop = LinearHeteroPopulation(intercept_lo=-100.0, intercept_hi=-99.0)
+    with pytest.raises(ValueError, match="^sampled region produced nonpositive demand; "
+                                         "shrink it$"):
+        population_cross_section(pop, 50, 0)
 
 
 def test_fit_failed_cholesky_is_fit_error(monkeypatch):
